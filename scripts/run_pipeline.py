@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
 """Run the full pipeline on the synthetic corpus:
-synth -> train-mle -> train-scst -> decode -> score -> report.
+synth -> train-mle -> train-scst -> decode -> score -> report -> fid.
+
+The closing FID/VID compares the corpus against a second one synthesized with
+seed + 1, so the Frechet distance is computed rather than short-circuited.
 
 Usage: python3 scripts/run_pipeline.py [workdir] [--seed N] [--n-clips N]
 """
 import argparse
-import json
 import os
 import sys
 
@@ -51,8 +53,9 @@ def main():
     sh(["report", *[r for _, r in reports],
         "--labels", *[f"{label}/synth-val" for label, _ in reports]])
 
-    fid_index = os.path.join(data, "feature_index.json")
-    sh(["fid", fid_index, fid_index])
+    other = os.path.join(w, "data_seed_plus_1")
+    sh(["synth", "--out", other, "--n-clips", str(args.n_clips), "--seed", str(args.seed + 1)])
+    sh(["fid", os.path.join(data, "feature_index.json"), os.path.join(other, "feature_index.json")])
 
 
 if __name__ == "__main__":

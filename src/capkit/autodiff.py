@@ -3,8 +3,13 @@
 Ops accept either a `Var` (tracked) or a plain ndarray (constant). When the
 tape is None every op degrades to its plain numpy forward computation, so the
 same model code serves both training and inference.
+
+The op set is the decoder block's and no more: `matmul`, `matmul_nt`, `add`,
+`relu`, `layer_norm`, `gather_rows`, `slice_rows` and multi-head `attention`.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -82,30 +87,6 @@ def add(tape, a, b):
     return out
 
 
-def mul(tape, a, b):
-    av, bv = val(a), val(b)
-    out = _out(tape, av * bv)
-    if tape is not None:
-        def back():
-            g = out.grad
-            if isinstance(a, Var):
-                a.grad += _unbroadcast(g * bv, av.shape)
-            if isinstance(b, Var):
-                b.grad += _unbroadcast(g * av, bv.shape)
-        tape.record(back)
-    return out
-
-
-def scale(tape, a, c: float):
-    out = _out(tape, val(a) * c)
-    if tape is not None:
-        def back():
-            if isinstance(a, Var):
-                a.grad += out.grad * c
-        tape.record(back)
-    return out
-
-
 def relu(tape, a):
     av = val(a)
     out_v = np.maximum(av, 0.0)
@@ -118,27 +99,11 @@ def relu(tape, a):
     return out
 
 
-def row_softmax(tape, a):
-    av = val(a)
-    shifted = av - av.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    p = e / e.sum(axis=-1, keepdims=True)
-    out = _out(tape, p)
-    if tape is not None:
-        def back():
-            if isinstance(a, Var):
-                g = out.grad
-                a.grad += p * (g - (g * p).sum(axis=-1, keepdims=True))
-        tape.record(back)
-    return out
-
-
 def layer_norm(tape, x, gain, bias, eps: float = 1e-6):
     xv, gv, bv = val(x), val(gain), val(bias)
-    mu = xv.mean(axis=-1, keepdims=True)
-    var = xv.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (xv - mu) * inv
+    xc = xv - xv.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + eps)
+    xhat = xc * inv
     out = _out(tape, xhat * gv + bv)
     if tape is not None:
         def back():
@@ -178,26 +143,43 @@ def slice_rows(tape, a, lo: int, hi: int):
     return out
 
 
-def slice_cols(tape, a, lo: int, hi: int):
-    out = _out(tape, val(a)[:, lo:hi].copy())
-    if tape is not None:
-        def back():
-            if isinstance(a, Var):
-                a.grad[:, lo:hi] += out.grad
-        tape.record(back)
-    return out
+def _split_heads(a: np.ndarray, n_heads: int) -> np.ndarray:
+    """L x d -> n_heads x L x (d / n_heads), as a view."""
+    L, d = a.shape
+    return a.reshape(L, n_heads, d // n_heads).transpose(1, 0, 2)
 
 
-def concat_cols(tape, parts):
-    out = _out(tape, np.concatenate([val(p) for p in parts], axis=1))
+def _merge_heads(a: np.ndarray) -> np.ndarray:
+    """n_heads x L x dh -> L x (n_heads * dh)."""
+    h, L, dh = a.shape
+    return a.transpose(1, 0, 2).reshape(L, h * dh)
+
+
+def attention(tape, q, k, v, n_heads: int, causal: bool):
+    """Multi-head softmax(q k^T / sqrt(dh) + mask) v for Lq x d queries against
+    Lk x d keys and values. Under `causal`, query i sees key j only when
+    j <= i + Lk - Lq, so a full prefix and one cached query follow one rule."""
+    qh, kh, vh = _split_heads(val(q), n_heads), _split_heads(val(k), n_heads), _split_heads(val(v), n_heads)
+    Lq, Lk = qh.shape[1], kh.shape[1]
+    c = 1.0 / math.sqrt(qh.shape[2])
+    s = (qh @ kh.transpose(0, 2, 1)) * c
+    if causal and Lq > 1:
+        s += np.triu(np.full((Lq, Lk), -1e9), k=Lk - Lq + 1)
+    s -= s.max(axis=-1, keepdims=True)
+    p = np.exp(s)
+    p /= p.sum(axis=-1, keepdims=True)
+    out = _out(tape, _merge_heads(p @ vh))
     if tape is not None:
         def back():
-            lo = 0
-            for p in parts:
-                hi = lo + val(p).shape[1]
-                if isinstance(p, Var):
-                    p.grad += out.grad[:, lo:hi]
-                lo = hi
+            g = _split_heads(out.grad, n_heads)
+            if isinstance(v, Var):
+                v.grad += _merge_heads(p.transpose(0, 2, 1) @ g)
+            gp = g @ vh.transpose(0, 2, 1)
+            gs = p * (gp - (gp * p).sum(axis=-1, keepdims=True)) * c
+            if isinstance(q, Var):
+                q.grad += _merge_heads(gs @ kh)
+            if isinstance(k, Var):
+                k.grad += _merge_heads(gs.transpose(0, 2, 1) @ qh)
         tape.record(back)
     return out
 

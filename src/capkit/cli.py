@@ -312,15 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="capkit", description=__doc__)
     p.add_argument("--config", help="JSON file of flag defaults; flags override")
     sub = p.add_subparsers(dest="command", required=True)
-    p._command_parsers = []
-    _add_parser = sub.add_parser
-
-    def add_parser(*a, **kw):
-        sp = _add_parser(*a, **kw)
-        p._command_parsers.append(sp)
-        return sp
-
-    sub.add_parser = add_parser
 
     sp = sub.add_parser("ingest", help="restructure raw annotations into samples")
     sp.add_argument("input")
@@ -387,6 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", help="also write the table rows as JSON")
     sp.set_defaults(func=cmd_report)
 
+    p._command_parsers = sub.choices  # command name -> its parser
     return p
 
 
@@ -401,7 +393,7 @@ def main(argv=None) -> int:
             _log(f"I/O error: {e}")
             return EXIT_IO
         parser.set_defaults(**file_defaults)
-        for sp in parser._command_parsers:
+        for sp in parser._command_parsers.values():
             sp.set_defaults(**file_defaults)
     args = parser.parse_args(argv)
     _echo_config(args)

@@ -13,6 +13,7 @@ from .seqmodel import (
     AdamState,
     DecoderCache,
     ModelParams,
+    _accumulate,
     adam_step,
     backward,
     forward,
@@ -53,21 +54,26 @@ class ScstBatchStats:
         }
 
 
-def decode_greedy(params: ModelParams, features: np.ndarray, max_len: int | None = None) -> DecodeOutput:
-    """Argmax decoding; ties resolve to the lowest token id."""
+def _rollout(params: ModelParams, features: np.ndarray, max_len: int | None, choose) -> DecodeOutput:
+    """Decode from BOS until EOS or max_len; `choose` maps a logits row to the
+    next token id. logp records each token under the plain softmax of its row."""
     max_len = max_len or params.config.max_len
     cache = DecoderCache(params, features)
     ids = [BOS]
     logp = [0.0]
     while len(ids) < max_len:
         row = cache.step(ids[-1])
-        lp = log_softmax(row)
-        tok = int(np.argmax(row))
+        tok = choose(row)
         ids.append(tok)
-        logp.append(float(lp[tok]))
+        logp.append(float(log_softmax(row)[tok]))
         if tok == EOS:
             break
     return DecodeOutput(ids=tuple(ids), logp=tuple(logp), mask=(1,) * len(ids))
+
+
+def decode_greedy(params: ModelParams, features: np.ndarray, max_len: int | None = None) -> DecodeOutput:
+    """Argmax decoding; ties resolve to the lowest token id."""
+    return _rollout(params, features, max_len, lambda row: int(np.argmax(row)))
 
 
 def decode_sample(
@@ -81,21 +87,13 @@ def decode_sample(
     the temperature-1 distribution of the drawn token."""
     if temperature <= 0.0:
         raise InvalidTemperature("temperature must be > 0")
-    max_len = max_len or params.config.max_len
     rng = np.random.default_rng(seed)
-    cache = DecoderCache(params, features)
-    ids = [BOS]
-    logp = [0.0]
-    while len(ids) < max_len:
-        row = cache.step(ids[-1])
-        lp1 = log_softmax(row)
+
+    def draw(row):
         probs = np.exp(log_softmax(row / temperature))
-        tok = int(rng.choice(len(probs), p=probs / probs.sum()))
-        ids.append(tok)
-        logp.append(float(lp1[tok]))
-        if tok == EOS:
-            break
-    return DecodeOutput(ids=tuple(ids), logp=tuple(logp), mask=(1,) * len(ids))
+        return int(rng.choice(len(probs), p=probs / probs.sum()))
+
+    return _rollout(params, features, max_len, draw)
 
 
 def compute_rewards(
@@ -191,12 +189,7 @@ def scst_train(
                 probs = np.exp(lp_rows)
                 glogits = dlogp[:, None] * (-probs)
                 glogits[rows, targets] += dlogp
-                grads = backward(trace, glogits)
-                for name, g in grads.items():
-                    if name in total:
-                        total[name] += g / len(batch)
-                    else:
-                        total[name] = g / len(batch)
+                _accumulate(total, backward(trace, glogits), 1.0 / len(batch))
             adam_step(params, total, state, lr=lr)
         mean_b = float(np.mean(baselines))
         mean_s = float(np.mean(samples_s))

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import autodiff as ad
-from .errors import AllMasked, BadPrefix, EmptyDataset, InvalidConfig
+from .errors import AllMasked, BadPrefix, EmptyDataset, InvalidConfig, TruncatedFile
 from .textproc import BOS, PAD
 
 PARAM_SHAPES = (
@@ -88,26 +88,26 @@ class ForwardTrace:
     param_vars: dict
 
 
-def _attention(tape, q, k, v, n_heads: int, causal: bool):
-    d = ad.val(q).shape[1]
-    dh = d // n_heads
-    Lq = ad.val(q).shape[0]
-    Lk = ad.val(k).shape[0]
-    mask = None
-    if causal:
-        mask = np.triu(np.full((Lq, Lk), -1e9), k=1)
-    heads = []
-    for h in range(n_heads):
-        lo, hi = h * dh, (h + 1) * dh
-        qh = ad.slice_cols(tape, q, lo, hi)
-        kh = ad.slice_cols(tape, k, lo, hi)
-        vh = ad.slice_cols(tape, v, lo, hi)
-        scores = ad.scale(tape, ad.matmul_nt(tape, qh, kh), 1.0 / math.sqrt(dh))
-        if mask is not None:
-            scores = ad.add(tape, scores, mask)
-        attn = ad.row_softmax(tape, scores)
-        heads.append(ad.matmul(tape, attn, vh))
-    return ad.concat_cols(tape, heads)
+def _cross_kv(tape, P, feats):
+    """Cross-attention keys and values of the projected clip features."""
+    fp = ad.matmul(tape, feats, P["feat_proj"])
+    return ad.matmul(tape, fp, P["ca_k"]), ad.matmul(tape, fp, P["ca_v"])
+
+
+def _block(tape, P, x, sa_k, sa_v, ca_k, ca_v, n_heads: int):
+    """The decoder block from embedded inputs x (Lq x d) to tied logits.
+
+    sa_k/sa_v hold the self-attention keys and values of every position up to
+    and including x's last row; ca_k/ca_v those of the features.
+    """
+    sa = ad.attention(tape, ad.matmul(tape, x, P["sa_q"]), sa_k, sa_v, n_heads, causal=True)
+    ca = ad.attention(tape, ad.matmul(tape, x, P["ca_q"]), ca_k, ca_v, n_heads, causal=False)
+    sa = ad.matmul(tape, sa, P["sa_o"])
+    ca = ad.matmul(tape, ca, P["ca_o"])
+    x1 = ad.layer_norm(tape, ad.add(tape, x, ad.add(tape, sa, ca)), P["ln1_g"], P["ln1_b"])
+    ff = ad.matmul(tape, ad.relu(tape, ad.matmul(tape, x1, P["ff_w1"])), P["ff_w2"])
+    x2 = ad.layer_norm(tape, ad.add(tape, x1, ff), P["ln2_g"], P["ln2_b"])
+    return ad.matmul_nt(tape, x2, P["tok_emb"])
 
 
 def forward(params: ModelParams, features: np.ndarray, prefix_ids, train: bool = False):
@@ -138,32 +138,15 @@ def forward(params: ModelParams, features: np.ndarray, prefix_ids, train: bool =
         ad.slice_rows(tape, P["pos_emb"], 0, L),
     )
 
-    sa = _attention(
+    logits = _block(
         tape,
-        ad.matmul(tape, x, P["sa_q"]),
+        P,
+        x,
         ad.matmul(tape, x, P["sa_k"]),
         ad.matmul(tape, x, P["sa_v"]),
+        *_cross_kv(tape, P, feats),
         params.config.n_heads,
-        causal=True,
     )
-    sa = ad.matmul(tape, sa, P["sa_o"])
-
-    fp = ad.matmul(tape, feats, P["feat_proj"])
-    ca = _attention(
-        tape,
-        ad.matmul(tape, x, P["ca_q"]),
-        ad.matmul(tape, fp, P["ca_k"]),
-        ad.matmul(tape, fp, P["ca_v"]),
-        params.config.n_heads,
-        causal=False,
-    )
-    ca = ad.matmul(tape, ca, P["ca_o"])
-
-    x1 = ad.layer_norm(tape, ad.add(tape, x, ad.add(tape, sa, ca)), P["ln1_g"], P["ln1_b"])
-    ff = ad.matmul(tape, ad.relu(tape, ad.matmul(tape, x1, P["ff_w1"])), P["ff_w2"])
-    x2 = ad.layer_norm(tape, ad.add(tape, x1, ff), P["ln2_g"], P["ln2_b"])
-
-    logits = ad.matmul_nt(tape, x2, P["tok_emb"])
     if train:
         return ForwardTrace(logits=logits, tape=tape, param_vars=P)
     return logits
@@ -288,54 +271,28 @@ def train_mle(
 class DecoderCache:
     """Single-sequence stepwise decoding with cached attention state.
 
-    Produces logits identical (to rounding) to a full `forward` recompute.
+    Runs the same `_block` as `forward` on one new row per step, so its logits
+    equal (to rounding) a full `forward` recompute.
     """
 
     def __init__(self, params: ModelParams, features: np.ndarray):
         self.params = params
         cfg = params.config
-        P = params.tensors
-        feats = np.asarray(features, dtype=np.float64)
-        fp = feats @ P["feat_proj"]
-        self._ca_k = fp @ P["ca_k"]
-        self._ca_v = fp @ P["ca_v"]
-        self._keys = np.empty((0, cfg.d_model))
-        self._vals = np.empty((0, cfg.d_model))
+        self._ca_k, self._ca_v = _cross_kv(None, params.tensors, np.asarray(features, dtype=np.float64))
+        self._keys = np.empty((cfg.max_len, cfg.d_model))
+        self._vals = np.empty((cfg.max_len, cfg.d_model))
         self._t = 0
 
     def step(self, token_id: int) -> np.ndarray:
         """Feed one token, return the next-token logits row (|V|,)."""
-        cfg = self.params.config
-        P = self.params.tensors
-        d, nh = cfg.d_model, cfg.n_heads
-        dh = d // nh
-        x = P["tok_emb"][token_id] + P["pos_emb"][self._t]
-        self._t += 1
-        q = x @ P["sa_q"]
-        self._keys = np.vstack([self._keys, x @ P["sa_k"]])
-        self._vals = np.vstack([self._vals, x @ P["sa_v"]])
-
-        def mha(qv, kmat, vmat):
-            out = np.empty(d)
-            for h in range(nh):
-                lo, hi = h * dh, (h + 1) * dh
-                s = kmat[:, lo:hi] @ qv[lo:hi] / math.sqrt(dh)
-                s -= s.max()
-                w = np.exp(s)
-                w /= w.sum()
-                out[lo:hi] = w @ vmat[:, lo:hi]
-            return out
-
-        sa = mha(q, self._keys, self._vals) @ P["sa_o"]
-        ca = mha(x @ P["ca_q"], self._ca_k, self._ca_v) @ P["ca_o"]
-
-        def ln(v, g, b, eps=1e-6):
-            mu = v.mean()
-            return (v - mu) / math.sqrt(v.var() + eps) * g + b
-
-        x1 = ln(x + sa + ca, P["ln1_g"], P["ln1_b"])
-        x2 = ln(x1 + np.maximum(x1 @ P["ff_w1"], 0.0) @ P["ff_w2"], P["ln2_g"], P["ln2_b"])
-        return x2 @ P["tok_emb"].T
+        cfg, P, t = self.params.config, self.params.tensors, self._t
+        if t >= cfg.max_len:
+            raise BadPrefix("prefix longer than max_len")
+        x = (P["tok_emb"][token_id] + P["pos_emb"][t])[None]
+        self._keys[t] = x @ P["sa_k"]
+        self._vals[t] = x @ P["sa_v"]
+        self._t = t + 1
+        return _block(None, P, x, self._keys[: t + 1], self._vals[: t + 1], self._ca_k, self._ca_v, cfg.n_heads)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -362,20 +319,39 @@ def save_checkpoint(params: ModelParams, path: str, extra: dict | None = None) -
 
 
 def load_checkpoint(path: str) -> tuple[ModelParams, dict]:
+    """Read a checkpoint; a short file raises TruncatedFile, and a header that
+    does not decode or whose tensors differ from PARAM_SHAPES under its config
+    raises InvalidConfig."""
     with open(path, "rb") as f:
         raw = f.read(4)
         if len(raw) < 4:
-            raise InvalidConfig("checkpoint header missing")
+            raise TruncatedFile("checkpoint header length missing")
         (hlen,) = struct.unpack("<I", raw)
-        header = json.loads(f.read(hlen).decode("utf-8"))
+        head = f.read(hlen)
+        if len(head) < hlen:
+            raise TruncatedFile("checkpoint header truncated")
         payload = f.read()
-    config = ModelConfig(**header["config"])
+    try:
+        header = json.loads(head.decode("utf-8"))
+        config = ModelConfig(**header["config"])
+        config.validate()
+        dims = (config.vocab_size, config.d_model, config.max_len, config.feature_dim)
+        expected = {name: shape_fn(*dims) for name, shape_fn in PARAM_SHAPES}
+        entries = {
+            e["name"]: (tuple(int(n) for n in e["shape"]), int(e["offset"])) for e in header["manifest"]
+        }
+    except (ValueError, TypeError, KeyError) as e:
+        raise InvalidConfig(f"checkpoint header unreadable: {type(e).__name__}: {e}") from e
+    if {name: shape for name, (shape, _) in entries.items()} != expected:
+        raise InvalidConfig("checkpoint tensors differ from the parameter shapes of its config")
+    if any(start < 0 for _, start in entries.values()):
+        raise InvalidConfig("negative tensor offset in checkpoint manifest")
     tensors = {}
-    for entry in header["manifest"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        start = entry["offset"]
+    for name, (shape, start) in entries.items():
+        count = math.prod(shape)
+        if start + 8 * count > len(payload):
+            raise TruncatedFile(f"checkpoint payload too short for tensor {name!r}")
         arr = np.frombuffer(payload, dtype="<f8", count=count, offset=start)
-        tensors[entry["name"]] = arr.reshape(shape).astype(np.float64)
+        tensors[name] = arr.reshape(shape).astype(np.float64)
     extra = {k: v for k, v in header.items() if k not in ("config", "manifest")}
     return ModelParams(config=config, tensors=tensors), extra

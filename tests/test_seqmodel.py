@@ -1,10 +1,12 @@
+import json
 import math
 import os
+import struct
 
 import numpy as np
 import pytest
 
-from capkit.errors import AllMasked, BadPrefix, EmptyDataset, InvalidConfig
+from capkit.errors import AllMasked, BadPrefix, EmptyDataset, InvalidConfig, TruncatedFile
 from capkit.seqmodel import (
     AdamState,
     DecoderCache,
@@ -108,11 +110,25 @@ def test_forward_feature_order_irrelevant_single_row(params):
     assert np.allclose(forward(params, f, PREFIX), forward(params, f.copy(), PREFIX))
 
 
-def test_incremental_decode_matches_forward(params):
-    logits = forward(params, FEATS, PREFIX)
+def test_incremental_decode_matches_forward():
+    """Cached stepping equals a full recompute, up to a max_len prefix, for
+    one and several heads."""
+    rng = np.random.default_rng(5)
+    for n_heads in (1, 2, 4):
+        params = init_params(ModelConfig(**{**CFG.__dict__, "n_heads": n_heads}))
+        for prefix in (PREFIX, [BOS] + list(rng.integers(4, CFG.vocab_size, CFG.max_len - 1))):
+            logits = forward(params, FEATS, prefix)
+            cache = DecoderCache(params, FEATS)
+            rows = np.array([cache.step(t) for t in prefix])
+            assert np.allclose(rows, logits, atol=1e-10), (n_heads, len(prefix))
+
+
+def test_decoder_cache_stops_at_max_len(params):
     cache = DecoderCache(params, FEATS)
-    rows = np.array([cache.step(t) for t in PREFIX])
-    assert np.allclose(rows, logits, atol=1e-10)
+    for _ in range(CFG.max_len):
+        cache.step(BOS)
+    with pytest.raises(BadPrefix):
+        cache.step(BOS)
 
 
 # ---------------------------------------------------------------------------
@@ -199,14 +215,12 @@ def test_tied_embedding_gradient_sums_both_roles(params):
     tape = ad.Tape()
     P = {k: ad.Var(v) for k, v in params.tensors.items()}
     out_proj = ad.Var(params.tensors["tok_emb"].copy())
-    import capkit.seqmodel as sm
-
     # replay forward with the output projection untied
     x = ad.add(tape, ad.gather_rows(tape, P["tok_emb"], PREFIX), ad.slice_rows(tape, P["pos_emb"], 0, len(PREFIX)))
-    sa = sm._attention(tape, ad.matmul(tape, x, P["sa_q"]), ad.matmul(tape, x, P["sa_k"]), ad.matmul(tape, x, P["sa_v"]), CFG.n_heads, True)
+    sa = ad.attention(tape, ad.matmul(tape, x, P["sa_q"]), ad.matmul(tape, x, P["sa_k"]), ad.matmul(tape, x, P["sa_v"]), CFG.n_heads, True)
     sa = ad.matmul(tape, sa, P["sa_o"])
     fp = ad.matmul(tape, FEATS, P["feat_proj"])
-    ca = sm._attention(tape, ad.matmul(tape, x, P["ca_q"]), ad.matmul(tape, fp, P["ca_k"]), ad.matmul(tape, fp, P["ca_v"]), CFG.n_heads, False)
+    ca = ad.attention(tape, ad.matmul(tape, x, P["ca_q"]), ad.matmul(tape, fp, P["ca_k"]), ad.matmul(tape, fp, P["ca_v"]), CFG.n_heads, False)
     ca = ad.matmul(tape, ca, P["ca_o"])
     x1 = ad.layer_norm(tape, ad.add(tape, x, ad.add(tape, sa, ca)), P["ln1_g"], P["ln1_b"])
     ff = ad.matmul(tape, ad.relu(tape, ad.matmul(tape, x1, P["ff_w1"])), P["ff_w2"])
@@ -302,3 +316,46 @@ def test_checkpoint_bit_exact_subnormals(tmp_path, params):
     save_checkpoint(params, path)
     loaded, _ = load_checkpoint(path)
     assert loaded.tensors["sa_q"][0, 0] == 5e-324
+
+
+def test_checkpoint_truncated_at_every_offset(tmp_path):
+    params = init_params(ModelConfig(vocab_size=5, feature_dim=1, d_model=2, n_heads=1, max_len=2))
+    path = os.path.join(tmp_path, "model.ckpt")
+    save_checkpoint(params, path, extra={"vocab": ["<pad>", "<bos>", "<eos>", "<unk>", "a"]})
+    blob = open(path, "rb").read()
+    for n in range(len(blob)):
+        with open(path, "wb") as f:
+            f.write(blob[:n])
+        with pytest.raises(TruncatedFile):
+            load_checkpoint(path)
+
+
+def _write_checkpoint(path, header: bytes, payload=b""):
+    with open(path, "wb") as f:
+        f.write(struct.pack("<I", len(header)) + header + payload)
+
+
+def test_checkpoint_corrupt_json_header(tmp_path):
+    path = os.path.join(tmp_path, "model.ckpt")
+    for header in (b'{"config": {"vocab_size": 12,', b"\xff\xfe not utf-8"):
+        _write_checkpoint(path, header)
+        with pytest.raises(InvalidConfig):
+            load_checkpoint(path)
+
+
+@pytest.mark.parametrize("edit", ["drop_tensor", "bad_shape", "bad_config"])
+def test_checkpoint_manifest_mismatch(tmp_path, params, edit):
+    path = os.path.join(tmp_path, "model.ckpt")
+    save_checkpoint(params, path)
+    blob = open(path, "rb").read()
+    (hlen,) = struct.unpack("<I", blob[:4])
+    header = json.loads(blob[4 : 4 + hlen])
+    if edit == "drop_tensor":
+        header["manifest"] = [e for e in header["manifest"] if e["name"] != "sa_q"]
+    elif edit == "bad_shape":
+        header["manifest"][0]["shape"] = header["manifest"][0]["shape"][::-1] + [1]
+    else:
+        header["config"]["d_model"] = 15
+    _write_checkpoint(path, json.dumps(header).encode("utf-8"), blob[4 + hlen :])
+    with pytest.raises(InvalidConfig):
+        load_checkpoint(path)
