@@ -1,6 +1,7 @@
 """Caption metrics: BLEU-1..4, ROUGE-L, METEOR-lite, CIDEr-D, Frechet distance."""
 from __future__ import annotations
 
+import functools
 import json
 import math
 from collections import Counter
@@ -8,7 +9,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyCorpus, LengthMismatch, TooFewSamples
+from .errors import (
+    DimensionMismatch,
+    EmptyCorpus,
+    LengthMismatch,
+    NonFiniteValue,
+    NumericFailure,
+    TooFewSamples,
+)
 from .textproc import Caption, ngrams
 
 MAX_N = 4
@@ -224,6 +232,8 @@ def gaussian_stats(features: np.ndarray) -> GaussianStats:
         raise DimensionMismatch("features must be an N x D matrix")
     if x.shape[0] < 2:
         raise TooFewSamples("need at least 2 feature rows")
+    if not np.isfinite(x).all():
+        raise NonFiniteValue("features contain NaN or infinite values")
     mean = x.mean(axis=0)
     c = np.cov(x, rowvar=False, ddof=1)
     c = np.atleast_2d(c)
@@ -231,41 +241,74 @@ def gaussian_stats(features: np.ndarray) -> GaussianStats:
     return GaussianStats(mean=mean, cov=c, n=x.shape[0])
 
 
+@functools.lru_cache(maxsize=16)
+def _round_robin(d: int) -> tuple:
+    """The rounds of one Jacobi sweep over range(d), in tournament order.
+
+    Each round is a read-only k x 2 array of disjoint (p, q) pairs with p < q
+    that together pair every index once; for odd d, the index drawn against
+    the dummy index d sits the round out. Over the d + d % 2 - 1 rounds every
+    pair appears once.
+    """
+    m = d + d % 2
+    ring = list(range(m))
+    rounds = []
+    for _ in range(m - 1):
+        pairs = [sorted((ring[i], ring[m - 1 - i])) for i in range(m // 2)]
+        pq = np.array(sorted(pair for pair in pairs if pair[1] < d), dtype=np.intp)
+        pq.flags.writeable = False
+        rounds.append(pq)
+        ring = [ring[0], ring[-1]] + ring[1:-1]
+    return tuple(rounds)
+
+
 def jacobi_eigh(a: np.ndarray, tol: float = 1e-13, max_sweeps: int = 100):
     """Cyclic Jacobi eigendecomposition of a symmetric matrix.
+
+    Each sweep visits every (p, q) pair once in round-robin order (Brent & Luk,
+    1985). The pairs of one round are disjoint, so their rotations commute and
+    are applied together as one batched 2 x 2 update of the gathered rows:
+    A <- J^T A J and V <- V J. The iteration stops when the off-diagonal norm
+    reaches tol * max|A| or a sweep no longer lowers it, which is where
+    rounding leaves it at large sizes.
 
     Returns (eigenvalues, eigenvectors) with columns of V as eigenvectors,
     A = V diag(w) V^T.
     """
     a = np.array(a, dtype=np.float64)
+    if not np.isfinite(a).all():
+        raise NonFiniteValue("matrix contains NaN or infinite values")
     d = a.shape[0]
-    v = np.eye(d)
+    vt = np.eye(d)  # V^T, so that V J is a row update too
     scale = max(np.abs(a).max(), 1.0)
+    rounds = _round_robin(d)
+    last_off = math.inf
     for _ in range(max_sweeps):
         off = math.sqrt(np.sum(np.tril(a, -1) ** 2))
-        if off <= tol * scale:
+        if off <= tol * scale or not off < last_off:
             break
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                if abs(a[p, q]) <= tol * scale * 1e-3:
+        last_off = off
+        for pq in rounds:
+            p, q = pq.T
+            apq = a[p, q]
+            live = np.abs(apq) > tol * scale * 1e-3
+            if not live.all():
+                pq, apq = pq[live], apq[live]
+                if not len(pq):
                     continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * a[p, q])
-                t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                rot_p = a[:, p].copy()
-                rot_q = a[:, q].copy()
-                a[:, p] = c * rot_p - s * rot_q
-                a[:, q] = s * rot_p + c * rot_q
-                rot_p = a[p, :].copy()
-                rot_q = a[q, :].copy()
-                a[p, :] = c * rot_p - s * rot_q
-                a[q, :] = s * rot_p + c * rot_q
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-    return np.diag(a).copy(), v
+                p, q = pq.T
+            theta = (a[q, q] - a[p, p]) / (2.0 * apq)
+            t = np.copysign(1.0 / (np.abs(theta) + np.hypot(theta, 1.0)), theta)
+            c = 1.0 / np.hypot(t, 1.0)
+            s = t * c
+            # rot[i] maps rows (p_i, q_i) to (c p - s q, s p + c q): J^T on the left.
+            rot = np.stack((c, -s, s, c), axis=1).reshape(-1, 2, 2)
+            a[pq] = rot @ a[pq]
+            # A is symmetric, so (J^T A)^T = A J, and its row update is J^T A J.
+            a = a.T.copy()
+            a[pq] = rot @ a[pq]
+            vt[pq] = rot @ vt[pq]
+    return np.diag(a).copy(), vt.T
 
 
 def _psd_sqrt(c: np.ndarray, clamp: float = 1e-12) -> np.ndarray:
@@ -290,6 +333,8 @@ def frechet_distance(a: GaussianStats, b: GaussianStats) -> float:
     w = np.where(w < 1e-12, 0.0, w)
     tr_sqrt = float(np.sqrt(w).sum())
     fd = float(diff @ diff + np.trace(a.cov) + np.trace(b.cov) - 2.0 * tr_sqrt)
+    if not math.isfinite(fd):
+        raise NumericFailure(f"Frechet distance is not finite: {fd}")
     return max(0.0, fd)
 
 

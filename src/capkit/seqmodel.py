@@ -88,6 +88,21 @@ class ForwardTrace:
     param_vars: dict
 
 
+def _check_inputs(config: ModelConfig, token_ids, features=None):
+    """Raise BadPrefix for a token id outside the vocabulary or, when given,
+    features that are not a T x feature_dim matrix with T >= 1; return the
+    features as float64."""
+    for t in token_ids:
+        if not (isinstance(t, (int, np.integer)) and 0 <= t < config.vocab_size):
+            raise BadPrefix(f"token id {t!r} is not in 0..{config.vocab_size - 1}")
+    if features is None:
+        return None
+    feats = np.asarray(features, dtype=np.float64)
+    if feats.ndim != 2 or feats.shape[0] < 1 or feats.shape[1] != config.feature_dim:
+        raise BadPrefix("features must be T x feature_dim with T >= 1")
+    return feats
+
+
 def _cross_kv(tape, P, feats):
     """Cross-attention keys and values of the projected clip features."""
     fp = ad.matmul(tape, feats, P["feat_proj"])
@@ -121,9 +136,7 @@ def forward(params: ModelParams, features: np.ndarray, prefix_ids, train: bool =
         raise BadPrefix("prefix must start with BOS")
     if len(prefix_ids) > params.config.max_len:
         raise BadPrefix("prefix longer than max_len")
-    feats = np.asarray(features, dtype=np.float64)
-    if feats.ndim != 2 or feats.shape[0] < 1 or feats.shape[1] != params.config.feature_dim:
-        raise BadPrefix("features must be T x feature_dim with T >= 1")
+    feats = _check_inputs(params.config, prefix_ids, features)
 
     tape = ad.Tape() if train else None
     if train:
@@ -278,7 +291,8 @@ class DecoderCache:
     def __init__(self, params: ModelParams, features: np.ndarray):
         self.params = params
         cfg = params.config
-        self._ca_k, self._ca_v = _cross_kv(None, params.tensors, np.asarray(features, dtype=np.float64))
+        feats = _check_inputs(cfg, (), features)
+        self._ca_k, self._ca_v = _cross_kv(None, params.tensors, feats)
         self._keys = np.empty((cfg.max_len, cfg.d_model))
         self._vals = np.empty((cfg.max_len, cfg.d_model))
         self._t = 0
@@ -288,6 +302,7 @@ class DecoderCache:
         cfg, P, t = self.params.config, self.params.tensors, self._t
         if t >= cfg.max_len:
             raise BadPrefix("prefix longer than max_len")
+        _check_inputs(cfg, (token_id,))
         x = (P["tok_emb"][token_id] + P["pos_emb"][t])[None]
         self._keys[t] = x @ P["sa_k"]
         self._vals[t] = x @ P["sa_v"]

@@ -7,7 +7,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from capkit.errors import DimensionMismatch, EmptyCorpus, LengthMismatch, TooFewSamples
+from capkit.data import SynthConfig, synth_corpus
+from capkit.errors import (
+    DimensionMismatch,
+    EmptyCorpus,
+    LengthMismatch,
+    NonFiniteValue,
+    NumericFailure,
+    TooFewSamples,
+)
 from capkit.metrics import (
     GaussianStats,
     IdfTable,
@@ -298,14 +306,95 @@ def test_frechet_monotone_in_noise():
     assert dists == sorted(dists)
 
 
+def _random_symmetric(n, seed):
+    a = np.random.default_rng(seed).normal(size=(n, n))
+    return (a + a.T) / 2
+
+
+def _check_eigh(a, atol=1e-9):
+    w, v = jacobi_eigh(a)
+    assert np.allclose(np.sort(w), np.linalg.eigvalsh(a), atol=atol)
+    assert np.allclose((v * w) @ v.T, a, atol=atol)
+    assert np.allclose(v.T @ v, np.eye(len(a)), atol=atol)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 7, 8, 33])
+def test_round_robin_schedule(n):
+    """n rounded up to even, minus one, rounds of disjoint pairs; every pair once."""
+    from capkit.metrics import _round_robin
+
+    rounds = _round_robin(n)
+    assert len(rounds) == n + n % 2 - 1
+    seen = []
+    for pq in rounds:
+        assert pq.shape == (n // 2, 2) and (pq[:, 0] < pq[:, 1]).all()
+        assert len(set(pq.ravel().tolist())) == pq.size
+        seen += map(tuple, pq.tolist())
+    assert sorted(seen) == [(i, j) for i in range(n) for j in range(i + 1, n)]
+
+
 def test_jacobi_matches_numpy():
-    rng = np.random.default_rng(3)
-    for n in (1, 2, 5, 8):
-        a = rng.normal(size=(n, n))
-        a = (a + a.T) / 2
-        w, v = jacobi_eigh(a)
-        assert np.allclose(sorted(w), np.linalg.eigvalsh(a), atol=1e-9)
-        assert np.allclose(v @ np.diag(w) @ v.T, a, atol=1e-9)
+    """Odd n leaves one index out of each round-robin round."""
+    for n in (1, 2, 3, 5, 8, 16, 33, 64, 128):
+        _check_eigh(_random_symmetric(n, 3 + n))
+
+
+def _repeated_eigenvalues():
+    q, _ = np.linalg.qr(np.random.default_rng(4).normal(size=(7, 7)))
+    return (q * [1.0, 1.0, 1.0, 2.0, 2.0, 5.0, -3.0]) @ q.T
+
+
+@pytest.mark.parametrize(
+    "a",
+    [np.diag([3.0, -1.0, 0.5, 7.0, 0.0]), np.eye(6), _repeated_eigenvalues(), np.zeros((4, 4))],
+    ids=["diagonal", "identity", "repeated", "zero"],
+)
+def test_jacobi_special_matrices(a):
+    _check_eigh(a)
+
+
+def test_jacobi_matches_numpy_512():
+    """At this size rounding leaves the off-diagonal norm above tol * max|A|,
+    so the iteration ends when a sweep stops lowering it."""
+    _check_eigh(_random_symmetric(512, 0))
+
+
+def test_gaussian_stats_rejects_non_finite():
+    x = np.random.default_rng(0).normal(size=(50, 16))
+    x[7, 3] = np.nan
+    with pytest.raises(NonFiniteValue):
+        gaussian_stats(x)
+
+
+def test_jacobi_rejects_non_finite():
+    a = np.eye(4)
+    a[1, 2] = a[2, 1] = np.nan
+    with pytest.raises(NonFiniteValue):
+        jacobi_eigh(a)
+
+
+@pytest.mark.parametrize("mu", [[0.0, np.inf, 0.0], [1e200, 0.0, 0.0]], ids=["inf", "overflow"])
+def test_frechet_non_finite_is_numeric_failure(mu):
+    a = GaussianStats(np.zeros(3), np.eye(3), 10)
+    with pytest.raises(NumericFailure):
+        frechet_distance(a, GaussianStats(np.array(mu), 2.0 * np.eye(3), 10))
+
+
+def test_fid_vid_d64_match_oracle():
+    """The FID/VID pair of the metrics_adversarial benchmark workload at D=64."""
+    frames, pooled = [], []
+    for seed in (3, 4):
+        cfg = SynthConfig(n_clips=80, D=64, noise_std=1.0, seed=seed)
+        clips = [clip.data for clip in synth_corpus(cfg).clips.values()]
+        frames.append(np.vstack(clips))
+        pooled.append(np.vstack([c.mean(axis=0) for c in clips]))
+    for a, b in (frames, pooled):
+        got = frechet_distance(gaussian_stats(a), gaussian_stats(b))
+        want = oracles.oracle_frechet(
+            a.mean(axis=0), np.cov(a, rowvar=False), b.mean(axis=0), np.cov(b, rowvar=False)
+        )
+        assert got >= 0.0
+        assert abs(got - want) <= 1e-6 * max(1.0, abs(want))
 
 
 # ---------------------------------------------------------------------------

@@ -131,6 +131,27 @@ def test_decoder_cache_stops_at_max_len(params):
         cache.step(BOS)
 
 
+@pytest.mark.parametrize("bad", [CFG.vocab_size, 40, -1, 2.0])
+def test_forward_rejects_token_outside_vocab(params, bad):
+    with pytest.raises(BadPrefix):
+        forward(params, FEATS, [BOS, 5, bad])
+
+
+@pytest.mark.parametrize("bad", [FEATS[:, :5], FEATS[None], FEATS[:0], FEATS[0]])
+def test_decoder_cache_rejects_bad_features(params, bad):
+    with pytest.raises(BadPrefix):
+        DecoderCache(params, bad)
+
+
+@pytest.mark.parametrize("bad", [CFG.vocab_size, 40, -1, 2.0])
+def test_decoder_step_rejects_token_outside_vocab(params, bad):
+    cache = DecoderCache(params, FEATS)
+    cache.step(BOS)
+    with pytest.raises(BadPrefix):
+        cache.step(bad)
+    assert np.allclose(cache.step(5), forward(params, FEATS, [BOS, 5])[-1], atol=1e-10)
+
+
 # ---------------------------------------------------------------------------
 # xent_loss
 
