@@ -95,8 +95,11 @@ def rouge_l_corpus(hyps, refs, beta: float = 1.2) -> float:
 def _min_chunks(hyp, ref, m: int) -> int:
     """Fewest contiguous common blocks that realize m matched unigrams.
 
-    Exhaustive search over disjoint common substrings, longest-first with
-    iterative deepening; fine for caption-length inputs.
+    Exhaustive search over disjoint common substrings with iterative
+    deepening. Every sub-run of a common run is a candidate, because the
+    fewest blocks can need part of a run. Blocks are taken in list order,
+    longest first, so each set of blocks is tried once, and a branch stops
+    when its longest remaining block times the budget cannot reach m.
     """
     if m == 0:
         return 0
@@ -106,28 +109,28 @@ def _min_chunks(hyp, ref, m: int) -> int:
             k = 0
             while i + k < len(hyp) and j + k < len(ref) and hyp[i + k] == ref[j + k]:
                 k += 1
-            if k > 0:
-                spans.append((k, i, j))
+            spans.extend((n, i, j) for n in range(1, k + 1))
     spans.sort(reverse=True)
 
-    def search(remaining, used_h, used_r, budget):
+    def search(start, remaining, used_h, used_r, budget):
         if remaining == 0:
             return True
-        if budget == 0:
-            return False
-        for k, i, j in spans:
+        for n in range(start, len(spans)):
+            k, i, j = spans[n]
+            if k * budget < remaining:
+                return False
             if k > remaining:
                 continue
             hs = set(range(i, i + k))
             rs = set(range(j, j + k))
             if hs & used_h or rs & used_r:
                 continue
-            if search(remaining - k, used_h | hs, used_r | rs, budget - 1):
+            if search(n + 1, remaining - k, used_h | hs, used_r | rs, budget - 1):
                 return True
         return False
 
     for chunks in range(1, m + 1):
-        if search(m, set(), set(), chunks):
+        if search(0, m, set(), set(), chunks):
             return chunks
     return m
 

@@ -127,6 +127,13 @@ def test_meteor_swapped():
     assert meteor_lite(["b", "a"], ["a", "b"]) == pytest.approx(0.5)
 
 
+def test_meteor_splits_a_common_run():
+    """The fewest chunks take "a" alone from the common run "a c" (hyp 0, ref 2)."""
+    hyp, ref = ["a", "c", "b", "c", "a"], ["c", "b", "a", "c", "a"]
+    assert meteor_lite(hyp, ref) == pytest.approx(1.0 - 0.5 * (3 / 5) ** 3)
+    assert meteor_lite(hyp, ref) == pytest.approx(oracles.oracle_meteor(hyp, ref))
+
+
 @settings(deadline=None)
 @given(tokens_st, tokens_st)
 def test_meteor_matches_exhaustive_oracle(hyp, ref):
