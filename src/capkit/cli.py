@@ -14,7 +14,7 @@ import numpy as np
 
 from . import data as dmod
 from . import harness
-from .errors import CapkitError, MalformedReport, NumericFailure
+from .errors import CapkitError, InvalidConfig, MalformedReport, NumericFailure
 from .metrics import (
     GaussianStats,
     ScoreReport,
@@ -31,7 +31,7 @@ from .seqmodel import (
     save_checkpoint,
     train_mle,
 )
-from .textproc import Caption, ROLES, Vocab, build_vocab, decode_ids
+from .textproc import RESERVED, ROLES, Caption, Vocab, build_vocab, decode_ids
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -126,8 +126,6 @@ def cmd_train_mle(args) -> int:
     params, curve = train_mle(
         params, items, args.epochs, args.batch, derive_seed(args.seed, "mle", 0), lr=args.lr
     )
-    if curve and not np.isfinite(curve).all():
-        raise NumericFailure("non-finite MLE loss")
     save_checkpoint(params, args.out, extra={"vocab": list(vocab.tokens)})
     _log("epoch losses: " + " ".join(f"{x:.4f}" for x in curve))
     _log(f"saved checkpoint to {args.out}")
@@ -135,9 +133,18 @@ def cmd_train_mle(args) -> int:
 
 
 def _load_model(path: str):
+    """A checkpoint and its vocabulary, which must hold vocab_size strings
+    starting with the reserved symbols."""
     params, extra = load_checkpoint(path)
-    vocab = Vocab(tokens=tuple(extra["vocab"]), min_count=1)
-    return params, vocab
+    tokens = extra.get("vocab")
+    if not (
+        isinstance(tokens, list)
+        and len(tokens) == params.config.vocab_size
+        and tuple(tokens[: len(RESERVED)]) == RESERVED
+        and all(isinstance(t, str) for t in tokens)
+    ):
+        raise InvalidConfig(f"{path}: checkpoint vocabulary is missing or does not match vocab_size")
+    return params, Vocab(tokens=tuple(tokens), min_count=1)
 
 
 def cmd_train_scst(args) -> int:
@@ -159,8 +166,6 @@ def cmd_train_scst(args) -> int:
         lr=args.lr,
         temperature=args.temperature,
     )
-    if any(not np.isfinite(h.loss) for h in history):
-        raise NumericFailure("non-finite SCST loss")
     save_checkpoint(params, args.out, extra={"vocab": list(vocab.tokens)})
     with open(args.out + ".log.jsonl", "w", encoding="utf-8") as f:
         for h in history:

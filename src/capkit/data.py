@@ -11,6 +11,7 @@ from .errors import (
     BadMagic,
     BadVersion,
     DuplicateId,
+    InvalidConfig,
     MissingField,
     NonFiniteValue,
     TruncatedFile,
@@ -122,7 +123,10 @@ def read_features(path: str) -> FeatureClip:
     if version != VERSION:
         raise BadVersion(f"{path}: unsupported version {version}")
     (id_len,) = struct.unpack("<I", take(4))
-    clip_id = take(id_len).decode("utf-8")
+    try:
+        clip_id = take(id_len).decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise InvalidConfig(f"{path}: clip id is not UTF-8") from e
     t, d = struct.unpack("<II", take(8))
     data = np.frombuffer(take(t * d * 4), dtype="<f4").reshape(t, d)
     if not np.isfinite(data).all():
@@ -219,43 +223,6 @@ def synth_corpus(config: SynthConfig) -> SynthCorpus:
         "test": ids[n_train + n_val :],
     }
     return SynthCorpus(samples=samples, clips=clips, split=split, factors=factors)
-
-
-# ---------------------------------------------------------------------------
-# Validation
-
-@dataclass
-class ValidationReport:
-    missing_features: int = 0
-    empty_captions: int = 0
-    nonfinite_features: int = 0
-
-    @property
-    def ok(self) -> bool:
-        return self.missing_features == 0
-
-
-def validate_dataset(samples: list[Sample], feature_index: dict, base_dir: str = ".") -> ValidationReport:
-    import os
-
-    report = ValidationReport()
-    for s in samples:
-        if not s.description.tokens:
-            report.empty_captions += 1
-        if not s.avoidance.tokens:
-            report.empty_captions += 1
-        rel = feature_index.get(s.id)
-        path = os.path.join(base_dir, rel) if rel else None
-        if path is None or not os.path.exists(path):
-            report.missing_features += 1
-            continue
-        try:
-            read_features(path)
-        except NonFiniteValue:
-            report.nonfinite_features += 1
-        except Exception:
-            report.missing_features += 1
-    return report
 
 
 # ---------------------------------------------------------------------------

@@ -7,14 +7,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AllMasked, EmptyDataset, InvalidTemperature
+from .errors import AllMasked, InvalidTemperature
 from .metrics import IdfTable, cider_d
 from .seqmodel import (
-    AdamState,
     DecoderCache,
     ModelParams,
-    _accumulate,
-    adam_step,
+    _fit,
+    _logp_grad,
     backward,
     forward,
     log_softmax,
@@ -152,54 +151,40 @@ def scst_train(
 
     The gradient flows only through the sampled sequence's log-probabilities;
     the baseline is a constant. Returns (params, per-epoch ScstBatchStats)."""
-    if not dataset:
-        raise EmptyDataset("empty SCST dataset")
-    state = AdamState()
+    scores = [([], []) for _ in range(epochs)]  # per epoch: baseline, sample CIDEr-D
+
+    def step(item, epoch):
+        greedy = decode_greedy(params, item.features)
+        roll = decode_sample(
+            params,
+            item.features,
+            seed=derive_seed(seed, item.sample_id, epoch),
+            temperature=temperature,
+        )
+        rewards = compute_rewards(roll, greedy, item.ref, idf, vocab)
+        scores[epoch][0].append(rewards.baseline_score)
+        scores[epoch][1].append(rewards.sample_score)
+
+        # Re-run the sampled prefix in training mode; positions after BOS
+        # predict roll.ids[1:].
+        trace = forward(params, item.features, roll.ids[:-1], train=True)
+        lp = log_softmax(trace.logits.value)
+        targets = np.asarray(roll.ids[1:], dtype=np.intp)
+        loss, dlogp = scst_loss(lp[np.arange(len(targets)), targets], rewards.r[1:], roll.mask[1:])
+        return loss, backward(trace, _logp_grad(lp, targets, dlogp))
+
+    curve = _fit(params, dataset, epochs, batch_size, seed, lr, step)
     history = []
-    order_rng = np.random.default_rng(seed)
-    for epoch in range(epochs):
-        order = order_rng.permutation(len(dataset))
-        baselines, samples_s, losses = [], [], []
-        for start in range(0, len(order), batch_size):
-            batch = order[start : start + batch_size]
-            total = {}
-            for idx in batch:
-                item = dataset[idx]
-                greedy = decode_greedy(params, item.features)
-                roll = decode_sample(
-                    params,
-                    item.features,
-                    seed=derive_seed(seed, item.sample_id, epoch),
-                    temperature=temperature,
-                )
-                rewards = compute_rewards(roll, greedy, item.ref, idf, vocab)
-                baselines.append(rewards.baseline_score)
-                samples_s.append(rewards.sample_score)
-
-                # Re-run the sampled prefix in training mode; positions after
-                # BOS predict roll.ids[1:].
-                trace = forward(params, item.features, roll.ids[:-1], train=True)
-                lp_rows = log_softmax(trace.logits.value)
-                targets = np.asarray(roll.ids[1:], dtype=np.intp)
-                rows = np.arange(len(targets))
-                logp = lp_rows[rows, targets]
-                loss, dlogp = scst_loss(logp, rewards.r[1:], roll.mask[1:])
-                losses.append(loss)
-
-                probs = np.exp(lp_rows)
-                glogits = dlogp[:, None] * (-probs)
-                glogits[rows, targets] += dlogp
-                _accumulate(total, backward(trace, glogits), 1.0 / len(batch))
-            adam_step(params, total, state, lr=lr)
+    for loss, (baselines, samples) in zip(curve, scores):
         mean_b = float(np.mean(baselines))
-        mean_s = float(np.mean(samples_s))
+        mean_s = float(np.mean(samples))
         history.append(
             ScstBatchStats(
                 mean_reward=mean_s - mean_b,
                 mean_baseline=mean_b,
                 mean_sample=mean_s,
-                loss=float(np.mean(losses)),
-                sequences=len(order),
+                loss=loss,
+                sequences=len(dataset),
             )
         )
     return params, history

@@ -4,12 +4,12 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from . import autodiff as ad
-from .errors import AllMasked, BadPrefix, EmptyDataset, InvalidConfig, TruncatedFile
+from .errors import AllMasked, BadPrefix, EmptyDataset, InvalidConfig, NumericFailure, TruncatedFile
 from .textproc import BOS, PAD
 
 PARAM_SHAPES = (
@@ -44,6 +44,10 @@ class ModelConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        if not all(type(getattr(self, f.name)) is int for f in fields(self)):
+            raise InvalidConfig("every model config field must be an int")
+        if self.n_heads < 1:
+            raise InvalidConfig("n_heads must be >= 1")
         if self.d_model % self.n_heads != 0:
             raise InvalidConfig("d_model must be divisible by n_heads")
         if self.vocab_size < 5:
@@ -181,12 +185,16 @@ def xent_loss(logits: np.ndarray, target_ids, mask):
     if n == 0:
         raise AllMasked("every position is masked out")
     lp = log_softmax(logits)
-    rows = np.arange(len(targets))
-    loss = -(m * lp[rows, targets]).sum() / n
-    probs = np.exp(lp)
-    grad = probs * (m / n)[:, None]
-    grad[rows, targets] -= m / n
-    return float(loss), grad
+    loss = -(m * lp[np.arange(len(targets)), targets]).sum() / n
+    return float(loss), _logp_grad(lp, targets, -(m / n))
+
+
+def _logp_grad(lp: np.ndarray, targets: np.ndarray, dlogp: np.ndarray) -> np.ndarray:
+    """Gradient w.r.t. the logits of sum_i dlogp_i * lp[i, targets_i], where
+    lp = log_softmax(logits): dlogp_i * (onehot(targets_i) - softmax row i)."""
+    grad = dlogp[:, None] * -np.exp(lp)
+    grad[np.arange(len(targets)), targets] += dlogp
+    return grad
 
 
 def backward(trace: ForwardTrace, loss_grad: np.ndarray) -> dict:
@@ -242,6 +250,36 @@ def _accumulate(total: dict, grads: dict, weight: float) -> None:
             total[name] = weight * g
 
 
+def _fit(params: ModelParams, dataset: list, epochs: int, batch_size: int, seed: int, lr: float, item_step):
+    """The training loop of MLE and SCST; returns the per-epoch mean item loss.
+
+    Each epoch visits the dataset in one permutation drawn from
+    default_rng(seed), and each batch takes one Adam step on the mean of its
+    items' gradients. item_step(item, epoch) returns (loss, grads); a
+    non-finite loss raises NumericFailure before it reaches Adam.
+    """
+    if not dataset:
+        raise EmptyDataset("empty training dataset")
+    rng = np.random.default_rng(seed)
+    state = AdamState()
+    curve = []
+    for epoch in range(epochs):
+        order = rng.permutation(len(dataset))
+        losses = []
+        for start in range(0, len(order), batch_size):
+            batch = order[start : start + batch_size]
+            total = {}
+            for idx in batch:
+                loss, grads = item_step(dataset[idx], epoch)
+                if not math.isfinite(loss):
+                    raise NumericFailure(f"non-finite training loss {loss} in epoch {epoch}")
+                _accumulate(total, grads, 1.0 / len(batch))
+                losses.append(loss)
+            adam_step(params, total, state, lr=lr)
+        curve.append(float(np.mean(losses)))
+    return curve
+
+
 def train_mle(
     params: ModelParams,
     dataset: list[TrainItem],
@@ -251,31 +289,15 @@ def train_mle(
     lr: float = 1e-3,
 ):
     """Teacher-forced maximum-likelihood training; returns per-epoch mean loss."""
-    if not dataset:
-        raise EmptyDataset("empty MLE dataset")
-    rng = np.random.default_rng(seed)
-    state = AdamState()
-    curve = []
-    for _epoch in range(epochs):
-        order = rng.permutation(len(dataset))
-        losses = []
-        for start in range(0, len(order), batch_size):
-            batch = order[start : start + batch_size]
-            total = {}
-            for idx in batch:
-                item = dataset[idx]
-                n_real = int(sum(item.mask))
-                prefix = list(item.ids[:n_real])  # drop trailing PADs, keep EOS target
-                trace = forward(params, item.features, prefix[:-1], train=True)
-                loss, glogits = xent_loss(
-                    trace.logits.value, prefix[1:], item.mask[1:n_real]
-                )
-                grads = backward(trace, glogits)
-                _accumulate(total, grads, 1.0 / len(batch))
-                losses.append(loss)
-            adam_step(params, total, state, lr=lr)
-        curve.append(float(np.mean(losses)))
-    return params, curve
+
+    def step(item, _epoch):
+        n_real = int(sum(item.mask))
+        prefix = list(item.ids[:n_real])  # drop trailing PADs, keep EOS target
+        trace = forward(params, item.features, prefix[:-1], train=True)
+        loss, glogits = xent_loss(trace.logits.value, prefix[1:], item.mask[1:n_real])
+        return loss, backward(trace, glogits)
+
+    return params, _fit(params, dataset, epochs, batch_size, seed, lr, step)
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +377,7 @@ def load_checkpoint(path: str) -> tuple[ModelParams, dict]:
         entries = {
             e["name"]: (tuple(int(n) for n in e["shape"]), int(e["offset"])) for e in header["manifest"]
         }
-    except (ValueError, TypeError, KeyError) as e:
+    except (ValueError, TypeError, KeyError, OverflowError) as e:
         raise InvalidConfig(f"checkpoint header unreadable: {type(e).__name__}: {e}") from e
     if {name: shape for name, (shape, _) in entries.items()} != expected:
         raise InvalidConfig("checkpoint tensors differ from the parameter shapes of its config")

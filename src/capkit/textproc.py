@@ -1,7 +1,6 @@
 """Tokenization, vocabulary, and n-gram extraction shared by metrics and model."""
 from __future__ import annotations
 
-import json
 import re
 from collections import Counter
 from dataclasses import dataclass, field
@@ -51,16 +50,6 @@ class Vocab:
 
     def token_of(self, idx: int) -> str:
         return self.tokens[idx]
-
-    def to_json(self) -> str:
-        return json.dumps(list(self.tokens), ensure_ascii=False)
-
-    @classmethod
-    def from_json(cls, text: str, min_count: int = 1) -> "Vocab":
-        toks = json.loads(text)
-        if tuple(toks[:4]) != RESERVED:
-            raise ValueError("vocab file does not start with the reserved symbols")
-        return cls(tokens=tuple(toks), min_count=min_count)
 
 
 def build_vocab(corpus: list[Caption], min_count: int = 1) -> Vocab:

@@ -6,6 +6,7 @@ import pytest
 
 from capkit.cli import main, render_report_table
 from capkit.metrics import ScoreReport
+from capkit.seqmodel import load_checkpoint, save_checkpoint
 
 
 def run(capsys, *argv):
@@ -176,6 +177,26 @@ def test_decode_sampled_seeded(tiny_pipeline):
             "--sample", "--seed", "9", "--temperature", "1.3",
         ]) == 0
     assert open(a, "rb").read() == open(b, "rb").read()
+
+
+@pytest.mark.parametrize("vocab", ["short", "missing", "no_reserved", "not_strings"])
+def test_decode_rejects_bad_checkpoint_vocab(tmp_path, capsys, tiny_pipeline, vocab):
+    params, extra = load_checkpoint(tiny_pipeline["ckpt"])
+    tokens = extra["vocab"]
+    extra = {
+        "short": {"vocab": tokens[:6]},
+        "missing": {},
+        "no_reserved": {"vocab": tokens[1:] + ["zz"]},
+        "not_strings": {"vocab": tokens[:-1] + [7]},
+    }[vocab]
+    ckpt = os.path.join(tmp_path, "bad.ckpt")
+    save_checkpoint(params, ckpt, extra=extra)
+    status, _, err = run(
+        capsys, "decode", "--data", tiny_pipeline["data"], "--ckpt", ckpt,
+        "--out", os.path.join(tmp_path, "h.jsonl"), "--split", "val",
+    )
+    assert status == 2
+    assert "InvalidConfig" in err
 
 
 def test_config_file_defaults(tmp_path, capsys):

@@ -1,15 +1,18 @@
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from capkit.data import (
     ACTORS,
     ACTIONS,
     CAUSES,
+    MAGIC,
     MEASURES,
+    VERSION,
     FeatureClip,
     RawAnnotation,
     SynthConfig,
@@ -20,14 +23,15 @@ from capkit.data import (
     synth_corpus,
     template_caption,
     template_signal,
-    validate_dataset,
     write_features,
     write_samples_jsonl,
 )
 from capkit.errors import (
     BadMagic,
     BadVersion,
+    CapkitError,
     DuplicateId,
+    InvalidConfig,
     MissingField,
     NonFiniteValue,
     TruncatedFile,
@@ -162,6 +166,46 @@ def test_feature_nonfinite_read(tmp_path):
         read_features(path)
 
 
+def test_feature_id_not_utf8(tmp_path):
+    path = os.path.join(tmp_path, "c.avdf")
+    write_features(_clip(cid="ab"), path)
+    blob = bytearray(open(path, "rb").read())
+    blob[12:14] = b"\xff\xfe"
+    open(path, "wb").write(bytes(blob))
+    with pytest.raises(InvalidConfig):
+        read_features(path)
+
+
+def _read_bytes_only_capkit_errors(tmp_path_factory, blob: bytes):
+    path = os.path.join(tmp_path_factory.getbasetemp(), "fuzz.avdf")
+    with open(path, "wb") as f:
+        f.write(blob)
+    try:
+        read_features(path)
+    except CapkitError:
+        pass
+
+
+@settings(max_examples=300)
+@given(st.binary(max_size=64))
+def test_feature_reader_fuzz_after_header(tmp_path_factory, tail):
+    _read_bytes_only_capkit_errors(tmp_path_factory, MAGIC + struct.pack("<I", VERSION) + tail)
+
+
+@settings(max_examples=300)
+@given(st.binary(max_size=8), st.integers(0, 3), st.integers(0, 3), st.binary(max_size=48))
+def test_feature_reader_fuzz_fields(tmp_path_factory, clip_id, t, d, data):
+    """Well-framed files: any id bytes, small shapes, any (possibly short) data."""
+    head = MAGIC + struct.pack("<II", VERSION, len(clip_id)) + clip_id
+    _read_bytes_only_capkit_errors(tmp_path_factory, head + struct.pack("<II", t, d) + data)
+
+
+@settings(max_examples=300)
+@given(st.binary(max_size=64))
+def test_feature_reader_fuzz_whole_file(tmp_path_factory, blob):
+    _read_bytes_only_capkit_errors(tmp_path_factory, blob)
+
+
 # ---------------------------------------------------------------------------
 # synthetic corpus
 
@@ -226,7 +270,7 @@ def test_synth_template_lookup_oracle_solves_noiseless_corpus():
 
 
 # ---------------------------------------------------------------------------
-# validation + jsonl
+# jsonl
 
 def _write_corpus(tmp_path, n=5):
     corpus = synth_corpus(SynthConfig(n_clips=n, seed=0))
@@ -237,32 +281,6 @@ def _write_corpus(tmp_path, n=5):
         write_features(clip, os.path.join(tmp_path, rel))
         index[cid] = rel
     return corpus, index
-
-
-def test_validate_consistent(tmp_path):
-    corpus, index = _write_corpus(tmp_path)
-    rep = validate_dataset(corpus.samples, index, base_dir=str(tmp_path))
-    assert rep.missing_features == rep.empty_captions == rep.nonfinite_features == 0
-    assert rep.ok
-
-
-def test_validate_missing_file(tmp_path):
-    corpus, index = _write_corpus(tmp_path)
-    os.remove(os.path.join(tmp_path, index[corpus.samples[0].id]))
-    rep = validate_dataset(corpus.samples, index, base_dir=str(tmp_path))
-    assert rep.missing_features == 1
-    assert not rep.ok
-
-
-def test_validate_nonfinite(tmp_path):
-    corpus, index = _write_corpus(tmp_path)
-    path = os.path.join(tmp_path, index[corpus.samples[0].id])
-    blob = bytearray(open(path, "rb").read())
-    blob[-4:] = np.array([np.nan], dtype="<f4").tobytes()
-    open(path, "wb").write(bytes(blob))
-    rep = validate_dataset(corpus.samples, index, base_dir=str(tmp_path))
-    assert rep.nonfinite_features == 1
-    assert rep.ok  # still readable; only missing files fail validation
 
 
 def test_samples_jsonl_round_trip(tmp_path):

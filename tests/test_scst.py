@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from capkit.errors import AllMasked, EmptyDataset, InvalidTemperature
+from capkit import scst
+from capkit.errors import AllMasked, EmptyDataset, InvalidTemperature, NumericFailure
 from capkit.metrics import build_idf
 from capkit.scst import (
     DecodeOutput,
+    RewardVector,
     ScstItem,
     compute_rewards,
     decode_greedy,
@@ -14,7 +16,16 @@ from capkit.scst import (
     scst_loss,
     scst_train,
 )
-from capkit.seqmodel import ModelConfig, init_params, train_mle, TrainItem
+from capkit.seqmodel import (
+    ModelConfig,
+    TrainItem,
+    _logp_grad,
+    backward,
+    forward,
+    init_params,
+    log_softmax,
+    train_mle,
+)
 from capkit.textproc import BOS, EOS, Caption, Vocab, RESERVED, encode
 
 CFG = ModelConfig(vocab_size=12, feature_dim=6, d_model=16, n_heads=2, max_len=8, seed=3)
@@ -257,6 +268,57 @@ def test_scst_train_deterministic():
         return [(x.mean_reward, x.loss) for x in h]
 
     assert run() == run()
+
+
+def test_scst_train_non_finite_loss_fails_fast(params, monkeypatch):
+    before = params.copy()
+
+    def nan_rewards(sample, *_):
+        return RewardVector(r=(np.nan,) * len(sample.mask), baseline_score=0.0, sample_score=0.0)
+
+    monkeypatch.setattr(scst, "compute_rewards", nan_rewards)
+    items = [ScstItem(sample_id="s0", features=FEATS, ref=Caption.make("a b", "description"))]
+    with pytest.raises(NumericFailure):
+        scst_train(params, items, _idf(), 2, 1, seed=0, vocab=VOCAB)
+    for n in params.tensors:
+        assert np.array_equal(params.tensors[n], before.tensors[n])
+
+
+def test_scst_parameter_gradient_finite_difference(params):
+    """scst_loss on a fixed sampled caption, through forward, the log-prob
+    gradient and backward, against central differences of the loss."""
+    roll = decode_sample(params, FEATS, seed=4)
+    prefix = roll.ids[:-1]
+    targets = np.asarray(roll.ids[1:], dtype=np.intp)
+    rows = np.arange(len(targets))
+    r = np.random.default_rng(5).normal(size=len(targets))
+    m = np.ones(len(targets))
+    m[-1] = 0.0
+    assert len(targets) >= 3
+
+    def loss_of():
+        return scst_loss(log_softmax(forward(params, FEATS, prefix))[rows, targets], r, m)[0]
+
+    trace = forward(params, FEATS, prefix, train=True)
+    lp = log_softmax(trace.logits.value)
+    _, dlogp = scst_loss(lp[rows, targets], r, m)
+    grads = backward(trace, _logp_grad(lp, targets, dlogp))
+    rng = np.random.default_rng(6)
+    names = sorted(params.tensors)
+    for _ in range(30):
+        name = names[rng.integers(len(names))]
+        arr = params.tensors[name]
+        idx = tuple(rng.integers(s) for s in arr.shape)
+        h = 1e-5
+        orig = arr[idx]
+        arr[idx] = orig + h
+        up = loss_of()
+        arr[idx] = orig - h
+        dn = loss_of()
+        arr[idx] = orig
+        fd = (up - dn) / (2 * h)
+        an = grads[name][idx]
+        assert abs(an - fd) / max(1.0, abs(an)) < 1e-6
 
 
 def test_scst_train_empty_dataset(params):

@@ -5,8 +5,17 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from capkit.errors import AllMasked, BadPrefix, EmptyDataset, InvalidConfig, TruncatedFile
+from capkit.errors import (
+    AllMasked,
+    BadPrefix,
+    CapkitError,
+    EmptyDataset,
+    InvalidConfig,
+    NumericFailure,
+    TruncatedFile,
+)
 from capkit.seqmodel import (
     AdamState,
     DecoderCache,
@@ -60,6 +69,12 @@ def test_init_invalid_divisibility():
 def test_init_invalid_vocab():
     with pytest.raises(InvalidConfig):
         init_params(ModelConfig(vocab_size=4, feature_dim=6))
+
+
+@pytest.mark.parametrize("n_heads", [0, -2, 0.5, True])
+def test_init_invalid_n_heads(n_heads):
+    with pytest.raises(InvalidConfig):
+        init_params(ModelConfig(vocab_size=12, feature_dim=6, d_model=16, n_heads=n_heads))
 
 
 def test_init_layernorm_identity(params):
@@ -313,6 +328,15 @@ def test_train_mle_deterministic():
     assert c1 == c2
 
 
+def test_train_mle_non_finite_loss_fails_fast(params):
+    before = params.copy()
+    item = TrainItem(features=np.full_like(FEATS, np.nan), ids=_one_item().ids, mask=_one_item().mask)
+    with pytest.raises(NumericFailure):
+        train_mle(params, [item], epochs=2, batch_size=1, seed=0)
+    for n in params.tensors:
+        assert np.array_equal(params.tensors[n], before.tensors[n])
+
+
 def test_train_mle_empty_dataset(params):
     with pytest.raises(EmptyDataset):
         train_mle(params, [], 1, 1, seed=0)
@@ -364,7 +388,9 @@ def test_checkpoint_corrupt_json_header(tmp_path):
             load_checkpoint(path)
 
 
-@pytest.mark.parametrize("edit", ["drop_tensor", "bad_shape", "bad_config"])
+@pytest.mark.parametrize(
+    "edit", ["drop_tensor", "bad_shape", "bad_config", "n_heads=0", "n_heads=0.5", "n_heads=-2", "offset=1e400"]
+)
 def test_checkpoint_manifest_mismatch(tmp_path, params, edit):
     path = os.path.join(tmp_path, "model.ckpt")
     save_checkpoint(params, path)
@@ -375,8 +401,70 @@ def test_checkpoint_manifest_mismatch(tmp_path, params, edit):
         header["manifest"] = [e for e in header["manifest"] if e["name"] != "sa_q"]
     elif edit == "bad_shape":
         header["manifest"][0]["shape"] = header["manifest"][0]["shape"][::-1] + [1]
-    else:
+    elif edit == "bad_config":
         header["config"]["d_model"] = 15
+    elif edit == "offset=1e400":
+        header["manifest"][0]["offset"] = 1e400  # inf, which int() cannot take
+    else:
+        header["config"]["n_heads"] = json.loads(edit.partition("=")[2])
     _write_checkpoint(path, json.dumps(header).encode("utf-8"), blob[4 + hlen :])
     with pytest.raises(InvalidConfig):
         load_checkpoint(path)
+
+
+# Fuzzing: any bytes must come out as a loaded model or a CapkitError.
+
+TINY = init_params(ModelConfig(vocab_size=5, feature_dim=1, d_model=2, n_heads=1, max_len=2))
+
+
+def _load_only_capkit_errors(tmp_path_factory, blob: bytes):
+    path = os.path.join(tmp_path_factory.getbasetemp(), "fuzz.ckpt")
+    with open(path, "wb") as f:
+        f.write(blob)
+    try:
+        load_checkpoint(path)
+    except CapkitError:
+        pass
+
+
+@settings(max_examples=300)
+@given(st.binary(max_size=256))
+def test_checkpoint_reader_fuzz_whole_file(tmp_path_factory, blob):
+    _load_only_capkit_errors(tmp_path_factory, blob)
+
+
+@settings(max_examples=300)
+@given(st.binary(max_size=128), st.binary(max_size=64))
+def test_checkpoint_reader_fuzz_framed_header(tmp_path_factory, header, payload):
+    _load_only_capkit_errors(tmp_path_factory, struct.pack("<I", len(header)) + header + payload)
+
+
+JSON_VALUES = (
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 2**70)
+    | st.floats()
+    | st.text(max_size=3)
+    | st.lists(st.integers(-2, 5), max_size=3)
+    | st.dictionaries(st.text(max_size=2), st.integers(), max_size=2)
+)
+
+
+@settings(max_examples=300)
+@given(
+    st.sampled_from(["vocab_size", "feature_dim", "d_model", "n_heads", "max_len", "seed", "name", "shape", "offset"]),
+    JSON_VALUES,
+    st.integers(0, 200),
+)
+def test_checkpoint_reader_fuzz_header_field(tmp_path_factory, key, value, cut):
+    """A valid tiny checkpoint with one config or manifest value replaced,
+    optionally with its payload cut short."""
+    path = os.path.join(tmp_path_factory.getbasetemp(), "fuzz.ckpt")
+    save_checkpoint(TINY, path)
+    blob = open(path, "rb").read()
+    (hlen,) = struct.unpack("<I", blob[:4])
+    header = json.loads(blob[4 : 4 + hlen])
+    (header["config"] if key in header["config"] else header["manifest"][0])[key] = value
+    head = json.dumps(header).encode("utf-8")
+    payload = blob[4 + hlen :]
+    _load_only_capkit_errors(tmp_path_factory, struct.pack("<I", len(head)) + head + payload[: len(payload) - cut])

@@ -8,7 +8,6 @@ from capkit.textproc import (
     RESERVED,
     UNK,
     Caption,
-    Vocab,
     build_vocab,
     decode_ids,
     encode,
@@ -72,11 +71,6 @@ def test_vocab_lookup_inverse():
     v = build_vocab(_caps(["car stops here"]), min_count=1)
     for i in range(4, len(v)):
         assert v.id_of(v.token_of(i)) == i
-
-
-def test_vocab_json_round_trip():
-    v = build_vocab(_caps(["car stops"]), min_count=1)
-    assert Vocab.from_json(v.to_json()).tokens == v.tokens
 
 
 def test_encode_basic():
