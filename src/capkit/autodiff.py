@@ -74,15 +74,16 @@ def matmul_nt(tape, a, b):
 
 
 def add(tape, a, b):
+    """a + b for operands of one shape (no broadcasting)."""
     av, bv = val(a), val(b)
     out = _out(tape, av + bv)
     if tape is not None:
         def back():
             g = out.grad
             if isinstance(a, Var):
-                a.grad += _unbroadcast(g, av.shape)
+                a.grad += g
             if isinstance(b, Var):
-                b.grad += _unbroadcast(g, bv.shape)
+                b.grad += g
         tape.record(back)
     return out
 
@@ -183,12 +184,3 @@ def attention(tape, q, k, v, n_heads: int, causal: bool):
         tape.record(back)
     return out
 
-
-def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
-    """Sum `g` down to `shape`, undoing numpy broadcasting."""
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
-    for axis, n in enumerate(shape):
-        if n == 1 and g.shape[axis] != 1:
-            g = g.sum(axis=axis, keepdims=True)
-    return g

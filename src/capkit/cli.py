@@ -203,24 +203,17 @@ def cmd_decode(args) -> int:
     return EXIT_OK
 
 
-def _read_caption_jsonl(path: str, role_filter=None):
+def _read_caption_jsonl(path: str):
     """Read {"id","role","text"} lines; samples.jsonl-style lines are accepted
     and expanded into one entry per role."""
     out = {}
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            d = json.loads(line)
-            if "text" in d:
-                entries = [(d["id"], d["role"], d["text"])]
-            else:
-                entries = [(d["id"], r, d[r]) for r in ROLES if r in d]
-            for cid, role, text in entries:
-                if role_filter and role not in role_filter:
-                    continue
-                out[(cid, role)] = Caption.make(text, role)
+    for d in dmod._jsonl_objects(path):
+        if "text" in d:
+            entries = [(d["id"], d["role"], d["text"])]
+        else:
+            entries = [(d["id"], r, d[r]) for r in ROLES if r in d]
+        for cid, role, text in entries:
+            out[(cid, role)] = Caption.make(text, role)
     return out
 
 

@@ -10,6 +10,7 @@ import numpy as np
 from .errors import (
     BadMagic,
     BadVersion,
+    DimensionMismatch,
     DuplicateId,
     InvalidConfig,
     MissingField,
@@ -50,7 +51,6 @@ class Sample:
     id: str
     description: Caption
     avoidance: Caption
-    features_path: str = ""
 
 
 def restructure(raws: list[RawAnnotation]) -> list[Sample]:
@@ -72,6 +72,44 @@ def restructure(raws: list[RawAnnotation]) -> list[Sample]:
 
 
 # ---------------------------------------------------------------------------
+# Framed binary files (features here, checkpoints in seqmodel): 4-byte magic,
+# u32 version, then the format's own fields, all little-endian.
+
+def _write_frame(path: str, magic: bytes, version: int, parts) -> None:
+    with open(path, "wb") as f:
+        f.write(magic + struct.pack("<I", version))
+        f.writelines(parts)
+
+
+class _Frame:
+    """The body of a framed file, read in order by `take` and `u32`.
+
+    A strict prefix of the magic or a read past the end raises TruncatedFile,
+    other leading bytes BadMagic, and another version BadVersion.
+    """
+
+    def __init__(self, path: str, magic: bytes, version: int):
+        with open(path, "rb") as f:
+            self.blob = f.read()
+        self.path, self.pos = path, len(magic)
+        if self.blob[: len(magic)] != magic:
+            if magic.startswith(self.blob):
+                raise TruncatedFile(f"{path}: truncated at byte {len(self.blob)}")
+            raise BadMagic(f"{path}: bad magic bytes")
+        found = self.u32()
+        if found != version:
+            raise BadVersion(f"{path}: unsupported version {found}")
+
+    def take(self, n: int) -> bytes:
+        if self.pos + n > len(self.blob):
+            raise TruncatedFile(f"{self.path}: truncated at byte {self.pos}")
+        self.pos += n
+        return self.blob[self.pos - n : self.pos]
+
+    def u32(self) -> int:
+        return struct.unpack("<I", self.take(4))[0]
+
+
 # Feature files: magic | version u32 | id_len u32 | id | T u32 | D u32 | f32 data
 
 @dataclass(frozen=True)
@@ -88,47 +126,30 @@ class FeatureClip:
         return self.data.shape[1]
 
 
+def _check_shape(shape, where: str) -> None:
+    if len(shape) != 2 or shape[0] < 1 or shape[1] < 1:
+        raise DimensionMismatch(f"{where}: feature data must be T x D with T, D >= 1, got shape {tuple(shape)}")
+
+
 def write_features(clip: FeatureClip, path: str) -> None:
     data = np.ascontiguousarray(clip.data, dtype="<f4")
-    if data.ndim != 2 or data.shape[0] < 1 or data.shape[1] < 1:
-        raise ValueError("feature data must be T x D with T,D >= 1")
+    _check_shape(data.shape, f"clip {clip.id!r}")
     if not np.isfinite(data).all():
         raise NonFiniteValue(f"clip {clip.id!r} contains non-finite features")
     id_bytes = clip.id.encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<I", VERSION))
-        f.write(struct.pack("<I", len(id_bytes)))
-        f.write(id_bytes)
-        f.write(struct.pack("<II", data.shape[0], data.shape[1]))
-        f.write(data.tobytes())
+    head = struct.pack("<I", len(id_bytes)) + id_bytes + struct.pack("<II", *data.shape)
+    _write_frame(path, MAGIC, VERSION, [head, data.tobytes()])
 
 
 def read_features(path: str) -> FeatureClip:
-    with open(path, "rb") as f:
-        blob = f.read()
-    if blob[:4] != MAGIC:
-        raise BadMagic(f"{path}: bad magic bytes")
-    pos = 4
-
-    def take(n):
-        nonlocal pos
-        if pos + n > len(blob):
-            raise TruncatedFile(f"{path}: truncated at byte {pos}")
-        chunk = blob[pos : pos + n]
-        pos += n
-        return chunk
-
-    (version,) = struct.unpack("<I", take(4))
-    if version != VERSION:
-        raise BadVersion(f"{path}: unsupported version {version}")
-    (id_len,) = struct.unpack("<I", take(4))
+    frame = _Frame(path, MAGIC, VERSION)
     try:
-        clip_id = take(id_len).decode("utf-8")
+        clip_id = frame.take(frame.u32()).decode("utf-8")
     except UnicodeDecodeError as e:
         raise InvalidConfig(f"{path}: clip id is not UTF-8") from e
-    t, d = struct.unpack("<II", take(8))
-    data = np.frombuffer(take(t * d * 4), dtype="<f4").reshape(t, d)
+    t, d = frame.u32(), frame.u32()
+    _check_shape((t, d), path)
+    data = np.frombuffer(frame.take(t * d * 4), dtype="<f4").reshape(t, d)
     if not np.isfinite(data).all():
         raise NonFiniteValue(f"{path}: non-finite feature values")
     return FeatureClip(id=clip_id, data=data.copy())
@@ -208,7 +229,6 @@ def synth_corpus(config: SynthConfig) -> SynthCorpus:
                 id=clip_id,
                 description=Caption.make(desc, ROLE_DESCRIPTION),
                 avoidance=Caption.make(avoid, ROLE_AVOIDANCE),
-                features_path=f"features/{clip_id}.avdf",
             )
         )
         clips[clip_id] = FeatureClip(id=clip_id, data=data)
@@ -228,14 +248,25 @@ def synth_corpus(config: SynthConfig) -> SynthCorpus:
 # ---------------------------------------------------------------------------
 # JSONL helpers
 
-def read_annotations_jsonl(path: str) -> list[RawAnnotation]:
-    out = []
+def _jsonl_objects(path: str):
+    """Yield the JSON object on each non-blank line; a line that is not a JSON
+    object raises InvalidConfig naming the path and line number."""
     with open(path, encoding="utf-8") as f:
-        for line in f:
+        for lineno, line in enumerate(f, 1):
             line = line.strip()
-            if line:
-                out.append(RawAnnotation.from_dict(json.loads(line)))
-    return out
+            if not line:
+                continue
+            try:
+                obj = json.loads(line)
+            except ValueError as e:
+                raise InvalidConfig(f"{path}:{lineno}: not JSON: {e}") from e
+            if not isinstance(obj, dict):
+                raise InvalidConfig(f"{path}:{lineno}: expected a JSON object, got {type(obj).__name__}")
+            yield obj
+
+
+def read_annotations_jsonl(path: str) -> list[RawAnnotation]:
+    return [RawAnnotation.from_dict(d) for d in _jsonl_objects(path)]
 
 
 def write_samples_jsonl(samples: list[Sample], path: str) -> None:
@@ -255,19 +286,11 @@ def write_samples_jsonl(samples: list[Sample], path: str) -> None:
 
 
 def read_samples_jsonl(path: str) -> list[Sample]:
-    out = []
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            d = json.loads(line)
-            out.append(
-                Sample(
-                    id=d["id"],
-                    description=Caption.make(d["description"], ROLE_DESCRIPTION),
-                    avoidance=Caption.make(d["avoidance"], ROLE_AVOIDANCE),
-                    features_path=d.get("features_path", ""),
-                )
-            )
-    return out
+    return [
+        Sample(
+            id=d["id"],
+            description=Caption.make(d["description"], ROLE_DESCRIPTION),
+            avoidance=Caption.make(d["avoidance"], ROLE_AVOIDANCE),
+        )
+        for d in _jsonl_objects(path)
+    ]

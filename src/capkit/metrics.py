@@ -33,24 +33,27 @@ def bleu_corpus(hyps, refs, n: int) -> float:
         raise EmptyCorpus("no sentences to score")
     if not 1 <= n <= MAX_N:
         raise ValueError("n must be in 1..4")
-    hyp_len = sum(len(h) for h in hyps)
+    return _bleu_upto(hyps, refs, n)[n - 1]
+
+
+def _bleu_upto(hyps, refs, max_n: int) -> list[float]:
+    """Corpus BLEU-1..max_n from one n-gram count of each sentence."""
+    clipped = [0] * (max_n + 1)
+    total = [0] * (max_n + 1)
+    for h, r in zip(hyps, refs):
+        hg, rg = ngrams(h, max_n), ngrams(r, max_n)
+        for k in range(1, max_n + 1):
+            total[k] += sum(hg[k].values())
+            clipped[k] += sum(min(c, rg[k][g]) for g, c in hg[k].items())
     ref_len = sum(len(r) for r in refs)
-    if hyp_len == 0:
-        return 0.0
-    log_p_sum = 0.0
-    for k in range(1, n + 1):
-        clipped = 0
-        total = 0
-        for h, r in zip(hyps, refs):
-            hc = ngrams(h, k)[k]
-            rc = ngrams(r, k)[k]
-            total += sum(hc.values())
-            clipped += sum(min(c, rc[g]) for g, c in hc.items())
-        if clipped == 0 or total == 0:
-            return 0.0
-        log_p_sum += math.log(clipped / total)
-    bp = min(1.0, math.exp(1.0 - ref_len / hyp_len))
-    return bp * math.exp(log_p_sum / n)
+    scores, log_p_sum = [0.0] * max_n, 0.0
+    for k in range(1, max_n + 1):
+        if clipped[k] == 0:  # BLEU-k and every higher order are 0; total[k] may be 0
+            break
+        log_p_sum += math.log(clipped[k] / total[k])
+        # total[1] is the hypothesis length, so this is the brevity penalty
+        scores[k - 1] = min(1.0, math.exp(1.0 - ref_len / total[1])) * math.exp(log_p_sum / k)
+    return scores
 
 
 # ---------------------------------------------------------------------------
@@ -376,10 +379,7 @@ def score_all(hyps: list[Caption], refs: list[Caption], idf: IdfTable) -> ScoreR
     ht = [h.tokens for h in hyps]
     rt = [r.tokens for r in refs]
     return ScoreReport(
-        b1=bleu_corpus(ht, rt, 1),
-        b2=bleu_corpus(ht, rt, 2),
-        b3=bleu_corpus(ht, rt, 3),
-        b4=bleu_corpus(ht, rt, 4),
+        *_bleu_upto(ht, rt, MAX_N),  # b1..b4
         rouge_l=rouge_l_corpus(ht, rt),
         meteor=meteor_corpus(ht, rt),
         cider_d=cider_corpus(ht, rt, idf),

@@ -9,7 +9,8 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from . import autodiff as ad
-from .errors import AllMasked, BadPrefix, EmptyDataset, InvalidConfig, NumericFailure, TruncatedFile
+from .data import _Frame, _write_frame
+from .errors import AllMasked, BadPrefix, EmptyDataset, InvalidConfig, NonFiniteValue, NumericFailure
 from .textproc import BOS, PAD
 
 PARAM_SHAPES = (
@@ -67,13 +68,17 @@ class ModelParams:
         return ModelParams(self.config, {k: v.copy() for k, v in self.tensors.items()})
 
 
+def _shapes(config: ModelConfig) -> list:
+    """(name, shape) of every parameter tensor, in PARAM_SHAPES order."""
+    dims = (config.vocab_size, config.d_model, config.max_len, config.feature_dim)
+    return [(name, shape_fn(*dims)) for name, shape_fn in PARAM_SHAPES]
+
+
 def init_params(config: ModelConfig) -> ModelParams:
     config.validate()
     rng = np.random.default_rng(config.seed)
-    V, d, L, F = config.vocab_size, config.d_model, config.max_len, config.feature_dim
     tensors = {}
-    for name, shape_fn in PARAM_SHAPES:
-        shape = shape_fn(V, d, L, F)
+    for name, shape in _shapes(config):
         if name.startswith("ln"):
             tensors[name] = (
                 np.ones(shape) if name.endswith("_g") else np.zeros(shape)
@@ -333,62 +338,35 @@ class DecoderCache:
 
 
 # ---------------------------------------------------------------------------
-# Checkpoint format: JSON header + raw float64 little-endian payload
+# Checkpoint format: CKPT magic | version u32 | header_len u32 | JSON header
+# (config and extra keys) | float64 little-endian tensors in PARAM_SHAPES order
+
+CKPT_MAGIC = b"CKPT"
+CKPT_VERSION = 1
+
 
 def save_checkpoint(params: ModelParams, path: str, extra: dict | None = None) -> None:
-    manifest = []
-    offset = 0
-    blobs = []
-    for name in sorted(params.tensors):
-        arr = np.ascontiguousarray(params.tensors[name], dtype="<f8")
-        manifest.append({"name": name, "shape": list(arr.shape), "offset": offset})
-        blobs.append(arr.tobytes())
-        offset += arr.nbytes
-    header = {"config": asdict(params.config), "manifest": manifest}
-    if extra:
-        header.update(extra)
-    header_bytes = json.dumps(header).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(struct.pack("<I", len(header_bytes)))
-        f.write(header_bytes)
-        for b in blobs:
-            f.write(b)
+    header = json.dumps({"config": asdict(params.config), **(extra or {})}).encode("utf-8")
+    tensors = [np.ascontiguousarray(params.tensors[name], dtype="<f8").tobytes() for name, _ in PARAM_SHAPES]
+    _write_frame(path, CKPT_MAGIC, CKPT_VERSION, [struct.pack("<I", len(header)), header, *tensors])
 
 
 def load_checkpoint(path: str) -> tuple[ModelParams, dict]:
-    """Read a checkpoint; a short file raises TruncatedFile, and a header that
-    does not decode or whose tensors differ from PARAM_SHAPES under its config
-    raises InvalidConfig."""
-    with open(path, "rb") as f:
-        raw = f.read(4)
-        if len(raw) < 4:
-            raise TruncatedFile("checkpoint header length missing")
-        (hlen,) = struct.unpack("<I", raw)
-        head = f.read(hlen)
-        if len(head) < hlen:
-            raise TruncatedFile("checkpoint header truncated")
-        payload = f.read()
+    """Read a checkpoint and its extra header keys. Framing errors raise as in
+    `data._Frame`; a header that does not decode to a valid config raises
+    InvalidConfig, and a non-finite tensor NonFiniteValue."""
+    frame = _Frame(path, CKPT_MAGIC, CKPT_VERSION)
+    head = frame.take(frame.u32())
     try:
         header = json.loads(head.decode("utf-8"))
-        config = ModelConfig(**header["config"])
-        config.validate()
-        dims = (config.vocab_size, config.d_model, config.max_len, config.feature_dim)
-        expected = {name: shape_fn(*dims) for name, shape_fn in PARAM_SHAPES}
-        entries = {
-            e["name"]: (tuple(int(n) for n in e["shape"]), int(e["offset"])) for e in header["manifest"]
-        }
-    except (ValueError, TypeError, KeyError, OverflowError) as e:
+        config = ModelConfig(**header.pop("config"))
+    except (ValueError, TypeError, KeyError, AttributeError) as e:
         raise InvalidConfig(f"checkpoint header unreadable: {type(e).__name__}: {e}") from e
-    if {name: shape for name, (shape, _) in entries.items()} != expected:
-        raise InvalidConfig("checkpoint tensors differ from the parameter shapes of its config")
-    if any(start < 0 for _, start in entries.values()):
-        raise InvalidConfig("negative tensor offset in checkpoint manifest")
+    config.validate()
     tensors = {}
-    for name, (shape, start) in entries.items():
-        count = math.prod(shape)
-        if start + 8 * count > len(payload):
-            raise TruncatedFile(f"checkpoint payload too short for tensor {name!r}")
-        arr = np.frombuffer(payload, dtype="<f8", count=count, offset=start)
-        tensors[name] = arr.reshape(shape).astype(np.float64)
-    extra = {k: v for k, v in header.items() if k not in ("config", "manifest")}
-    return ModelParams(config=config, tensors=tensors), extra
+    for name, shape in _shapes(config):
+        arr = np.frombuffer(frame.take(8 * math.prod(shape)), dtype="<f8").reshape(shape)
+        if not np.isfinite(arr).all():
+            raise NonFiniteValue(f"{path}: non-finite values in tensor {name!r}")
+        tensors[name] = arr.astype(np.float64)
+    return ModelParams(config=config, tensors=tensors), header

@@ -30,6 +30,8 @@ class Caption:
     def make(cls, raw: str, role: str) -> "Caption":
         if role not in ROLES:
             raise ValueError(f"unknown caption role: {role!r}")
+        if not isinstance(raw, str):
+            raise ValueError(f"caption text must be a string, got {type(raw).__name__}")
         return cls(raw=raw, tokens=tuple(normalize(raw)), role=role)
 
 

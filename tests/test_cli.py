@@ -209,3 +209,51 @@ def test_config_file_defaults(tmp_path, capsys):
     index = json.load(open(os.path.join(data, "feature_index.json")))
     assert len(index) == 6
     assert '"seed": 11' in err  # effective config echoed to the log stream
+
+
+@pytest.mark.parametrize("command", ["decode", "train-scst"])
+def test_non_finite_checkpoint_exits_2(tmp_path, capsys, tiny_pipeline, command):
+    params, extra = load_checkpoint(tiny_pipeline["ckpt"])
+    params.tensors["ff_w2"][0, 0] = np.nan
+    ckpt = os.path.join(tmp_path, "nan.ckpt")
+    save_checkpoint(params, ckpt, extra=extra)
+    out = os.path.join(tmp_path, "out")
+    status, _, err = run(capsys, command, "--data", tiny_pipeline["data"], "--ckpt", ckpt, "--out", out)
+    assert status == 2
+    assert "NonFiniteValue" in err
+    assert os.listdir(tmp_path) == ["nan.ckpt"]
+
+
+# ---------------------------------------------------------------------------
+# JSONL lines that are not objects, and caption text that is not a string
+
+@pytest.mark.parametrize("line", ["5", "null", "[1, 2]", '"text"', "{not json"])
+@pytest.mark.parametrize("command", ["ingest", "score", "train-mle"])
+def test_jsonl_line_not_an_object_exits_2(tmp_path, capsys, command, line):
+    out = os.path.join(tmp_path, "out")
+    if command == "ingest":
+        bad = os.path.join(tmp_path, "ann.jsonl")
+        _write_annotations(bad, [GOOD_ROW])
+        argv = ["ingest", bad, "--out", out]
+    else:
+        data = os.path.join(tmp_path, "d")
+        assert main(["synth", "--out", data, "--n-clips", "1", "--seed", "3"]) == 0
+        bad = os.path.join(data, "samples.jsonl")
+        argv = {
+            "score": ["score", "--hyps", bad, "--refs", bad, "--out", out],
+            "train-mle": ["train-mle", "--data", data, "--out", out, "--epochs", "1"],
+        }[command]
+    with open(bad, "a") as f:
+        f.write(line + "\n")
+    status, _, err = run(capsys, *argv)
+    assert status == 2
+    assert f"InvalidConfig: {bad}:2: " in err
+    assert not os.path.exists(out)
+
+
+def test_score_text_not_a_string_exits_2(tmp_path, capsys):
+    hyps = os.path.join(tmp_path, "h.jsonl")
+    _write_annotations(hyps, [{"id": "a", "role": "description", "text": 5}])
+    status, _, err = run(capsys, "score", "--hyps", hyps, "--refs", hyps, "--out", os.path.join(tmp_path, "o"))
+    assert status == 2
+    assert "must be a string" in err

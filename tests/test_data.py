@@ -30,6 +30,7 @@ from capkit.errors import (
     BadMagic,
     BadVersion,
     CapkitError,
+    DimensionMismatch,
     DuplicateId,
     InvalidConfig,
     MissingField,
@@ -142,11 +143,29 @@ def test_feature_bad_version(tmp_path):
 
 
 def test_feature_truncated(tmp_path):
+    """Every strict prefix of a valid file, the empty file and the first bytes
+    of the magic included."""
     path = os.path.join(tmp_path, "c.avdf")
     write_features(_clip(), path)
     blob = open(path, "rb").read()
-    open(path, "wb").write(blob[:-5])
-    with pytest.raises(TruncatedFile):
+    for n in range(len(blob)):
+        open(path, "wb").write(blob[:n])
+        with pytest.raises(TruncatedFile):
+            read_features(path)
+
+
+@pytest.mark.parametrize("shape", [(0, 4), (3, 0), (0, 0), (12,), (2, 3, 2)])
+def test_feature_write_bad_shape(shape):
+    with pytest.raises(DimensionMismatch):
+        write_features(_clip(np.zeros(shape)), os.devnull)
+
+
+@pytest.mark.parametrize("t,d", [(0, 4), (3, 0), (0, 0)])
+def test_feature_read_empty_dimension(tmp_path, t, d):
+    path = os.path.join(tmp_path, "c.avdf")
+    with open(path, "wb") as f:
+        f.write(MAGIC + struct.pack("<II", VERSION, 2) + b"ab" + struct.pack("<II", t, d))
+    with pytest.raises(DimensionMismatch):
         read_features(path)
 
 

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import struct
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -9,14 +10,20 @@ from hypothesis import given, settings, strategies as st
 
 from capkit.errors import (
     AllMasked,
+    BadMagic,
     BadPrefix,
+    BadVersion,
     CapkitError,
     EmptyDataset,
     InvalidConfig,
+    NonFiniteValue,
     NumericFailure,
     TruncatedFile,
 )
 from capkit.seqmodel import (
+    CKPT_MAGIC,
+    CKPT_VERSION,
+    PARAM_SHAPES,
     AdamState,
     DecoderCache,
     ModelConfig,
@@ -377,7 +384,26 @@ def test_checkpoint_truncated_at_every_offset(tmp_path):
 
 def _write_checkpoint(path, header: bytes, payload=b""):
     with open(path, "wb") as f:
-        f.write(struct.pack("<I", len(header)) + header + payload)
+        f.write(CKPT_MAGIC + struct.pack("<II", CKPT_VERSION, len(header)) + header + payload)
+
+
+def _split_checkpoint(path):
+    """(header dict, tensor bytes) of a checkpoint file."""
+    blob = open(path, "rb").read()
+    (hlen,) = struct.unpack("<I", blob[8:12])
+    return json.loads(blob[12 : 12 + hlen]), blob[12 + hlen :]
+
+
+def test_checkpoint_layout(tmp_path, params):
+    """CKPT, u32 version, u32 header length, a JSON header without a manifest,
+    then each tensor in PARAM_SHAPES order."""
+    path = os.path.join(tmp_path, "model.ckpt")
+    save_checkpoint(params, path, extra={"vocab": ["<pad>"]})
+    blob = open(path, "rb").read()
+    assert blob[:4] == b"CKPT" and struct.unpack("<I", blob[4:8]) == (1,)
+    header, payload = _split_checkpoint(path)
+    assert set(header) == {"config", "vocab"}
+    assert payload == b"".join(params.tensors[name].astype("<f8").tobytes() for name, _ in PARAM_SHAPES)
 
 
 def test_checkpoint_corrupt_json_header(tmp_path):
@@ -388,27 +414,63 @@ def test_checkpoint_corrupt_json_header(tmp_path):
             load_checkpoint(path)
 
 
-@pytest.mark.parametrize(
-    "edit", ["drop_tensor", "bad_shape", "bad_config", "n_heads=0", "n_heads=0.5", "n_heads=-2", "offset=1e400"]
-)
+@pytest.mark.parametrize("edit", ["bad_config", "n_heads=0", "n_heads=0.5", "n_heads=-2"])
 def test_checkpoint_manifest_mismatch(tmp_path, params, edit):
     path = os.path.join(tmp_path, "model.ckpt")
     save_checkpoint(params, path)
-    blob = open(path, "rb").read()
-    (hlen,) = struct.unpack("<I", blob[:4])
-    header = json.loads(blob[4 : 4 + hlen])
-    if edit == "drop_tensor":
-        header["manifest"] = [e for e in header["manifest"] if e["name"] != "sa_q"]
-    elif edit == "bad_shape":
-        header["manifest"][0]["shape"] = header["manifest"][0]["shape"][::-1] + [1]
-    elif edit == "bad_config":
+    header, payload = _split_checkpoint(path)
+    if edit == "bad_config":
         header["config"]["d_model"] = 15
-    elif edit == "offset=1e400":
-        header["manifest"][0]["offset"] = 1e400  # inf, which int() cannot take
     else:
         header["config"]["n_heads"] = json.loads(edit.partition("=")[2])
-    _write_checkpoint(path, json.dumps(header).encode("utf-8"), blob[4 + hlen :])
+    _write_checkpoint(path, json.dumps(header).encode("utf-8"), payload)
     with pytest.raises(InvalidConfig):
+        load_checkpoint(path)
+
+
+def test_checkpoint_bad_magic(tmp_path, params):
+    path = os.path.join(tmp_path, "model.ckpt")
+    save_checkpoint(params, path)
+    blob = open(path, "rb").read()
+    for head in (b"AVDF", b"CKPX", b"XKPT"):
+        open(path, "wb").write(head + blob[4:])
+        with pytest.raises(BadMagic):
+            load_checkpoint(path)
+
+
+def test_checkpoint_bad_version(tmp_path, params):
+    path = os.path.join(tmp_path, "model.ckpt")
+    save_checkpoint(params, path)
+    blob = bytearray(open(path, "rb").read())
+    for version in (0, 2, 2**32 - 1):
+        blob[4:8] = struct.pack("<I", version)
+        open(path, "wb").write(bytes(blob))
+        with pytest.raises(BadVersion):
+            load_checkpoint(path)
+
+
+def test_checkpoint_old_layout_is_bad_magic(tmp_path, params):
+    """The manifest layout (u32 header length, JSON header with name, shape and
+    offset of each tensor, then the tensors) has no reader."""
+    path = os.path.join(tmp_path, "model.ckpt")
+    manifest, blobs, offset = [], [], 0
+    for name in sorted(params.tensors):
+        arr = params.tensors[name].astype("<f8")
+        manifest.append({"name": name, "shape": list(arr.shape), "offset": offset})
+        blobs.append(arr.tobytes())
+        offset += arr.nbytes
+    header = json.dumps({"config": asdict(params.config), "manifest": manifest}).encode("utf-8")
+    open(path, "wb").write(struct.pack("<I", len(header)) + header + b"".join(blobs))
+    with pytest.raises(BadMagic):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_checkpoint_non_finite_tensor(tmp_path, params, value):
+    params.tensors["ff_w2"][0, 0] = value
+    path = os.path.join(tmp_path, "model.ckpt")
+    save_checkpoint(params, path)
+    with pytest.raises(NonFiniteValue):
         load_checkpoint(path)
 
 
@@ -436,7 +498,9 @@ def test_checkpoint_reader_fuzz_whole_file(tmp_path_factory, blob):
 @settings(max_examples=300)
 @given(st.binary(max_size=128), st.binary(max_size=64))
 def test_checkpoint_reader_fuzz_framed_header(tmp_path_factory, header, payload):
-    _load_only_capkit_errors(tmp_path_factory, struct.pack("<I", len(header)) + header + payload)
+    _load_only_capkit_errors(
+        tmp_path_factory, CKPT_MAGIC + struct.pack("<II", CKPT_VERSION, len(header)) + header + payload
+    )
 
 
 JSON_VALUES = (
@@ -452,19 +516,19 @@ JSON_VALUES = (
 
 @settings(max_examples=300)
 @given(
-    st.sampled_from(["vocab_size", "feature_dim", "d_model", "n_heads", "max_len", "seed", "name", "shape", "offset"]),
+    st.sampled_from(["vocab_size", "feature_dim", "d_model", "n_heads", "max_len", "seed"]),
     JSON_VALUES,
     st.integers(0, 200),
 )
 def test_checkpoint_reader_fuzz_header_field(tmp_path_factory, key, value, cut):
-    """A valid tiny checkpoint with one config or manifest value replaced,
-    optionally with its payload cut short."""
+    """A valid tiny checkpoint with one config value replaced, optionally with
+    its payload cut short."""
     path = os.path.join(tmp_path_factory.getbasetemp(), "fuzz.ckpt")
     save_checkpoint(TINY, path)
-    blob = open(path, "rb").read()
-    (hlen,) = struct.unpack("<I", blob[:4])
-    header = json.loads(blob[4 : 4 + hlen])
-    (header["config"] if key in header["config"] else header["manifest"][0])[key] = value
+    header, payload = _split_checkpoint(path)
+    header["config"][key] = value
     head = json.dumps(header).encode("utf-8")
-    payload = blob[4 + hlen :]
-    _load_only_capkit_errors(tmp_path_factory, struct.pack("<I", len(head)) + head + payload[: len(payload) - cut])
+    _load_only_capkit_errors(
+        tmp_path_factory,
+        CKPT_MAGIC + struct.pack("<II", CKPT_VERSION, len(head)) + head + payload[: len(payload) - cut],
+    )
