@@ -9,14 +9,14 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
 from . import data as dmod
 from . import harness
-from .errors import CapkitError, InvalidConfig, MalformedReport, NumericFailure
+from .errors import CapkitError, DimensionMismatch, EmptyDataset, InvalidConfig, MalformedReport, NumericFailure
 from .metrics import (
-    GaussianStats,
     ScoreReport,
     build_idf,
     frechet_distance,
@@ -31,7 +31,7 @@ from .seqmodel import (
     save_checkpoint,
     train_mle,
 )
-from .textproc import RESERVED, ROLES, Caption, Vocab, build_vocab, decode_ids
+from .textproc import RESERVED, ROLES, Vocab, build_vocab, decode_ids
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -57,19 +57,29 @@ def _roles(arg: str):
 # ---------------------------------------------------------------------------
 # Dataset directory helpers
 
-def _load_corpus_dir(path: str):
-    samples = dmod.read_samples_jsonl(os.path.join(path, "samples.jsonl"))
-    with open(os.path.join(path, "feature_index.json"), encoding="utf-8") as f:
-        index = json.load(f)
-    with open(os.path.join(path, "splits.json"), encoding="utf-8") as f:
-        splits = json.load(f)
-    clips = {cid: dmod.read_features(os.path.join(path, rel)) for cid, rel in index.items()}
-    return samples, clips, splits
+def _read_clips(index_path: str) -> dict:
+    """id -> FeatureClip of a non-empty feature_index.json; all clips share one D."""
+    index = dmod.read_json_object(index_path)
+    if not index or not all(dmod._is_text(rel) for rel in index.values()):
+        raise InvalidConfig(f"{index_path}: expected a non-empty object mapping clip ids to paths")
+    base = os.path.dirname(index_path)
+    clips = {cid: dmod.read_features(os.path.join(base, rel)) for cid, rel in index.items()}
+    if len({c.D for c in clips.values()}) > 1:
+        raise DimensionMismatch(f"{index_path}: clips differ in feature dimension")
+    return clips
 
 
-def _split_samples(samples, splits, split: str):
-    wanted = set(splits[split])
-    return [s for s in samples if s.id in wanted]
+def _load_corpus_dir(path: str, split: str):
+    """The samples of one split of a corpus directory, and id -> FeatureClip."""
+    clips = _read_clips(os.path.join(path, "feature_index.json"))
+    ids = dmod.read_json_object(os.path.join(path, "splits.json")).get(split)
+    if not (isinstance(ids, list) and all(isinstance(i, str) and i in clips for i in ids)):
+        raise InvalidConfig(f"{path}: splits.json: split {split!r} must list ids that each have a clip")
+    wanted = set(ids)
+    subset = [s for s in dmod.read_samples_jsonl(os.path.join(path, "samples.jsonl")) if s.id in wanted]
+    if not subset:
+        raise EmptyDataset(f"{path}: split {split!r} has no samples")
+    return subset, clips
 
 
 # ---------------------------------------------------------------------------
@@ -107,8 +117,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train_mle(args) -> int:
-    samples, clips, splits = _load_corpus_dir(args.data)
-    train = _split_samples(samples, splits, "train")
+    train, clips = _load_corpus_dir(args.data, "train")
     roles = _roles(args.roles)
     caps = [harness.caption_for(s, r) for s in train for r in roles]
     vocab = build_vocab(caps, min_count=1)
@@ -148,8 +157,7 @@ def _load_model(path: str):
 
 
 def cmd_train_scst(args) -> int:
-    samples, clips, splits = _load_corpus_dir(args.data)
-    train = _split_samples(samples, splits, "train")
+    train, clips = _load_corpus_dir(args.data, "train")
     roles = _roles(args.roles)
     params, vocab = _load_model(args.ckpt)
     refs = [harness.caption_for(s, r).tokens for s in train for r in roles]
@@ -169,7 +177,7 @@ def cmd_train_scst(args) -> int:
     save_checkpoint(params, args.out, extra={"vocab": list(vocab.tokens)})
     with open(args.out + ".log.jsonl", "w", encoding="utf-8") as f:
         for h in history:
-            f.write(json.dumps(h.to_dict()) + "\n")
+            f.write(json.dumps(asdict(h)) + "\n")
     for i, h in enumerate(history):
         _log(
             f"epoch {i}: baseline {h.mean_baseline:.4f} sample {h.mean_sample:.4f} "
@@ -180,8 +188,7 @@ def cmd_train_scst(args) -> int:
 
 
 def cmd_decode(args) -> int:
-    samples, clips, splits = _load_corpus_dir(args.data)
-    subset = _split_samples(samples, splits, args.split)
+    subset, clips = _load_corpus_dir(args.data, args.split)
     params, vocab = _load_model(args.ckpt)
     roles = _roles(args.role)
     with open(args.out, "w", encoding="utf-8") as f:
@@ -203,23 +210,9 @@ def cmd_decode(args) -> int:
     return EXIT_OK
 
 
-def _read_caption_jsonl(path: str):
-    """Read {"id","role","text"} lines; samples.jsonl-style lines are accepted
-    and expanded into one entry per role."""
-    out = {}
-    for d in dmod._jsonl_objects(path):
-        if "text" in d:
-            entries = [(d["id"], d["role"], d["text"])]
-        else:
-            entries = [(d["id"], r, d[r]) for r in ROLES if r in d]
-        for cid, role, text in entries:
-            out[(cid, role)] = Caption.make(text, role)
-    return out
-
-
 def cmd_score(args) -> int:
-    hyps = _read_caption_jsonl(args.hyps)
-    refs = _read_caption_jsonl(args.refs)
+    hyps = dmod.read_captions_jsonl(args.hyps)
+    refs = dmod.read_captions_jsonl(args.refs)
     keys = [k for k in hyps if k in refs]
     if not keys:
         raise MalformedReport("no (id, role) pairs shared by hypotheses and references")
@@ -235,13 +228,9 @@ def cmd_score(args) -> int:
 
 
 def _load_feature_matrixes(index_path: str):
-    base = os.path.dirname(os.path.abspath(index_path))
-    with open(index_path, encoding="utf-8") as f:
-        index = json.load(f)
-    clips = [dmod.read_features(os.path.join(base, rel)) for _, rel in sorted(index.items())]
-    frames = np.vstack([c.data for c in clips])
-    pooled = np.vstack([c.data.mean(axis=0) for c in clips])
-    return frames, pooled
+    clips = _read_clips(index_path)
+    data = [clips[cid].data for cid in sorted(clips)]
+    return np.vstack(data), np.vstack([d.mean(axis=0) for d in data])
 
 
 def cmd_fid(args) -> int:
@@ -281,14 +270,7 @@ def render_report_table(reports: list[ScoreReport], labels: list[str]) -> str:
 
 
 def cmd_report(args) -> int:
-    reports = []
-    for path in args.reports:
-        with open(path, encoding="utf-8") as f:
-            d = json.load(f)
-        try:
-            reports.append(ScoreReport.from_dict(d))
-        except KeyError as e:
-            raise MalformedReport(f"{path}: missing metric field {e}") from e
+    reports = [ScoreReport.from_dict(dmod.read_json_object(p), p) for p in args.reports]
     labels = args.labels or [os.path.basename(p) for p in args.reports]
     if len(labels) != len(reports):
         raise MalformedReport("label count does not match report count")
@@ -380,32 +362,48 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _config_defaults(parser: argparse.ArgumentParser, path: str) -> dict:
+    """The flag defaults a --config file sets. Each key must be a flag's dest,
+    and each value one the command line could give that flag: JSON of its
+    `type`, among its `choices`, a bool for --sample, a list for --labels."""
+    takes = {int: lambda v: type(v) is int, float: lambda v: type(v) in (int, float), None: dmod._is_text}
+    parsers = (parser, *parser._command_parsers.values())
+    # Flags that share a dest share its type, nargs and choices (tested).
+    flags = {a.dest: a for p in parsers for a in p._actions if a.option_strings}
+    defaults = dmod.read_json_object(path)
+    for key, value in defaults.items():
+        a = flags.get(key)
+        if a is None or key in ("help", "config"):
+            raise InvalidConfig(f"{path}: unknown flag {key!r}")
+        ok = (lambda v: type(v) is bool) if a.nargs == 0 else takes[a.type]  # nargs 0: store_true
+        items = value if a.nargs == "*" else [value]
+        if not isinstance(items, list) or not all(ok(v) and (a.choices is None or v in a.choices) for v in items):
+            raise InvalidConfig(f"{path}: {a.option_strings[0]} cannot take {value!r}")
+    return defaults
+
+
 def main(argv=None) -> int:
+    """Run one command. The class of a CapkitError or OSError picks the exit
+    status; any other exception is a bug and propagates with its traceback."""
     parser = build_parser()
-    args, _ = parser.parse_known_args(argv)
-    if args.config:
-        try:
-            with open(args.config, encoding="utf-8") as f:
-                file_defaults = json.load(f)
-        except OSError as e:
-            _log(f"I/O error: {e}")
-            return EXIT_IO
-        parser.set_defaults(**file_defaults)
-        for sp in parser._command_parsers.values():
-            sp.set_defaults(**file_defaults)
-    args = parser.parse_args(argv)
-    _echo_config(args)
     try:
+        args, _ = parser.parse_known_args(argv)
+        if args.config:
+            defaults = _config_defaults(parser, args.config)
+            for p in (parser, *parser._command_parsers.values()):
+                p.set_defaults(**defaults)
+        args = parser.parse_args(argv)
+        _echo_config(args)
         return args.func(args)
     except NumericFailure as e:
         _log(f"numeric failure: {e}")
         return EXIT_NUMERIC
-    except (OSError, FileNotFoundError) as e:
-        _log(f"I/O error: {e}")
-        return EXIT_IO
-    except (CapkitError, ValueError, KeyError, json.JSONDecodeError) as e:
+    except CapkitError as e:
         _log(f"validation error: {type(e).__name__}: {e}")
         return EXIT_VALIDATION
+    except OSError as e:
+        _log(f"I/O error: {e}")
+        return EXIT_IO
 
 
 if __name__ == "__main__":

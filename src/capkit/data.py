@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import re
 import struct
 from dataclasses import dataclass, field
 
@@ -18,7 +19,7 @@ from .errors import (
     TruncatedFile,
     UnknownField,
 )
-from .textproc import Caption, ROLE_AVOIDANCE, ROLE_DESCRIPTION
+from .textproc import ROLE_AVOIDANCE, ROLE_DESCRIPTION, ROLES, Caption
 
 MAGIC = b"AVDF"
 VERSION = 1
@@ -34,16 +35,12 @@ class RawAnnotation:
     measures: str
 
     @classmethod
-    def from_dict(cls, d: dict) -> "RawAnnotation":
-        for f in ANNOTATION_FIELDS:
-            if f not in d:
-                raise MissingField(f"annotation missing field {f!r}")
+    def from_dict(cls, d: dict, where: str = "annotation") -> "RawAnnotation":
+        _check_record(d, where, ANNOTATION_FIELDS[1:])
         extra = set(d) - set(ANNOTATION_FIELDS)
         if extra:
-            raise UnknownField(f"unexpected annotation fields: {sorted(extra)}")
-        if not d["id"]:
-            raise MissingField("annotation id is empty")
-        return cls(id=d["id"], texts=d["texts"], causes=d["causes"], measures=d["measures"])
+            raise UnknownField(f"{where}: unexpected annotation fields: {sorted(extra)}")
+        return cls(**{f: d[f] for f in ANNOTATION_FIELDS})
 
 
 @dataclass(frozen=True)
@@ -182,11 +179,13 @@ class SynthConfig:
 
     def validate(self):
         if self.n_clips < 1:
-            raise ValueError("n_clips must be >= 1")
+            raise InvalidConfig("n_clips must be >= 1")
         if self.noise_std < 0:
-            raise ValueError("noise_std must be >= 0")
+            raise InvalidConfig("noise_std must be >= 0")
+        if self.seed < 0:
+            raise InvalidConfig("seed must be >= 0")
         if self.D < len(ACTORS) + len(ACTIONS) + len(CAUSES):
-            raise ValueError("D too small for the one-hot template encoding")
+            raise InvalidConfig("D too small for the one-hot template encoding")
 
 
 def template_caption(actor_i: int, action_i: int, cause_i: int) -> tuple[str, str]:
@@ -246,27 +245,52 @@ def synth_corpus(config: SynthConfig) -> SynthCorpus:
 
 
 # ---------------------------------------------------------------------------
-# JSONL helpers
+# JSON input: whole files, JSONL lines and the records they hold
+
+def _is_text(value) -> bool:
+    """A string without NUL or lone surrogates: JSON escapes can spell both,
+    but no path or UTF-8 file can hold them."""
+    return isinstance(value, str) and not re.search("[\x00\ud800-\udfff]", value)
+
+
+def _json_object(blob: bytes, where: str) -> dict:
+    try:
+        obj = json.loads(blob.decode("utf-8"))
+    except (ValueError, RecursionError) as e:  # bad UTF-8 and bad JSON are ValueErrors
+        raise InvalidConfig(f"{where}: not UTF-8 JSON: {e}") from e
+    if not isinstance(obj, dict):
+        raise InvalidConfig(f"{where}: expected a JSON object, got {type(obj).__name__}")
+    return obj
+
+
+def read_json_object(path: str) -> dict:
+    """The JSON object a whole file holds; a file that is not UTF-8, not JSON or
+    not a JSON object raises InvalidConfig naming the path."""
+    with open(path, "rb") as f:
+        return _json_object(f.read(), path)
+
 
 def _jsonl_objects(path: str):
-    """Yield the JSON object on each non-blank line; a line that is not a JSON
-    object raises InvalidConfig naming the path and line number."""
-    with open(path, encoding="utf-8") as f:
+    """Yield ("path:line", object) for each non-blank line, as `read_json_object`."""
+    with open(path, "rb") as f:
         for lineno, line in enumerate(f, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except ValueError as e:
-                raise InvalidConfig(f"{path}:{lineno}: not JSON: {e}") from e
-            if not isinstance(obj, dict):
-                raise InvalidConfig(f"{path}:{lineno}: expected a JSON object, got {type(obj).__name__}")
-            yield obj
+            if line.strip():
+                yield f"{path}:{lineno}", _json_object(line, f"{path}:{lineno}")
+
+
+def _check_record(d: dict, where: str, fields) -> None:
+    """The "id" and `fields` are present and text, and the id is not empty."""
+    for f in ("id", *fields):
+        if f not in d:
+            raise MissingField(f"{where}: missing field {f!r}")
+        if not _is_text(d[f]):
+            raise InvalidConfig(f"{where}: field {f!r} must be a string without NUL or lone surrogates")
+    if not d["id"]:
+        raise MissingField(f"{where}: empty id")
 
 
 def read_annotations_jsonl(path: str) -> list[RawAnnotation]:
-    return [RawAnnotation.from_dict(d) for d in _jsonl_objects(path)]
+    return [RawAnnotation.from_dict(d, where) for where, d in _jsonl_objects(path)]
 
 
 def write_samples_jsonl(samples: list[Sample], path: str) -> None:
@@ -286,11 +310,21 @@ def write_samples_jsonl(samples: list[Sample], path: str) -> None:
 
 
 def read_samples_jsonl(path: str) -> list[Sample]:
-    return [
-        Sample(
-            id=d["id"],
-            description=Caption.make(d["description"], ROLE_DESCRIPTION),
-            avoidance=Caption.make(d["avoidance"], ROLE_AVOIDANCE),
-        )
-        for d in _jsonl_objects(path)
-    ]
+    out = []
+    for where, d in _jsonl_objects(path):
+        _check_record(d, where, ROLES)
+        out.append(Sample(d["id"], *(Caption.make(d[r], r) for r in ROLES)))
+    return out
+
+
+def read_captions_jsonl(path: str) -> dict:
+    """(id, role) -> Caption from {"id","role","text"} lines; a line without
+    "text" that has role fields, as in samples.jsonl, gives one entry per role."""
+    out = {}
+    for where, d in _jsonl_objects(path):
+        roles = [] if "text" in d else [r for r in ROLES if r in d]
+        _check_record(d, where, roles or ("role", "text"))
+        texts = {r: d[r] for r in roles} or {d["role"]: d["text"]}
+        for role, text in texts.items():
+            out[(d["id"], role)] = Caption.make(text, role)
+    return out

@@ -13,6 +13,7 @@ from .errors import (
     DimensionMismatch,
     EmptyCorpus,
     LengthMismatch,
+    MalformedReport,
     NonFiniteValue,
     NumericFailure,
     TooFewSamples,
@@ -22,15 +23,20 @@ from .textproc import Caption, ngrams
 MAX_N = 4
 
 
+def _check_pairs(hyps, refs) -> None:
+    """Paired corpora hold the same number of sentences, and at least one."""
+    if len(hyps) != len(refs):
+        raise LengthMismatch(f"{len(hyps)} hypotheses vs {len(refs)} references")
+    if not hyps:
+        raise EmptyCorpus("no sentences to score")
+
+
 # ---------------------------------------------------------------------------
 # BLEU
 
 def bleu_corpus(hyps, refs, n: int) -> float:
     """Corpus BLEU-n with pooled clipped counts, no smoothing."""
-    if len(hyps) != len(refs):
-        raise LengthMismatch(f"{len(hyps)} hypotheses vs {len(refs)} references")
-    if not hyps:
-        raise EmptyCorpus("no sentences to score")
+    _check_pairs(hyps, refs)
     if not 1 <= n <= MAX_N:
         raise ValueError("n must be in 1..4")
     return _bleu_upto(hyps, refs, n)[n - 1]
@@ -85,10 +91,7 @@ def rouge_l(hyp, ref, beta: float = 1.2) -> float:
 
 
 def rouge_l_corpus(hyps, refs, beta: float = 1.2) -> float:
-    if len(hyps) != len(refs):
-        raise LengthMismatch(f"{len(hyps)} hypotheses vs {len(refs)} references")
-    if not hyps:
-        raise EmptyCorpus("no sentences to score")
+    _check_pairs(hyps, refs)
     return sum(rouge_l(h, r, beta) for h, r in zip(hyps, refs)) / len(hyps)
 
 
@@ -152,10 +155,7 @@ def meteor_lite(hyp, ref, alpha: float = 0.9, gamma: float = 0.5, theta: float =
 
 
 def meteor_corpus(hyps, refs) -> float:
-    if len(hyps) != len(refs):
-        raise LengthMismatch(f"{len(hyps)} hypotheses vs {len(refs)} references")
-    if not hyps:
-        raise EmptyCorpus("no sentences to score")
+    _check_pairs(hyps, refs)
     return sum(meteor_lite(h, r) for h, r in zip(hyps, refs)) / len(hyps)
 
 
@@ -215,10 +215,7 @@ def cider_d(hyp, ref, idf: IdfTable, sigma: float = 6.0) -> float:
 
 
 def cider_corpus(hyps, refs, idf: IdfTable, sigma: float = 6.0) -> float:
-    if len(hyps) != len(refs):
-        raise LengthMismatch(f"{len(hyps)} hypotheses vs {len(refs)} references")
-    if not hyps:
-        raise EmptyCorpus("no sentences to score")
+    _check_pairs(hyps, refs)
     return sum(cider_d(h, r, idf, sigma) for h, r in zip(hyps, refs)) / len(hyps)
 
 
@@ -364,15 +361,15 @@ class ScoreReport:
         return json.dumps({f: getattr(self, f) for f in self.FIELDS})
 
     @classmethod
-    def from_dict(cls, d: dict) -> "ScoreReport":
+    def from_dict(cls, d: dict, where: str = "report") -> "ScoreReport":
+        """Raises MalformedReport unless every metric field is a number."""
+        if not all(type(d.get(f)) in (int, float) for f in cls.FIELDS):
+            raise MalformedReport(f"{where}: needs a number for each of {', '.join(cls.FIELDS)}")
         return cls(**{f: d[f] for f in cls.FIELDS})
 
 
 def score_all(hyps: list[Caption], refs: list[Caption], idf: IdfTable) -> ScoreReport:
-    if len(hyps) != len(refs):
-        raise LengthMismatch(f"{len(hyps)} hypotheses vs {len(refs)} references")
-    if not hyps:
-        raise EmptyCorpus("no sentences to score")
+    _check_pairs(hyps, refs)
     for h, r in zip(hyps, refs):
         if h.role != r.role:
             raise LengthMismatch(f"role mismatch: {h.role} vs {r.role}")

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AllMasked, InvalidTemperature
+from .errors import AllMasked, InvalidTemperature, NumericFailure
 from .metrics import IdfTable, cider_d
 from .seqmodel import (
     DecoderCache,
@@ -24,7 +24,6 @@ from .textproc import BOS, EOS, Caption, Vocab, decode_ids
 @dataclass(frozen=True)
 class DecodeOutput:
     ids: tuple  # BOS-initiated; EOS-terminated or truncated at max_len
-    logp: tuple  # per-step log-probability of the emitted token
     mask: tuple  # 1 up to and including EOS, 0 after
 
 
@@ -43,31 +42,18 @@ class ScstBatchStats:
     loss: float
     sequences: int
 
-    def to_dict(self) -> dict:
-        return {
-            "mean_reward": self.mean_reward,
-            "mean_baseline": self.mean_baseline,
-            "mean_sample": self.mean_sample,
-            "loss": self.loss,
-            "sequences": self.sequences,
-        }
-
 
 def _rollout(params: ModelParams, features: np.ndarray, max_len: int | None, choose) -> DecodeOutput:
-    """Decode from BOS until EOS or max_len; `choose` maps a logits row to the
-    next token id. logp records each token under the plain softmax of its row."""
+    """Decode from BOS until EOS or max_len; `choose` maps a logits row to a token id."""
     max_len = max_len or params.config.max_len
     cache = DecoderCache(params, features)
     ids = [BOS]
-    logp = [0.0]
     while len(ids) < max_len:
-        row = cache.step(ids[-1])
-        tok = choose(row)
+        tok = choose(cache.step(ids[-1]))
         ids.append(tok)
-        logp.append(float(log_softmax(row)[tok]))
         if tok == EOS:
             break
-    return DecodeOutput(ids=tuple(ids), logp=tuple(logp), mask=(1,) * len(ids))
+    return DecodeOutput(ids=tuple(ids), mask=(1,) * len(ids))
 
 
 def decode_greedy(params: ModelParams, features: np.ndarray, max_len: int | None = None) -> DecodeOutput:
@@ -82,15 +68,17 @@ def decode_sample(
     seed: int = 0,
     temperature: float = 1.0,
 ) -> DecodeOutput:
-    """Multinomial decoding at the given temperature; logp is recorded under
-    the temperature-1 distribution of the drawn token."""
-    if temperature <= 0.0:
+    """Multinomial decoding at the given temperature."""
+    if not temperature > 0.0:  # also rejects NaN
         raise InvalidTemperature("temperature must be > 0")
     rng = np.random.default_rng(seed)
 
     def draw(row):
         probs = np.exp(log_softmax(row / temperature))
-        return int(rng.choice(len(probs), p=probs / probs.sum()))
+        total = probs.sum()
+        if not total > 0.0:
+            raise NumericFailure(f"sampling distribution at temperature {temperature} is not finite")
+        return int(rng.choice(len(probs), p=probs / total))
 
     return _rollout(params, features, max_len, draw)
 

@@ -9,7 +9,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from . import autodiff as ad
-from .data import _Frame, _write_frame
+from .data import _Frame, _json_object, _write_frame
 from .errors import AllMasked, BadPrefix, EmptyDataset, InvalidConfig, NonFiniteValue, NumericFailure
 from .textproc import BOS, PAD
 
@@ -263,6 +263,8 @@ def _fit(params: ModelParams, dataset: list, epochs: int, batch_size: int, seed:
     items' gradients. item_step(item, epoch) returns (loss, grads); a
     non-finite loss raises NumericFailure before it reaches Adam.
     """
+    if batch_size < 1 or epochs < 0:
+        raise InvalidConfig(f"need batch_size >= 1 and epochs >= 0, got {batch_size} and {epochs}")
     if not dataset:
         raise EmptyDataset("empty training dataset")
     rng = np.random.default_rng(seed)
@@ -356,12 +358,11 @@ def load_checkpoint(path: str) -> tuple[ModelParams, dict]:
     `data._Frame`; a header that does not decode to a valid config raises
     InvalidConfig, and a non-finite tensor NonFiniteValue."""
     frame = _Frame(path, CKPT_MAGIC, CKPT_VERSION)
-    head = frame.take(frame.u32())
+    header = _json_object(frame.take(frame.u32()), f"{path}: checkpoint header")
     try:
-        header = json.loads(head.decode("utf-8"))
         config = ModelConfig(**header.pop("config"))
-    except (ValueError, TypeError, KeyError, AttributeError) as e:
-        raise InvalidConfig(f"checkpoint header unreadable: {type(e).__name__}: {e}") from e
+    except (TypeError, KeyError) as e:
+        raise InvalidConfig(f"{path}: checkpoint config unreadable: {type(e).__name__}: {e}") from e
     config.validate()
     tensors = {}
     for name, shape in _shapes(config):

@@ -5,6 +5,8 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 
+from .errors import InvalidConfig
+
 PAD, BOS, EOS, UNK = 0, 1, 2, 3
 RESERVED = ("<pad>", "<bos>", "<eos>", "<unk>")
 
@@ -29,9 +31,7 @@ class Caption:
     @classmethod
     def make(cls, raw: str, role: str) -> "Caption":
         if role not in ROLES:
-            raise ValueError(f"unknown caption role: {role!r}")
-        if not isinstance(raw, str):
-            raise ValueError(f"caption text must be a string, got {type(raw).__name__}")
+            raise InvalidConfig(f"unknown caption role: {role!r}")
         return cls(raw=raw, tokens=tuple(normalize(raw)), role=role)
 
 

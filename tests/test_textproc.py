@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from capkit.errors import InvalidConfig
 from capkit.textproc import (
     BOS,
     EOS,
@@ -142,5 +143,5 @@ def test_caption_tokens_match_normalize():
 
 
 def test_caption_bad_role():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidConfig):
         Caption.make("x", "narration")
