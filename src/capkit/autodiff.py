@@ -4,14 +4,16 @@ Ops accept either a `Var` (tracked) or a plain ndarray (constant). When the
 tape is None every op degrades to its plain numpy forward computation, so the
 same model code serves both training and inference.
 
-The op set is the decoder block's and no more: `matmul`, `matmul_nt`, `add`,
-`relu`, `layer_norm`, `gather_rows`, `slice_rows` and multi-head `attention`.
+The op set is the decoder's and no more: the token-plus-position `embed`,
+`matmul`, `matmul_nt`, `add`, `relu`, `layer_norm` and multi-head `attention`.
 """
 from __future__ import annotations
 
 import math
 
 import numpy as np
+
+LN_EPS = 1e-6
 
 
 class Tape:
@@ -100,10 +102,10 @@ def relu(tape, a):
     return out
 
 
-def layer_norm(tape, x, gain, bias, eps: float = 1e-6):
+def layer_norm(tape, x, gain, bias):
     xv, gv, bv = val(x), val(gain), val(bias)
     xc = xv - xv.mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + eps)
+    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + LN_EPS)
     xhat = xc * inv
     out = _out(tape, xhat * gv + bv)
     if tape is not None:
@@ -122,24 +124,18 @@ def layer_norm(tape, x, gain, bias, eps: float = 1e-6):
     return out
 
 
-def gather_rows(tape, table, ids):
+def embed(tape, tok, pos, ids, start: int):
+    """tok[ids] + pos[start:start + len(ids)]: token rows plus the position rows
+    they sit at. A repeated id accumulates its rows' gradients."""
     ids = np.asarray(ids, dtype=np.intp)
-    tv = val(table)
-    out = _out(tape, tv[ids])
+    hi = start + len(ids)
+    out = _out(tape, val(tok)[ids] + val(pos)[start:hi])
     if tape is not None:
         def back():
-            if isinstance(table, Var):
-                np.add.at(table.grad, ids, out.grad)
-        tape.record(back)
-    return out
-
-
-def slice_rows(tape, a, lo: int, hi: int):
-    out = _out(tape, val(a)[lo:hi].copy())
-    if tape is not None:
-        def back():
-            if isinstance(a, Var):
-                a.grad[lo:hi] += out.grad
+            if isinstance(tok, Var):
+                np.add.at(tok.grad, ids, out.grad)
+            if isinstance(pos, Var):
+                pos.grad[start:hi] += out.grad
         tape.record(back)
     return out
 

@@ -23,7 +23,7 @@ from .metrics import (
     gaussian_stats,
     score_all,
 )
-from .scst import decode_greedy, decode_sample, derive_seed, scst_train
+from .scst import derive_seed, scst_train
 from .seqmodel import (
     ModelConfig,
     init_params,
@@ -31,7 +31,7 @@ from .seqmodel import (
     save_checkpoint,
     train_mle,
 )
-from .textproc import RESERVED, ROLES, Vocab, build_vocab, decode_ids
+from .textproc import RESERVED, ROLES, Vocab, build_vocab
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -120,7 +120,7 @@ def cmd_train_mle(args) -> int:
     train, clips = _load_corpus_dir(args.data, "train")
     roles = _roles(args.roles)
     caps = [harness.caption_for(s, r) for s in train for r in roles]
-    vocab = build_vocab(caps, min_count=1)
+    vocab = build_vocab(caps)
     feature_dim = next(iter(clips.values())).D
     config = ModelConfig(
         vocab_size=len(vocab),
@@ -153,7 +153,7 @@ def _load_model(path: str):
         and all(isinstance(t, str) for t in tokens)
     ):
         raise InvalidConfig(f"{path}: checkpoint vocabulary is missing or does not match vocab_size")
-    return params, Vocab(tokens=tuple(tokens), min_count=1)
+    return params, Vocab(tokens=tuple(tokens))
 
 
 def cmd_train_scst(args) -> int:
@@ -190,22 +190,11 @@ def cmd_train_scst(args) -> int:
 def cmd_decode(args) -> int:
     subset, clips = _load_corpus_dir(args.data, args.split)
     params, vocab = _load_model(args.ckpt)
-    roles = _roles(args.role)
+    seed = args.seed if args.sample else None
+    decoded = harness.decode_split(params, subset, clips, vocab, _roles(args.role), seed, args.temperature)
     with open(args.out, "w", encoding="utf-8") as f:
-        for s in subset:
-            for role in roles:
-                feats = harness.role_features(clips[s.id].data, role)
-                if args.sample:
-                    dec = decode_sample(
-                        params,
-                        feats,
-                        seed=derive_seed(args.seed, f"{s.id}/{role}", 0),
-                        temperature=args.temperature,
-                    )
-                else:
-                    dec = decode_greedy(params, feats)
-                text = " ".join(decode_ids(vocab, dec.ids))
-                f.write(json.dumps({"id": s.id, "role": role, "text": text}) + "\n")
+        for sample_id, cap in decoded:
+            f.write(json.dumps({"id": sample_id, "role": cap.role, "text": cap.raw}) + "\n")
     _log(f"decoded {len(subset)} clips to {args.out}")
     return EXIT_OK
 
@@ -221,6 +210,7 @@ def cmd_score(args) -> int:
     r = [refs[k] for k in keys]
     idf = build_idf([c.tokens for c in refs.values()])
     report = score_all(h, r, idf)
+    report.unmatched = len(hyps) - len(keys)
     with open(args.out, "w", encoding="utf-8") as f:
         f.write(report.to_json() + "\n")
     print(report.to_json())

@@ -167,12 +167,12 @@ MEASURES = (
     "signal early and check the mirrors",
     "yield and wait for a clear gap",
 )
+SYNTH_FRAMES = 8  # frames per synthetic clip
 
 
 @dataclass(frozen=True)
 class SynthConfig:
     n_clips: int = 500
-    T: int = 8
     D: int = 16
     noise_std: float = 0.1
     seed: int = 0
@@ -221,7 +221,7 @@ def synth_corpus(config: SynthConfig) -> SynthCorpus:
         clip_id = f"clip{i:04d}"
         desc, avoid = template_caption(actor_i, action_i, cause_i)
         sig = template_signal(actor_i, action_i, cause_i, config.D)
-        noise = rng.normal(0.0, config.noise_std, size=(config.T, config.D))
+        noise = rng.normal(0.0, config.noise_std, size=(SYNTH_FRAMES, config.D))
         data = (sig[None, :] + noise).astype(np.float32)
         samples.append(
             Sample(

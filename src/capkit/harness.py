@@ -1,5 +1,5 @@
 """Glue between the dataset and the decoder: role conditioning, training-item
-construction, and greedy evaluation.
+construction, and split decoding.
 
 The decoder is conditioned on features only, so the requested caption role is
 conveyed by appending one constant indicator frame to the feature matrix
@@ -8,8 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .metrics import IdfTable, cider_corpus
-from .scst import ScstItem, decode_greedy
+from .scst import ScstItem, decode_greedy, decode_sample, derive_seed
 from .seqmodel import ModelParams, TrainItem
 from .textproc import ROLE_AVOIDANCE, ROLE_DESCRIPTION, Caption, Vocab, decode_ids, encode
 
@@ -54,15 +53,19 @@ def scst_items(samples, clips, roles) -> list[ScstItem]:
     return items
 
 
-def greedy_captions(params: ModelParams, samples, clips, vocab: Vocab, role: str) -> list[Caption]:
+def decode_split(
+    params: ModelParams, samples, clips, vocab: Vocab, roles, seed=None, temperature=1.0
+) -> list[tuple[str, Caption]]:
+    """(sample id, decoded Caption) for each sample and then each role: greedy,
+    or sampled with the seed derived from `seed` and "<id>/<role>" when a seed
+    is given."""
     out = []
     for s in samples:
-        dec = decode_greedy(params, role_features(clips[s.id].data, role))
-        out.append(Caption.make(" ".join(decode_ids(vocab, dec.ids)), role))
+        for role in roles:
+            feats = role_features(clips[s.id].data, role)
+            if seed is None:
+                dec = decode_greedy(params, feats)
+            else:
+                dec = decode_sample(params, feats, seed=derive_seed(seed, f"{s.id}/{role}", 0), temperature=temperature)
+            out.append((s.id, Caption.make(" ".join(decode_ids(vocab, dec.ids)), role)))
     return out
-
-
-def greedy_cider(params: ModelParams, samples, clips, vocab: Vocab, role: str, idf: IdfTable) -> float:
-    hyps = greedy_captions(params, samples, clips, vocab, role)
-    refs = [caption_for(s, role) for s in samples]
-    return cider_corpus([h.tokens for h in hyps], [r.tokens for r in refs], idf)

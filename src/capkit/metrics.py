@@ -5,7 +5,7 @@ import functools
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -21,6 +21,11 @@ from .errors import (
 from .textproc import Caption, ngrams
 
 MAX_N = 4
+ROUGE_BETA = 1.2
+METEOR_ALPHA, METEOR_GAMMA, METEOR_THETA = 0.9, 0.5, 3.0
+CIDER_SIGMA = 6.0
+JACOBI_TOL, JACOBI_MAX_SWEEPS = 1e-13, 100
+EIG_CLAMP = 1e-12  # eigenvalues below this are rounding noise of a PSD matrix: read as 0
 
 
 def _check_pairs(hyps, refs) -> None:
@@ -80,19 +85,19 @@ def _lcs_len(a, b) -> int:
     return prev[lb]
 
 
-def rouge_l(hyp, ref, beta: float = 1.2) -> float:
+def rouge_l(hyp, ref) -> float:
     L = _lcs_len(hyp, ref)
     p = L / len(hyp) if hyp else 0.0
     r = L / len(ref) if ref else 0.0
     if p == 0.0 and r == 0.0:
         return 0.0
-    b2 = beta * beta
+    b2 = ROUGE_BETA * ROUGE_BETA
     return (1.0 + b2) * p * r / (r + b2 * p)
 
 
-def rouge_l_corpus(hyps, refs, beta: float = 1.2) -> float:
+def rouge_l_corpus(hyps, refs) -> float:
     _check_pairs(hyps, refs)
-    return sum(rouge_l(h, r, beta) for h, r in zip(hyps, refs)) / len(hyps)
+    return sum(rouge_l(h, r) for h, r in zip(hyps, refs)) / len(hyps)
 
 
 # ---------------------------------------------------------------------------
@@ -141,16 +146,16 @@ def _min_chunks(hyp, ref, m: int) -> int:
     return m
 
 
-def meteor_lite(hyp, ref, alpha: float = 0.9, gamma: float = 0.5, theta: float = 3.0) -> float:
+def meteor_lite(hyp, ref) -> float:
     hc, rc = Counter(hyp), Counter(ref)
     m = sum(min(c, rc[t]) for t, c in hc.items())
     if m == 0:
         return 0.0
     p = m / len(hyp)
     r = m / len(ref)
-    f_mean = p * r / (alpha * p + (1.0 - alpha) * r)
+    f_mean = p * r / (METEOR_ALPHA * p + (1.0 - METEOR_ALPHA) * r)
     chunks = _min_chunks(list(hyp), list(ref), m)
-    penalty = gamma * (chunks / m) ** theta
+    penalty = METEOR_GAMMA * (chunks / m) ** METEOR_THETA
     return f_mean * (1.0 - penalty)
 
 
@@ -193,7 +198,7 @@ def _tfidf_vec(counts: Counter, n: int, idf: IdfTable) -> dict:
     return vec
 
 
-def cider_d(hyp, ref, idf: IdfTable, sigma: float = 6.0) -> float:
+def cider_d(hyp, ref, idf: IdfTable) -> float:
     hyp_grams = ngrams(hyp, MAX_N)
     ref_grams = ngrams(ref, MAX_N)
     sim_sum = 0.0
@@ -210,13 +215,13 @@ def cider_d(hyp, ref, idf: IdfTable, sigma: float = 6.0) -> float:
         dot = sum(w * rv.get(g, 0.0) for g, w in hv.items())
         sim_sum += max(0.0, dot / (hn * rn))
     delta = len(hyp) - len(ref)
-    penalty = math.exp(-(delta * delta) / (2.0 * sigma * sigma))
+    penalty = math.exp(-(delta * delta) / (2.0 * CIDER_SIGMA * CIDER_SIGMA))
     return 10.0 * penalty * sim_sum / MAX_N
 
 
-def cider_corpus(hyps, refs, idf: IdfTable, sigma: float = 6.0) -> float:
+def cider_corpus(hyps, refs, idf: IdfTable) -> float:
     _check_pairs(hyps, refs)
-    return sum(cider_d(h, r, idf, sigma) for h, r in zip(hyps, refs)) / len(hyps)
+    return sum(cider_d(h, r, idf) for h, r in zip(hyps, refs)) / len(hyps)
 
 
 # ---------------------------------------------------------------------------
@@ -265,14 +270,14 @@ def _round_robin(d: int) -> tuple:
     return tuple(rounds)
 
 
-def jacobi_eigh(a: np.ndarray, tol: float = 1e-13, max_sweeps: int = 100):
+def jacobi_eigh(a: np.ndarray):
     """Cyclic Jacobi eigendecomposition of a symmetric matrix.
 
     Each sweep visits every (p, q) pair once in round-robin order (Brent & Luk,
     1985). The pairs of one round are disjoint, so their rotations commute and
     are applied together as one batched 2 x 2 update of the gathered rows:
     A <- J^T A J and V <- V J. The iteration stops when the off-diagonal norm
-    reaches tol * max|A| or a sweep no longer lowers it, which is where
+    reaches JACOBI_TOL * max|A| or a sweep no longer lowers it, which is where
     rounding leaves it at large sizes.
 
     Returns (eigenvalues, eigenvectors) with columns of V as eigenvectors,
@@ -286,15 +291,15 @@ def jacobi_eigh(a: np.ndarray, tol: float = 1e-13, max_sweeps: int = 100):
     scale = max(np.abs(a).max(), 1.0)
     rounds = _round_robin(d)
     last_off = math.inf
-    for _ in range(max_sweeps):
+    for _ in range(JACOBI_MAX_SWEEPS):
         off = math.sqrt(np.sum(np.tril(a, -1) ** 2))
-        if off <= tol * scale or not off < last_off:
+        if off <= JACOBI_TOL * scale or not off < last_off:
             break
         last_off = off
         for pq in rounds:
             p, q = pq.T
             apq = a[p, q]
-            live = np.abs(apq) > tol * scale * 1e-3
+            live = np.abs(apq) > JACOBI_TOL * scale * 1e-3
             if not live.all():
                 pq, apq = pq[live], apq[live]
                 if not len(pq):
@@ -314,9 +319,9 @@ def jacobi_eigh(a: np.ndarray, tol: float = 1e-13, max_sweeps: int = 100):
     return np.diag(a).copy(), vt.T
 
 
-def _psd_sqrt(c: np.ndarray, clamp: float = 1e-12) -> np.ndarray:
+def _psd_sqrt(c: np.ndarray) -> np.ndarray:
     w, v = jacobi_eigh(c)
-    w = np.where(w < clamp, 0.0, w)
+    w = np.where(w < EIG_CLAMP, 0.0, w)
     s = (v * np.sqrt(w)) @ v.T
     return (s + s.T) / 2.0
 
@@ -333,7 +338,7 @@ def frechet_distance(a: GaussianStats, b: GaussianStats) -> float:
     inner = sa @ b.cov @ sa
     inner = (inner + inner.T) / 2.0
     w, _ = jacobi_eigh(inner)
-    w = np.where(w < 1e-12, 0.0, w)
+    w = np.where(w < EIG_CLAMP, 0.0, w)
     tr_sqrt = float(np.sqrt(w).sum())
     fd = float(diff @ diff + np.trace(a.cov) + np.trace(b.cov) - 2.0 * tr_sqrt)
     if not math.isfinite(fd):
@@ -354,11 +359,12 @@ class ScoreReport:
     meteor: float
     cider_d: float
     counts: int
+    unmatched: int = 0  # hypotheses left out because no reference shares their (id, role)
 
     FIELDS = ("b1", "b2", "b3", "b4", "rouge_l", "meteor", "cider_d", "counts")
 
     def to_json(self) -> str:
-        return json.dumps({f: getattr(self, f) for f in self.FIELDS})
+        return json.dumps(asdict(self))
 
     @classmethod
     def from_dict(cls, d: dict, where: str = "report") -> "ScoreReport":

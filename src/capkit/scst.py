@@ -7,16 +7,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AllMasked, InvalidTemperature, NumericFailure
+from .errors import InvalidTemperature, NumericFailure
 from .metrics import IdfTable, cider_d
 from .seqmodel import (
     DecoderCache,
     ModelParams,
     _fit,
-    _logp_grad,
+    _token_loss,
     backward,
     forward,
     log_softmax,
+    scst_loss,  # re-exported: the SCST loss, of which MLE is the unit-reward case
 )
 from .textproc import BOS, EOS, Caption, Vocab, decode_ids
 
@@ -43,12 +44,12 @@ class ScstBatchStats:
     sequences: int
 
 
-def _rollout(params: ModelParams, features: np.ndarray, max_len: int | None, choose) -> DecodeOutput:
-    """Decode from BOS until EOS or max_len; `choose` maps a logits row to a token id."""
-    max_len = max_len or params.config.max_len
+def _rollout(params: ModelParams, features: np.ndarray, choose) -> DecodeOutput:
+    """Decode from BOS until EOS or the config's max_len; `choose` maps a logits
+    row to a token id."""
     cache = DecoderCache(params, features)
     ids = [BOS]
-    while len(ids) < max_len:
+    while len(ids) < params.config.max_len:
         tok = choose(cache.step(ids[-1]))
         ids.append(tok)
         if tok == EOS:
@@ -56,18 +57,12 @@ def _rollout(params: ModelParams, features: np.ndarray, max_len: int | None, cho
     return DecodeOutput(ids=tuple(ids), mask=(1,) * len(ids))
 
 
-def decode_greedy(params: ModelParams, features: np.ndarray, max_len: int | None = None) -> DecodeOutput:
+def decode_greedy(params: ModelParams, features: np.ndarray) -> DecodeOutput:
     """Argmax decoding; ties resolve to the lowest token id."""
-    return _rollout(params, features, max_len, lambda row: int(np.argmax(row)))
+    return _rollout(params, features, lambda row: int(np.argmax(row)))
 
 
-def decode_sample(
-    params: ModelParams,
-    features: np.ndarray,
-    max_len: int | None = None,
-    seed: int = 0,
-    temperature: float = 1.0,
-) -> DecodeOutput:
+def decode_sample(params: ModelParams, features: np.ndarray, seed: int = 0, temperature: float = 1.0) -> DecodeOutput:
     """Multinomial decoding at the given temperature."""
     if not temperature > 0.0:  # also rejects NaN
         raise InvalidTemperature("temperature must be > 0")
@@ -80,7 +75,7 @@ def decode_sample(
             raise NumericFailure(f"sampling distribution at temperature {temperature} is not finite")
         return int(rng.choice(len(probs), p=probs / total))
 
-    return _rollout(params, features, max_len, draw)
+    return _rollout(params, features, draw)
 
 
 def compute_rewards(
@@ -95,21 +90,6 @@ def compute_rewards(
     diff = sample_score - baseline_score
     r = tuple(diff * m for m in sample.mask)
     return RewardVector(r=r, baseline_score=baseline_score, sample_score=sample_score)
-
-
-def scst_loss(logp, r, mask):
-    """L = -(1/N) sum_i r_i * logp_i * m_i, N = sum m_i; returns (L, dL/dlogp)."""
-    logp = np.asarray(logp, dtype=np.float64)
-    rv = np.asarray(r, dtype=np.float64)
-    m = np.asarray(mask, dtype=np.float64)
-    if not (logp.shape == rv.shape == m.shape):
-        raise ValueError("logp, r, and mask lengths differ")
-    n = m.sum()
-    if n == 0:
-        raise AllMasked("every position is masked out")
-    loss = -(rv * logp * m).sum() / n
-    grad = -(rv * m) / n
-    return float(loss), grad
 
 
 def derive_seed(seed: int, sample_id: str, epoch: int) -> int:
@@ -156,10 +136,8 @@ def scst_train(
         # Re-run the sampled prefix in training mode; positions after BOS
         # predict roll.ids[1:].
         trace = forward(params, item.features, roll.ids[:-1], train=True)
-        lp = log_softmax(trace.logits.value)
-        targets = np.asarray(roll.ids[1:], dtype=np.intp)
-        loss, dlogp = scst_loss(lp[np.arange(len(targets)), targets], rewards.r[1:], roll.mask[1:])
-        return loss, backward(trace, _logp_grad(lp, targets, dlogp))
+        loss, glogits = _token_loss(trace.logits.value, roll.ids[1:], rewards.r[1:], roll.mask[1:])
+        return loss, backward(trace, glogits)
 
     curve = _fit(params, dataset, epochs, batch_size, seed, lr, step)
     history = []

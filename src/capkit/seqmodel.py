@@ -84,8 +84,7 @@ def init_params(config: ModelConfig) -> ModelParams:
                 np.ones(shape) if name.endswith("_g") else np.zeros(shape)
             )
         else:
-            fan_in, fan_out = (shape[0], shape[1]) if len(shape) == 2 else (shape[0], shape[0])
-            s = math.sqrt(6.0 / (fan_in + fan_out))
+            s = math.sqrt(6.0 / sum(shape))
             tensors[name] = rng.uniform(-s, s, size=shape)
     return ModelParams(config=config, tensors=tensors)
 
@@ -152,14 +151,7 @@ def forward(params: ModelParams, features: np.ndarray, prefix_ids, train: bool =
         P = {k: ad.Var(v) for k, v in params.tensors.items()}
     else:
         P = params.tensors
-    L = len(prefix_ids)
-
-    x = ad.add(
-        tape,
-        ad.gather_rows(tape, P["tok_emb"], prefix_ids),
-        ad.slice_rows(tape, P["pos_emb"], 0, L),
-    )
-
+    x = ad.embed(tape, P["tok_emb"], P["pos_emb"], prefix_ids, 0)
     logits = _block(
         tape,
         P,
@@ -179,27 +171,40 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def xent_loss(logits: np.ndarray, target_ids, mask):
-    """Masked length-normalized cross entropy plus its gradient w.r.t. logits."""
-    logits = np.asarray(ad.val(logits), dtype=np.float64)
-    targets = np.asarray(target_ids, dtype=np.intp)
+def scst_loss(logp, r, mask):
+    """L = -(1/N) sum_i r_i * logp_i * m_i, N = sum m_i; returns (L, dL/dlogp)."""
+    logp = np.asarray(logp, dtype=np.float64)
+    rv = np.asarray(r, dtype=np.float64)
     m = np.asarray(mask, dtype=np.float64)
-    if not (logits.shape[0] == targets.shape[0] == m.shape[0]):
-        raise ValueError("logits, targets, and mask lengths differ")
+    if not (logp.shape == rv.shape == m.shape):
+        raise ValueError("logp, r, and mask lengths differ")
     n = m.sum()
     if n == 0:
         raise AllMasked("every position is masked out")
-    lp = log_softmax(logits)
-    loss = -(m * lp[np.arange(len(targets)), targets]).sum() / n
-    return float(loss), _logp_grad(lp, targets, -(m / n))
+    loss = -(rv * logp * m).sum() / n
+    grad = -(rv * m) / n
+    return float(loss), grad
 
 
-def _logp_grad(lp: np.ndarray, targets: np.ndarray, dlogp: np.ndarray) -> np.ndarray:
-    """Gradient w.r.t. the logits of sum_i dlogp_i * lp[i, targets_i], where
-    lp = log_softmax(logits): dlogp_i * (onehot(targets_i) - softmax row i)."""
+def _token_loss(logits: np.ndarray, target_ids, r, mask):
+    """`scst_loss` of the target tokens' log-probabilities under the logits,
+    plus its gradient w.r.t. the logits: r_i * m_i / N * (softmax row i -
+    onehot(target_i)) per row."""
+    lp = log_softmax(np.asarray(ad.val(logits), dtype=np.float64))
+    targets = np.asarray(target_ids, dtype=np.intp)
+    if lp.shape[0] != targets.shape[0]:
+        raise ValueError("logits and targets lengths differ")
+    rows = np.arange(len(targets))
+    loss, dlogp = scst_loss(lp[rows, targets], r, mask)
     grad = dlogp[:, None] * -np.exp(lp)
-    grad[np.arange(len(targets)), targets] += dlogp
-    return grad
+    grad[rows, targets] += dlogp
+    return loss, grad
+
+
+def xent_loss(logits: np.ndarray, target_ids, mask):
+    """Masked length-normalized cross entropy plus its gradient w.r.t. logits:
+    the `_token_loss` of unit rewards (Rennie et al., 2017)."""
+    return _token_loss(logits, target_ids, np.ones(len(mask)), mask)
 
 
 def backward(trace: ForwardTrace, loss_grad: np.ndarray) -> dict:
@@ -209,6 +214,9 @@ def backward(trace: ForwardTrace, loss_grad: np.ndarray) -> dict:
     return {name: var.grad for name, var in trace.param_vars.items()}
 
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class AdamState:
     m: dict = field(default_factory=dict)
@@ -216,26 +224,18 @@ class AdamState:
     t: int = 0
 
 
-def adam_step(
-    params: ModelParams,
-    grads: dict,
-    state: AdamState,
-    lr: float = 1e-3,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> None:
+def adam_step(params: ModelParams, grads: dict, state: AdamState, lr: float = 1e-3) -> None:
     state.t += 1
     t = state.t
     for name, g in grads.items():
         p = params.tensors[name]
         m = state.m.setdefault(name, np.zeros_like(p))
         v = state.v.setdefault(name, np.zeros_like(p))
-        m += (1.0 - beta1) * (g - m)
-        v += (1.0 - beta2) * (g * g - v)
-        mhat = m / (1.0 - beta1**t)
-        vhat = v / (1.0 - beta2**t)
-        p -= lr * mhat / (np.sqrt(vhat) + eps)
+        m += (1.0 - ADAM_BETA1) * (g - m)
+        v += (1.0 - ADAM_BETA2) * (g * g - v)
+        mhat = m / (1.0 - ADAM_BETA1**t)
+        vhat = v / (1.0 - ADAM_BETA2**t)
+        p -= lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
 
 
 @dataclass(frozen=True)
@@ -332,7 +332,7 @@ class DecoderCache:
         if t >= cfg.max_len:
             raise BadPrefix("prefix longer than max_len")
         _check_inputs(cfg, (token_id,))
-        x = (P["tok_emb"][token_id] + P["pos_emb"][t])[None]
+        x = ad.embed(None, P["tok_emb"], P["pos_emb"], (token_id,), t)
         self._keys[t] = x @ P["sa_k"]
         self._vals[t] = x @ P["sa_v"]
         self._t = t + 1

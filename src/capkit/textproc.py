@@ -38,7 +38,6 @@ class Caption:
 @dataclass(frozen=True)
 class Vocab:
     tokens: tuple[str, ...]
-    min_count: int
     _index: dict = field(repr=False, compare=False, default=None)
 
     def __post_init__(self):
@@ -54,15 +53,13 @@ class Vocab:
         return self.tokens[idx]
 
 
-def build_vocab(corpus: list[Caption], min_count: int = 1) -> Vocab:
-    if min_count < 1:
-        raise ValueError("min_count must be >= 1")
+def build_vocab(corpus: list[Caption]) -> Vocab:
+    """The reserved symbols, then every corpus token by falling count, ties in
+    string order."""
     counts = Counter()
     for cap in corpus:
         counts.update(cap.tokens)
-    kept = [t for t, c in counts.items() if c >= min_count]
-    kept.sort(key=lambda t: (-counts[t], t))
-    return Vocab(tokens=RESERVED + tuple(kept), min_count=min_count)
+    return Vocab(tokens=RESERVED + tuple(sorted(counts, key=lambda t: (-counts[t], t))))
 
 
 def encode(vocab: Vocab, tokens: list[str], max_len: int) -> tuple[list[int], list[int]]:

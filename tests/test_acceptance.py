@@ -16,6 +16,7 @@ from capkit.metrics import (
     GaussianStats,
     ScoreReport,
     build_idf,
+    cider_corpus,
     frechet_distance,
     gaussian_stats,
     score_all,
@@ -166,6 +167,12 @@ def test_criterion_scst_loss_unit_value():
     _report("SCST loss unit value L=0.75 exactly", loss == 0.75, f"L={loss!r}")
 
 
+def _val_cider(params, val, clips, vocab, idf):
+    """Corpus CIDEr-D of the greedy description captions of the val split."""
+    decoded = harness.decode_split(params, val, clips, vocab, [ROLE_DESCRIPTION])
+    return cider_corpus([c.tokens for _, c in decoded], [s.description.tokens for s in val], idf)
+
+
 def test_criterion_end_to_end_learning():
     t0 = time.perf_counter()
     corpus = synth_corpus(SynthConfig(n_clips=500, seed=7))
@@ -174,7 +181,7 @@ def test_criterion_end_to_end_learning():
     val = [by_id[i] for i in corpus.split["val"]]
     roles = [ROLE_DESCRIPTION]
     caps = [harness.caption_for(s, r) for s in train for r in roles]
-    vocab = build_vocab(caps, 1)
+    vocab = build_vocab(caps)
     idf = build_idf([c.tokens for c in caps])
     feature_dim = corpus.clips[train[0].id].D
     wins = 0
@@ -187,10 +194,10 @@ def test_criterion_end_to_end_learning():
         params = init_params(cfg)
         items = harness.mle_items(train, corpus.clips, vocab, roles, cfg.max_len)
         params, _ = train_mle(params, items, epochs=30, batch_size=8, seed=seed)
-        mle_score = harness.greedy_cider(params, val, corpus.clips, vocab, ROLE_DESCRIPTION, idf)
+        mle_score = _val_cider(params, val, corpus.clips, vocab, idf)
         sitems = harness.scst_items(train, corpus.clips, roles)
         params, _ = scst_train(params, sitems, idf, epochs=10, batch_size=8, seed=seed, vocab=vocab)
-        scst_score = harness.greedy_cider(params, val, corpus.clips, vocab, ROLE_DESCRIPTION, idf)
+        scst_score = _val_cider(params, val, corpus.clips, vocab, idf)
         if scst_score >= mle_score:
             wins += 1
         details.append(f"seed {seed}: mle {mle_score:.3f} scst {scst_score:.3f}")

@@ -1,4 +1,6 @@
 """Finite-difference checks for every tape primitive in isolation."""
+import inspect
+
 import numpy as np
 import pytest
 
@@ -57,10 +59,6 @@ def test_layer_norm():
     fd_check(lambda t, x, g, b: ad.layer_norm(t, x, g, b), [(3, 6), (6,), (6,)], tol=1e-6)
 
 
-def test_slice_rows():
-    fd_check(lambda t, a: ad.slice_rows(t, a, 1, 3), [(4, 5)])
-
-
 @pytest.mark.parametrize("n_heads", [1, 2])
 def test_attention_causal_self(n_heads):
     fd_check(lambda t, q, k, v: ad.attention(t, q, k, v, n_heads, True), [(5, 4), (5, 4), (5, 4)])
@@ -99,19 +97,31 @@ def test_softmax_rows_sum_to_one():
         assert np.allclose(ones, 1.0, atol=1e-12)
 
 
-def test_gather_rows():
+@pytest.mark.parametrize("start", [0, 3])
+def test_embed(start):
+    """Repeated ids and rows at an offset into the position table."""
     ids = [0, 2, 2, 1]
-    fd_check(lambda t, w: ad.gather_rows(t, w, ids), [(3, 4)])
+    fd_check(lambda t, tok, pos: ad.embed(t, tok, pos, ids, start), [(3, 4), (7, 4)], n_probe=30)
 
 
-def test_gather_accumulates_repeats():
-    w = ad.Var(np.eye(3))
+def test_embed_accumulates_repeats():
+    tok, pos = ad.Var(np.eye(3)), ad.Var(np.zeros((5, 3)))
     tape = ad.Tape()
-    out = ad.gather_rows(tape, w, [1, 1, 1])
+    out = ad.embed(tape, tok, pos, [1, 1, 1], 2)
     out.grad += np.ones((3, 3))
     tape.run_backward()
-    assert np.array_equal(w.grad[1], [3.0, 3.0, 3.0])
-    assert np.array_equal(w.grad[0], [0.0, 0.0, 0.0])
+    assert np.array_equal(tok.grad, [[0.0] * 3, [3.0] * 3, [0.0] * 3])
+    assert np.array_equal(pos.grad, [[0.0] * 3] * 2 + [[1.0] * 3] * 3)
+
+
+def test_op_set():
+    """The tape's ops are the decoder's seven and no more."""
+    ops = {
+        name
+        for name, fn in vars(ad).items()
+        if inspect.isfunction(fn) and fn.__module__ == ad.__name__ and not name.startswith("_")
+    }
+    assert ops - {"val"} == {"embed", "matmul", "matmul_nt", "add", "relu", "layer_norm", "attention"}
 
 
 def test_constants_are_untracked():

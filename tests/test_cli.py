@@ -158,6 +158,22 @@ def test_score_identity_gives_b1_one(tmp_path, capsys, tiny_pipeline):
     assert rep["rouge_l"] == pytest.approx(1.0)
 
 
+def test_score_counts_unmatched_hypotheses(tmp_path, capsys, tiny_pipeline):
+    """A hypothesis whose (id, role) no reference has is left out of the
+    scores and counted as unmatched."""
+    hyps = os.path.join(tmp_path, "hyps.jsonl")
+    with open(hyps, "w") as f:
+        f.write(open(tiny_pipeline["hyps"]).read())
+        f.write(json.dumps({"id": "no-such-clip", "role": "description", "text": "the car"}) + "\n")
+    out = os.path.join(tmp_path, "report.json")
+    status, stdout, _ = run(capsys, "score", "--hyps", hyps, "--refs", os.path.join(tiny_pipeline["data"], "samples.jsonl"), "--out", out)
+    assert status == 0
+    base, rep = json.load(open(tiny_pipeline["report"])), json.load(open(out))
+    assert base["unmatched"] == 0 and rep["unmatched"] == 1
+    assert json.loads(stdout) == rep
+    assert {k: v for k, v in rep.items() if k != "unmatched"} == {k: v for k, v in base.items() if k != "unmatched"}
+
+
 def test_decode_idempotent(tiny_pipeline):
     out2 = os.path.join(tiny_pipeline["root"], "hyps2.jsonl")
     assert main([

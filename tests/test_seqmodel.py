@@ -39,6 +39,7 @@ from capkit.seqmodel import (
     train_mle,
     xent_loss,
 )
+from capkit.scst import scst_loss
 from capkit.textproc import BOS, EOS
 
 CFG = ModelConfig(vocab_size=12, feature_dim=6, d_model=16, n_heads=2, max_len=10, seed=3)
@@ -212,6 +213,29 @@ def test_xent_grad_is_finite_difference():
             assert grad[i, j] == pytest.approx((up - dn) / (2 * h), abs=1e-8)
 
 
+def test_xent_is_unit_reward_scst_loss_bit_for_bit():
+    """MLE is SCST with unit rewards: on seeded random cases xent_loss equals
+    both the textbook masked cross entropy and scst_loss of the target
+    log-probabilities at r = 1, and its gradient the textbook (m/N) *
+    (softmax - onehot), all bit for bit."""
+    for seed in range(300):
+        rng = np.random.default_rng(seed)
+        L, V = int(rng.integers(1, 12)), int(rng.integers(2, 30))
+        logits = rng.normal(scale=float(rng.uniform(0.1, 20.0)), size=(L, V))
+        targets = rng.integers(V, size=L)
+        mask = (rng.random(L) < 0.7).astype(float)
+        mask[rng.integers(L)] = 1.0
+        loss, grad = xent_loss(logits, targets, mask)
+
+        lp = log_softmax(logits)
+        rows, w = np.arange(L), mask / mask.sum()
+        assert loss == float(-(mask * lp[rows, targets]).sum() / mask.sum())
+        assert loss == scst_loss(lp[rows, targets], np.ones(L), mask)[0]
+        want = w[:, None] * np.exp(lp)
+        want[rows, targets] -= w
+        assert np.array_equal(grad, want)
+
+
 # ---------------------------------------------------------------------------
 # backward
 
@@ -247,6 +271,13 @@ def test_backward_zero_upstream(params):
     assert all(np.all(g == 0.0) for g in grads.values())
 
 
+def test_training_forward_tape_length(params):
+    """One op each for the embedding, the self-attention keys and values, the
+    feature projection and its cross-attention keys and values, and the
+    block's 15: 21 in all."""
+    assert len(forward(params, FEATS, PREFIX, train=True).tape._ops) == 21
+
+
 def test_tied_embedding_gradient_sums_both_roles(params):
     """The tied tensor's gradient equals embedding-gather plus output-projection
     contributions computed from an untied twin."""
@@ -259,7 +290,7 @@ def test_tied_embedding_gradient_sums_both_roles(params):
     P = {k: ad.Var(v) for k, v in params.tensors.items()}
     out_proj = ad.Var(params.tensors["tok_emb"].copy())
     # replay forward with the output projection untied
-    x = ad.add(tape, ad.gather_rows(tape, P["tok_emb"], PREFIX), ad.slice_rows(tape, P["pos_emb"], 0, len(PREFIX)))
+    x = ad.embed(tape, P["tok_emb"], P["pos_emb"], PREFIX, 0)
     sa = ad.attention(tape, ad.matmul(tape, x, P["sa_q"]), ad.matmul(tape, x, P["sa_k"]), ad.matmul(tape, x, P["sa_v"]), CFG.n_heads, True)
     sa = ad.matmul(tape, sa, P["sa_o"])
     fp = ad.matmul(tape, FEATS, P["feat_proj"])

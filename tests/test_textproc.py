@@ -49,53 +49,48 @@ def _caps(texts):
     return [Caption.make(t, "description") for t in texts]
 
 
-def test_build_vocab_threshold():
-    v = build_vocab(_caps(["a a a b"]), min_count=2)
-    assert v.tokens == RESERVED + ("a",)
-
-
 def test_build_vocab_empty():
-    assert build_vocab([], min_count=1).tokens == RESERVED
+    assert build_vocab([]).tokens == RESERVED
 
 
 def test_build_vocab_tie_break():
-    v = build_vocab(_caps(["b a", "a b"]), min_count=1)
+    v = build_vocab(_caps(["b a", "a b"]))
     assert v.tokens[4:] == ("a", "b")
 
 
 def test_build_vocab_count_order():
-    v = build_vocab(_caps(["b b a"]), min_count=1)
+    v = build_vocab(_caps(["b b a"]))
     assert v.tokens[4:] == ("b", "a")
 
 
 def test_vocab_lookup_inverse():
-    v = build_vocab(_caps(["car stops here"]), min_count=1)
+    v = build_vocab(_caps(["car stops here"]))
     for i in range(4, len(v)):
         assert v.id_of(v.token_of(i)) == i
 
 
 def test_encode_basic():
-    v = build_vocab(_caps(["a"]), min_count=1)
+    v = build_vocab(_caps(["a"]))
     ids, mask = encode(v, ["a"], 4)
     assert ids == [BOS, v.id_of("a"), EOS, PAD]
     assert mask == [1, 1, 1, 0]
 
 
 def test_encode_empty():
-    v = build_vocab([], min_count=1)
+    v = build_vocab([])
     ids, mask = encode(v, [], 3)
     assert ids == [BOS, EOS, PAD]
     assert mask == [1, 1, 0]
 
 
 def test_encode_unknown_token():
-    v = build_vocab(_caps(["a"]), min_count=1)
+    v = build_vocab(_caps(["a"]))
     ids, _ = encode(v, ["zzz"], 4)
     assert ids[1] == UNK
 
 
 def test_encode_truncates():
-    v = build_vocab(_caps(["a b c d"]), min_count=1)
+    v = build_vocab(_caps(["a b c d"]))
     ids, mask = encode(v, ["a", "b", "c", "d"], 4)
     assert len(ids) == 4 and ids[-1] == EOS
     assert mask == [1, 1, 1, 1]
@@ -103,7 +98,7 @@ def test_encode_truncates():
 
 @given(tokens_st, st.integers(min_value=2, max_value=20))
 def test_encode_round_trip(toks, max_len):
-    v = build_vocab(_caps([" ".join(toks)]), min_count=1)
+    v = build_vocab(_caps([" ".join(toks)]))
     ids, mask = encode(v, toks, max_len)
     assert len(ids) == len(mask) == max_len
     assert mask == [1 if i != PAD else 0 for i in ids]
