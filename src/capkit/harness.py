@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .scst import ScstItem, decode_greedy, decode_sample, derive_seed
+from .scst import ScstItem, _rollout, derive_seed
 from .seqmodel import ModelParams, TrainItem
 from .textproc import ROLE_AVOIDANCE, ROLE_DESCRIPTION, Caption, Vocab, decode_ids, encode
 
@@ -53,19 +53,22 @@ def scst_items(samples, clips, roles) -> list[ScstItem]:
     return items
 
 
+DECODE_CHUNK = 64  # rows per lockstep decoding batch
+
+
 def decode_split(
     params: ModelParams, samples, clips, vocab: Vocab, roles, seed=None, temperature=1.0
 ) -> list[tuple[str, Caption]]:
     """(sample id, decoded Caption) for each sample and then each role: greedy,
     or sampled with the seed derived from `seed` and "<id>/<role>" when a seed
-    is given."""
+    is given. Rows decode in lockstep chunks of DECODE_CHUNK; a row's caption
+    does not depend on the chunk it falls in."""
+    rows = [(s.id, role) for s in samples for role in roles]
     out = []
-    for s in samples:
-        for role in roles:
-            feats = role_features(clips[s.id].data, role)
-            if seed is None:
-                dec = decode_greedy(params, feats)
-            else:
-                dec = decode_sample(params, feats, seed=derive_seed(seed, f"{s.id}/{role}", 0), temperature=temperature)
-            out.append((s.id, Caption.make(" ".join(decode_ids(vocab, dec.ids)), role)))
+    for lo in range(0, len(rows), DECODE_CHUNK):
+        chunk = rows[lo : lo + DECODE_CHUNK]
+        feats = [role_features(clips[sid].data, role) for sid, role in chunk]
+        seeds = [None if seed is None else derive_seed(seed, f"{sid}/{role}", 0) for sid, role in chunk]
+        for (sid, role), dec in zip(chunk, _rollout(params, feats, seeds, temperature)):
+            out.append((sid, Caption.make(" ".join(decode_ids(vocab, dec.ids)), role)))
     return out

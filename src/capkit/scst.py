@@ -13,24 +13,24 @@ from .seqmodel import (
     DecoderCache,
     ModelParams,
     _fit,
+    _pad_rows,
     _token_loss,
     backward,
     forward,
     log_softmax,
     scst_loss,  # re-exported: the SCST loss, of which MLE is the unit-reward case
 )
-from .textproc import BOS, EOS, Caption, Vocab, decode_ids
+from .textproc import BOS, EOS, PAD, Caption, Vocab, decode_ids
 
 
 @dataclass(frozen=True)
 class DecodeOutput:
     ids: tuple  # BOS-initiated; EOS-terminated or truncated at max_len
-    mask: tuple  # 1 up to and including EOS, 0 after
 
 
 @dataclass(frozen=True)
 class RewardVector:
-    r: tuple
+    r: float  # the sampled caption's reward: sample_score - baseline_score
     baseline_score: float
     sample_score: float
 
@@ -44,38 +44,55 @@ class ScstBatchStats:
     sequences: int
 
 
-def _rollout(params: ModelParams, features: np.ndarray, choose) -> DecodeOutput:
-    """Decode from BOS until EOS or the config's max_len; `choose` maps a logits
-    row to a token id."""
-    cache = DecoderCache(params, features)
-    ids = [BOS]
-    while len(ids) < params.config.max_len:
-        tok = choose(cache.step(ids[-1]))
-        ids.append(tok)
-        if tok == EOS:
-            break
-    return DecodeOutput(ids=tuple(ids), mask=(1,) * len(ids))
+def _rollout(params: ModelParams, features, seeds, temperature: float = 1.0) -> list[DecodeOutput]:
+    """Decode a batch in lockstep from BOS until EOS or the config's max_len,
+    one row per feature matrix. Row b is greedy (argmax; ties go to the lowest
+    id) when seeds[b] is None, and otherwise samples at the temperature from
+    default_rng(seeds[b]) with one uniform draw per step: inverse-CDF
+    sampling, the draw of Generator.choice."""
+    rngs = [None if s is None else np.random.default_rng(s) for s in seeds]
+    sampled = np.array([s is not None for s in seeds])
+    if sampled.any() and not temperature > 0.0:  # also rejects NaN
+        raise InvalidTemperature("temperature must be > 0")
+    B, L = len(seeds), params.config.max_len
+    cache = DecoderCache(params, list(features))
+    ids = np.full((B, L), PAD, dtype=np.intp)
+    ids[:, 0] = BOS
+    n = np.ones(B, dtype=np.intp)
+    rows = np.arange(B)  # the batch rows still in the cache
+    for t in range(1, L):
+        logits = cache.step(ids[rows, t - 1])
+        tok = logits.argmax(axis=-1)
+        draw = sampled[rows]
+        if draw.any():
+            probs = np.exp(log_softmax(logits[draw] / temperature))
+            total = probs.sum(axis=-1, keepdims=True)
+            if not (total > 0.0).all():
+                raise NumericFailure(f"sampling distribution at temperature {temperature} is not finite")
+            cdf = (probs / total).cumsum(axis=-1)
+            cdf /= cdf[:, -1:]
+            u = np.array([rngs[b].random() for b in rows[draw]])
+            tok[draw] = (cdf <= u[:, None]).sum(axis=-1)
+        ids[rows, t] = tok
+        n[rows] += 1
+        live = tok != EOS
+        if not live.all():
+            rows = rows[live]
+            if not rows.size:
+                break
+            cache.keep(live)
+    return [DecodeOutput(ids=tuple(row[:k].tolist())) for row, k in zip(ids, n)]
 
 
 def decode_greedy(params: ModelParams, features: np.ndarray) -> DecodeOutput:
-    """Argmax decoding; ties resolve to the lowest token id."""
-    return _rollout(params, features, lambda row: int(np.argmax(row)))
+    """Argmax decoding of one T x feature_dim matrix; ties resolve to the
+    lowest token id."""
+    return _rollout(params, [features], [None])[0]
 
 
 def decode_sample(params: ModelParams, features: np.ndarray, seed: int = 0, temperature: float = 1.0) -> DecodeOutput:
-    """Multinomial decoding at the given temperature."""
-    if not temperature > 0.0:  # also rejects NaN
-        raise InvalidTemperature("temperature must be > 0")
-    rng = np.random.default_rng(seed)
-
-    def draw(row):
-        probs = np.exp(log_softmax(row / temperature))
-        total = probs.sum()
-        if not total > 0.0:
-            raise NumericFailure(f"sampling distribution at temperature {temperature} is not finite")
-        return int(rng.choice(len(probs), p=probs / total))
-
-    return _rollout(params, features, draw)
+    """Multinomial decoding of one T x feature_dim matrix at the given temperature."""
+    return _rollout(params, [features], [seed], temperature)[0]
 
 
 def compute_rewards(
@@ -87,9 +104,16 @@ def compute_rewards(
 ) -> RewardVector:
     sample_score = cider_d(decode_ids(vocab, sample.ids), ref.tokens, idf)
     baseline_score = cider_d(decode_ids(vocab, greedy.ids), ref.tokens, idf)
-    diff = sample_score - baseline_score
-    r = tuple(diff * m for m in sample.mask)
-    return RewardVector(r=r, baseline_score=baseline_score, sample_score=sample_score)
+    return RewardVector(r=sample_score - baseline_score, baseline_score=baseline_score, sample_score=sample_score)
+
+
+def _policy_batch(rolls: list[DecodeOutput], rewards: list[RewardVector]) -> tuple:
+    """Teacher-forcing arrays of a batch of sampled captions: the prefixes, the
+    targets, the per-position rewards (each row's reward on its real targets,
+    0 on padding) and the padding mask."""
+    prefix, targets, mask = _pad_rows([roll.ids for roll in rolls])
+    r = np.array([rv.r for rv in rewards])[:, None] * mask
+    return prefix, targets, r, mask
 
 
 def derive_seed(seed: int, sample_id: str, epoch: int) -> int:
@@ -121,22 +145,21 @@ def scst_train(
     the baseline is a constant. Returns (params, per-epoch ScstBatchStats)."""
     scores = [([], []) for _ in range(epochs)]  # per epoch: baseline, sample CIDEr-D
 
-    def step(item, epoch):
-        greedy = decode_greedy(params, item.features)
-        roll = decode_sample(
-            params,
-            item.features,
-            seed=derive_seed(seed, item.sample_id, epoch),
-            temperature=temperature,
-        )
-        rewards = compute_rewards(roll, greedy, item.ref, idf, vocab)
-        scores[epoch][0].append(rewards.baseline_score)
-        scores[epoch][1].append(rewards.sample_score)
+    def step(items, epoch):
+        # Greedy baselines and sampled rollouts decode as one lockstep batch.
+        feats = [item.features for item in items]
+        seeds = [derive_seed(seed, item.sample_id, epoch) for item in items]
+        decoded = _rollout(params, feats + feats, [None] * len(items) + seeds, temperature)
+        greedy, rolls = decoded[: len(items)], decoded[len(items) :]
+        rewards = [compute_rewards(s, g, item.ref, idf, vocab) for s, g, item in zip(rolls, greedy, items)]
+        scores[epoch][0].extend(rv.baseline_score for rv in rewards)
+        scores[epoch][1].extend(rv.sample_score for rv in rewards)
 
-        # Re-run the sampled prefix in training mode; positions after BOS
-        # predict roll.ids[1:].
-        trace = forward(params, item.features, roll.ids[:-1], train=True)
-        loss, glogits = _token_loss(trace.logits.value, roll.ids[1:], rewards.r[1:], roll.mask[1:])
+        # Re-run the sampled prefixes in training mode; positions after BOS
+        # predict the sampled ids.
+        prefix, targets, r, mask = _policy_batch(rolls, rewards)
+        trace = forward(params, feats, prefix, train=True)
+        loss, glogits = _token_loss(trace.logits.value, targets, r, mask)
         return loss, backward(trace, glogits)
 
     curve = _fit(params, dataset, epochs, batch_size, seed, lr, step)

@@ -96,19 +96,37 @@ class ForwardTrace:
     param_vars: dict
 
 
-def _check_inputs(config: ModelConfig, token_ids, features=None):
-    """Raise BadPrefix for a token id outside the vocabulary or, when given,
-    features that are not a T x feature_dim matrix with T >= 1; return the
-    features as float64."""
-    for t in token_ids:
-        if not (isinstance(t, (int, np.integer)) and 0 <= t < config.vocab_size):
-            raise BadPrefix(f"token id {t!r} is not in 0..{config.vocab_size - 1}")
-    if features is None:
-        return None
-    feats = np.asarray(features, dtype=np.float64)
-    if feats.ndim != 2 or feats.shape[0] < 1 or feats.shape[1] != config.feature_dim:
-        raise BadPrefix("features must be T x feature_dim with T >= 1")
-    return feats
+def _check_ids(config: ModelConfig, token_ids) -> np.ndarray:
+    """token_ids as an intp array; BadPrefix unless every id is an integer (not
+    a bool) in 0..vocab_size-1."""
+    try:
+        ids = np.asarray(token_ids)
+    except ValueError as e:  # ragged rows
+        raise BadPrefix(f"token ids do not form an array: {e}") from None
+    # numpy stores [1, True] as ints, so a sequence's element types are read too
+    bools = not isinstance(token_ids, np.ndarray) and {bool, np.bool_} & set(
+        map(type, np.ravel(np.asarray(token_ids, dtype=object)))
+    )
+    if ids.dtype.kind not in "iu" or bools or ids.size and not (0 <= ids.min() and ids.max() < config.vocab_size):
+        raise BadPrefix(f"token ids {np.ravel(token_ids)[:8]!r} are not all ints in 0..{config.vocab_size - 1}")
+    return ids.astype(np.intp, copy=False)
+
+
+def _check_features(config: ModelConfig, features):
+    """Stack a batch's T_b x feature_dim matrices (T_b >= 1) into one zero-padded
+    B x T x feature_dim array; return it and the cross-attention key bias that
+    hides the padded frames (None when no row is padded). BadPrefix otherwise."""
+    rows = [np.asarray(f, dtype=np.float64) for f in features]
+    if not rows or any(f.ndim != 2 or f.shape[0] < 1 or f.shape[1] != config.feature_dim for f in rows):
+        raise BadPrefix("features must be T x feature_dim with T >= 1, one matrix per row")
+    lengths = np.array([f.shape[0] for f in rows])
+    T = int(lengths.max())
+    if (lengths == T).all():
+        return np.stack(rows), None
+    feats = np.zeros((len(rows), T, config.feature_dim))
+    for dst, f in zip(feats, rows):
+        dst[: len(f)] = f
+    return feats, np.where(np.arange(T) < lengths[:, None], 0.0, ad.MASKED)
 
 
 def _cross_kv(tape, P, feats):
@@ -117,14 +135,15 @@ def _cross_kv(tape, P, feats):
     return ad.matmul(tape, fp, P["ca_k"]), ad.matmul(tape, fp, P["ca_v"])
 
 
-def _block(tape, P, x, sa_k, sa_v, ca_k, ca_v, n_heads: int):
-    """The decoder block from embedded inputs x (Lq x d) to tied logits.
+def _block(tape, P, x, sa_k, sa_v, ca_k, ca_v, ca_bias, n_heads: int):
+    """The decoder block from embedded inputs x (B x Lq x d) to tied logits.
 
     sa_k/sa_v hold the self-attention keys and values of every position up to
-    and including x's last row; ca_k/ca_v those of the features.
+    and including x's last row; ca_k/ca_v those of the features, of which
+    ca_bias hides the padded frames.
     """
     sa = ad.attention(tape, ad.matmul(tape, x, P["sa_q"]), sa_k, sa_v, n_heads, causal=True)
-    ca = ad.attention(tape, ad.matmul(tape, x, P["ca_q"]), ca_k, ca_v, n_heads, causal=False)
+    ca = ad.attention(tape, ad.matmul(tape, x, P["ca_q"]), ca_k, ca_v, n_heads, causal=False, key_bias=ca_bias)
     sa = ad.matmul(tape, sa, P["sa_o"])
     ca = ad.matmul(tape, ca, P["ca_o"])
     x1 = ad.layer_norm(tape, ad.add(tape, x, ad.add(tape, sa, ca)), P["ln1_g"], P["ln1_b"])
@@ -133,25 +152,37 @@ def _block(tape, P, x, sa_k, sa_v, ca_k, ca_v, n_heads: int):
     return ad.matmul_nt(tape, x2, P["tok_emb"])
 
 
-def forward(params: ModelParams, features: np.ndarray, prefix_ids, train: bool = False):
+def forward(params: ModelParams, features, prefix_ids, train: bool = False):
     """Logits over the next token for every prefix position.
 
-    Returns a logits matrix len(prefix) x |V|; in training mode returns a
-    ForwardTrace carrying the tape and per-parameter Vars instead.
+    A batch is a B x L array of BOS-initial rows, right-padded with any ids
+    (causal attention hides them from the real positions), and a sequence of
+    B feature matrices T_b x feature_dim; its logits are B x L x |V|. One
+    prefix (a 1-D id sequence) with one T x feature_dim matrix runs without
+    the batch axis and gives L x |V|.
+    In training mode returns a ForwardTrace carrying the tape and
+    per-parameter Vars instead.
     """
-    prefix_ids = list(prefix_ids)
-    if not prefix_ids or prefix_ids[0] != BOS:
+    cfg = params.config
+    ids = _check_ids(cfg, prefix_ids)
+    batch = ids.ndim == 2
+    rows = ids if batch else ids[None]
+    if rows.ndim != 2 or rows.shape[1] == 0 or (rows[:, 0] != BOS).any():
         raise BadPrefix("prefix must start with BOS")
-    if len(prefix_ids) > params.config.max_len:
+    if rows.shape[1] > cfg.max_len:
         raise BadPrefix("prefix longer than max_len")
-    feats = _check_inputs(params.config, prefix_ids, features)
+    feats, ca_bias = _check_features(cfg, features if batch else (features,))
+    if len(feats) != len(rows):
+        raise BadPrefix(f"{len(rows)} prefixes but {len(feats)} feature matrices")
+    if not batch:
+        feats = feats[0]
 
     tape = ad.Tape() if train else None
     if train:
         P = {k: ad.Var(v) for k, v in params.tensors.items()}
     else:
         P = params.tensors
-    x = ad.embed(tape, P["tok_emb"], P["pos_emb"], prefix_ids, 0)
+    x = ad.embed(tape, P["tok_emb"], P["pos_emb"], ids, 0)
     logits = _block(
         tape,
         P,
@@ -159,7 +190,8 @@ def forward(params: ModelParams, features: np.ndarray, prefix_ids, train: bool =
         ad.matmul(tape, x, P["sa_k"]),
         ad.matmul(tape, x, P["sa_v"]),
         *_cross_kv(tape, P, feats),
-        params.config.n_heads,
+        ca_bias,
+        cfg.n_heads,
     )
     if train:
         return ForwardTrace(logits=logits, tape=tape, param_vars=P)
@@ -172,44 +204,50 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def scst_loss(logp, r, mask):
-    """L = -(1/N) sum_i r_i * logp_i * m_i, N = sum m_i; returns (L, dL/dlogp)."""
+    """L = -(1/N) sum_i r_i * logp_i * m_i, N = sum m_i, per row over the last
+    axis; returns (L, dL/dlogp): a float and a vector for one row, arrays for
+    a batch."""
     logp = np.asarray(logp, dtype=np.float64)
     rv = np.asarray(r, dtype=np.float64)
     m = np.asarray(mask, dtype=np.float64)
     if not (logp.shape == rv.shape == m.shape):
         raise ValueError("logp, r, and mask lengths differ")
-    n = m.sum()
-    if n == 0:
-        raise AllMasked("every position is masked out")
-    loss = -(rv * logp * m).sum() / n
-    grad = -(rv * m) / n
-    return float(loss), grad
+    n = m.sum(axis=-1)
+    if not np.all(n > 0):
+        raise AllMasked("every position of a row is masked out")
+    loss = -(rv * logp * m).sum(axis=-1) / n
+    grad = -(rv * m) / n[..., None]
+    return loss, grad
 
 
 def _token_loss(logits: np.ndarray, target_ids, r, mask):
-    """`scst_loss` of the target tokens' log-probabilities under the logits,
-    plus its gradient w.r.t. the logits: r_i * m_i / N * (softmax row i -
-    onehot(target_i)) per row."""
+    """Per-row `scst_loss` of the target tokens' log-probabilities under the
+    logits (... x L x |V|), and the gradient of the rows' mean loss w.r.t. the
+    logits: r_i * m_i / (N * rows) * (softmax row i - onehot(target_i)) per
+    position."""
     lp = log_softmax(np.asarray(ad.val(logits), dtype=np.float64))
     targets = np.asarray(target_ids, dtype=np.intp)
-    if lp.shape[0] != targets.shape[0]:
+    if lp.shape[:-1] != targets.shape:
         raise ValueError("logits and targets lengths differ")
-    rows = np.arange(len(targets))
-    loss, dlogp = scst_loss(lp[rows, targets], r, mask)
-    grad = dlogp[:, None] * -np.exp(lp)
-    grad[rows, targets] += dlogp
-    return loss, grad
+    V = lp.shape[-1]
+    flat = lp.reshape(-1, V)
+    at = np.arange(len(flat)), targets.ravel()
+    loss, dlogp = scst_loss(flat[at].reshape(targets.shape), r, mask)
+    dlogp = (dlogp / np.size(loss)).ravel()
+    grad = dlogp[:, None] * -np.exp(flat)
+    grad[at] += dlogp
+    return loss, grad.reshape(lp.shape)
 
 
 def xent_loss(logits: np.ndarray, target_ids, mask):
     """Masked length-normalized cross entropy plus its gradient w.r.t. logits:
     the `_token_loss` of unit rewards (Rennie et al., 2017)."""
-    return _token_loss(logits, target_ids, np.ones(len(mask)), mask)
+    return _token_loss(logits, target_ids, np.ones(np.shape(mask)), mask)
 
 
 def backward(trace: ForwardTrace, loss_grad: np.ndarray) -> dict:
     """Reverse-mode gradients of the scalar loss for every parameter tensor."""
-    trace.logits.grad += loss_grad
+    trace.logits.accumulate(np.asarray(loss_grad, dtype=np.float64))
     trace.tape.run_backward()
     return {name: var.grad for name, var in trace.param_vars.items()}
 
@@ -244,24 +282,28 @@ class TrainItem:
 
     features: np.ndarray  # T x feature_dim, float64
     ids: tuple  # [BOS, tokens.., EOS, PAD..]
-    mask: tuple  # non-PAD indicator aligned with ids
+    mask: tuple  # non-PAD indicator aligned with ids: ones, then zeros
 
 
-def _accumulate(total: dict, grads: dict, weight: float) -> None:
-    for name, g in grads.items():
-        if name in total:
-            total[name] += weight * g
-        else:
-            total[name] = weight * g
+def _pad_rows(rows) -> tuple:
+    """Teacher-forcing arrays of a batch of BOS..EOS id rows of any lengths: the
+    B x L prefixes (each row but its last id, right-padded with PAD), the
+    B x L targets (each row but its BOS) and the B x L mask of real targets."""
+    n = np.array([len(r) for r in rows]) - 1
+    ids = np.full((len(rows), int(n.max()) + 1), PAD, dtype=np.intp)
+    for dst, r in zip(ids, rows):
+        dst[: len(r)] = r
+    return ids[:, :-1], ids[:, 1:], np.arange(ids.shape[1] - 1) < n[:, None]
 
 
-def _fit(params: ModelParams, dataset: list, epochs: int, batch_size: int, seed: int, lr: float, item_step):
+def _fit(params: ModelParams, dataset: list, epochs: int, batch_size: int, seed: int, lr: float, batch_step):
     """The training loop of MLE and SCST; returns the per-epoch mean item loss.
 
     Each epoch visits the dataset in one permutation drawn from
-    default_rng(seed), and each batch takes one Adam step on the mean of its
-    items' gradients. item_step(item, epoch) returns (loss, grads); a
-    non-finite loss raises NumericFailure before it reaches Adam.
+    default_rng(seed), and each batch takes one Adam step.
+    batch_step(items, epoch) returns the items' losses and the gradients of
+    their mean; a non-finite loss raises NumericFailure before it reaches
+    Adam.
     """
     if batch_size < 1 or epochs < 0:
         raise InvalidConfig(f"need batch_size >= 1 and epochs >= 0, got {batch_size} and {epochs}")
@@ -274,15 +316,12 @@ def _fit(params: ModelParams, dataset: list, epochs: int, batch_size: int, seed:
         order = rng.permutation(len(dataset))
         losses = []
         for start in range(0, len(order), batch_size):
-            batch = order[start : start + batch_size]
-            total = {}
-            for idx in batch:
-                loss, grads = item_step(dataset[idx], epoch)
-                if not math.isfinite(loss):
-                    raise NumericFailure(f"non-finite training loss {loss} in epoch {epoch}")
-                _accumulate(total, grads, 1.0 / len(batch))
-                losses.append(loss)
-            adam_step(params, total, state, lr=lr)
+            batch = [dataset[i] for i in order[start : start + batch_size]]
+            loss, grads = batch_step(batch, epoch)
+            if not np.isfinite(loss).all():
+                raise NumericFailure(f"non-finite training loss {loss} in epoch {epoch}")
+            losses.extend(loss)
+            adam_step(params, grads, state, lr=lr)
         curve.append(float(np.mean(losses)))
     return curve
 
@@ -297,11 +336,10 @@ def train_mle(
 ):
     """Teacher-forced maximum-likelihood training; returns per-epoch mean loss."""
 
-    def step(item, _epoch):
-        n_real = int(sum(item.mask))
-        prefix = list(item.ids[:n_real])  # drop trailing PADs, keep EOS target
-        trace = forward(params, item.features, prefix[:-1], train=True)
-        loss, glogits = xent_loss(trace.logits.value, prefix[1:], item.mask[1:n_real])
+    def step(items, _epoch):
+        prefix, targets, mask = _pad_rows([it.ids[: int(sum(it.mask))] for it in items])
+        trace = forward(params, [it.features for it in items], prefix, train=True)
+        loss, glogits = _token_loss(trace.logits.value, targets, np.ones(mask.shape), mask)
         return loss, backward(trace, glogits)
 
     return params, _fit(params, dataset, epochs, batch_size, seed, lr, step)
@@ -311,32 +349,48 @@ def train_mle(
 # Incremental decoding cache
 
 class DecoderCache:
-    """Single-sequence stepwise decoding with cached attention state.
+    """Stepwise decoding of B rows in lockstep with cached attention state.
 
-    Runs the same `_block` as `forward` on one new row per step, so its logits
-    equal (to rounding) a full `forward` recompute.
+    `features` is one T x feature_dim ndarray, or a list of B of them (T may
+    differ). Runs the same `_block` as `forward` on one new position per row
+    per step, so its logits equal (to rounding) a full `forward` recompute.
     """
 
-    def __init__(self, params: ModelParams, features: np.ndarray):
+    def __init__(self, params: ModelParams, features):
         self.params = params
         cfg = params.config
-        feats = _check_inputs(cfg, (), features)
+        self._single = isinstance(features, np.ndarray)
+        feats, self._ca_bias = _check_features(cfg, (features,) if self._single else features)
         self._ca_k, self._ca_v = _cross_kv(None, params.tensors, feats)
-        self._keys = np.empty((cfg.max_len, cfg.d_model))
-        self._vals = np.empty((cfg.max_len, cfg.d_model))
+        self._keys = np.empty((len(feats), cfg.max_len, cfg.d_model))
+        self._vals = np.empty_like(self._keys)
         self._t = 0
 
-    def step(self, token_id: int) -> np.ndarray:
-        """Feed one token, return the next-token logits row (|V|,)."""
+    def step(self, token_ids) -> np.ndarray:
+        """Feed one token per row; return the next-token logits, B x |V| (|V|
+        for a single-matrix cache)."""
         cfg, P, t = self.params.config, self.params.tensors, self._t
         if t >= cfg.max_len:
             raise BadPrefix("prefix longer than max_len")
-        _check_inputs(cfg, (token_id,))
-        x = ad.embed(None, P["tok_emb"], P["pos_emb"], (token_id,), t)
-        self._keys[t] = x @ P["sa_k"]
-        self._vals[t] = x @ P["sa_v"]
+        ids = _check_ids(cfg, token_ids).reshape(-1, 1)
+        if len(ids) != len(self._keys):
+            raise BadPrefix(f"{len(ids)} token ids for {len(self._keys)} rows")
+        x = ad.embed(None, P["tok_emb"], P["pos_emb"], ids, t)
+        self._keys[:, t] = x[:, 0] @ P["sa_k"]
+        self._vals[:, t] = x[:, 0] @ P["sa_v"]
         self._t = t + 1
-        return _block(None, P, x, self._keys[: t + 1], self._vals[: t + 1], self._ca_k, self._ca_v, cfg.n_heads)[0]
+        logits = _block(
+            None, P, x, self._keys[:, : t + 1], self._vals[:, : t + 1],
+            self._ca_k, self._ca_v, self._ca_bias, cfg.n_heads,
+        )[:, 0]
+        return logits[0] if self._single else logits
+
+    def keep(self, rows) -> None:
+        """Keep only the given rows (a boolean mask or indices) for later steps."""
+        self._keys, self._vals = self._keys[rows], self._vals[rows]
+        self._ca_k, self._ca_v = self._ca_k[rows], self._ca_v[rows]
+        if self._ca_bias is not None:
+            self._ca_bias = self._ca_bias[rows]
 
 
 # ---------------------------------------------------------------------------

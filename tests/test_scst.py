@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from capkit import scst
+from capkit import harness, scst
+from capkit.data import SynthConfig, synth_corpus
 from capkit.errors import AllMasked, EmptyDataset, InvalidTemperature, NumericFailure
 from capkit.metrics import build_idf
 from capkit.scst import (
@@ -28,7 +29,7 @@ from capkit.seqmodel import (
     log_softmax,
     train_mle,
 )
-from capkit.textproc import BOS, EOS, Caption, Vocab, RESERVED, encode
+from capkit.textproc import BOS, EOS, ROLE_AVOIDANCE, ROLE_DESCRIPTION, Caption, Vocab, RESERVED, build_vocab, encode
 
 CFG = ModelConfig(vocab_size=12, feature_dim=6, d_model=16, n_heads=2, max_len=8, seed=3)
 FEATS = np.random.default_rng(0).normal(size=(4, 6))
@@ -48,7 +49,6 @@ def test_greedy_forced_eos(params):
     params.tensors["tok_emb"][EOS, 0] = 10.0  # output tied: EOS logit dominates
     out = decode_greedy(params, FEATS)
     assert out.ids == (BOS, EOS)
-    assert out.mask == (1, 1)
 
 
 def test_greedy_tie_breaks_low_id():
@@ -66,7 +66,7 @@ def test_greedy_deterministic(params):
 
 def test_greedy_output_invariants(params):
     out = decode_greedy(params, FEATS)
-    assert len(out.ids) == len(out.mask)
+    assert out.ids[-1] == EOS or len(out.ids) == CFG.max_len  # no rollout needs a mask
     assert out.ids[0] == BOS
     assert len(out.ids) <= CFG.max_len
 
@@ -118,12 +118,43 @@ def test_sample_first_step_frequencies():
     assert 0.48 <= counts[4] / 10000 <= 0.52
 
 
+def test_batch_rollout_matches_one_row_rollouts(params):
+    """A lockstep batch of greedy and seeded sampled rows, with clips of
+    different T, decodes each row to the ids a one-row rollout gives."""
+    eos = params.tensors["tok_emb"][EOS]
+    params.tensors["ln2_b"][:] += 2.0 * eos / np.linalg.norm(eos)  # rows stop at different steps
+    rng = np.random.default_rng(3)
+    feats = [rng.normal(size=(T, CFG.feature_dim)) for T in (4, 1, 6, 4, 2, 5)]
+    seeds = [None, 7, None, 8, 9, None]
+    for temperature in (1.0, 2.5):
+        batch = scst._rollout(params, feats, seeds, temperature)
+        for f, seed, out in zip(feats, seeds, batch):
+            one = decode_greedy(params, f) if seed is None else decode_sample(params, f, seed, temperature)
+            assert out == one
+        assert len({len(out.ids) for out in batch}) > 1
+
+
+def test_decode_split_does_not_depend_on_chunk(monkeypatch):
+    """A split larger than one chunk decodes, greedy and sampled, to the
+    captions of one-row chunks."""
+    corpus = synth_corpus(SynthConfig(n_clips=40, seed=2))
+    roles = [ROLE_DESCRIPTION, ROLE_AVOIDANCE]
+    vocab = build_vocab([harness.caption_for(s, r) for s in corpus.samples for r in roles])
+    params = init_params(replace(CFG, vocab_size=len(vocab), feature_dim=corpus.clips[corpus.samples[0].id].D))
+    assert len(corpus.samples) * len(roles) > harness.DECODE_CHUNK
+    for seed in (None, 3):
+        chunked = harness.decode_split(params, corpus.samples, corpus.clips, vocab, roles, seed)
+        monkeypatch.setattr(harness, "DECODE_CHUNK", 1)
+        one_row = harness.decode_split(params, corpus.samples, corpus.clips, vocab, roles, seed)
+        monkeypatch.undo()
+        assert chunked == one_row
+
+
 # ---------------------------------------------------------------------------
 # rewards
 
-def _fake(ids, mask=None):
-    n = len(ids)
-    return DecodeOutput(ids=tuple(ids), mask=tuple(mask or (1,) * n))
+def _fake(ids):
+    return DecodeOutput(ids=tuple(ids))
 
 
 def _idf():
@@ -134,17 +165,27 @@ def test_rewards_sample_equals_greedy():
     dec = _fake([BOS, 4, 5, EOS])
     ref = Caption.make("a b", "description")
     rv = compute_rewards(dec, dec, ref, _idf(), VOCAB)
-    assert all(r == 0.0 for r in rv.r)
+    assert rv.r == 0.0
     assert rv.sample_score == rv.baseline_score
 
 
 def test_rewards_broadcast_with_mask():
-    sample = _fake([BOS, 4, 5, EOS], mask=[1, 1, 1, 0])
+    """A row's reward reaches each of its real targets; a padded position of
+    the SCST batch gets zero reward and zero logits gradient."""
+    samples = [_fake([BOS, 4, 5, EOS]), _fake([BOS, 4, EOS])]
     greedy = _fake([BOS, 9, EOS])
     ref = Caption.make("a b", "description")
-    rv = compute_rewards(sample, greedy, ref, _idf(), VOCAB)
-    diff = rv.sample_score - rv.baseline_score
-    assert rv.r == (diff, diff, diff, 0.0)
+    rewards = [compute_rewards(s, greedy, ref, _idf(), VOCAB) for s in samples]
+    diffs = [rv.sample_score - rv.baseline_score for rv in rewards]
+    assert [rv.r for rv in rewards] == diffs and all(d != 0.0 for d in diffs)
+    prefix, targets, r, mask = scst._policy_batch(samples, rewards)
+    assert prefix.tolist() == [[BOS, 4, 5], [BOS, 4, EOS]]
+    assert targets.tolist() == [[4, 5, EOS], [4, EOS, 0]]
+    assert mask.tolist() == [[True] * 3, [True, True, False]]
+    assert r.tolist() == [[diffs[0]] * 3, [diffs[1], diffs[1], 0.0]]
+    logits = np.random.default_rng(1).normal(size=(2, 3, CFG.vocab_size))
+    _, grad = _token_loss(logits, targets, r, mask)
+    assert np.all(grad[1, 2] == 0.0) and np.all(grad[:, :2] != 0.0)
 
 
 def test_rewards_sign_when_sample_worse():
@@ -155,7 +196,7 @@ def test_rewards_sign_when_sample_worse():
     idf = build_idf([("a", "b"), ("g", "c")])
     rv = compute_rewards(sample, greedy, ref, idf, VOCAB)
     assert rv.baseline_score > rv.sample_score
-    assert all(r < 0 for r in rv.r)
+    assert rv.r < 0
 
 
 def test_reward_symmetry():
@@ -165,7 +206,7 @@ def test_reward_symmetry():
     idf = build_idf([("a",), ("b", "c")])
     fwd = compute_rewards(a, b, ref, idf, VOCAB)
     rev = compute_rewards(b, a, ref, idf, VOCAB)
-    assert fwd.r == tuple(-x for x in rev.r)
+    assert fwd.r == -rev.r
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +310,7 @@ def test_scst_train_non_finite_loss_fails_fast(params, monkeypatch):
     before = params.copy()
 
     def nan_rewards(sample, *_):
-        return RewardVector(r=(np.nan,) * len(sample.mask), baseline_score=0.0, sample_score=0.0)
+        return RewardVector(r=np.nan, baseline_score=0.0, sample_score=0.0)
 
     monkeypatch.setattr(scst, "compute_rewards", nan_rewards)
     items = [ScstItem(sample_id="s0", features=FEATS, ref=Caption.make("a b", "description"))]

@@ -29,6 +29,8 @@ from capkit.seqmodel import (
     ModelConfig,
     ModelParams,
     TrainItem,
+    _pad_rows,
+    _token_loss,
     adam_step,
     backward,
     forward,
@@ -40,7 +42,7 @@ from capkit.seqmodel import (
     xent_loss,
 )
 from capkit.scst import scst_loss
-from capkit.textproc import BOS, EOS
+from capkit.textproc import BOS, EOS, PAD
 
 CFG = ModelConfig(vocab_size=12, feature_dim=6, d_model=16, n_heads=2, max_len=10, seed=3)
 RNG = np.random.default_rng(0)
@@ -154,10 +156,64 @@ def test_decoder_cache_stops_at_max_len(params):
         cache.step(BOS)
 
 
-@pytest.mark.parametrize("bad", [CFG.vocab_size, 40, -1, 2.0])
+@pytest.mark.parametrize("bad", [CFG.vocab_size, 40, -1, 2.0, True, False])
 def test_forward_rejects_token_outside_vocab(params, bad):
     with pytest.raises(BadPrefix):
         forward(params, FEATS, [BOS, 5, bad])
+
+
+@pytest.mark.parametrize("prefix", [[True], np.array([True, False]), (BOS, np.True_)])
+def test_forward_rejects_bool_prefix(params, prefix):
+    """A bool is not a token id, though numpy reads True as 1 (BOS)."""
+    with pytest.raises(BadPrefix):
+        forward(params, FEATS, prefix)
+
+
+def _mixed_batch(rng):
+    """Rows of different caption lengths (one of max_len ids) with clips of
+    different T."""
+    lengths = [3, CFG.max_len, 5, 2]
+    rows = [[BOS, *rng.integers(4, CFG.vocab_size, n - 2), EOS] for n in lengths]
+    feats = [rng.normal(size=(T, CFG.feature_dim)) for T in (4, 1, 7, 4)]
+    return rows, feats
+
+
+@pytest.mark.parametrize("n_heads", [1, 2, 4])
+def test_batch_matches_single_rows(n_heads):
+    """One padded batch gives each row's loss, and the mean of the rows'
+    gradients, as one-row forwards do."""
+    params = init_params(ModelConfig(**{**CFG.__dict__, "n_heads": n_heads}))
+    rows, feats = _mixed_batch(np.random.default_rng(n_heads))
+    prefix, targets, mask = _pad_rows(rows)
+    trace = forward(params, feats, prefix, train=True)
+    losses, glog = _token_loss(trace.logits.value, targets, np.ones(mask.shape), mask)
+    grads = backward(trace, glog)
+
+    want = {name: np.zeros_like(t) for name, t in params.tensors.items()}
+    for row, f, loss in zip(rows, feats, losses):
+        one = forward(params, f, row[:-1], train=True)
+        l1, g1 = xent_loss(one.logits.value, row[1:], np.ones(len(row) - 1))
+        assert loss == pytest.approx(l1, rel=1e-12, abs=1e-12)
+        for name, g in backward(one, g1).items():
+            want[name] += g / len(rows)
+    for name in want:
+        assert np.allclose(grads[name], want[name], rtol=1e-12, atol=1e-12), name
+
+
+def test_batch_incremental_decode_matches_forward():
+    """Stepping a cached batch in lockstep equals a full batched forward at
+    every position of every row, padding included."""
+    for n_heads in (1, 2, 4):
+        params = init_params(ModelConfig(**{**CFG.__dict__, "n_heads": n_heads}))
+        rows, feats = _mixed_batch(np.random.default_rng(10 + n_heads))
+        ids = np.hstack([_pad_rows(rows)[0], np.full((len(rows), 1), PAD)])
+        full = forward(params, feats, ids)
+        cache = DecoderCache(params, feats)
+        stepped = np.stack([cache.step(ids[:, t]) for t in range(ids.shape[1])], axis=1)
+        assert stepped.shape == full.shape == (len(rows), CFG.max_len, CFG.vocab_size)
+        assert np.allclose(stepped, full, atol=1e-10), n_heads
+        for row, f, logits in zip(ids, feats, full):
+            assert np.allclose(forward(params, f, row), logits, atol=1e-10)
 
 
 @pytest.mark.parametrize("bad", [FEATS[:, :5], FEATS[None], FEATS[:0], FEATS[0]])
@@ -166,7 +222,7 @@ def test_decoder_cache_rejects_bad_features(params, bad):
         DecoderCache(params, bad)
 
 
-@pytest.mark.parametrize("bad", [CFG.vocab_size, 40, -1, 2.0])
+@pytest.mark.parametrize("bad", [CFG.vocab_size, 40, -1, 2.0, True, False])
 def test_decoder_step_rejects_token_outside_vocab(params, bad):
     cache = DecoderCache(params, FEATS)
     cache.step(BOS)
@@ -274,8 +330,10 @@ def test_backward_zero_upstream(params):
 def test_training_forward_tape_length(params):
     """One op each for the embedding, the self-attention keys and values, the
     feature projection and its cross-attention keys and values, and the
-    block's 15: 21 in all."""
+    block's 15: 21 in all, for one row and for a batch of 8."""
     assert len(forward(params, FEATS, PREFIX, train=True).tape._ops) == 21
+    batch = np.array([PREFIX] * 8)
+    assert len(forward(params, [FEATS] * 8, batch, train=True).tape._ops) == 21
 
 
 def test_tied_embedding_gradient_sums_both_roles(params):
