@@ -288,7 +288,7 @@ def jacobi_eigh(a: np.ndarray):
         raise NonFiniteValue("matrix contains NaN or infinite values")
     d = a.shape[0]
     vt = np.eye(d)  # V^T, so that V J is a row update too
-    scale = max(np.abs(a).max(), 1.0)
+    scale = np.abs(a).max(initial=1.0)
     rounds = _round_robin(d)
     last_off = math.inf
     for _ in range(JACOBI_MAX_SWEEPS):
@@ -319,14 +319,39 @@ def jacobi_eigh(a: np.ndarray):
     return np.diag(a).copy(), vt.T
 
 
-def _psd_sqrt(c: np.ndarray) -> np.ndarray:
-    w, v = jacobi_eigh(c)
-    w = np.where(w < EIG_CLAMP, 0.0, w)
-    s = (v * np.sqrt(w)) @ v.T
-    return (s + s.T) / 2.0
+def _pivoted_cholesky(c: np.ndarray) -> np.ndarray:
+    """A d x r factor L with L L^T = C, for a symmetric PSD C of numerical rank r.
+
+    Each step pivots on the largest remaining diagonal entry of the Schur
+    complement and stops once it is at most d * eps * max(diag(C), 1), so a
+    semidefinite C factors without error (Higham 2009; the LAPACK xPSTRF rule).
+    L keeps C's row order.
+    """
+    c = np.asarray(c, dtype=np.float64)
+    if not np.isfinite(c).all():
+        raise NonFiniteValue("matrix contains NaN or infinite values")
+    d = c.shape[0]
+    rest = np.diag(c).copy()  # diagonal of the Schur complement
+    tol = d * np.finfo(np.float64).eps * max(rest.max(initial=0.0), 1.0)
+    l = np.zeros((d, d))
+    for k in range(d):
+        j = int(np.argmax(rest))
+        if rest[j] <= tol:
+            return l[:, :k]
+        col = (c[:, j] - l[:, :k] @ l[j, :k]) / math.sqrt(rest[j])
+        rest -= col * col
+        rest[j] = 0.0  # pivoted: never chosen again, since tol > 0
+        l[:, k] = col
+    return l
 
 
 def frechet_distance(a: GaussianStats, b: GaussianStats) -> float:
+    """||mu_a - mu_b||^2 + tr A + tr B - 2 tr sqrt(sqrt(A) B sqrt(A)).
+
+    For any factor A = L L^T the last trace is sum sqrt(eig(L^T B L))
+    (Dowson & Landau 1982), so a pivoted Cholesky factor and one Jacobi
+    eigensolve of the r x r matrix L^T B L give it.
+    """
     if a.mean.shape != b.mean.shape:
         raise DimensionMismatch(
             f"feature dimensions differ: {a.mean.shape} vs {b.mean.shape}"
@@ -334,8 +359,8 @@ def frechet_distance(a: GaussianStats, b: GaussianStats) -> float:
     if np.array_equal(a.mean, b.mean) and np.array_equal(a.cov, b.cov):
         return 0.0
     diff = a.mean - b.mean
-    sa = _psd_sqrt(a.cov)
-    inner = sa @ b.cov @ sa
+    l = _pivoted_cholesky(a.cov)
+    inner = l.T @ b.cov @ l
     inner = (inner + inner.T) / 2.0
     w, _ = jacobi_eigh(inner)
     w = np.where(w < EIG_CLAMP, 0.0, w)

@@ -267,8 +267,9 @@ def adam_step(params: ModelParams, grads: dict, state: AdamState, lr: float = 1e
     t = state.t
     for name, g in grads.items():
         p = params.tensors[name]
-        m = state.m.setdefault(name, np.zeros_like(p))
-        v = state.v.setdefault(name, np.zeros_like(p))
+        if name not in state.m:
+            state.m[name], state.v[name] = np.zeros_like(p), np.zeros_like(p)
+        m, v = state.m[name], state.v[name]
         m += (1.0 - ADAM_BETA1) * (g - m)
         v += (1.0 - ADAM_BETA2) * (g * g - v)
         mhat = m / (1.0 - ADAM_BETA1**t)

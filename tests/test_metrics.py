@@ -286,7 +286,8 @@ def test_frechet_matches_oracle_random_psd():
 
 
 def test_trace_identity_random_psd():
-    from capkit.metrics import _psd_sqrt
+    """tr sqrt(sqrt(A) B sqrt(A)) = sum sqrt(eig(L^T B L)) for the factor A = L L^T."""
+    from capkit.metrics import _pivoted_cholesky
 
     rng = np.random.default_rng(13)
     for _ in range(20):
@@ -294,12 +295,94 @@ def test_trace_identity_random_psd():
         qb = rng.normal(size=(3, 3))
         ca = qa @ qa.T
         cb = qb @ qb.T
-        sa = _psd_sqrt(ca)
-        inner = sa @ cb @ sa
+        l = _pivoted_cholesky(ca)
+        inner = l.T @ cb @ l
         inner = (inner + inner.T) / 2
         w, _ = jacobi_eigh(inner)
         got = float(np.sqrt(np.clip(w, 0, None)).sum())
         assert got == pytest.approx(oracles.oracle_trace_sqrt(ca, cb), abs=1e-6)
+
+
+def _low_rank_psd(d, rank, scale, seed):
+    q = np.random.default_rng(seed).normal(size=(d, rank))
+    return scale * (q @ q.T) / max(rank, 1)
+
+
+_RANK_CASES = [
+    (d, rank, scale)
+    for d in (1, 2, 3, 8, 16, 64)
+    for rank in sorted({0, 1, d // 2, d - 1, d})
+    for scale in (1e-6, 1.0, 1e4)
+]
+
+
+def test_pivoted_cholesky_reconstructs():
+    """L is d x rank and L L^T reconstructs A, also when A is only semidefinite."""
+    from capkit.metrics import _pivoted_cholesky
+
+    for d, rank, scale in _RANK_CASES:
+        a = _low_rank_psd(d, rank, scale, seed=d * 100 + rank)
+        l = _pivoted_cholesky(a)
+        assert l.shape == (d, rank), (d, rank, scale)
+        assert np.allclose(l @ l.T, a, rtol=0.0, atol=1e-12 * scale), (d, rank, scale)
+
+
+def test_frechet_rank_deficient_matches_oracle():
+    """A of rank 0..d at scale 1e-6..1e4 against a full-rank B, in both argument
+    orders. B stays at unit scale: EIG_CLAMP is absolute, so with both
+    covariances at 1e-6 every eigenvalue of L^T B L falls under it."""
+    for d, rank, scale in _RANK_CASES:
+        rng = np.random.default_rng(d * 100 + rank + 7)
+        a = _low_rank_psd(d, rank, scale, seed=d * 100 + rank)
+        b = _low_rank_psd(d, d, 1.0, seed=d * 100 + rank + 1)
+        mu_a, mu_b = rng.normal(size=d) * math.sqrt(scale), rng.normal(size=d)
+        for (m1, c1), (m2, c2) in (((mu_a, a), (mu_b, b)), ((mu_b, b), (mu_a, a))):
+            got = frechet_distance(GaussianStats(m1, c1, 5), GaussianStats(m2, c2, 5))
+            want = oracles.oracle_frechet(m1, c1, m2, c2)
+            assert abs(got - want) <= 1e-6 * max(1.0, abs(want)), (d, rank, scale, got, want)
+
+
+@pytest.mark.parametrize("first", [True, False], ids=["first", "second"])
+def test_frechet_non_finite_covariance(first):
+    """A non-finite covariance built straight into GaussianStats is a NonFiniteValue."""
+    cov = np.eye(3)
+    cov[0, 1] = cov[1, 0] = np.nan
+    bad = GaussianStats(np.zeros(3), cov, 10)
+    good = GaussianStats(np.ones(3), 2.0 * np.eye(3), 10)
+    with pytest.raises(NonFiniteValue):
+        frechet_distance(*((bad, good) if first else (good, bad)))
+
+
+def test_frechet_one_eigensolve(monkeypatch):
+    """One jacobi_eigh per distance of distinct statistics, none for identical ones."""
+    from capkit import metrics
+
+    calls = []
+
+    def counted(a):
+        calls.append(a.shape)
+        return jacobi_eigh(a)
+
+    monkeypatch.setattr(metrics, "jacobi_eigh", counted)
+    rng = np.random.default_rng(21)
+    sa = gaussian_stats(rng.normal(size=(40, 8)))
+    sb = gaussian_stats(rng.normal(size=(40, 8)) * 2 + 1)
+    frechet_distance(sa, sb)
+    assert calls == [(8, 8)]
+    frechet_distance(sa, GaussianStats(sa.mean.copy(), sa.cov.copy(), sa.n))
+    assert calls == [(8, 8)]
+    frechet_distance(GaussianStats(sa.mean, np.zeros((8, 8)), 2), sb)
+    assert calls == [(8, 8), (0, 0)]
+
+
+def test_no_numpy_linalg_in_package():
+    """capkit computes its eigenvalues and factors itself: no numpy.linalg."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src", "capkit")
+    names = sorted(n for n in os.listdir(src) if n.endswith(".py"))
+    assert "metrics.py" in names
+    for name in names:
+        with open(os.path.join(src, name), encoding="utf-8") as f:
+            assert "linalg" not in f.read(), f"{name} references linalg"
 
 
 def test_frechet_monotone_in_noise():

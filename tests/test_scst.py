@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import given, strategies as st
 from capkit import harness, scst
 from capkit.data import SynthConfig, synth_corpus
 from capkit.errors import AllMasked, EmptyDataset, InvalidTemperature, NumericFailure
-from capkit.metrics import build_idf
+from capkit.metrics import build_idf, cider_corpus
 from capkit.scst import (
     DecodeOutput,
     RewardVector,
@@ -285,6 +286,34 @@ def test_scst_train_memorized_sample():
         assert h.mean_reward <= 1e-12  # no rollout can beat the reference
         assert h.mean_baseline >= first - 0.05
         assert h.mean_reward == pytest.approx(h.mean_sample - h.mean_baseline, abs=1e-9)
+
+
+def test_scst_train_epoch_moves_parameters():
+    """Below the CIDEr-D ceiling (noise_std=1.0, short MLE), one SCST epoch with
+    nonzero rewards changes the parameters: a no-op SCST stage fails here."""
+    corpus = synth_corpus(SynthConfig(n_clips=100, noise_std=1.0, seed=7))
+    by_id = {s.id: s for s in corpus.samples}
+    train = [by_id[i] for i in corpus.split["train"]]
+    val = [by_id[i] for i in corpus.split["val"]]
+    roles = [ROLE_DESCRIPTION]
+    caps = [harness.caption_for(s, r) for s in train for r in roles]
+    vocab = build_vocab(caps)
+    idf = build_idf([c.tokens for c in caps])
+    cfg = ModelConfig(
+        vocab_size=len(vocab), feature_dim=corpus.clips[train[0].id].D, d_model=32,
+        n_heads=2, max_len=24, seed=1,
+    )
+    items = harness.mle_items(train, corpus.clips, vocab, roles, cfg.max_len)
+    params, _ = train_mle(init_params(cfg), items, epochs=6, batch_size=8, seed=1)
+    decoded = harness.decode_split(params, val, corpus.clips, vocab, roles)
+    held_out = cider_corpus([c.tokens for _, c in decoded], [s.description.tokens for s in val], idf)
+    assert held_out < 10.0
+    before = params.copy()
+    sitems = harness.scst_items(train, corpus.clips, roles)
+    params, history = scst_train(params, sitems, idf, epochs=1, batch_size=8, seed=1, vocab=vocab)
+    assert len(history) == 1
+    assert math.isfinite(history[0].mean_reward) and history[0].mean_reward != 0.0
+    assert any(not np.array_equal(params.tensors[n], before.tensors[n]) for n in params.tensors)
 
 
 def test_scst_train_zero_epochs(params):

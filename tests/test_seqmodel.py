@@ -397,6 +397,35 @@ def test_adam_deterministic(params):
         assert np.array_equal(params.tensors[n], twin.tensors[n])
 
 
+def test_adam_state_allocated_once_and_update_unchanged(params, monkeypatch):
+    """m and v are allocated on a tensor's first step and updated in place after;
+    three seeded steps match a reference copy of the update bit for bit."""
+    ref = {n: t.copy() for n, t in params.tensors.items()}
+    ref_m = {n: np.zeros_like(t) for n, t in ref.items()}
+    ref_v = {n: np.zeros_like(t) for n, t in ref.items()}
+    allocs = []
+    zeros_like = np.zeros_like
+    monkeypatch.setattr(np, "zeros_like", lambda a: allocs.append(a.shape) or zeros_like(a))
+    state = AdamState()
+    rng = np.random.default_rng(8)
+    for t in range(1, 4):
+        g = {n: rng.normal(size=p.shape) for n, p in params.tensors.items()}
+        adam_step(params, g, state, lr=1e-2)
+        if t == 1:
+            first = {n: (state.m[n], state.v[n]) for n in params.tensors}
+        for n in params.tensors:
+            assert state.m[n] is first[n][0] and state.v[n] is first[n][1]
+            m, v = ref_m[n], ref_v[n]
+            m += (1.0 - 0.9) * (g[n] - m)
+            v += (1.0 - 0.999) * (g[n] * g[n] - v)
+            mhat = m / (1.0 - 0.9**t)
+            vhat = v / (1.0 - 0.999**t)
+            ref[n] -= 1e-2 * mhat / (np.sqrt(vhat) + 1e-8)
+    assert len(allocs) == 2 * len(params.tensors)
+    for n in params.tensors:
+        assert params.tensors[n].tobytes() == ref[n].tobytes()
+
+
 # ---------------------------------------------------------------------------
 # train_mle
 
