@@ -310,21 +310,25 @@ def write_samples_jsonl(samples: list[Sample], path: str) -> None:
 
 
 def read_samples_jsonl(path: str) -> list[Sample]:
-    out = []
+    out = {}
     for where, d in _jsonl_objects(path):
         _check_record(d, where, ROLES)
-        out.append(Sample(d["id"], *(Caption.make(d[r], r) for r in ROLES)))
-    return out
+        if d["id"] in out:
+            raise DuplicateId(f"{where}: duplicate sample id {d['id']!r}")
+        out[d["id"]] = Sample(d["id"], *(Caption.make(d[r], r) for r in ROLES))
+    return list(out.values())
 
 
 def read_captions_jsonl(path: str) -> dict:
-    """(id, role) -> Caption from {"id","role","text"} lines; a line without
-    "text" that has role fields, as in samples.jsonl, gives one entry per role."""
+    """(id, role) -> Caption from {"id","role","text"} lines; a line without "text"
+    that has role fields, as in samples.jsonl, gives one entry per role. DuplicateId on a repeat."""
     out = {}
     for where, d in _jsonl_objects(path):
         roles = [] if "text" in d else [r for r in ROLES if r in d]
         _check_record(d, where, roles or ("role", "text"))
         texts = {r: d[r] for r in roles} or {d["role"]: d["text"]}
         for role, text in texts.items():
+            if (d["id"], role) in out:
+                raise DuplicateId(f"{where}: duplicate caption ({d['id']!r}, {role!r})")
             out[(d["id"], role)] = Caption.make(text, role)
     return out

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .scst import ScstItem, _rollout, derive_seed
+from .scst import ScstItem, derive_seed, rollout
 from .seqmodel import ModelParams, TrainItem
 from .textproc import ROLE_AVOIDANCE, ROLE_DESCRIPTION, Caption, Vocab, decode_ids, encode
 
@@ -28,12 +28,10 @@ def mle_items(samples, clips, vocab: Vocab, roles, max_len: int) -> list[TrainIt
     items = []
     for s in samples:
         for role in roles:
-            ids, mask = encode(vocab, list(caption_for(s, role).tokens), max_len)
             items.append(
                 TrainItem(
                     features=role_features(clips[s.id].data, role),
-                    ids=tuple(ids),
-                    mask=tuple(mask),
+                    ids=encode(vocab, list(caption_for(s, role).tokens), max_len),
                 )
             )
     return items
@@ -69,6 +67,6 @@ def decode_split(
         chunk = rows[lo : lo + DECODE_CHUNK]
         feats = [role_features(clips[sid].data, role) for sid, role in chunk]
         seeds = [None if seed is None else derive_seed(seed, f"{sid}/{role}", 0) for sid, role in chunk]
-        for (sid, role), dec in zip(chunk, _rollout(params, feats, seeds, temperature)):
-            out.append((sid, Caption.make(" ".join(decode_ids(vocab, dec.ids)), role)))
+        for (sid, role), ids in zip(chunk, rollout(params, feats, seeds, temperature)):
+            out.append((sid, Caption.make(" ".join(decode_ids(vocab, ids)), role)))
     return out

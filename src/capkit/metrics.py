@@ -25,7 +25,6 @@ ROUGE_BETA = 1.2
 METEOR_ALPHA, METEOR_GAMMA, METEOR_THETA = 0.9, 0.5, 3.0
 CIDER_SIGMA = 6.0
 JACOBI_TOL, JACOBI_MAX_SWEEPS = 1e-13, 100
-EIG_CLAMP = 1e-12  # eigenvalues below this are rounding noise of a PSD matrix: read as 0
 
 
 def _check_pairs(hyps, refs) -> None:
@@ -39,26 +38,20 @@ def _check_pairs(hyps, refs) -> None:
 # ---------------------------------------------------------------------------
 # BLEU
 
-def bleu_corpus(hyps, refs, n: int) -> float:
-    """Corpus BLEU-n with pooled clipped counts, no smoothing."""
+def bleu_corpus(hyps, refs) -> list[float]:
+    """Corpus BLEU-1..4 with pooled clipped counts, no smoothing, from one
+    n-gram count of each sentence."""
     _check_pairs(hyps, refs)
-    if not 1 <= n <= MAX_N:
-        raise ValueError("n must be in 1..4")
-    return _bleu_upto(hyps, refs, n)[n - 1]
-
-
-def _bleu_upto(hyps, refs, max_n: int) -> list[float]:
-    """Corpus BLEU-1..max_n from one n-gram count of each sentence."""
-    clipped = [0] * (max_n + 1)
-    total = [0] * (max_n + 1)
+    clipped = [0] * (MAX_N + 1)
+    total = [0] * (MAX_N + 1)
     for h, r in zip(hyps, refs):
-        hg, rg = ngrams(h, max_n), ngrams(r, max_n)
-        for k in range(1, max_n + 1):
+        hg, rg = ngrams(h, MAX_N), ngrams(r, MAX_N)
+        for k in range(1, MAX_N + 1):
             total[k] += sum(hg[k].values())
             clipped[k] += sum(min(c, rg[k][g]) for g, c in hg[k].items())
     ref_len = sum(len(r) for r in refs)
-    scores, log_p_sum = [0.0] * max_n, 0.0
-    for k in range(1, max_n + 1):
+    scores, log_p_sum = [0.0] * MAX_N, 0.0
+    for k in range(1, MAX_N + 1):
         if clipped[k] == 0:  # BLEU-k and every higher order are 0; total[k] may be 0
             break
         log_p_sum += math.log(clipped[k] / total[k])
@@ -288,7 +281,7 @@ def jacobi_eigh(a: np.ndarray):
         raise NonFiniteValue("matrix contains NaN or infinite values")
     d = a.shape[0]
     vt = np.eye(d)  # V^T, so that V J is a row update too
-    scale = np.abs(a).max(initial=1.0)
+    scale = np.abs(a).max(initial=0.0)
     rounds = _round_robin(d)
     last_off = math.inf
     for _ in range(JACOBI_MAX_SWEEPS):
@@ -363,8 +356,7 @@ def frechet_distance(a: GaussianStats, b: GaussianStats) -> float:
     inner = l.T @ b.cov @ l
     inner = (inner + inner.T) / 2.0
     w, _ = jacobi_eigh(inner)
-    w = np.where(w < EIG_CLAMP, 0.0, w)
-    tr_sqrt = float(np.sqrt(w).sum())
+    tr_sqrt = float(np.sqrt(np.clip(w, 0.0, None)).sum())  # a PSD matrix: negative eigenvalues are rounding
     fd = float(diff @ diff + np.trace(a.cov) + np.trace(b.cov) - 2.0 * tr_sqrt)
     if not math.isfinite(fd):
         raise NumericFailure(f"Frechet distance is not finite: {fd}")
@@ -407,7 +399,7 @@ def score_all(hyps: list[Caption], refs: list[Caption], idf: IdfTable) -> ScoreR
     ht = [h.tokens for h in hyps]
     rt = [r.tokens for r in refs]
     return ScoreReport(
-        *_bleu_upto(ht, rt, MAX_N),  # b1..b4
+        *bleu_corpus(ht, rt),  # b1..b4
         rouge_l=rouge_l_corpus(ht, rt),
         meteor=meteor_corpus(ht, rt),
         cider_d=cider_corpus(ht, rt, idf),

@@ -24,11 +24,6 @@ from .textproc import BOS, EOS, PAD, Caption, Vocab, decode_ids
 
 
 @dataclass(frozen=True)
-class DecodeOutput:
-    ids: tuple  # BOS-initiated; EOS-terminated or truncated at max_len
-
-
-@dataclass(frozen=True)
 class RewardVector:
     r: float  # the sampled caption's reward: sample_score - baseline_score
     baseline_score: float
@@ -44,18 +39,18 @@ class ScstBatchStats:
     sequences: int
 
 
-def _rollout(params: ModelParams, features, seeds, temperature: float = 1.0) -> list[DecodeOutput]:
-    """Decode a batch in lockstep from BOS until EOS or the config's max_len,
-    one row per feature matrix. Row b is greedy (argmax; ties go to the lowest
-    id) when seeds[b] is None, and otherwise samples at the temperature from
-    default_rng(seeds[b]) with one uniform draw per step: inverse-CDF
-    sampling, the draw of Generator.choice."""
+def rollout(params: ModelParams, features, seeds, temperature: float = 1.0) -> list[tuple]:
+    """Each row's BOS-initial id tuple, decoded in lockstep from one feature
+    matrix until EOS or the config's max_len. Row b is greedy (argmax; ties go
+    to the lowest id) when seeds[b] is None, and otherwise samples at the
+    temperature from default_rng(seeds[b]) with one uniform draw per step:
+    inverse-CDF sampling, the draw of Generator.choice."""
     rngs = [None if s is None else np.random.default_rng(s) for s in seeds]
     sampled = np.array([s is not None for s in seeds])
     if sampled.any() and not temperature > 0.0:  # also rejects NaN
         raise InvalidTemperature("temperature must be > 0")
     B, L = len(seeds), params.config.max_len
-    cache = DecoderCache(params, list(features))
+    cache = DecoderCache(params, features)
     ids = np.full((B, L), PAD, dtype=np.intp)
     ids[:, 0] = BOS
     n = np.ones(B, dtype=np.intp)
@@ -81,37 +76,26 @@ def _rollout(params: ModelParams, features, seeds, temperature: float = 1.0) -> 
             if not rows.size:
                 break
             cache.keep(live)
-    return [DecodeOutput(ids=tuple(row[:k].tolist())) for row, k in zip(ids, n)]
-
-
-def decode_greedy(params: ModelParams, features: np.ndarray) -> DecodeOutput:
-    """Argmax decoding of one T x feature_dim matrix; ties resolve to the
-    lowest token id."""
-    return _rollout(params, [features], [None])[0]
-
-
-def decode_sample(params: ModelParams, features: np.ndarray, seed: int = 0, temperature: float = 1.0) -> DecodeOutput:
-    """Multinomial decoding of one T x feature_dim matrix at the given temperature."""
-    return _rollout(params, [features], [seed], temperature)[0]
+    return [tuple(row[:k].tolist()) for row, k in zip(ids, n)]
 
 
 def compute_rewards(
-    sample: DecodeOutput,
-    greedy: DecodeOutput,
+    sample: tuple,
+    greedy: tuple,
     ref: Caption,
     idf: IdfTable,
     vocab: Vocab,
 ) -> RewardVector:
-    sample_score = cider_d(decode_ids(vocab, sample.ids), ref.tokens, idf)
-    baseline_score = cider_d(decode_ids(vocab, greedy.ids), ref.tokens, idf)
+    sample_score = cider_d(decode_ids(vocab, sample), ref.tokens, idf)
+    baseline_score = cider_d(decode_ids(vocab, greedy), ref.tokens, idf)
     return RewardVector(r=sample_score - baseline_score, baseline_score=baseline_score, sample_score=sample_score)
 
 
-def _policy_batch(rolls: list[DecodeOutput], rewards: list[RewardVector]) -> tuple:
+def _policy_batch(rolls: list[tuple], rewards: list[RewardVector]) -> tuple:
     """Teacher-forcing arrays of a batch of sampled captions: the prefixes, the
     targets, the per-position rewards (each row's reward on its real targets,
     0 on padding) and the padding mask."""
-    prefix, targets, mask = _pad_rows([roll.ids for roll in rolls])
+    prefix, targets, mask = _pad_rows(rolls)
     r = np.array([rv.r for rv in rewards])[:, None] * mask
     return prefix, targets, r, mask
 
@@ -149,7 +133,7 @@ def scst_train(
         # Greedy baselines and sampled rollouts decode as one lockstep batch.
         feats = [item.features for item in items]
         seeds = [derive_seed(seed, item.sample_id, epoch) for item in items]
-        decoded = _rollout(params, feats + feats, [None] * len(items) + seeds, temperature)
+        decoded = rollout(params, feats + feats, [None] * len(items) + seeds, temperature)
         greedy, rolls = decoded[: len(items)], decoded[len(items) :]
         rewards = [compute_rewards(s, g, item.ref, idf, vocab) for s, g, item in zip(rolls, greedy, items)]
         scores[epoch][0].extend(rv.baseline_score for rv in rewards)

@@ -118,7 +118,7 @@ def _check_features(config: ModelConfig, features):
     hides the padded frames (None when no row is padded). BadPrefix otherwise."""
     rows = [np.asarray(f, dtype=np.float64) for f in features]
     if not rows or any(f.ndim != 2 or f.shape[0] < 1 or f.shape[1] != config.feature_dim for f in rows):
-        raise BadPrefix("features must be T x feature_dim with T >= 1, one matrix per row")
+        raise BadPrefix("features must be a sequence of B matrices T x feature_dim with T >= 1")
     lengths = np.array([f.shape[0] for f in rows])
     T = int(lengths.max())
     if (lengths == T).all():
@@ -155,27 +155,21 @@ def _block(tape, P, x, sa_k, sa_v, ca_k, ca_v, ca_bias, n_heads: int):
 def forward(params: ModelParams, features, prefix_ids, train: bool = False):
     """Logits over the next token for every prefix position.
 
-    A batch is a B x L array of BOS-initial rows, right-padded with any ids
-    (causal attention hides them from the real positions), and a sequence of
-    B feature matrices T_b x feature_dim; its logits are B x L x |V|. One
-    prefix (a 1-D id sequence) with one T x feature_dim matrix runs without
-    the batch axis and gives L x |V|.
+    The prefixes are a B x L array of BOS-initial rows, right-padded with any
+    ids (causal attention hides them from the real positions), and `features`
+    a sequence of B matrices T_b x feature_dim; the logits are B x L x |V|.
     In training mode returns a ForwardTrace carrying the tape and
     per-parameter Vars instead.
     """
     cfg = params.config
     ids = _check_ids(cfg, prefix_ids)
-    batch = ids.ndim == 2
-    rows = ids if batch else ids[None]
-    if rows.ndim != 2 or rows.shape[1] == 0 or (rows[:, 0] != BOS).any():
-        raise BadPrefix("prefix must start with BOS")
-    if rows.shape[1] > cfg.max_len:
+    if ids.ndim != 2 or ids.shape[1] == 0 or (ids[:, 0] != BOS).any():
+        raise BadPrefix(f"prefixes must be a B x L array of rows that start with BOS, got shape {ids.shape}")
+    if ids.shape[1] > cfg.max_len:
         raise BadPrefix("prefix longer than max_len")
-    feats, ca_bias = _check_features(cfg, features if batch else (features,))
-    if len(feats) != len(rows):
-        raise BadPrefix(f"{len(rows)} prefixes but {len(feats)} feature matrices")
-    if not batch:
-        feats = feats[0]
+    feats, ca_bias = _check_features(cfg, features)
+    if len(feats) != len(ids):
+        raise BadPrefix(f"{len(ids)} prefixes but {len(feats)} feature matrices")
 
     tape = ad.Tape() if train else None
     if train:
@@ -282,8 +276,7 @@ class TrainItem:
     """One teacher-forcing example: features plus an encoded caption."""
 
     features: np.ndarray  # T x feature_dim, float64
-    ids: tuple  # [BOS, tokens.., EOS, PAD..]
-    mask: tuple  # non-PAD indicator aligned with ids: ones, then zeros
+    ids: tuple  # (BOS, tokens.., EOS)
 
 
 def _pad_rows(rows) -> tuple:
@@ -338,7 +331,7 @@ def train_mle(
     """Teacher-forced maximum-likelihood training; returns per-epoch mean loss."""
 
     def step(items, _epoch):
-        prefix, targets, mask = _pad_rows([it.ids[: int(sum(it.mask))] for it in items])
+        prefix, targets, mask = _pad_rows([it.ids for it in items])
         trace = forward(params, [it.features for it in items], prefix, train=True)
         loss, glogits = _token_loss(trace.logits.value, targets, np.ones(mask.shape), mask)
         return loss, backward(trace, glogits)
@@ -352,24 +345,22 @@ def train_mle(
 class DecoderCache:
     """Stepwise decoding of B rows in lockstep with cached attention state.
 
-    `features` is one T x feature_dim ndarray, or a list of B of them (T may
-    differ). Runs the same `_block` as `forward` on one new position per row
-    per step, so its logits equal (to rounding) a full `forward` recompute.
+    `features` is a sequence of B matrices T_b x feature_dim (T_b may differ).
+    Runs the same `_block` as `forward` on one new position per row per step,
+    so its logits equal (to rounding) a full `forward` recompute.
     """
 
     def __init__(self, params: ModelParams, features):
         self.params = params
         cfg = params.config
-        self._single = isinstance(features, np.ndarray)
-        feats, self._ca_bias = _check_features(cfg, (features,) if self._single else features)
+        feats, self._ca_bias = _check_features(cfg, features)
         self._ca_k, self._ca_v = _cross_kv(None, params.tensors, feats)
         self._keys = np.empty((len(feats), cfg.max_len, cfg.d_model))
         self._vals = np.empty_like(self._keys)
         self._t = 0
 
     def step(self, token_ids) -> np.ndarray:
-        """Feed one token per row; return the next-token logits, B x |V| (|V|
-        for a single-matrix cache)."""
+        """Feed one token per row; return the next-token logits, B x |V|."""
         cfg, P, t = self.params.config, self.params.tensors, self._t
         if t >= cfg.max_len:
             raise BadPrefix("prefix longer than max_len")
@@ -380,11 +371,10 @@ class DecoderCache:
         self._keys[:, t] = x[:, 0] @ P["sa_k"]
         self._vals[:, t] = x[:, 0] @ P["sa_v"]
         self._t = t + 1
-        logits = _block(
+        return _block(
             None, P, x, self._keys[:, : t + 1], self._vals[:, : t + 1],
             self._ca_k, self._ca_v, self._ca_bias, cfg.n_heads,
         )[:, 0]
-        return logits[0] if self._single else logits
 
     def keep(self, rows) -> None:
         """Keep only the given rows (a boolean mask or indices) for later steps."""

@@ -62,15 +62,12 @@ def build_vocab(corpus: list[Caption]) -> Vocab:
     return Vocab(tokens=RESERVED + tuple(sorted(counts, key=lambda t: (-counts[t], t))))
 
 
-def encode(vocab: Vocab, tokens: list[str], max_len: int) -> tuple[list[int], list[int]]:
-    """[BOS, t_1.., EOS, PAD..] truncated/padded to max_len, plus a non-PAD mask."""
+def encode(vocab: Vocab, tokens: list[str], max_len: int) -> tuple[int, ...]:
+    """(BOS, t_1.., EOS), with the tokens truncated to fit max_len ids."""
     if max_len < 2:
         raise ValueError("max_len must be >= 2")
     body = [vocab.id_of(t) for t in tokens[: max_len - 2]]
-    ids = [BOS] + body + [EOS]
-    ids += [PAD] * (max_len - len(ids))
-    mask = [1 if i != PAD else 0 for i in ids]
-    return ids, mask
+    return (BOS, *body, EOS)
 
 
 def decode_ids(vocab: Vocab, ids: list[int]) -> list[str]:

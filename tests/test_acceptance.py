@@ -118,9 +118,9 @@ def test_criterion_gradient_fidelity():
     prefix = [BOS, 6, 7, 8, 9, 10]
     targets = [6, 7, 8, 9, 10, EOS]
     mask = [1] * 6
-    trace = forward(params, feats, prefix, train=True)
-    _, glog = xent_loss(trace.logits.value, targets, mask)
-    grads = backward(trace, glog)
+    trace = forward(params, [feats], [prefix], train=True)
+    _, glog = xent_loss(trace.logits.value[0], targets, mask)
+    grads = backward(trace, glog[None])
     rng = np.random.default_rng(17)
     names = sorted(params.tensors)
     worst = 0.0
@@ -131,9 +131,9 @@ def test_criterion_gradient_fidelity():
         h = 1e-4
         orig = arr[idx]
         arr[idx] = orig + h
-        up, _ = xent_loss(forward(params, feats, prefix), targets, mask)
+        up, _ = xent_loss(forward(params, [feats], [prefix])[0], targets, mask)
         arr[idx] = orig - h
-        dn, _ = xent_loss(forward(params, feats, prefix), targets, mask)
+        dn, _ = xent_loss(forward(params, [feats], [prefix])[0], targets, mask)
         arr[idx] = orig
         fd = (up - dn) / (2 * h)
         an = grads[name][idx]

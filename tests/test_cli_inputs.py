@@ -83,6 +83,20 @@ def _decode(tmp, corpus, data=None):
     return ["decode", "--data", data or corpus["data"], "--ckpt", corpus["ckpt"], "--out", os.path.join(tmp, "out")]
 
 
+def _score(hyps, refs):
+    """A score command line for hypothesis and reference lines."""
+    def make(tmp, corpus):
+        return ["score", "--hyps", write(os.path.join(tmp, "h.jsonl"), jsonl(hyps)),
+                "--refs", write(os.path.join(tmp, "r.jsonl"), jsonl(refs)), "--out", os.path.join(tmp, "out")]
+    return make
+
+
+def _samples_with_first_line_twice(corpus, tmp):
+    with open(os.path.join(corpus["data"], "samples.jsonl"), encoding="utf-8") as f:
+        lines = f.readlines()
+    return corpus_copy(corpus, tmp, "samples.jsonl", "".join([lines[0], *lines]))
+
+
 REJECTED = {
     "config_not_an_object": (_config_case("5", _synth), "InvalidConfig"),
     "config_not_json": (_config_case("{not", _synth), "InvalidConfig"),
@@ -118,6 +132,23 @@ REJECTED = {
     "report_not_an_object": (
         lambda tmp, corpus: ["report", write(os.path.join(tmp, "r.json"), "[5]")],
         "InvalidConfig",
+    ),
+    "score_duplicate_hypothesis": (
+        _score([GOOD_CAPTION, {**GOOD_CAPTION, "text": "rain"}], [GOOD_CAPTION]),
+        "DuplicateId",
+    ),
+    "score_duplicate_reference": (
+        _score([GOOD_CAPTION], [{"id": "a1", "description": "the car stops", "avoidance": "brake"}] * 2),
+        "DuplicateId",
+    ),
+    "samples_duplicate_id_decode": (
+        lambda tmp, corpus: _decode(tmp, corpus, _samples_with_first_line_twice(corpus, tmp)),
+        "DuplicateId",
+    ),
+    "samples_duplicate_id_train_mle": (
+        lambda tmp, corpus: ["train-mle", "--data", _samples_with_first_line_twice(corpus, tmp),
+                             "--out", os.path.join(tmp, "out"), "--epochs", "1"],
+        "DuplicateId",
     ),
 }
 

@@ -42,37 +42,38 @@ tokens_st = st.lists(st.sampled_from(["a", "b", "c", "car", "stops"]), max_size=
 
 def test_bleu_identical():
     h = [["a", "car", "stops"]]
-    assert bleu_corpus(h, h, 1) == pytest.approx(1.0)
+    assert bleu_corpus(h, h)[0] == pytest.approx(1.0)
 
 
 def test_bleu_clipping():
-    got = bleu_corpus([["the", "the", "the"]], [["the", "cat"]], 1)
+    got = bleu_corpus([["the", "the", "the"]], [["the", "cat"]])[0]
     assert got == pytest.approx(1.0 / 3.0)
 
 
 def test_bleu_empty_hyp():
-    assert bleu_corpus([[]], [["a"]], 1) == 0.0
+    assert bleu_corpus([[]], [["a"]]) == [0.0] * 4
 
 
 def test_bleu_zero_order_precision():
-    assert bleu_corpus([["a", "b"]], [["a", "c"]], 2) == 0.0
+    assert bleu_corpus([["a", "b"]], [["a", "c"]])[1:] == [0.0] * 3
 
 
 def test_bleu_length_mismatch():
     with pytest.raises(LengthMismatch):
-        bleu_corpus([["a"]], [["a"], ["b"]], 1)
+        bleu_corpus([["a"]], [["a"], ["b"]])
 
 
 def test_bleu_brevity_penalty():
     # hyp shorter than ref: BP = exp(1 - 2/1)
-    got = bleu_corpus([["a"]], [["a", "b"]], 1)
+    got = bleu_corpus([["a"]], [["a", "b"]])[0]
     assert got == pytest.approx(math.exp(-1.0))
 
 
-@given(st.lists(tokens_st, min_size=1, max_size=4), st.integers(1, 4))
-def test_bleu_matches_oracle(hyps, n):
+@given(st.lists(tokens_st, min_size=1, max_size=4))
+def test_bleu_matches_oracle(hyps):
     refs = [list(reversed(h)) + ["car"] for h in hyps]
-    assert bleu_corpus(hyps, refs, n) == pytest.approx(oracles.oracle_bleu(hyps, refs, n))
+    want = [oracles.oracle_bleu(hyps, refs, n) for n in range(1, 5)]
+    assert bleu_corpus(hyps, refs) == pytest.approx(want)
 
 
 @given(tokens_st, st.integers(1, 6))
@@ -82,7 +83,7 @@ def test_bleu_clipping_property(ref, k):
         ref = ["a"]
     tok = ref[0]
     hyp = [tok] * k
-    p1 = bleu_corpus([hyp], [ref], 1)
+    p1 = bleu_corpus([hyp], [ref])[0]
     assert p1 <= min(1.0, ref.count(tok) / k) + 1e-12
 
 
@@ -328,18 +329,20 @@ def test_pivoted_cholesky_reconstructs():
 
 
 def test_frechet_rank_deficient_matches_oracle():
-    """A of rank 0..d at scale 1e-6..1e4 against a full-rank B, in both argument
-    orders. B stays at unit scale: EIG_CLAMP is absolute, so with both
-    covariances at 1e-6 every eigenvalue of L^T B L falls under it."""
-    for d, rank, scale in _RANK_CASES:
-        rng = np.random.default_rng(d * 100 + rank + 7)
-        a = _low_rank_psd(d, rank, scale, seed=d * 100 + rank)
-        b = _low_rank_psd(d, d, 1.0, seed=d * 100 + rank + 1)
-        mu_a, mu_b = rng.normal(size=d) * math.sqrt(scale), rng.normal(size=d)
-        for (m1, c1), (m2, c2) in (((mu_a, a), (mu_b, b)), ((mu_b, b), (mu_a, a))):
-            got = frechet_distance(GaussianStats(m1, c1, 5), GaussianStats(m2, c2, 5))
-            want = oracles.oracle_frechet(m1, c1, m2, c2)
-            assert abs(got - want) <= 1e-6 * max(1.0, abs(want)), (d, rank, scale, got, want)
+    """A and B each of rank 0..d at scale 1e-6..1e4, in both argument orders,
+    to within 1e-6 of tr A + tr B."""
+    for d, rank_a, scale_a in _RANK_CASES:
+        for _, rank_b, scale_b in (case for case in _RANK_CASES if case[0] == d):
+            rng = np.random.default_rng(d * 100 + rank_a * 10 + rank_b)
+            a = _low_rank_psd(d, rank_a, scale_a, seed=d * 100 + rank_a)
+            b = _low_rank_psd(d, rank_b, scale_b, seed=d * 100 + rank_b + 50)
+            mu_a, mu_b = rng.normal(size=d) * math.sqrt(scale_a), rng.normal(size=d) * math.sqrt(scale_b)
+            tol = 1e-6 * (np.trace(a) + np.trace(b)) + 1e-12 * float((mu_a - mu_b) @ (mu_a - mu_b))
+            for (m1, c1), (m2, c2) in (((mu_a, a), (mu_b, b)), ((mu_b, b), (mu_a, a))):
+                got = frechet_distance(GaussianStats(m1, c1, 5), GaussianStats(m2, c2, 5))
+                want = oracles.oracle_frechet(m1, c1, m2, c2)
+                case = (d, rank_a, scale_a, rank_b, scale_b, got, want)
+                assert abs(got - want) <= tol, case
 
 
 @pytest.mark.parametrize("first", [True, False], ids=["first", "second"])
@@ -542,8 +545,7 @@ def test_score_all_micro_corpus_oracle_sheet():
 def test_metric_ranges(hyps):
     refs = [h + ["car"] for h in hyps]
     idf = build_idf(refs)
-    for n in range(1, 5):
-        assert 0.0 <= bleu_corpus(hyps, refs, n) <= 1.0
+    assert all(0.0 <= b <= 1.0 for b in bleu_corpus(hyps, refs))
     assert 0.0 <= rouge_l_corpus(hyps, refs) <= 1.0
     assert 0.0 <= meteor_corpus(hyps, refs) <= 1.0
     assert 0.0 <= cider_corpus(hyps, refs, idf) <= 10.0 + 1e-12

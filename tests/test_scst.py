@@ -10,17 +10,16 @@ from capkit.data import SynthConfig, synth_corpus
 from capkit.errors import AllMasked, EmptyDataset, InvalidTemperature, NumericFailure
 from capkit.metrics import build_idf, cider_corpus
 from capkit.scst import (
-    DecodeOutput,
     RewardVector,
     ScstItem,
     compute_rewards,
-    decode_greedy,
-    decode_sample,
     derive_seed,
+    rollout,
     scst_loss,
     scst_train,
 )
 from capkit.seqmodel import (
+    DecoderCache,
     ModelConfig,
     TrainItem,
     _token_loss,
@@ -48,58 +47,50 @@ def params():
 def test_greedy_forced_eos(params):
     params.tensors["tok_emb"][:] = 0.0
     params.tensors["tok_emb"][EOS, 0] = 10.0  # output tied: EOS logit dominates
-    out = decode_greedy(params, FEATS)
-    assert out.ids == (BOS, EOS)
+    assert rollout(params, [FEATS], [None]) == [(BOS, EOS)]
 
 
 def test_greedy_tie_breaks_low_id():
     params = init_params(replace(CFG, max_len=3))
     params.tensors["tok_emb"][:] = 0.0  # all logits identical at every step
-    out = decode_greedy(params, FEATS)
-    assert out.ids == (BOS, 0, 0)
+    assert rollout(params, [FEATS], [None]) == [(BOS, 0, 0)]
 
 
 def test_greedy_deterministic(params):
-    a = decode_greedy(params, FEATS)
-    b = decode_greedy(params, FEATS)
-    assert a == b
+    assert rollout(params, [FEATS], [None]) == rollout(params, [FEATS], [None])
 
 
 def test_greedy_output_invariants(params):
-    out = decode_greedy(params, FEATS)
-    assert out.ids[-1] == EOS or len(out.ids) == CFG.max_len  # no rollout needs a mask
-    assert out.ids[0] == BOS
-    assert len(out.ids) <= CFG.max_len
+    (ids,) = rollout(params, [FEATS], [None])
+    assert ids[-1] == EOS or len(ids) == CFG.max_len  # no rollout needs a mask
+    assert ids[0] == BOS
+    assert len(ids) <= CFG.max_len
 
 
 def test_greedy_logit_shift_invariance(params):
-    base = decode_greedy(params, FEATS)
+    base = rollout(params, [FEATS], [None])
     params.tensors["ln2_b"][:] += 0.0  # no-op guard; real check below
     # adding a constant to every logit at each step cannot change the argmax:
     # emulate by comparing argmax of row and row + c
-    from capkit.seqmodel import DecoderCache
-
-    cache = DecoderCache(params, FEATS)
-    row = cache.step(BOS)
+    cache = DecoderCache(params, [FEATS])
+    (row,) = cache.step([BOS])
     assert np.argmax(row) == np.argmax(row + 3.7)
-    assert base == decode_greedy(params, FEATS)
+    assert base == rollout(params, [FEATS], [None])
 
 
 def test_sample_matches_greedy_at_tiny_temperature(params):
-    g = decode_greedy(params, FEATS)
-    s = decode_sample(params, FEATS, seed=5, temperature=1e-6)
-    assert s.ids == g.ids
+    g = rollout(params, [FEATS], [None])
+    s = rollout(params, [FEATS], [5], temperature=1e-6)
+    assert s == g
 
 
 def test_sample_seed_deterministic(params):
-    a = decode_sample(params, FEATS, seed=11)
-    b = decode_sample(params, FEATS, seed=11)
-    assert a == b
+    assert rollout(params, [FEATS], [11]) == rollout(params, [FEATS], [11])
 
 
 def test_sample_invalid_temperature(params):
     with pytest.raises(InvalidTemperature):
-        decode_sample(params, FEATS, temperature=0.0)
+        rollout(params, [FEATS], [0], temperature=0.0)
 
 
 def test_sample_first_step_frequencies():
@@ -113,8 +104,8 @@ def test_sample_first_step_frequencies():
     params.tensors["tok_emb"][5, 0] = 30.0
     counts = {4: 0, 5: 0}
     for seed in range(10000):
-        s = decode_sample(params, FEATS, seed=seed)
-        counts[s.ids[1]] += 1
+        (ids,) = rollout(params, [FEATS], [seed])
+        counts[ids[1]] += 1
     assert counts[4] + counts[5] == 10000
     assert 0.48 <= counts[4] / 10000 <= 0.52
 
@@ -128,11 +119,10 @@ def test_batch_rollout_matches_one_row_rollouts(params):
     feats = [rng.normal(size=(T, CFG.feature_dim)) for T in (4, 1, 6, 4, 2, 5)]
     seeds = [None, 7, None, 8, 9, None]
     for temperature in (1.0, 2.5):
-        batch = scst._rollout(params, feats, seeds, temperature)
-        for f, seed, out in zip(feats, seeds, batch):
-            one = decode_greedy(params, f) if seed is None else decode_sample(params, f, seed, temperature)
-            assert out == one
-        assert len({len(out.ids) for out in batch}) > 1
+        batch = rollout(params, feats, seeds, temperature)
+        for f, seed, ids in zip(feats, seeds, batch):
+            assert [ids] == rollout(params, [f], [seed], temperature)
+        assert len({len(ids) for ids in batch}) > 1
 
 
 def test_decode_split_does_not_depend_on_chunk(monkeypatch):
@@ -154,16 +144,12 @@ def test_decode_split_does_not_depend_on_chunk(monkeypatch):
 # ---------------------------------------------------------------------------
 # rewards
 
-def _fake(ids):
-    return DecodeOutput(ids=tuple(ids))
-
-
 def _idf():
     return build_idf([("a", "b", "c"), ("d", "e", "f")])
 
 
 def test_rewards_sample_equals_greedy():
-    dec = _fake([BOS, 4, 5, EOS])
+    dec = (BOS, 4, 5, EOS)
     ref = Caption.make("a b", "description")
     rv = compute_rewards(dec, dec, ref, _idf(), VOCAB)
     assert rv.r == 0.0
@@ -173,8 +159,8 @@ def test_rewards_sample_equals_greedy():
 def test_rewards_broadcast_with_mask():
     """A row's reward reaches each of its real targets; a padded position of
     the SCST batch gets zero reward and zero logits gradient."""
-    samples = [_fake([BOS, 4, 5, EOS]), _fake([BOS, 4, EOS])]
-    greedy = _fake([BOS, 9, EOS])
+    samples = [(BOS, 4, 5, EOS), (BOS, 4, EOS)]
+    greedy = (BOS, 9, EOS)
     ref = Caption.make("a b", "description")
     rewards = [compute_rewards(s, greedy, ref, _idf(), VOCAB) for s in samples]
     diffs = [rv.sample_score - rv.baseline_score for rv in rewards]
@@ -191,8 +177,8 @@ def test_rewards_broadcast_with_mask():
 
 def test_rewards_sign_when_sample_worse():
     # greedy reproduces the reference, sample is disjoint
-    greedy = _fake([BOS, VOCAB.id_of("a"), VOCAB.id_of("b"), EOS])
-    sample = _fake([BOS, VOCAB.id_of("g"), VOCAB.id_of("h"), EOS])
+    greedy = (BOS, VOCAB.id_of("a"), VOCAB.id_of("b"), EOS)
+    sample = (BOS, VOCAB.id_of("g"), VOCAB.id_of("h"), EOS)
     ref = Caption.make("a b", "description")
     idf = build_idf([("a", "b"), ("g", "c")])
     rv = compute_rewards(sample, greedy, ref, idf, VOCAB)
@@ -201,8 +187,8 @@ def test_rewards_sign_when_sample_worse():
 
 
 def test_reward_symmetry():
-    a = _fake([BOS, VOCAB.id_of("a"), EOS])
-    b = _fake([BOS, VOCAB.id_of("b"), EOS])
+    a = (BOS, VOCAB.id_of("a"), EOS)
+    b = (BOS, VOCAB.id_of("b"), EOS)
     ref = Caption.make("a", "description")
     idf = build_idf([("a",), ("b", "c")])
     fwd = compute_rewards(a, b, ref, idf, VOCAB)
@@ -265,9 +251,8 @@ def _memorized_setup():
     """A single-sample dataset the model has fully memorized via MLE."""
     vocab = VOCAB
     ref = Caption.make("a b c", "description")
-    ids, mask = encode(vocab, list(ref.tokens), CFG.max_len)
     params = init_params(CFG)
-    item = TrainItem(features=FEATS, ids=tuple(ids), mask=tuple(mask))
+    item = TrainItem(features=FEATS, ids=encode(vocab, list(ref.tokens), CFG.max_len))
     params, _ = train_mle(params, [item], epochs=120, batch_size=1, seed=0, lr=1e-2)
     idf = build_idf([ref.tokens, ("d", "e", "f", "g")])
     return params, vocab, ref, idf
@@ -275,10 +260,10 @@ def _memorized_setup():
 
 def test_scst_train_memorized_sample():
     params, vocab, ref, idf = _memorized_setup()
-    greedy = decode_greedy(params, FEATS)
+    (greedy,) = rollout(params, [FEATS], [None])
     from capkit.textproc import decode_ids
 
-    assert decode_ids(vocab, greedy.ids) == list(ref.tokens)  # baseline is the reference
+    assert decode_ids(vocab, greedy) == list(ref.tokens)  # baseline is the reference
     items = [ScstItem(sample_id="s0", features=FEATS, ref=ref)]
     params, history = scst_train(params, items, idf, epochs=5, batch_size=1, seed=1, vocab=vocab)
     first = history[0].mean_baseline
@@ -352,9 +337,9 @@ def test_scst_train_non_finite_loss_fails_fast(params, monkeypatch):
 def test_scst_parameter_gradient_finite_difference(params):
     """scst_loss on a fixed sampled caption, through forward, the logits
     gradient and backward, against central differences of the loss."""
-    roll = decode_sample(params, FEATS, seed=4)
-    prefix = roll.ids[:-1]
-    targets = np.asarray(roll.ids[1:], dtype=np.intp)
+    (roll,) = rollout(params, [FEATS], [4])
+    prefix = roll[:-1]
+    targets = np.asarray(roll[1:], dtype=np.intp)
     rows = np.arange(len(targets))
     r = np.random.default_rng(5).normal(size=len(targets))
     m = np.ones(len(targets))
@@ -362,10 +347,10 @@ def test_scst_parameter_gradient_finite_difference(params):
     assert len(targets) >= 3
 
     def loss_of():
-        return scst_loss(log_softmax(forward(params, FEATS, prefix))[rows, targets], r, m)[0]
+        return scst_loss(log_softmax(forward(params, [FEATS], [prefix])[0])[rows, targets], r, m)[0]
 
-    trace = forward(params, FEATS, prefix, train=True)
-    grads = backward(trace, _token_loss(trace.logits.value, targets, r, m)[1])
+    trace = forward(params, [FEATS], [prefix], train=True)
+    grads = backward(trace, _token_loss(trace.logits.value[0], targets, r, m)[1][None])
     rng = np.random.default_rng(6)
     names = sorted(params.tensors)
     for _ in range(30):

@@ -41,7 +41,7 @@ from capkit.seqmodel import (
     train_mle,
     xent_loss,
 )
-from capkit.scst import scst_loss
+from capkit.scst import rollout, scst_loss
 from capkit.textproc import BOS, EOS, PAD
 
 CFG = ModelConfig(vocab_size=12, feature_dim=6, d_model=16, n_heads=2, max_len=10, seed=3)
@@ -102,37 +102,43 @@ def test_init_glorot_bounds(params):
 # forward
 
 def test_forward_softmax_rows(params):
-    logits = forward(params, FEATS, PREFIX)
+    (logits,) = forward(params, [FEATS], [PREFIX])
     p = np.exp(log_softmax(logits))
-    assert logits.shape == (len(PREFIX), CFG.vocab_size)
     assert np.allclose(p.sum(axis=1), 1.0, atol=1e-6)
     assert np.isfinite(logits).all()
 
 
 def test_forward_requires_bos(params):
     with pytest.raises(BadPrefix):
-        forward(params, FEATS, [5, 6])
+        forward(params, [FEATS], [[5, 6]])
+
+
+@pytest.mark.parametrize("prefix", [PREFIX, np.array(PREFIX)])
+def test_forward_rejects_one_row_prefix(params, prefix):
+    """Prefixes are a B x L array: one 1-D prefix is not a batch of one."""
+    with pytest.raises(BadPrefix, match="B x L"):
+        forward(params, [FEATS], prefix)
 
 
 def test_forward_causality(params):
-    base = forward(params, FEATS, PREFIX)
+    (base,) = forward(params, [FEATS], [PREFIX])
     changed = list(PREFIX)
     changed[2] = 9
-    out = forward(params, FEATS, changed)
+    (out,) = forward(params, [FEATS], [changed])
     assert np.allclose(base[:2], out[:2], atol=1e-12)
     assert not np.allclose(base[2:], out[2:])
 
 
 def test_forward_zero_cross_attention_ignores_features(params):
     params.tensors["ca_o"][:] = 0.0
-    a = forward(params, FEATS, PREFIX)
-    b = forward(params, RNG.normal(size=(7, 6)), PREFIX)
+    a = forward(params, [FEATS], [PREFIX])
+    b = forward(params, [RNG.normal(size=(7, 6))], [PREFIX])
     assert np.allclose(a, b, atol=1e-12)
 
 
 def test_forward_feature_order_irrelevant_single_row(params):
     f = RNG.normal(size=(1, 6))
-    assert np.allclose(forward(params, f, PREFIX), forward(params, f.copy(), PREFIX))
+    assert np.allclose(forward(params, [f], [PREFIX]), forward(params, [f.copy()], [PREFIX]))
 
 
 def test_incremental_decode_matches_forward():
@@ -142,31 +148,31 @@ def test_incremental_decode_matches_forward():
     for n_heads in (1, 2, 4):
         params = init_params(ModelConfig(**{**CFG.__dict__, "n_heads": n_heads}))
         for prefix in (PREFIX, [BOS] + list(rng.integers(4, CFG.vocab_size, CFG.max_len - 1))):
-            logits = forward(params, FEATS, prefix)
-            cache = DecoderCache(params, FEATS)
-            rows = np.array([cache.step(t) for t in prefix])
+            (logits,) = forward(params, [FEATS], [prefix])
+            cache = DecoderCache(params, [FEATS])
+            rows = np.array([cache.step([t])[0] for t in prefix])
             assert np.allclose(rows, logits, atol=1e-10), (n_heads, len(prefix))
 
 
 def test_decoder_cache_stops_at_max_len(params):
-    cache = DecoderCache(params, FEATS)
+    cache = DecoderCache(params, [FEATS])
     for _ in range(CFG.max_len):
-        cache.step(BOS)
+        cache.step([BOS])
     with pytest.raises(BadPrefix):
-        cache.step(BOS)
+        cache.step([BOS])
 
 
 @pytest.mark.parametrize("bad", [CFG.vocab_size, 40, -1, 2.0, True, False])
 def test_forward_rejects_token_outside_vocab(params, bad):
     with pytest.raises(BadPrefix):
-        forward(params, FEATS, [BOS, 5, bad])
+        forward(params, [FEATS], [[BOS, 5, bad]])
 
 
-@pytest.mark.parametrize("prefix", [[True], np.array([True, False]), (BOS, np.True_)])
+@pytest.mark.parametrize("prefix", [[[True]], np.array([[True, False]]), [(BOS, np.True_)]])
 def test_forward_rejects_bool_prefix(params, prefix):
     """A bool is not a token id, though numpy reads True as 1 (BOS)."""
-    with pytest.raises(BadPrefix):
-        forward(params, FEATS, prefix)
+    with pytest.raises(BadPrefix, match="not all ints"):
+        forward(params, [FEATS], prefix)
 
 
 def _mixed_batch(rng):
@@ -191,10 +197,10 @@ def test_batch_matches_single_rows(n_heads):
 
     want = {name: np.zeros_like(t) for name, t in params.tensors.items()}
     for row, f, loss in zip(rows, feats, losses):
-        one = forward(params, f, row[:-1], train=True)
-        l1, g1 = xent_loss(one.logits.value, row[1:], np.ones(len(row) - 1))
+        one = forward(params, [f], [row[:-1]], train=True)
+        l1, g1 = xent_loss(one.logits.value[0], row[1:], np.ones(len(row) - 1))
         assert loss == pytest.approx(l1, rel=1e-12, abs=1e-12)
-        for name, g in backward(one, g1).items():
+        for name, g in backward(one, g1[None]).items():
             want[name] += g / len(rows)
     for name in want:
         assert np.allclose(grads[name], want[name], rtol=1e-12, atol=1e-12), name
@@ -213,22 +219,28 @@ def test_batch_incremental_decode_matches_forward():
         assert stepped.shape == full.shape == (len(rows), CFG.max_len, CFG.vocab_size)
         assert np.allclose(stepped, full, atol=1e-10), n_heads
         for row, f, logits in zip(ids, feats, full):
-            assert np.allclose(forward(params, f, row), logits, atol=1e-10)
+            assert np.allclose(forward(params, [f], [row])[0], logits, atol=1e-10)
 
 
-@pytest.mark.parametrize("bad", [FEATS[:, :5], FEATS[None], FEATS[:0], FEATS[0]])
+@pytest.mark.parametrize("bad", [[FEATS[:, :5]], [FEATS[None]], [FEATS[:0]], [FEATS[0]], FEATS, []])
 def test_decoder_cache_rejects_bad_features(params, bad):
+    """The features of forward, DecoderCache and rollout are a sequence of
+    T x feature_dim matrices, T >= 1; one bare matrix is not a batch of one."""
     with pytest.raises(BadPrefix):
         DecoderCache(params, bad)
+    with pytest.raises(BadPrefix):
+        forward(params, bad, [[BOS]] * max(len(bad), 1))
+    with pytest.raises(BadPrefix):
+        rollout(params, bad, [None] * max(len(bad), 1))
 
 
 @pytest.mark.parametrize("bad", [CFG.vocab_size, 40, -1, 2.0, True, False])
 def test_decoder_step_rejects_token_outside_vocab(params, bad):
-    cache = DecoderCache(params, FEATS)
-    cache.step(BOS)
+    cache = DecoderCache(params, [FEATS])
+    cache.step([BOS])
     with pytest.raises(BadPrefix):
-        cache.step(bad)
-    assert np.allclose(cache.step(5), forward(params, FEATS, [BOS, 5])[-1], atol=1e-10)
+        cache.step([bad])
+    assert np.allclose(cache.step([5]), forward(params, [FEATS], [[BOS, 5]])[:, -1], atol=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -296,9 +308,9 @@ def test_xent_is_unit_reward_scst_loss_bit_for_bit():
 # backward
 
 def _end_to_end_grads(params, prefix=PREFIX, targets=(5, 6, 7, EOS), mask=(1, 1, 1, 1)):
-    trace = forward(params, FEATS, prefix, train=True)
-    loss, glog = xent_loss(trace.logits.value, list(targets), list(mask))
-    return loss, backward(trace, glog)
+    trace = forward(params, [FEATS], [prefix], train=True)
+    loss, glog = xent_loss(trace.logits.value[0], list(targets), list(mask))
+    return loss, backward(trace, glog[None])
 
 
 def test_backward_finite_difference(params):
@@ -312,9 +324,9 @@ def test_backward_finite_difference(params):
         h = 1e-4
         orig = arr[idx]
         arr[idx] = orig + h
-        up, _ = xent_loss(forward(params, FEATS, PREFIX), [5, 6, 7, EOS], [1, 1, 1, 1])
+        up, _ = xent_loss(forward(params, [FEATS], [PREFIX])[0], [5, 6, 7, EOS], [1, 1, 1, 1])
         arr[idx] = orig - h
-        dn, _ = xent_loss(forward(params, FEATS, PREFIX), [5, 6, 7, EOS], [1, 1, 1, 1])
+        dn, _ = xent_loss(forward(params, [FEATS], [PREFIX])[0], [5, 6, 7, EOS], [1, 1, 1, 1])
         arr[idx] = orig
         fd = (up - dn) / (2 * h)
         an = grads[name][idx]
@@ -322,7 +334,7 @@ def test_backward_finite_difference(params):
 
 
 def test_backward_zero_upstream(params):
-    trace = forward(params, FEATS, PREFIX, train=True)
+    trace = forward(params, [FEATS], [PREFIX], train=True)
     grads = backward(trace, np.zeros_like(trace.logits.value))
     assert all(np.all(g == 0.0) for g in grads.values())
 
@@ -331,7 +343,7 @@ def test_training_forward_tape_length(params):
     """One op each for the embedding, the self-attention keys and values, the
     feature projection and its cross-attention keys and values, and the
     block's 15: 21 in all, for one row and for a batch of 8."""
-    assert len(forward(params, FEATS, PREFIX, train=True).tape._ops) == 21
+    assert len(forward(params, [FEATS], [PREFIX], train=True).tape._ops) == 21
     batch = np.array([PREFIX] * 8)
     assert len(forward(params, [FEATS] * 8, batch, train=True).tape._ops) == 21
 
@@ -431,7 +443,7 @@ def test_adam_state_allocated_once_and_update_unchanged(params, monkeypatch):
 
 def _one_item():
     ids = (BOS, 5, 6, 7, EOS)
-    return TrainItem(features=FEATS, ids=ids, mask=(1,) * len(ids))
+    return TrainItem(features=FEATS, ids=ids)
 
 
 def test_train_mle_memorizes_one_sample(params):
@@ -455,7 +467,7 @@ def test_train_mle_deterministic():
 
 def test_train_mle_non_finite_loss_fails_fast(params):
     before = params.copy()
-    item = TrainItem(features=np.full_like(FEATS, np.nan), ids=_one_item().ids, mask=_one_item().mask)
+    item = TrainItem(features=np.full_like(FEATS, np.nan), ids=_one_item().ids)
     with pytest.raises(NumericFailure):
         train_mle(params, [item], epochs=2, batch_size=1, seed=0)
     for n in params.tensors:

@@ -71,37 +71,32 @@ def test_vocab_lookup_inverse():
 
 def test_encode_basic():
     v = build_vocab(_caps(["a"]))
-    ids, mask = encode(v, ["a"], 4)
-    assert ids == [BOS, v.id_of("a"), EOS, PAD]
-    assert mask == [1, 1, 1, 0]
+    assert encode(v, ["a"], 4) == (BOS, v.id_of("a"), EOS)
 
 
 def test_encode_empty():
     v = build_vocab([])
-    ids, mask = encode(v, [], 3)
-    assert ids == [BOS, EOS, PAD]
-    assert mask == [1, 1, 0]
+    assert encode(v, [], 3) == (BOS, EOS)
 
 
 def test_encode_unknown_token():
     v = build_vocab(_caps(["a"]))
-    ids, _ = encode(v, ["zzz"], 4)
+    ids = encode(v, ["zzz"], 4)
     assert ids[1] == UNK
 
 
 def test_encode_truncates():
     v = build_vocab(_caps(["a b c d"]))
-    ids, mask = encode(v, ["a", "b", "c", "d"], 4)
+    ids = encode(v, ["a", "b", "c", "d"], 4)
     assert len(ids) == 4 and ids[-1] == EOS
-    assert mask == [1, 1, 1, 1]
 
 
 @given(tokens_st, st.integers(min_value=2, max_value=20))
 def test_encode_round_trip(toks, max_len):
     v = build_vocab(_caps([" ".join(toks)]))
-    ids, mask = encode(v, toks, max_len)
-    assert len(ids) == len(mask) == max_len
-    assert mask == [1 if i != PAD else 0 for i in ids]
+    ids = encode(v, toks, max_len)
+    assert ids[0] == BOS and ids[-1] == EOS
+    assert PAD not in ids and len(ids) <= max_len
     if len(toks) <= max_len - 2:
         assert decode_ids(v, ids) == toks
 
