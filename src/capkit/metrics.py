@@ -103,38 +103,52 @@ def _min_chunks(hyp, ref, m: int) -> int:
     deepening. Every sub-run of a common run is a candidate, because the
     fewest blocks can need part of a run. Blocks are taken in list order,
     longest first, so each set of blocks is tried once, and a branch stops
-    when its longest remaining block times the budget cannot reach m.
+    when its longest remaining block times the budget cannot reach m. A
+    block's hyp and ref positions, and the positions used so far, are int
+    bitmasks.
+
+    Deepening starts at a lower bound. chunks = m - links, where a link is a
+    pair of adjacent hyp positions matched to adjacent ref positions; links
+    use distinct hyp bigrams and distinct ref bigrams of the same type, so
+    there are at most sum_g min(hyp_bigrams[g], ref_bigrams[g]) of them. And
+    no block is longer than the longest common run.
     """
     if m == 0:
         return 0
-    spans = []
-    for i in range(len(hyp)):
-        for j in range(len(ref)):
-            k = 0
-            while i + k < len(hyp) and j + k < len(ref) and hyp[i + k] == ref[j + k]:
-                k += 1
-            spans.extend((n, i, j) for n in range(1, k + 1))
-    spans.sort(reverse=True)
+    at = {}  # token -> its ref positions, last first
+    for j in range(len(ref) - 1, -1, -1):
+        at.setdefault(ref[j], []).append(j)
+    # by_len[k]: the common blocks of length k as (k, hyp mask, ref mask), in
+    # (i, j) order from the back, which is the longest-first order of the list
+    by_len = [[] for _ in range(min(len(hyp), len(ref)) + 1)]
+    below = [0] * (len(ref) + 1)  # run lengths from row i + 1 of the run table
+    for i in range(len(hyp) - 1, -1, -1):
+        row = [0] * (len(ref) + 1)
+        for j in at.get(hyp[i], ()):
+            run = row[j] = below[j + 1] + 1
+            for k in range(1, run + 1):
+                ones = (1 << k) - 1
+                by_len[k].append((k, ones << i, ones << j))
+        below = row
+    spans = [span for blocks in reversed(by_len) for span in blocks]
 
     def search(start, remaining, used_h, used_r, budget):
         if remaining == 0:
             return True
         for n in range(start, len(spans)):
-            k, i, j = spans[n]
+            k, hs, rs = spans[n]
             if k * budget < remaining:
                 return False
-            if k > remaining:
-                continue
-            hs = set(range(i, i + k))
-            rs = set(range(j, j + k))
-            if hs & used_h or rs & used_r:
+            if k > remaining or hs & used_h or rs & used_r:
                 continue
             if search(n + 1, remaining - k, used_h | hs, used_r | rs, budget - 1):
                 return True
         return False
 
-    for chunks in range(1, m + 1):
-        if search(0, m, set(), set(), chunks):
+    ref_bigrams = Counter(zip(ref, ref[1:]))
+    links = sum(min(c, ref_bigrams[g]) for g, c in Counter(zip(hyp, hyp[1:])).items())
+    for chunks in range(max(1, m - links, -(-m // spans[0][0])), m + 1):
+        if search(0, m, 0, 0, chunks):
             return chunks
     return m
 
@@ -181,9 +195,9 @@ def build_idf(refs) -> IdfTable:
 
 
 def _tfidf_vec(counts: Counter, n: int, idf: IdfTable) -> dict:
-    vec = {}
+    df, vec = idf.df[n], {}
     for gram, c in counts.items():
-        d = idf.lookup(n, gram)
+        d = df.get(gram, 0)
         if d > 0:
             w = c * math.log(idf.doc_count / d)
             if w != 0.0:
@@ -316,16 +330,16 @@ def _pivoted_cholesky(c: np.ndarray) -> np.ndarray:
     """A d x r factor L with L L^T = C, for a symmetric PSD C of numerical rank r.
 
     Each step pivots on the largest remaining diagonal entry of the Schur
-    complement and stops once it is at most d * eps * max(diag(C), 1), so a
-    semidefinite C factors without error (Higham 2009; the LAPACK xPSTRF rule).
-    L keeps C's row order.
+    complement and stops once it is at most d * eps * max(diag(C)), so a
+    semidefinite C of any scale factors without error (Higham 2009; the LAPACK
+    xPSTRF rule), and an all-zero C gives a d x 0 factor. L keeps C's row order.
     """
     c = np.asarray(c, dtype=np.float64)
     if not np.isfinite(c).all():
         raise NonFiniteValue("matrix contains NaN or infinite values")
     d = c.shape[0]
     rest = np.diag(c).copy()  # diagonal of the Schur complement
-    tol = d * np.finfo(np.float64).eps * max(rest.max(initial=0.0), 1.0)
+    tol = d * np.finfo(np.float64).eps * rest.max(initial=0.0)
     l = np.zeros((d, d))
     for k in range(d):
         j = int(np.argmax(rest))

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidTemperature, NumericFailure
+from .errors import BadPrefix, InvalidTemperature, NumericFailure
 from .metrics import IdfTable, cider_d
 from .seqmodel import (
     DecoderCache,
@@ -45,6 +45,8 @@ def rollout(params: ModelParams, features, seeds, temperature: float = 1.0) -> l
     to the lowest id) when seeds[b] is None, and otherwise samples at the
     temperature from default_rng(seeds[b]) with one uniform draw per step:
     inverse-CDF sampling, the draw of Generator.choice."""
+    if len(seeds) != len(features):
+        raise BadPrefix(f"{len(seeds)} seeds for {len(features)} feature matrices: rollout needs one seed per row")
     rngs = [None if s is None else np.random.default_rng(s) for s in seeds]
     sampled = np.array([s is not None for s in seeds])
     if sampled.any() and not temperature > 0.0:  # also rejects NaN
@@ -87,7 +89,8 @@ def compute_rewards(
     vocab: Vocab,
 ) -> RewardVector:
     sample_score = cider_d(decode_ids(vocab, sample), ref.tokens, idf)
-    baseline_score = cider_d(decode_ids(vocab, greedy), ref.tokens, idf)
+    # cider_d is deterministic, so a sample equal to the baseline is scored once
+    baseline_score = sample_score if sample == greedy else cider_d(decode_ids(vocab, greedy), ref.tokens, idf)
     return RewardVector(r=sample_score - baseline_score, baseline_score=baseline_score, sample_score=sample_score)
 
 

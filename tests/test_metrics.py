@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import time
 
 import numpy as np
 import pytest
@@ -35,6 +36,8 @@ from capkit.metrics import (
 from capkit.textproc import Caption
 
 tokens_st = st.lists(st.sampled_from(["a", "b", "c", "car", "stops"]), max_size=10)
+# caption pairs over 2-3 words: the repeats make METEOR's chunk search branch
+repeats_st = st.integers(2, 3).flatmap(lambda w: st.tuples(*[st.lists(st.sampled_from("abc"[:w]), max_size=9)] * 2))
 
 
 # ---------------------------------------------------------------------------
@@ -136,9 +139,58 @@ def test_meteor_splits_a_common_run():
 
 
 @settings(deadline=None)
-@given(tokens_st, tokens_st)
-def test_meteor_matches_exhaustive_oracle(hyp, ref):
+@given(st.one_of(st.tuples(tokens_st, tokens_st), repeats_st))
+def test_meteor_matches_exhaustive_oracle(pair):
+    hyp, ref = pair
     assert meteor_lite(hyp, ref) == pytest.approx(oracles.oracle_meteor(hyp, ref))
+
+
+# 24-token hypotheses that rearrange their reference, at 2-10 words. Per
+# vocabulary size: the block shuffle (4-10 blocks) slowest for the earlier
+# set-based search among 150 (seed 0 of scripts/meteor_worst_case.py), then
+# the first two random permutations. The chunk counts come from that search.
+# The slowest case takes 0.24 s on a 2-core VM (Python 3.11); the bound is
+# over 5x that.
+_CHUNK_CASES = [
+    ('babbabbaaaababbabbbabbba', 'bbbabaaababbabbabbbaaabb', 7),
+    ('ababbaababbaaababbabbabb', 'bbabbbaaaaababbbbbaaabba', 8),
+    ('bbaabaaaabbbbaaaabbbabba', 'baabaabbabbbababbbaaaaab', 7),
+    ('acbccbbbcbbcacaaabbccbbb', 'abbccbbbccbbbccacaaabcbb', 7),
+    ('aabcbbbcbbbbcccccbaabbba', 'cabcbabbbabbcacccbbbcabb', 9),
+    ('cbaaabbbaaccbacbacacbcca', 'acccaabbcababcbcaaabccba', 11),
+    ('abdbbdaabadbacccbddccabd', 'bbdaabadbacdabdbacccbddc', 7),
+    ('adabcdbcddbababbddabcccd', 'cdbbbddccdbcdaabbacadbda', 12),
+    ('cacaabababadadbbacabdbad', 'cbbdabcaaababddcaaababad', 12),
+    ('caccccebbbcbdbbcebcccace', 'cccbdacacccccebebbbbbcce', 9),
+    ('adebabeebaabacecbddeeece', 'cbeeebdeeaeadacaedbcebba', 15),
+    ('ecebceeaebaeddebacdbecca', 'aeaadabcdceedeebeeecbccb', 16),
+    ('bbeddcedfdbcfdeedcbccbfd', 'bbedcedfdbcfdeedcbdbccdf', 7),
+    ('dadbdecffaeefedccbedcbea', 'ffcedeafaedcbcebdaceebdd', 15),
+    ('effbeebcdfbcacbdbbafcdfc', 'ccbfcdefbddcbebfaecfabfb', 18),
+    ('faceacfbfeacebbcabeebgca', 'cebacbbcabfaceacfbfegaee', 9),
+    ('cfbgecbgdfbgbabgcabaebeb', 'gbgaefebgbccdbbbcaeabgbf', 17),
+    ('faagbffgaedadbeadbaebdbg', 'dbbgdabdadfbgagefaaaebef', 15),
+    ('agccgagafcfffcagcgbdcecc', 'gagafgbfffccdcccecagcagc', 10),
+    ('acffahchebfhfcbhfffhccda', 'aehhfffbahchdfchbfcfccfa', 14),
+    ('acgaeaffegdafhegedbefbfd', 'gfabfeddegfdfaaebfeecagh', 19),
+    ('ceffhdfbiiehegeigabdiidi', 'iiehegeigabdiiffhdfbiecd', 6),
+    ('ccdahbfiecabfihcfbdbefdi', 'hdfbfifdheecacibfcbdciba', 17),
+    ('fadfichaabehaffbccfecffd', 'bbahffccaficddffeahafcef', 17),
+    ('jejcgbibgfhddgfaedddbjag', 'dfaeddgfjejcgbibgbjaddhg', 9),
+    ('bhaiedgcgijhjagghcefefcb', 'aijcchfigehhfbjgdegbcgae', 22),
+    ('eidacjhhjbffeddaeabaffdi', 'bdchfdabedihdffajjifaeea', 19),
+]
+CHUNK_WALL_S = 1.5
+
+
+def test_meteor_chunks_of_rearranged_captions_in_bounded_time():
+    from capkit.metrics import _min_chunks
+
+    for hyp, ref, want in _CHUNK_CASES:
+        t0 = time.perf_counter()
+        got = _min_chunks(list(hyp), list(ref), len(hyp))
+        elapsed = time.perf_counter() - t0
+        assert (got, elapsed < CHUNK_WALL_S) == (want, True), (hyp, ref, elapsed)
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +365,7 @@ _RANK_CASES = [
     (d, rank, scale)
     for d in (1, 2, 3, 8, 16, 64)
     for rank in sorted({0, 1, d // 2, d - 1, d})
-    for scale in (1e-6, 1.0, 1e4)
+    for scale in (1e-16, 1e-6, 1.0, 1e4)
 ]
 
 
@@ -329,7 +381,7 @@ def test_pivoted_cholesky_reconstructs():
 
 
 def test_frechet_rank_deficient_matches_oracle():
-    """A and B each of rank 0..d at scale 1e-6..1e4, in both argument orders,
+    """A and B each of rank 0..d at scale 1e-16..1e4, in both argument orders,
     to within 1e-6 of tr A + tr B."""
     for d, rank_a, scale_a in _RANK_CASES:
         for _, rank_b, scale_b in (case for case in _RANK_CASES if case[0] == d):

@@ -7,8 +7,8 @@ from hypothesis import given, strategies as st
 
 from capkit import harness, scst
 from capkit.data import SynthConfig, synth_corpus
-from capkit.errors import AllMasked, EmptyDataset, InvalidTemperature, NumericFailure
-from capkit.metrics import build_idf, cider_corpus
+from capkit.errors import AllMasked, BadPrefix, EmptyDataset, InvalidTemperature, NumericFailure
+from capkit.metrics import build_idf, cider_corpus, cider_d
 from capkit.scst import (
     RewardVector,
     ScstItem,
@@ -29,7 +29,7 @@ from capkit.seqmodel import (
     log_softmax,
     train_mle,
 )
-from capkit.textproc import BOS, EOS, ROLE_AVOIDANCE, ROLE_DESCRIPTION, Caption, Vocab, RESERVED, build_vocab, encode
+from capkit.textproc import BOS, EOS, ROLE_AVOIDANCE, ROLE_DESCRIPTION, Caption, Vocab, RESERVED, build_vocab, decode_ids, encode
 
 CFG = ModelConfig(vocab_size=12, feature_dim=6, d_model=16, n_heads=2, max_len=8, seed=3)
 FEATS = np.random.default_rng(0).normal(size=(4, 6))
@@ -89,8 +89,14 @@ def test_sample_seed_deterministic(params):
 
 
 def test_sample_invalid_temperature(params):
+    """A bad temperature, or a seed list whose length is not the number of
+    feature matrices, is a typed error."""
     with pytest.raises(InvalidTemperature):
         rollout(params, [FEATS], [0], temperature=0.0)
+    with pytest.raises(BadPrefix, match="1 seeds for 2 feature matrices"):
+        rollout(params, [FEATS, FEATS], [None])
+    with pytest.raises(BadPrefix, match="2 seeds for 1 feature matrices"):
+        rollout(params, [FEATS], [None, 3])
 
 
 def test_sample_first_step_frequencies():
@@ -148,12 +154,21 @@ def _idf():
     return build_idf([("a", "b", "c"), ("d", "e", "f")])
 
 
-def test_rewards_sample_equals_greedy():
-    dec = (BOS, 4, 5, EOS)
+def test_rewards_sample_equals_greedy(monkeypatch):
+    """A sample equal to the greedy caption is scored once, to the
+    RewardVector that scoring both captions gives; other pairs are scored twice."""
+    dec, other = (BOS, 4, 5, EOS), (BOS, 4, EOS)
     ref = Caption.make("a b", "description")
-    rv = compute_rewards(dec, dec, ref, _idf(), VOCAB)
-    assert rv.r == 0.0
-    assert rv.sample_score == rv.baseline_score
+    idf = _idf()
+    score = cider_d(decode_ids(VOCAB, dec), ref.tokens, idf)
+    calls = []
+    monkeypatch.setattr(scst, "cider_d", lambda *args: calls.append(args) or cider_d(*args))
+    rv = compute_rewards(dec, dec, ref, idf, VOCAB)
+    assert rv == RewardVector(r=score - score, baseline_score=score, sample_score=score)
+    assert rv.r == 0.0 and score > 0.0
+    assert len(calls) == 1
+    compute_rewards(dec, other, ref, idf, VOCAB)
+    assert len(calls) == 3
 
 
 def test_rewards_broadcast_with_mask():
