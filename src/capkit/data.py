@@ -82,7 +82,8 @@ class _Frame:
     """The body of a framed file, read in order by `take` and `u32`.
 
     A strict prefix of the magic or a read past the end raises TruncatedFile,
-    other leading bytes BadMagic, and another version BadVersion.
+    other leading bytes BadMagic, another version BadVersion, and bytes left
+    over at `end` DimensionMismatch.
     """
 
     def __init__(self, path: str, magic: bytes, version: int):
@@ -105,6 +106,10 @@ class _Frame:
 
     def u32(self) -> int:
         return struct.unpack("<I", self.take(4))[0]
+
+    def end(self) -> None:
+        if self.pos != len(self.blob):
+            raise DimensionMismatch(f"{self.path}: header describes {self.pos} bytes, file has {len(self.blob)}")
 
 
 # Feature files: magic | version u32 | id_len u32 | id | T u32 | D u32 | f32 data
@@ -147,6 +152,7 @@ def read_features(path: str) -> FeatureClip:
     t, d = frame.u32(), frame.u32()
     _check_shape((t, d), path)
     data = np.frombuffer(frame.take(t * d * 4), dtype="<f4").reshape(t, d)
+    frame.end()
     if not np.isfinite(data).all():
         raise NonFiniteValue(f"{path}: non-finite feature values")
     return FeatureClip(id=clip_id, data=data.copy())

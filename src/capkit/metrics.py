@@ -179,9 +179,6 @@ class IdfTable:
     doc_count: int
     df: dict  # n -> {gram: document frequency}
 
-    def lookup(self, n: int, gram) -> int:
-        return self.df.get(n, {}).get(gram, 0)
-
 
 def build_idf(refs) -> IdfTable:
     if not refs:

@@ -56,11 +56,11 @@ def rollout(params: ModelParams, features, seeds, temperature: float = 1.0) -> l
     ids = np.full((B, L), PAD, dtype=np.intp)
     ids[:, 0] = BOS
     n = np.ones(B, dtype=np.intp)
-    rows = np.arange(B)  # the batch rows still in the cache
+    live = np.ones(B, dtype=bool)  # rows before their EOS; the others step on unread
     for t in range(1, L):
-        logits = cache.step(ids[rows, t - 1])
+        logits = cache.step(ids[:, t - 1])
         tok = logits.argmax(axis=-1)
-        draw = sampled[rows]
+        draw = sampled & live
         if draw.any():
             probs = np.exp(log_softmax(logits[draw] / temperature))
             total = probs.sum(axis=-1, keepdims=True)
@@ -68,16 +68,13 @@ def rollout(params: ModelParams, features, seeds, temperature: float = 1.0) -> l
                 raise NumericFailure(f"sampling distribution at temperature {temperature} is not finite")
             cdf = (probs / total).cumsum(axis=-1)
             cdf /= cdf[:, -1:]
-            u = np.array([rngs[b].random() for b in rows[draw]])
+            u = np.array([rngs[b].random() for b in np.flatnonzero(draw)])
             tok[draw] = (cdf <= u[:, None]).sum(axis=-1)
-        ids[rows, t] = tok
-        n[rows] += 1
-        live = tok != EOS
-        if not live.all():
-            rows = rows[live]
-            if not rows.size:
-                break
-            cache.keep(live)
+        ids[:, t] = tok
+        n += live
+        live &= tok != EOS
+        if not live.any():
+            break
     return [tuple(row[:k].tolist()) for row, k in zip(ids, n)]
 
 
@@ -152,15 +149,6 @@ def scst_train(
     curve = _fit(params, dataset, epochs, batch_size, seed, lr, step)
     history = []
     for loss, (baselines, samples) in zip(curve, scores):
-        mean_b = float(np.mean(baselines))
-        mean_s = float(np.mean(samples))
-        history.append(
-            ScstBatchStats(
-                mean_reward=mean_s - mean_b,
-                mean_baseline=mean_b,
-                mean_sample=mean_s,
-                loss=loss,
-                sequences=len(dataset),
-            )
-        )
+        mean_b, mean_s = float(np.mean(baselines)), float(np.mean(samples))
+        history.append(ScstBatchStats(mean_s - mean_b, mean_b, mean_s, loss, len(dataset)))
     return params, history

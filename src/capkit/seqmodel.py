@@ -61,11 +61,19 @@ class ModelConfig:
 
 @dataclass
 class ModelParams:
+    """Every parameter in one float64 vector `flat`, in PARAM_SHAPES order; `tensors` holds its named views."""
+
     config: ModelConfig
-    tensors: dict  # name -> float64 ndarray
+    flat: np.ndarray
+    tensors: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        names, shapes = zip(*_shapes(self.config))
+        views = np.split(self.flat, np.cumsum([math.prod(shape) for shape in shapes])[:-1])
+        self.tensors = {name: v.reshape(shape) for name, v, shape in zip(names, views, shapes)}
 
     def copy(self) -> "ModelParams":
-        return ModelParams(self.config, {k: v.copy() for k, v in self.tensors.items()})
+        return ModelParams(self.config, self.flat.copy())
 
 
 def _shapes(config: ModelConfig) -> list:
@@ -74,19 +82,22 @@ def _shapes(config: ModelConfig) -> list:
     return [(name, shape_fn(*dims)) for name, shape_fn in PARAM_SHAPES]
 
 
+def _size(config: ModelConfig) -> int:
+    """The number of parameters, a Python int however large the config."""
+    return sum(math.prod(shape) for _, shape in _shapes(config))
+
+
 def init_params(config: ModelConfig) -> ModelParams:
     config.validate()
     rng = np.random.default_rng(config.seed)
-    tensors = {}
-    for name, shape in _shapes(config):
+    params = ModelParams(config, np.empty(_size(config)))
+    for name, p in params.tensors.items():
         if name.startswith("ln"):
-            tensors[name] = (
-                np.ones(shape) if name.endswith("_g") else np.zeros(shape)
-            )
+            p[...] = 1.0 if name.endswith("_g") else 0.0
         else:
-            s = math.sqrt(6.0 / sum(shape))
-            tensors[name] = rng.uniform(-s, s, size=shape)
-    return ModelParams(config=config, tensors=tensors)
+            s = math.sqrt(6.0 / sum(p.shape))
+            p[...] = rng.uniform(-s, s, size=p.shape)
+    return params
 
 
 @dataclass
@@ -251,24 +262,29 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 @dataclass
 class AdamState:
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
+    """Adam's moments m and v over `flat`, and two scratch vectors: the
+    gradient in `flat` order and a temporary; allocated on the first step."""
+
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
+    g: np.ndarray | None = None
+    tmp: np.ndarray | None = None
     t: int = 0
 
 
 def adam_step(params: ModelParams, grads: dict, state: AdamState, lr: float = 1e-3) -> None:
+    """One in-place Adam step (Kingma & Ba, 2015) over `flat` from `backward`'s gradients:
+    m += (1-b1)(g-m), v += (1-b2)(g*g-v), then p -= lr*mhat / (sqrt(vhat) + eps)."""
+    if state.m is None:
+        state.m, state.v, state.g, state.tmp = (np.zeros_like(params.flat) for _ in range(4))
     state.t += 1
-    t = state.t
-    for name, g in grads.items():
-        p = params.tensors[name]
-        if name not in state.m:
-            state.m[name], state.v[name] = np.zeros_like(p), np.zeros_like(p)
-        m, v = state.m[name], state.v[name]
-        m += (1.0 - ADAM_BETA1) * (g - m)
-        v += (1.0 - ADAM_BETA2) * (g * g - v)
-        mhat = m / (1.0 - ADAM_BETA1**t)
-        vhat = v / (1.0 - ADAM_BETA2**t)
-        p -= lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
+    m, v, g, tmp = state.m, state.v, state.g, state.tmp
+    np.concatenate([grads[name].ravel() for name in params.tensors], out=g)
+    m += np.multiply(np.subtract(g, m, out=tmp), 1.0 - ADAM_BETA1, out=tmp)
+    v += np.multiply(np.subtract(np.multiply(g, g, out=g), v, out=g), 1.0 - ADAM_BETA2, out=g)
+    np.multiply(np.divide(m, 1.0 - ADAM_BETA1**state.t, out=tmp), lr, out=tmp)  # lr * mhat
+    np.add(np.sqrt(np.divide(v, 1.0 - ADAM_BETA2**state.t, out=g), out=g), ADAM_EPS, out=g)
+    params.flat -= np.divide(tmp, g, out=tmp)
 
 
 @dataclass(frozen=True)
@@ -376,13 +392,6 @@ class DecoderCache:
             self._ca_k, self._ca_v, self._ca_bias, cfg.n_heads,
         )[:, 0]
 
-    def keep(self, rows) -> None:
-        """Keep only the given rows (a boolean mask or indices) for later steps."""
-        self._keys, self._vals = self._keys[rows], self._vals[rows]
-        self._ca_k, self._ca_v = self._ca_k[rows], self._ca_v[rows]
-        if self._ca_bias is not None:
-            self._ca_bias = self._ca_bias[rows]
-
 
 # ---------------------------------------------------------------------------
 # Checkpoint format: CKPT magic | version u32 | header_len u32 | JSON header
@@ -394,14 +403,14 @@ CKPT_VERSION = 1
 
 def save_checkpoint(params: ModelParams, path: str, extra: dict | None = None) -> None:
     header = json.dumps({"config": asdict(params.config), **(extra or {})}).encode("utf-8")
-    tensors = [np.ascontiguousarray(params.tensors[name], dtype="<f8").tobytes() for name, _ in PARAM_SHAPES]
-    _write_frame(path, CKPT_MAGIC, CKPT_VERSION, [struct.pack("<I", len(header)), header, *tensors])
+    payload = params.flat.astype("<f8").tobytes()
+    _write_frame(path, CKPT_MAGIC, CKPT_VERSION, [struct.pack("<I", len(header)), header, payload])
 
 
 def load_checkpoint(path: str) -> tuple[ModelParams, dict]:
     """Read a checkpoint and its extra header keys. Framing errors raise as in
     `data._Frame`; a header that does not decode to a valid config raises
-    InvalidConfig, and a non-finite tensor NonFiniteValue."""
+    InvalidConfig, a non-finite parameter NonFiniteValue."""
     frame = _Frame(path, CKPT_MAGIC, CKPT_VERSION)
     header = _json_object(frame.take(frame.u32()), f"{path}: checkpoint header")
     try:
@@ -409,10 +418,9 @@ def load_checkpoint(path: str) -> tuple[ModelParams, dict]:
     except (TypeError, KeyError) as e:
         raise InvalidConfig(f"{path}: checkpoint config unreadable: {type(e).__name__}: {e}") from e
     config.validate()
-    tensors = {}
-    for name, shape in _shapes(config):
-        arr = np.frombuffer(frame.take(8 * math.prod(shape)), dtype="<f8").reshape(shape)
-        if not np.isfinite(arr).all():
-            raise NonFiniteValue(f"{path}: non-finite values in tensor {name!r}")
-        tensors[name] = arr.astype(np.float64)
-    return ModelParams(config=config, tensors=tensors), header
+    payload = frame.take(8 * _size(config))  # a huge config fails here, before any allocation
+    frame.end()
+    flat = np.frombuffer(payload, dtype="<f8").astype(np.float64)
+    if not np.isfinite(flat).all():
+        raise NonFiniteValue(f"{path}: non-finite parameter values")
+    return ModelParams(config, flat), header

@@ -154,6 +154,17 @@ def test_feature_truncated(tmp_path):
             read_features(path)
 
 
+def test_feature_trailing_bytes(tmp_path):
+    """Bytes past the T x D data the header describes are rejected."""
+    path = os.path.join(tmp_path, "c.avdf")
+    write_features(_clip(), path)
+    size = os.path.getsize(path)
+    with open(path, "ab") as f:
+        f.write(b"\x00" * 4)
+    with pytest.raises(DimensionMismatch, match=f"describes {size} bytes, file has {size + 4}"):
+        read_features(path)
+
+
 @pytest.mark.parametrize("shape", [(0, 4), (3, 0), (0, 0), (12,), (2, 3, 2)])
 def test_feature_write_bad_shape(shape):
     with pytest.raises(DimensionMismatch):

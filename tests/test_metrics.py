@@ -199,19 +199,19 @@ def test_meteor_chunks_of_rearranged_captions_in_bounded_time():
 def test_build_idf_counts():
     idf = build_idf([["a", "b"], ["a", "c"]])
     assert idf.doc_count == 2
-    assert idf.lookup(1, ("a",)) == 2
-    assert idf.lookup(1, ("b",)) == 1
-    assert idf.lookup(2, ("a", "b")) == 1
+    assert idf.df[1][("a",)] == 2
+    assert idf.df[1][("b",)] == 1
+    assert idf.df[2][("a", "b")] == 1
 
 
 def test_build_idf_single_doc():
     idf = build_idf([["a", "b"]])
-    assert idf.lookup(1, ("a",)) == idf.doc_count == 1
+    assert idf.df[1][("a",)] == idf.doc_count == 1
 
 
 def test_build_idf_absent_gram():
     idf = build_idf([["a"]])
-    assert idf.lookup(1, ("zzz",)) == 0
+    assert ("zzz",) not in idf.df[1]
 
 
 def test_build_idf_empty():

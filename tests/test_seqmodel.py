@@ -14,6 +14,7 @@ from capkit.errors import (
     BadPrefix,
     BadVersion,
     CapkitError,
+    DimensionMismatch,
     EmptyDataset,
     InvalidConfig,
     NonFiniteValue,
@@ -85,6 +86,31 @@ def test_init_invalid_vocab():
 def test_init_invalid_n_heads(n_heads):
     with pytest.raises(InvalidConfig):
         init_params(ModelConfig(vocab_size=12, feature_dim=6, d_model=16, n_heads=n_heads))
+
+
+def test_tensors_are_views_of_flat(params):
+    """Each tensor is the reshaped slice of `flat` at its PARAM_SHAPES offset,
+    writes through a view reach `flat`, and a copy shares no memory."""
+    dims = (CFG.vocab_size, CFG.d_model, CFG.max_len, CFG.feature_dim)
+    assert list(params.tensors) == [name for name, _ in PARAM_SHAPES]
+    offset = {}
+    start = 0
+    for name, shape_fn in PARAM_SHAPES:
+        view = params.tensors[name]
+        assert view.shape == shape_fn(*dims) and view.dtype == np.float64
+        assert view.ctypes.data == params.flat.ctypes.data + 8 * start
+        assert np.shares_memory(view, params.flat)
+        offset[name] = start
+        start += view.size
+    assert params.flat.shape == (start,)
+    params.tensors["sa_q"][1, 2] = 7.0
+    assert params.flat[offset["sa_q"] + CFG.d_model + 2] == 7.0
+    twin = params.copy()
+    assert not np.shares_memory(twin.flat, params.flat)
+    assert all(np.shares_memory(twin.tensors[n], twin.flat) for n in twin.tensors)
+    twin.tensors["sa_q"][1, 2] = -1.0
+    twin.flat[0] = 3.0
+    assert params.tensors["sa_q"][1, 2] == 7.0 and params.flat[0] != 3.0
 
 
 def test_init_layernorm_identity(params):
@@ -409,31 +435,31 @@ def test_adam_deterministic(params):
         assert np.array_equal(params.tensors[n], twin.tensors[n])
 
 
-def test_adam_state_allocated_once_and_update_unchanged(params, monkeypatch):
-    """m and v are allocated on a tensor's first step and updated in place after;
-    three seeded steps match a reference copy of the update bit for bit."""
+def test_adam_state_allocated_once_and_update_unchanged(params):
+    """Adam's flat m, v and scratch vectors are allocated on the first step and
+    reused after; three seeded steps match a per-tensor reference of the update
+    bit for bit."""
     ref = {n: t.copy() for n, t in params.tensors.items()}
     ref_m = {n: np.zeros_like(t) for n, t in ref.items()}
     ref_v = {n: np.zeros_like(t) for n, t in ref.items()}
-    allocs = []
-    zeros_like = np.zeros_like
-    monkeypatch.setattr(np, "zeros_like", lambda a: allocs.append(a.shape) or zeros_like(a))
     state = AdamState()
     rng = np.random.default_rng(8)
     for t in range(1, 4):
         g = {n: rng.normal(size=p.shape) for n, p in params.tensors.items()}
         adam_step(params, g, state, lr=1e-2)
         if t == 1:
-            first = {n: (state.m[n], state.v[n]) for n in params.tensors}
+            first = (state.m, state.v, state.g, state.tmp)
+        assert all(a is b for a, b in zip((state.m, state.v, state.g, state.tmp), first))
         for n in params.tensors:
-            assert state.m[n] is first[n][0] and state.v[n] is first[n][1]
             m, v = ref_m[n], ref_v[n]
             m += (1.0 - 0.9) * (g[n] - m)
             v += (1.0 - 0.999) * (g[n] * g[n] - v)
             mhat = m / (1.0 - 0.9**t)
             vhat = v / (1.0 - 0.999**t)
             ref[n] -= 1e-2 * mhat / (np.sqrt(vhat) + 1e-8)
-    assert len(allocs) == 2 * len(params.tensors)
+    assert state.m.shape == params.flat.shape
+    assert state.m.tobytes() == b"".join(ref_m[n].tobytes() for n in params.tensors)
+    assert state.v.tobytes() == b"".join(ref_v[n].tobytes() for n in params.tensors)
     for n in params.tensors:
         assert params.tensors[n].tobytes() == ref[n].tobytes()
 
@@ -534,6 +560,18 @@ def test_checkpoint_layout(tmp_path, params):
     header, payload = _split_checkpoint(path)
     assert set(header) == {"config", "vocab"}
     assert payload == b"".join(params.tensors[name].astype("<f8").tobytes() for name, _ in PARAM_SHAPES)
+    assert payload == params.flat.astype("<f8").tobytes()
+
+
+def test_checkpoint_payload_longer_than_header(tmp_path, params):
+    """A header config smaller than the payload would read misaligned weights."""
+    path = os.path.join(tmp_path, "model.ckpt")
+    save_checkpoint(params, path)
+    header, payload = _split_checkpoint(path)
+    header["config"]["d_model"] = 8
+    _write_checkpoint(path, json.dumps(header).encode("utf-8"), payload)
+    with pytest.raises(DimensionMismatch, match=f"file has {12 + len(json.dumps(header)) + len(payload)}"):
+        load_checkpoint(path)
 
 
 def test_checkpoint_corrupt_json_header(tmp_path):
