@@ -1,7 +1,6 @@
 """Caption metrics: BLEU-1..4, ROUGE-L, METEOR-lite, CIDEr-D, Frechet distance."""
 from __future__ import annotations
 
-import functools
 import json
 import math
 from collections import Counter
@@ -24,7 +23,7 @@ MAX_N = 4
 ROUGE_BETA = 1.2
 METEOR_ALPHA, METEOR_GAMMA, METEOR_THETA = 0.9, 0.5, 3.0
 CIDER_SIGMA = 6.0
-JACOBI_TOL, JACOBI_MAX_SWEEPS = 1e-13, 100
+QL_MAX_ITERS = 30  # implicit QL iterations allowed per eigenvalue
 
 
 def _check_pairs(hyps, refs) -> None:
@@ -253,74 +252,72 @@ def gaussian_stats(features: np.ndarray) -> GaussianStats:
     return GaussianStats(mean=mean, cov=c, n=x.shape[0])
 
 
-@functools.lru_cache(maxsize=16)
-def _round_robin(d: int) -> tuple:
-    """The rounds of one Jacobi sweep over range(d), in tournament order.
+def symmetric_eigvals(a: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a symmetric matrix, in ascending order; no eigenvectors.
 
-    Each round is a read-only k x 2 array of disjoint (p, q) pairs with p < q
-    that together pair every index once; for odd d, the index drawn against
-    the dummy index d sits the round out. Over the d + d % 2 - 1 rounds every
-    pair appears once.
+    The matrix is scaled by a power of two, which is exact, so that its largest
+    entry lies in [0.5, 1) and no square overflows. Householder reflections
+    reduce it to tridiagonal form, each one rank-2 update of the trailing
+    block, and implicit QL with Wilkinson shifts finds the eigenvalues of the
+    tridiagonal (Bowdler, Martin, Reinsch & Wilkinson, 1968; EISPACK tql1).
+    As in tql1, an off-diagonal entry counts as zero once it is at most eps
+    times the tridiagonal's norm: a test relative to its diagonal neighbours
+    stalls on eigenvalues near zero in one block with a much larger one.
+
+    Raises NonFiniteValue for NaN or infinite entries, and NumericFailure when
+    an eigenvalue needs more than QL_MAX_ITERS iterations.
     """
-    m = d + d % 2
-    ring = list(range(m))
-    rounds = []
-    for _ in range(m - 1):
-        pairs = [sorted((ring[i], ring[m - 1 - i])) for i in range(m // 2)]
-        pq = np.array(sorted(pair for pair in pairs if pair[1] < d), dtype=np.intp)
-        pq.flags.writeable = False
-        rounds.append(pq)
-        ring = [ring[0], ring[-1]] + ring[1:-1]
-    return tuple(rounds)
-
-
-def jacobi_eigh(a: np.ndarray):
-    """Cyclic Jacobi eigendecomposition of a symmetric matrix.
-
-    Each sweep visits every (p, q) pair once in round-robin order (Brent & Luk,
-    1985). The pairs of one round are disjoint, so their rotations commute and
-    are applied together as one batched 2 x 2 update of the gathered rows:
-    A <- J^T A J and V <- V J. The iteration stops when the off-diagonal norm
-    reaches JACOBI_TOL * max|A| or a sweep no longer lowers it, which is where
-    rounding leaves it at large sizes.
-
-    Returns (eigenvalues, eigenvectors) with columns of V as eigenvectors,
-    A = V diag(w) V^T.
-    """
-    a = np.array(a, dtype=np.float64)
-    if not np.isfinite(a).all():
+    b = np.array(a, dtype=np.float64)
+    if not np.isfinite(b).all():
         raise NonFiniteValue("matrix contains NaN or infinite values")
-    d = a.shape[0]
-    vt = np.eye(d)  # V^T, so that V J is a row update too
-    scale = np.abs(a).max(initial=0.0)
-    rounds = _round_robin(d)
-    last_off = math.inf
-    for _ in range(JACOBI_MAX_SWEEPS):
-        off = math.sqrt(np.sum(np.tril(a, -1) ** 2))
-        if off <= JACOBI_TOL * scale or not off < last_off:
-            break
-        last_off = off
-        for pq in rounds:
-            p, q = pq.T
-            apq = a[p, q]
-            live = np.abs(apq) > JACOBI_TOL * scale * 1e-3
-            if not live.all():
-                pq, apq = pq[live], apq[live]
-                if not len(pq):
-                    continue
-                p, q = pq.T
-            theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-            t = np.copysign(1.0 / (np.abs(theta) + np.hypot(theta, 1.0)), theta)
-            c = 1.0 / np.hypot(t, 1.0)
-            s = t * c
-            # rot[i] maps rows (p_i, q_i) to (c p - s q, s p + c q): J^T on the left.
-            rot = np.stack((c, -s, s, c), axis=1).reshape(-1, 2, 2)
-            a[pq] = rot @ a[pq]
-            # A is symmetric, so (J^T A)^T = A J, and its row update is J^T A J.
-            a = a.T.copy()
-            a[pq] = rot @ a[pq]
-            vt[pq] = rot @ vt[pq]
-    return np.diag(a).copy(), vt.T
+    n = b.shape[0]
+    shift = math.frexp(np.abs(b).max(initial=0.0))[1]
+    b = np.ldexp(b, -shift)
+    e = [0.0] * n  # e[i] couples d[i] and d[i + 1]; e[n - 1] stays 0
+    for k in range(n - 1):
+        v = b[k + 1:, k]  # turned into the reflection vector in place: column k is not read again
+        norm = math.sqrt(v @ v)
+        if norm == 0.0:
+            continue
+        alpha = -math.copysign(norm, v[0])
+        h = norm * (norm + abs(v[0]))  # v.v / 2 after v[0] -= alpha: the reflection is I - v v^T / h
+        v[0] -= alpha
+        rest = b[k + 1:, k + 1:]
+        p = rest @ v / h
+        w = p - (v @ p / (2.0 * h)) * v
+        rest -= np.outer(v, w) + np.outer(w, v)
+        e[k] = alpha
+    d = np.diag(b).tolist()
+    tol = np.finfo(np.float64).eps * max((abs(x) + abs(y) for x, y in zip(d, e)), default=0.0)
+    for l in range(n):
+        for it in range(QL_MAX_ITERS + 1):
+            m = l
+            while m < n - 1 and abs(e[m]) > tol:
+                m += 1
+            if m == l:
+                break
+            if it == QL_MAX_ITERS:
+                raise NumericFailure(f"QL found no eigenvalue in {QL_MAX_ITERS} iterations")
+            g = (d[l + 1] - d[l]) / (2.0 * e[l])
+            g = d[m] - d[l] + e[l] / (g + math.copysign(math.hypot(g, 1.0), g))
+            s, c, p = 1.0, 1.0, 0.0
+            for i in range(m - 1, l - 1, -1):
+                f, bi = s * e[i], c * e[i]
+                r = e[i + 1] = math.hypot(f, g)
+                if r == 0.0:  # the rotation underflowed: split here and retry
+                    d[i + 1] -= p
+                    e[m] = 0.0
+                    break
+                s, c = f / r, g / r
+                g = d[i + 1] - p
+                r = (d[i] - g) * s + 2.0 * c * bi
+                p = s * r
+                d[i + 1] = g + p
+                g = c * r - bi
+            else:
+                d[l] -= p
+                e[l], e[m] = g, 0.0
+    return np.ldexp(np.sort(d), shift)
 
 
 def _pivoted_cholesky(c: np.ndarray) -> np.ndarray:
@@ -332,8 +329,6 @@ def _pivoted_cholesky(c: np.ndarray) -> np.ndarray:
     xPSTRF rule), and an all-zero C gives a d x 0 factor. L keeps C's row order.
     """
     c = np.asarray(c, dtype=np.float64)
-    if not np.isfinite(c).all():
-        raise NonFiniteValue("matrix contains NaN or infinite values")
     d = c.shape[0]
     rest = np.diag(c).copy()  # diagonal of the Schur complement
     tol = d * np.finfo(np.float64).eps * rest.max(initial=0.0)
@@ -353,8 +348,9 @@ def frechet_distance(a: GaussianStats, b: GaussianStats) -> float:
     """||mu_a - mu_b||^2 + tr A + tr B - 2 tr sqrt(sqrt(A) B sqrt(A)).
 
     For any factor A = L L^T the last trace is sum sqrt(eig(L^T B L))
-    (Dowson & Landau 1982), so a pivoted Cholesky factor and one Jacobi
-    eigensolve of the r x r matrix L^T B L give it.
+    (Dowson & Landau 1982), so a pivoted Cholesky factor and the eigenvalues
+    of the r x r matrix L^T B L give it. A non-finite covariance raises
+    NonFiniteValue; an overflow from finite inputs raises NumericFailure.
     """
     if a.mean.shape != b.mean.shape:
         raise DimensionMismatch(
@@ -362,11 +358,15 @@ def frechet_distance(a: GaussianStats, b: GaussianStats) -> float:
         )
     if np.array_equal(a.mean, b.mean) and np.array_equal(a.cov, b.cov):
         return 0.0
+    if not (np.isfinite(a.cov).all() and np.isfinite(b.cov).all()):
+        raise NonFiniteValue("covariance contains NaN or infinite values")
     diff = a.mean - b.mean
     l = _pivoted_cholesky(a.cov)
     inner = l.T @ b.cov @ l
     inner = (inner + inner.T) / 2.0
-    w, _ = jacobi_eigh(inner)
+    if not np.isfinite(inner).all():
+        raise NumericFailure("L^T B L overflows")
+    w = symmetric_eigvals(inner)
     tr_sqrt = float(np.sqrt(np.clip(w, 0.0, None)).sum())  # a PSD matrix: negative eigenvalues are rounding
     fd = float(diff @ diff + np.trace(a.cov) + np.trace(b.cov) - 2.0 * tr_sqrt)
     if not math.isfinite(fd):
