@@ -361,13 +361,14 @@ def frechet_distance(a: GaussianStats, b: GaussianStats) -> float:
     if not (np.isfinite(a.cov).all() and np.isfinite(b.cov).all()):
         raise NonFiniteValue("covariance contains NaN or infinite values")
     diff = a.mean - b.mean
-    l = _pivoted_cholesky(a.cov)
-    inner = l.T @ b.cov @ l
-    inner = (inner + inner.T) / 2.0
-    if not np.isfinite(inner).all():
-        raise NumericFailure("L^T B L overflows")
-    w = symmetric_eigvals(inner)
-    tr_sqrt = float(np.sqrt(np.clip(w, 0.0, None)).sum())  # a PSD matrix: negative eigenvalues are rounding
+    # The trace term is homogeneous of degree one: one power of two brings the
+    # larger covariance's largest entry into [0.5, 1), so that L^T B L neither
+    # overflows nor underflows at any scale, and ldexp undoes it.
+    shift = math.frexp(max(np.abs(a.cov).max(initial=0.0), np.abs(b.cov).max(initial=0.0)))[1]
+    l = _pivoted_cholesky(np.ldexp(a.cov, -shift))
+    inner = l.T @ np.ldexp(b.cov, -shift) @ l
+    w = symmetric_eigvals((inner + inner.T) / 2.0)
+    tr_sqrt = np.ldexp(np.sqrt(np.clip(w, 0.0, None)).sum(), shift)  # a PSD matrix: negative eigenvalues are rounding
     fd = float(diff @ diff + np.trace(a.cov) + np.trace(b.cov) - 2.0 * tr_sqrt)
     if not math.isfinite(fd):
         raise NumericFailure(f"Frechet distance is not finite: {fd}")

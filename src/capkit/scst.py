@@ -13,10 +13,6 @@ from .seqmodel import (
     DecoderCache,
     ModelParams,
     _fit,
-    _pad_rows,
-    _token_loss,
-    backward,
-    forward,
     log_softmax,
     scst_loss,  # re-exported: the SCST loss, of which MLE is the unit-reward case
 )
@@ -91,15 +87,6 @@ def compute_rewards(
     return RewardVector(r=sample_score - baseline_score, baseline_score=baseline_score, sample_score=sample_score)
 
 
-def _policy_batch(rolls: list[tuple], rewards: list[RewardVector]) -> tuple:
-    """Teacher-forcing arrays of a batch of sampled captions: the prefixes, the
-    targets, the per-position rewards (each row's reward on its real targets,
-    0 on padding) and the padding mask."""
-    prefix, targets, mask = _pad_rows(rolls)
-    r = np.array([rv.r for rv in rewards])[:, None] * mask
-    return prefix, targets, r, mask
-
-
 def derive_seed(seed: int, sample_id: str, epoch: int) -> int:
     h = hashlib.blake2b(f"{seed}:{sample_id}:{epoch}".encode(), digest_size=8)
     return int.from_bytes(h.digest(), "little")
@@ -129,8 +116,9 @@ def scst_train(
     the baseline is a constant. Returns (params, per-epoch ScstBatchStats)."""
     scores = [([], []) for _ in range(epochs)]  # per epoch: baseline, sample CIDEr-D
 
-    def step(items, epoch):
-        # Greedy baselines and sampled rollouts decode as one lockstep batch.
+    def captions(items, epoch):
+        # Greedy baselines and sampled rollouts decode as one lockstep batch;
+        # the sampled captions are then teacher-forced under their rewards.
         feats = [item.features for item in items]
         seeds = [derive_seed(seed, item.sample_id, epoch) for item in items]
         decoded = rollout(params, feats + feats, [None] * len(items) + seeds, temperature)
@@ -138,15 +126,9 @@ def scst_train(
         rewards = [compute_rewards(s, g, item.ref, idf, vocab) for s, g, item in zip(rolls, greedy, items)]
         scores[epoch][0].extend(rv.baseline_score for rv in rewards)
         scores[epoch][1].extend(rv.sample_score for rv in rewards)
+        return feats, rolls, [rv.r for rv in rewards]
 
-        # Re-run the sampled prefixes in training mode; positions after BOS
-        # predict the sampled ids.
-        prefix, targets, r, mask = _policy_batch(rolls, rewards)
-        trace = forward(params, feats, prefix, train=True)
-        loss, glogits = _token_loss(trace.logits.value, targets, r, mask)
-        return loss, backward(trace, glogits)
-
-    curve = _fit(params, dataset, epochs, batch_size, seed, lr, step)
+    curve = _fit(params, dataset, epochs, batch_size, seed, lr, captions)
     history = []
     for loss, (baselines, samples) in zip(curve, scores):
         mean_b, mean_s = float(np.mean(baselines)), float(np.mean(samples))

@@ -295,25 +295,29 @@ class TrainItem:
     ids: tuple  # (BOS, tokens.., EOS)
 
 
-def _pad_rows(rows) -> tuple:
-    """Teacher-forcing arrays of a batch of BOS..EOS id rows of any lengths: the
-    B x L prefixes (each row but its last id, right-padded with PAD), the
-    B x L targets (each row but its BOS) and the B x L mask of real targets."""
+def _pad_rows(rows, rewards) -> tuple:
+    """Teacher-forcing arrays of a batch of BOS..EOS id rows of any lengths, one
+    reward per row: the B x L prefixes (each row but its last id, right-padded
+    with PAD), the B x L targets (each row but its BOS), the B x L rewards (the
+    row's reward on its real targets, 0 on padding) and the B x L mask of real
+    targets."""
     n = np.array([len(r) for r in rows]) - 1
     ids = np.full((len(rows), int(n.max()) + 1), PAD, dtype=np.intp)
     for dst, r in zip(ids, rows):
         dst[: len(r)] = r
-    return ids[:, :-1], ids[:, 1:], np.arange(ids.shape[1] - 1) < n[:, None]
+    mask = np.arange(ids.shape[1] - 1) < n[:, None]
+    return ids[:, :-1], ids[:, 1:], np.asarray(rewards, dtype=np.float64)[:, None] * mask, mask
 
 
-def _fit(params: ModelParams, dataset: list, epochs: int, batch_size: int, seed: int, lr: float, batch_step):
+def _fit(params: ModelParams, dataset: list, epochs: int, batch_size: int, seed: int, lr: float, captions):
     """The training loop of MLE and SCST; returns the per-epoch mean item loss.
 
     Each epoch visits the dataset in one permutation drawn from
-    default_rng(seed), and each batch takes one Adam step.
-    batch_step(items, epoch) returns the items' losses and the gradients of
-    their mean; a non-finite loss raises NumericFailure before it reaches
-    Adam.
+    default_rng(seed), and each batch takes one teacher-forced Adam step on
+    the mean of its rows' reward-weighted `_token_loss`.
+    captions(items, epoch) returns the batch's feature matrices, its BOS..EOS
+    id rows and one reward per row. A non-finite loss raises NumericFailure
+    before `backward` runs.
     """
     if batch_size < 1 or epochs < 0:
         raise InvalidConfig(f"need batch_size >= 1 and epochs >= 0, got {batch_size} and {epochs}")
@@ -326,12 +330,15 @@ def _fit(params: ModelParams, dataset: list, epochs: int, batch_size: int, seed:
         order = rng.permutation(len(dataset))
         losses = []
         for start in range(0, len(order), batch_size):
-            batch = [dataset[i] for i in order[start : start + batch_size]]
-            loss, grads = batch_step(batch, epoch)
+            feats, rows, rewards = captions([dataset[i] for i in order[start : start + batch_size]], epoch)
+            prefix, targets, r, mask = _pad_rows(rows, rewards)
+            trace = forward(params, feats, prefix, train=True)
+            loss, glogits = _token_loss(trace.logits.value, targets, r, mask)
             if not np.isfinite(loss).all():
                 raise NumericFailure(f"non-finite training loss {loss} in epoch {epoch}")
             losses.extend(loss)
-            adam_step(params, grads, state, lr=lr)
+            adam_step(params, backward(trace, glogits), state, lr=lr)
+            del trace  # its tape holds the batch's activations: free them before the next batch
         curve.append(float(np.mean(losses)))
     return curve
 
@@ -344,15 +351,13 @@ def train_mle(
     seed: int,
     lr: float = 1e-3,
 ):
-    """Teacher-forced maximum-likelihood training; returns per-epoch mean loss."""
+    """Teacher-forced maximum-likelihood training, the unit-reward case of
+    `_fit`'s step; returns per-epoch mean loss."""
 
-    def step(items, _epoch):
-        prefix, targets, mask = _pad_rows([it.ids for it in items])
-        trace = forward(params, [it.features for it in items], prefix, train=True)
-        loss, glogits = _token_loss(trace.logits.value, targets, np.ones(mask.shape), mask)
-        return loss, backward(trace, glogits)
+    def captions(items, _epoch):
+        return [it.features for it in items], [it.ids for it in items], np.ones(len(items))
 
-    return params, _fit(params, dataset, epochs, batch_size, seed, lr, step)
+    return params, _fit(params, dataset, epochs, batch_size, seed, lr, captions)
 
 
 # ---------------------------------------------------------------------------

@@ -556,14 +556,22 @@ def test_frechet_large_scale_matches_oracle(scale):
     assert got == pytest.approx(want, rel=1e-9)
 
 
-def test_frechet_covariance_overflow_is_numeric_failure():
-    """Finite covariances whose L^T B L overflows are a numeric failure, not invalid input."""
-    rng = np.random.default_rng(19)
-    qa, qb = rng.normal(size=(2, 3, 3))
-    a = GaussianStats(np.zeros(3), 1e160 * (qa @ qa.T), 10)
-    b = GaussianStats(np.zeros(3), 1e160 * (qb @ qb.T), 10)
-    with pytest.raises(NumericFailure):
-        frechet_distance(a, b)
+def test_frechet_homogeneous_over_float_range():
+    """The distance is homogeneous of degree one: scaling the covariances by c
+    and the means by sqrt(c) gives c times the oracle's distance at scale 1,
+    over the whole float range, where L^T B L of the unscaled covariances
+    would underflow (below about 1e-155) or overflow (above about 1e154)."""
+    rng = np.random.default_rng(23)
+    qa, qb = rng.normal(size=(2, 6, 6))
+    ca, cb = qa @ qa.T, qb @ qb.T
+    mu_a, mu_b = rng.normal(size=(2, 6))
+    want = oracles.oracle_frechet(mu_a, ca, mu_b, cb)
+    tr = np.trace(ca) + np.trace(cb)
+    for e in range(-300, 301, 20):
+        c = 10.0**e
+        a = GaussianStats(mu_a * math.sqrt(c), c * ca, 5)
+        b = GaussianStats(mu_b * math.sqrt(c), c * cb, 5)
+        assert abs(frechet_distance(a, b) / c - want) <= 1e-12 * tr, e
 
 
 def test_fid_vid_d64_match_oracle():

@@ -19,10 +19,13 @@ from capkit.scst import (
     scst_train,
 )
 from capkit.seqmodel import (
+    AdamState,
     DecoderCache,
     ModelConfig,
     TrainItem,
+    _pad_rows,
     _token_loss,
+    adam_step,
     backward,
     forward,
     init_params,
@@ -180,7 +183,7 @@ def test_rewards_broadcast_with_mask():
     rewards = [compute_rewards(s, greedy, ref, _idf(), VOCAB) for s in samples]
     diffs = [rv.sample_score - rv.baseline_score for rv in rewards]
     assert [rv.r for rv in rewards] == diffs and all(d != 0.0 for d in diffs)
-    prefix, targets, r, mask = scst._policy_batch(samples, rewards)
+    prefix, targets, r, mask = _pad_rows(samples, [rv.r for rv in rewards])
     assert prefix.tolist() == [[BOS, 4, 5], [BOS, 4, EOS]]
     assert targets.tolist() == [[4, 5, EOS], [4, EOS, 0]]
     assert mask.tolist() == [[True] * 3, [True, True, False]]
@@ -314,6 +317,35 @@ def test_scst_train_epoch_moves_parameters():
     assert len(history) == 1
     assert math.isfinite(history[0].mean_reward) and history[0].mean_reward != 0.0
     assert any(not np.array_equal(params.tensors[n], before.tensors[n]) for n in params.tensors)
+
+
+def test_scst_train_batch_is_one_hand_composed_step():
+    """A one-batch scst_train epoch is a lockstep greedy and sampled rollout,
+    compute_rewards, then _pad_rows, forward, the reward-weighted _token_loss,
+    backward and adam_step, bit for bit."""
+    rng = np.random.default_rng(8)
+    items = [
+        ScstItem(f"s{k}", rng.normal(size=(T, CFG.feature_dim)), Caption.make(text, "description"))
+        for k, (T, text) in enumerate([(4, "a b"), (2, "c d e"), (5, "a f"), (3, "b b c")])
+    ]
+    idf = _idf()
+    params, ref = init_params(CFG), init_params(CFG)
+    _, history = scst_train(params, items, idf, 1, len(items), seed=6, vocab=VOCAB, lr=1e-2)
+
+    batch = [items[i] for i in np.random.default_rng(6).permutation(len(items))]
+    feats = [it.features for it in batch]
+    seeds = [derive_seed(6, it.sample_id, 0) for it in batch]
+    decoded = rollout(ref, feats + feats, [None] * len(batch) + seeds)
+    greedy, rolls = decoded[: len(batch)], decoded[len(batch) :]
+    rewards = [compute_rewards(s, g, it.ref, idf, VOCAB) for s, g, it in zip(rolls, greedy, batch)]
+    assert any(rv.r != 0.0 for rv in rewards)
+    prefix, targets, r, mask = _pad_rows(rolls, [rv.r for rv in rewards])
+    trace = forward(ref, feats, prefix, train=True)
+    loss, glogits = _token_loss(trace.logits.value, targets, r, mask)
+    adam_step(ref, backward(trace, glogits), AdamState(), lr=1e-2)
+    assert history[0].loss == float(np.mean(loss))
+    assert history[0].mean_sample == float(np.mean([rv.sample_score for rv in rewards]))
+    assert params.flat.tobytes() == ref.flat.tobytes()
 
 
 def test_scst_train_zero_epochs(params):

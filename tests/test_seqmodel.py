@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from capkit import seqmodel
 from capkit.errors import (
     AllMasked,
     BadMagic,
@@ -216,9 +217,9 @@ def test_batch_matches_single_rows(n_heads):
     gradients, as one-row forwards do."""
     params = init_params(ModelConfig(**{**CFG.__dict__, "n_heads": n_heads}))
     rows, feats = _mixed_batch(np.random.default_rng(n_heads))
-    prefix, targets, mask = _pad_rows(rows)
+    prefix, targets, r, mask = _pad_rows(rows, np.ones(len(rows)))
     trace = forward(params, feats, prefix, train=True)
-    losses, glog = _token_loss(trace.logits.value, targets, np.ones(mask.shape), mask)
+    losses, glog = _token_loss(trace.logits.value, targets, r, mask)
     grads = backward(trace, glog)
 
     want = {name: np.zeros_like(t) for name, t in params.tensors.items()}
@@ -238,7 +239,7 @@ def test_batch_incremental_decode_matches_forward():
     for n_heads in (1, 2, 4):
         params = init_params(ModelConfig(**{**CFG.__dict__, "n_heads": n_heads}))
         rows, feats = _mixed_batch(np.random.default_rng(10 + n_heads))
-        ids = np.hstack([_pad_rows(rows)[0], np.full((len(rows), 1), PAD)])
+        ids = np.hstack([_pad_rows(rows, np.ones(len(rows)))[0], np.full((len(rows), 1), PAD)])
         full = forward(params, feats, ids)
         cache = DecoderCache(params, feats)
         stepped = np.stack([cache.step(ids[:, t]) for t in range(ids.shape[1])], axis=1)
@@ -491,13 +492,33 @@ def test_train_mle_deterministic():
     assert c1 == c2
 
 
-def test_train_mle_non_finite_loss_fails_fast(params):
+def test_train_mle_non_finite_loss_fails_fast(params, monkeypatch):
+    """A non-finite loss stops the step before backward and Adam run."""
     before = params.copy()
+    monkeypatch.setattr(seqmodel, "backward", lambda *_: pytest.fail("backward ran on a non-finite loss"))
     item = TrainItem(features=np.full_like(FEATS, np.nan), ids=_one_item().ids)
     with pytest.raises(NumericFailure):
         train_mle(params, [item], epochs=2, batch_size=1, seed=0)
     for n in params.tensors:
         assert np.array_equal(params.tensors[n], before.tensors[n])
+
+
+def test_train_mle_epoch_is_one_hand_composed_step():
+    """A one-batch train_mle epoch is _pad_rows, forward, xent_loss, backward
+    and adam_step, bit for bit."""
+    rows, feats = _mixed_batch(np.random.default_rng(7))
+    items = [TrainItem(features=f, ids=tuple(r)) for r, f in zip(rows, feats)]
+    params, ref = init_params(CFG), init_params(CFG)
+    _, curve = train_mle(params, items, epochs=1, batch_size=len(items), seed=4, lr=1e-2)
+
+    order = np.random.default_rng(4).permutation(len(items))
+    prefix, targets, _, mask = _pad_rows([rows[i] for i in order], np.ones(len(items)))
+    trace = forward(ref, [feats[i] for i in order], prefix, train=True)
+    loss, glogits = xent_loss(trace.logits.value, targets, mask)
+    adam_step(ref, backward(trace, glogits), AdamState(), lr=1e-2)
+    assert curve == [float(np.mean(loss))]
+    assert params.flat.tobytes() == ref.flat.tobytes()
+    assert not np.array_equal(ref.flat, init_params(CFG).flat)
 
 
 def test_train_mle_empty_dataset(params):
