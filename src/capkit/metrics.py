@@ -4,7 +4,7 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -41,14 +41,19 @@ def bleu_corpus(hyps, refs) -> list[float]:
     """Corpus BLEU-1..4 with pooled clipped counts, no smoothing, from one
     n-gram count of each sentence."""
     _check_pairs(hyps, refs)
+    return bleu_counts([ngrams(h, MAX_N) for h in hyps], [ngrams(r, MAX_N) for r in refs])
+
+
+def bleu_counts(hyp_grams, ref_grams) -> list[float]:
+    """bleu_corpus from each pair's `ngrams` counts of hypothesis and reference."""
     clipped = [0] * (MAX_N + 1)
     total = [0] * (MAX_N + 1)
-    for h, r in zip(hyps, refs):
-        hg, rg = ngrams(h, MAX_N), ngrams(r, MAX_N)
+    ref_len = 0
+    for hg, rg in zip(hyp_grams, ref_grams):
+        ref_len += sum(rg[1].values())
         for k in range(1, MAX_N + 1):
             total[k] += sum(hg[k].values())
             clipped[k] += sum(min(c, rg[k][g]) for g, c in hg[k].items())
-    ref_len = sum(len(r) for r in refs)
     scores, log_p_sum = [0.0] * MAX_N, 0.0
     for k in range(1, MAX_N + 1):
         if clipped[k] == 0:  # BLEU-k and every higher order are 0; total[k] may be 0
@@ -174,50 +179,84 @@ def meteor_corpus(hyps, refs) -> float:
 # CIDEr-D
 
 @dataclass(frozen=True)
+class RefEntry:
+    """One reference as CIDEr-D and BLEU read it."""
+    grams: dict  # n -> Counter of the reference's n-grams
+    length: int
+    vecs: dict  # n -> (tf-idf vector {gram: weight}, its Euclidean norm)
+
+
+@dataclass(frozen=True)
 class IdfTable:
+    """Document frequencies over a reference corpus, and the RefEntry of each
+    reference scored against it.
+
+    `_weight[n][gram]` is log(doc_count / df), kept where it is nonzero. The
+    entries are made on first use, one per distinct reference scored (a
+    document of the table or not), so the table's memory grows with the
+    references scored against it; equality and repr ignore them.
+    """
     doc_count: int
     df: dict  # n -> {gram: document frequency}
+    _weight: dict = field(init=False, repr=False, compare=False)
+    _entries: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+
+    def __post_init__(self):
+        weight = {}
+        for n, grams in self.df.items():
+            logs = ((g, math.log(self.doc_count / d)) for g, d in grams.items() if d > 0)
+            weight[n] = {g: w for g, w in logs if w != 0.0}
+        object.__setattr__(self, "_weight", weight)
+
+    def reference(self, tokens) -> RefEntry:
+        """The RefEntry of a reference's tokens, made the first time it is asked for."""
+        key = tuple(tokens)
+        entry = self._entries.get(key)
+        if entry is None:
+            grams = ngrams(key, MAX_N)
+            vecs = {}
+            for n in range(1, MAX_N + 1):
+                weight = self._weight[n]
+                vec = {g: c * weight[g] for g, c in grams[n].items() if g in weight}
+                vecs[n] = (vec, math.sqrt(sum(w * w for w in vec.values())))
+            entry = RefEntry(grams, len(key), vecs)
+            # One store: a signal raised while the entry was built leaves no partial entry.
+            self._entries[key] = entry
+        return entry
 
 
 def build_idf(refs) -> IdfTable:
+    """The table over refs, token sequences: the n-grams of each distinct
+    reference are counted once, and go into df once per occurrence."""
     if not refs:
         raise EmptyCorpus("cannot build an IDF table from zero references")
     df = {n: Counter() for n in range(1, MAX_N + 1)}
-    for r in refs:
+    for r, k in Counter(map(tuple, refs)).items():
         grams = ngrams(r, MAX_N)
         for n in range(1, MAX_N + 1):
-            df[n].update(set(grams[n]))
+            df[n].update(list(grams[n]) * k)  # each of the k documents holds each gram once
     return IdfTable(doc_count=len(refs), df={n: dict(c) for n, c in df.items()})
 
 
-def _tfidf_vec(counts: Counter, n: int, idf: IdfTable) -> dict:
-    df, vec = idf.df[n], {}
-    for gram, c in counts.items():
-        d = df.get(gram, 0)
-        if d > 0:
-            w = c * math.log(idf.doc_count / d)
-            if w != 0.0:
-                vec[gram] = w
-    return vec
-
-
 def cider_d(hyp, ref, idf: IdfTable) -> float:
-    hyp_grams = ngrams(hyp, MAX_N)
-    ref_grams = ngrams(ref, MAX_N)
+    return cider_d_counts(ngrams(hyp, MAX_N), len(hyp), ref, idf)
+
+
+def cider_d_counts(hyp_grams: dict, hyp_len: int, ref, idf: IdfTable) -> float:
+    """cider_d from the hypothesis's `ngrams` counts and length; the
+    reference's counts and tf-idf vectors come from its entry in the table."""
+    entry = idf.reference(ref)
     sim_sum = 0.0
     for n in range(1, MAX_N + 1):
-        clipped = Counter(
-            {g: min(c, ref_grams[n][g]) for g, c in hyp_grams[n].items()}
-        )
-        hv = _tfidf_vec(clipped, n, idf)
-        rv = _tfidf_vec(ref_grams[n], n, idf)
+        rg, (rv, rn), weight = entry.grams[n], entry.vecs[n], idf._weight[n]
+        # The clipped hypothesis vector: nonzero only on the grams of rv.
+        hv = {g: min(c, rg[g]) * weight[g] for g, c in hyp_grams[n].items() if g in rv}
         hn = math.sqrt(sum(w * w for w in hv.values()))
-        rn = math.sqrt(sum(w * w for w in rv.values()))
         if hn == 0.0 or rn == 0.0:
             continue
-        dot = sum(w * rv.get(g, 0.0) for g, w in hv.items())
+        dot = sum(w * rv[g] for g, w in hv.items())
         sim_sum += max(0.0, dot / (hn * rn))
-    delta = len(hyp) - len(ref)
+    delta = hyp_len - entry.length
     penalty = math.exp(-(delta * delta) / (2.0 * CIDER_SIGMA * CIDER_SIGMA))
     return 10.0 * penalty * sim_sum / MAX_N
 
@@ -410,10 +449,11 @@ def score_all(hyps: list[Caption], refs: list[Caption], idf: IdfTable) -> ScoreR
             raise LengthMismatch(f"role mismatch: {h.role} vs {r.role}")
     ht = [h.tokens for h in hyps]
     rt = [r.tokens for r in refs]
+    hg = [ngrams(h, MAX_N) for h in ht]  # each hypothesis counted once, for BLEU and CIDEr-D
     return ScoreReport(
-        *bleu_corpus(ht, rt),  # b1..b4
+        *bleu_counts(hg, [idf.reference(r).grams for r in rt]),  # b1..b4
         rouge_l=rouge_l_corpus(ht, rt),
         meteor=meteor_corpus(ht, rt),
-        cider_d=cider_corpus(ht, rt, idf),
+        cider_d=sum(cider_d_counts(g, len(h), r, idf) for g, h, r in zip(hg, ht, rt)) / len(hyps),
         counts=len(hyps),
     )

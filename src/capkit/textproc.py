@@ -79,7 +79,4 @@ def ngrams(tokens, max_n: int = 4) -> dict[int, Counter]:
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
     toks = tuple(tokens)
-    out = {}
-    for n in range(1, max_n + 1):
-        out[n] = Counter(toks[i : i + n] for i in range(len(toks) - n + 1))
-    return out
+    return {n: Counter(zip(*(toks[i:] for i in range(n)))) for n in range(1, max_n + 1)}

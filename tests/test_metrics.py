@@ -2,6 +2,7 @@ import json
 import math
 import os
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from capkit.errors import (
 from capkit.metrics import (
     GaussianStats,
     IdfTable,
+    ScoreReport,
     bleu_corpus,
     build_idf,
     cider_corpus,
@@ -217,6 +219,24 @@ def test_build_idf_absent_gram():
 def test_build_idf_empty():
     with pytest.raises(EmptyCorpus):
         build_idf([])
+
+
+@given(st.data())
+def test_build_idf_counts_repeated_references_per_document(data):
+    """A reference that occurs k times counts as k documents, whether it comes
+    as a list or a tuple, and CIDEr-D over such a corpus matches the oracle."""
+    pool = data.draw(st.lists(tokens_st, min_size=1, max_size=4))
+    picks = data.draw(st.lists(st.tuples(st.sampled_from(pool), st.booleans()), min_size=1, max_size=12))
+    refs = [tuple(r) if as_tuple else list(r) for r, as_tuple in picks]
+    idf = build_idf(refs)
+    assert idf.doc_count == len(refs)
+    for n in range(1, 5):
+        want = Counter()
+        for r in refs:
+            want.update({tuple(r[i : i + n]) for i in range(len(r) - n + 1)})
+        assert idf.df[n] == dict(want)
+    hyp, ref = data.draw(tokens_st), data.draw(st.sampled_from(refs))
+    assert cider_d(hyp, ref, idf) == pytest.approx(oracles.oracle_cider_d(hyp, ref, refs))
 
 
 TWO_DOC_REFS = [["a", "b", "c", "d", "e"], ["x", "y", "z", "w", "v"]]
@@ -640,6 +660,44 @@ def test_score_all_micro_corpus_oracle_sheet():
     assert rep.rouge_l == pytest.approx(sheet["rouge_l"], abs=1e-6)
     assert rep.meteor == pytest.approx(sheet["meteor"], abs=1e-6)
     assert rep.cider_d == pytest.approx(sheet["cider_d"], abs=1e-6)
+
+
+@settings(deadline=None)
+@given(st.lists(st.tuples(tokens_st, tokens_st), min_size=1, max_size=4), st.booleans())
+def test_score_all_equals_corpus_metrics_bit_for_bit(pairs, refs_are_docs):
+    """score_all's shared n-gram counts and reference entries change no bit,
+    whether the table makes the entries or already holds them, and whether
+    the references are documents of the table or not."""
+    hyps = _caps([" ".join(h) for h, _ in pairs])
+    refs = _caps([" ".join(r) for _, r in pairs])
+    ht, rt = [h.tokens for h in hyps], [r.tokens for r in refs]
+    docs = (rt if refs_are_docs else []) + [("car", "stops", "a"), ("b", "c")]
+    want = ScoreReport(
+        *bleu_corpus(ht, rt),
+        rouge_l=rouge_l_corpus(ht, rt),
+        meteor=meteor_corpus(ht, rt),
+        cider_d=cider_corpus(ht, rt, build_idf(docs)),
+        counts=len(ht),
+    )
+    idf = build_idf(docs)
+    assert score_all(hyps, refs, idf) == want
+    assert score_all(hyps, refs, idf) == want
+    oracle = sum(oracles.oracle_cider_d(h, r, docs) for h, r in zip(ht, rt)) / len(ht)
+    assert want.cider_d == pytest.approx(oracle)
+
+
+def test_score_all_remembers_each_distinct_reference_once():
+    """Scoring N pairs whose references hold k distinct captions leaves k
+    entries in the table, and none for a hypothesis."""
+    distinct = ["a car stops at the light", "the truck merges", "a van turns left"]
+    refs = _caps([distinct[i % 3] for i in range(12)])
+    hyps = _caps([f"{distinct[i % 3]} {'now ' * (i // 3 + 1)}" for i in range(12)])
+    idf = build_idf([c.tokens for c in refs])
+    score_all(hyps, refs, idf)
+    for h, r in zip(hyps, refs):
+        score_all([h], [r], idf)
+    assert set(idf._entries) == {r.tokens for r in refs}
+    assert len(idf._entries) == 3
 
 
 @given(st.lists(tokens_st, min_size=1, max_size=3))

@@ -193,6 +193,20 @@ def test_rewards_broadcast_with_mask():
     assert np.all(grad[1, 2] == 0.0) and np.all(grad[:, :2] != 0.0)
 
 
+def test_rewards_same_on_fresh_and_warm_table():
+    """compute_rewards reads each reference's entry from the table; a table
+    that already holds the entry gives the same bits as a fresh one."""
+    ref = Caption.make("a b c", "description")
+    sample, greedy = (BOS, VOCAB.id_of("a"), VOCAB.id_of("b"), EOS), (BOS, VOCAB.id_of("c"), EOS)
+    warm = _idf()
+    first = compute_rewards(sample, greedy, ref, warm, VOCAB)
+    assert ref.tokens in warm._entries
+    assert compute_rewards(sample, greedy, ref, warm, VOCAB) == first
+    assert compute_rewards(sample, greedy, ref, _idf(), VOCAB) == first
+    want = cider_d(decode_ids(VOCAB, sample), ref.tokens, _idf()) - cider_d(decode_ids(VOCAB, greedy), ref.tokens, _idf())
+    assert first.r == want and first.r != 0.0
+
+
 def test_rewards_sign_when_sample_worse():
     # greedy reproduces the reference, sample is disjoint
     greedy = (BOS, VOCAB.id_of("a"), VOCAB.id_of("b"), EOS)
