@@ -51,10 +51,6 @@ class Var:
             self._grad = np.zeros_like(self.value)
         return self._grad
 
-    @grad.setter
-    def grad(self, g):
-        self._grad = g
-
     def accumulate(self, g) -> None:
         self._grad = g if self._grad is None else self._grad + g
 

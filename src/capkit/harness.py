@@ -10,7 +10,7 @@ import numpy as np
 
 from .scst import ScstItem, derive_seed, rollout
 from .seqmodel import ModelParams, TrainItem
-from .textproc import ROLE_AVOIDANCE, ROLE_DESCRIPTION, Caption, Vocab, decode_ids, encode
+from .textproc import ROLE_DESCRIPTION, Caption, Vocab, decode_ids, encode
 
 
 def role_features(clip_data: np.ndarray, role: str) -> np.ndarray:

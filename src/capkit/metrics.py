@@ -100,6 +100,24 @@ def rouge_l_corpus(hyps, refs) -> float:
 # ---------------------------------------------------------------------------
 # METEOR-lite (exact-match stage only)
 
+def _cover(spans, start, remaining, used_h, used_r, budget) -> bool:
+    """Whether at most `budget` blocks of spans[start:], disjoint from each
+    other and from the used hyp and ref masks, hold exactly `remaining`
+    unigrams.
+    A module function, not a closure, so a call leaves no reference cycle."""
+    if remaining == 0:
+        return True
+    for n in range(start, len(spans)):
+        k, hs, rs = spans[n]
+        if k * budget < remaining:
+            return False
+        if k > remaining or hs & used_h or rs & used_r:
+            continue
+        if _cover(spans, n + 1, remaining - k, used_h | hs, used_r | rs, budget - 1):
+            return True
+    return False
+
+
 def _min_chunks(hyp, ref, m: int) -> int:
     """Fewest contiguous common blocks that realize m matched unigrams.
 
@@ -135,24 +153,10 @@ def _min_chunks(hyp, ref, m: int) -> int:
                 by_len[k].append((k, ones << i, ones << j))
         below = row
     spans = [span for blocks in reversed(by_len) for span in blocks]
-
-    def search(start, remaining, used_h, used_r, budget):
-        if remaining == 0:
-            return True
-        for n in range(start, len(spans)):
-            k, hs, rs = spans[n]
-            if k * budget < remaining:
-                return False
-            if k > remaining or hs & used_h or rs & used_r:
-                continue
-            if search(n + 1, remaining - k, used_h | hs, used_r | rs, budget - 1):
-                return True
-        return False
-
     ref_bigrams = Counter(zip(ref, ref[1:]))
     links = sum(min(c, ref_bigrams[g]) for g, c in Counter(zip(hyp, hyp[1:])).items())
     for chunks in range(max(1, m - links, -(-m // spans[0][0])), m + 1):
-        if search(0, m, 0, 0, chunks):
+        if _cover(spans, 0, m, 0, 0, chunks):
             return chunks
     return m
 

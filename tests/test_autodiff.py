@@ -21,7 +21,7 @@ def fd_check(fn, shapes, h=1e-6, tol=1e-7, n_probe=10):
     tape = ad.Tape()
     out, vs = run(inputs, tape)
     seed = RNG.normal(size=out.value.shape)
-    out.grad += seed
+    out.accumulate(seed)
     tape.run_backward()
 
     rng = np.random.default_rng(7)
@@ -108,7 +108,7 @@ def test_embed_accumulates_repeats():
     tok, pos = ad.Var(np.eye(3)), ad.Var(np.zeros((5, 3)))
     tape = ad.Tape()
     out = ad.embed(tape, tok, pos, [1, 1, 1], 2)
-    out.grad += np.ones((3, 3))
+    out.accumulate(np.ones((3, 3)))
     tape.run_backward()
     assert np.array_equal(tok.grad, [[0.0] * 3, [3.0] * 3, [0.0] * 3])
     assert np.array_equal(pos.grad, [[0.0] * 3] * 2 + [[1.0] * 3] * 3)
@@ -129,7 +129,7 @@ def test_constants_are_untracked():
     a = ad.Var(np.ones((2, 2)))
     c = np.full((2, 2), 3.0)
     out = ad.matmul(tape, a, c)
-    out.grad += np.ones((2, 2))
+    out.accumulate(np.ones((2, 2)))
     tape.run_backward()
     assert np.array_equal(a.grad, np.ones((2, 2)) @ c.T)
 

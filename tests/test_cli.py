@@ -1,10 +1,13 @@
+import ast
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from capkit.cli import main, render_report_table
+from capkit.cli import build_parser, main, render_report_table
 from capkit.metrics import ScoreReport
 from capkit.seqmodel import load_checkpoint, save_checkpoint
 
@@ -273,3 +276,25 @@ def test_score_text_not_a_string_exits_2(tmp_path, capsys):
     status, _, err = run(capsys, "score", "--hyps", hyps, "--refs", hyps, "--out", os.path.join(tmp_path, "o"))
     assert status == 2
     assert "must be a string" in err
+
+
+# ---------------------------------------------------------------------------
+# pipeline digest
+
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+DIGEST = os.path.join(ROOT, "scripts", "pipeline_digest.py")
+
+
+def test_pipeline_digest_runs_every_command():
+    # STEPS is read from the source, not imported: the script sets
+    # OPENBLAS_NUM_THREADS at import, which would leak into this session.
+    with open(DIGEST, encoding="utf-8") as f:
+        tree = ast.parse(f.read())
+    steps = next(ast.literal_eval(node.value) for node in tree.body
+                 if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "STEPS")
+    assert {step[0] for step in steps} == set(build_parser()._command_parsers)
+    env = {**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")}
+    done = subprocess.run([sys.executable, DIGEST], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert any(line.startswith("FID ") for line in done.stdout.splitlines())
+    assert any(line.startswith("VID ") for line in done.stdout.splitlines())

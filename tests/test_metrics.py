@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import os
@@ -193,6 +194,21 @@ def test_meteor_chunks_of_rearranged_captions_in_bounded_time():
         got = _min_chunks(list(hyp), list(ref), len(hyp))
         elapsed = time.perf_counter() - t0
         assert (got, elapsed < CHUNK_WALL_S) == (want, True), (hyp, ref, elapsed)
+
+
+def test_meteor_leaves_no_reference_cycles():
+    # A cycle per call would keep each call's blocks alive until the cyclic
+    # collector runs; with it off, collect() counts what the calls left.
+    pairs = [("acbca", "cbaca"), ("ba", "ab"), ("abcabbca", "cababbac")]
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(50):
+            for hyp, ref in pairs:
+                meteor_lite(list(hyp), list(ref))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------

@@ -398,7 +398,7 @@ def test_tied_embedding_gradient_sums_both_roles(params):
     x2 = ad.layer_norm(tape, ad.add(tape, x1, ff), P["ln2_g"], P["ln2_b"])
     logits = ad.matmul_nt(tape, x2, out_proj)
     _, glog = xent_loss(logits.value, [5, 6, 7, EOS], [1, 1, 1, 1])
-    logits.grad += glog
+    logits.accumulate(glog)
     tape.run_backward()
 
     untied_sum = P["tok_emb"].grad + out_proj.grad
