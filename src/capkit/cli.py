@@ -50,36 +50,40 @@ def _echo_config(args: argparse.Namespace) -> None:
     _log("config: " + json.dumps(cfg, default=str, sort_keys=True))
 
 
-def _roles(arg: str):
-    return list(ROLES) if arg == "both" else [arg]
-
-
 # ---------------------------------------------------------------------------
 # Dataset directory helpers
 
-def _read_clips(index_path: str) -> dict:
-    """id -> FeatureClip of a non-empty feature_index.json; all clips share one D."""
+def _read_index(index_path: str) -> dict:
+    """id -> feature file path of a non-empty feature_index.json."""
     index = dmod.read_json_object(index_path)
     if not index or not all(dmod._is_text(rel) for rel in index.values()):
         raise InvalidConfig(f"{index_path}: expected a non-empty object mapping clip ids to paths")
     base = os.path.dirname(index_path)
-    clips = {cid: dmod.read_features(os.path.join(base, rel)) for cid, rel in index.items()}
+    return {cid: os.path.join(base, rel) for cid, rel in index.items()}
+
+
+def _read_clips(paths: dict, where: str) -> dict:
+    """id -> FeatureClip of each path; all clips share one D."""
+    clips = {cid: dmod.read_features(path) for cid, path in paths.items()}
     if len({c.D for c in clips.values()}) > 1:
-        raise DimensionMismatch(f"{index_path}: clips differ in feature dimension")
+        raise DimensionMismatch(f"{where}: clips differ in feature dimension")
     return clips
 
 
-def _load_corpus_dir(path: str, split: str):
-    """The samples of one split of a corpus directory, and id -> FeatureClip."""
-    clips = _read_clips(os.path.join(path, "feature_index.json"))
+def _load_rows(path: str, split: str, roles: str) -> list:
+    """The (clip, role) rows of one split of a corpus directory, for one role
+    or "both". Only the clips of the split's samples are read."""
+    index_path = os.path.join(path, "feature_index.json")
+    index = _read_index(index_path)
     ids = dmod.read_json_object(os.path.join(path, "splits.json")).get(split)
-    if not (isinstance(ids, list) and all(isinstance(i, str) and i in clips for i in ids)):
+    if not (isinstance(ids, list) and all(isinstance(i, str) and i in index for i in ids)):
         raise InvalidConfig(f"{path}: splits.json: split {split!r} must list ids that each have a clip")
     wanted = set(ids)
     subset = [s for s in dmod.read_samples_jsonl(os.path.join(path, "samples.jsonl")) if s.id in wanted]
     if not subset:
         raise EmptyDataset(f"{path}: split {split!r} has no samples")
-    return subset, clips
+    clips = _read_clips({s.id: index[s.id] for s in subset}, index_path)
+    return harness.rows(subset, clips, list(ROLES) if roles == "both" else [roles])
 
 
 # ---------------------------------------------------------------------------
@@ -117,24 +121,19 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train_mle(args) -> int:
-    train, clips = _load_corpus_dir(args.data, "train")
-    roles = _roles(args.roles)
-    caps = [harness.caption_for(s, r) for s in train for r in roles]
-    vocab = build_vocab(caps)
-    feature_dim = next(iter(clips.values())).D
+    rows = _load_rows(args.data, "train", args.roles)
+    vocab = build_vocab([r.ref for r in rows])
     config = ModelConfig(
         vocab_size=len(vocab),
-        feature_dim=feature_dim,
+        feature_dim=rows[0].features.shape[1],
         d_model=args.d_model,
         n_heads=args.n_heads,
         max_len=args.max_len,
         seed=derive_seed(args.seed, "init", 0),
     )
     params = init_params(config)
-    items = harness.mle_items(train, clips, vocab, roles, args.max_len)
-    params, curve = train_mle(
-        params, items, args.epochs, args.batch, derive_seed(args.seed, "mle", 0), lr=args.lr
-    )
+    items = harness.mle_items(rows, vocab, args.max_len)
+    params, curve = train_mle(params, items, args.epochs, args.batch, derive_seed(args.seed, "mle", 0), lr=args.lr)
     save_checkpoint(params, args.out, extra={"vocab": list(vocab.tokens)})
     _log("epoch losses: " + " ".join(f"{x:.4f}" for x in curve))
     _log(f"saved checkpoint to {args.out}")
@@ -157,16 +156,12 @@ def _load_model(path: str):
 
 
 def cmd_train_scst(args) -> int:
-    train, clips = _load_corpus_dir(args.data, "train")
-    roles = _roles(args.roles)
+    rows = _load_rows(args.data, "train", args.roles)
     params, vocab = _load_model(args.ckpt)
-    refs = [harness.caption_for(s, r).tokens for s in train for r in roles]
-    idf = build_idf(refs)
-    items = harness.scst_items(train, clips, roles)
     params, history = scst_train(
         params,
-        items,
-        idf,
+        rows,
+        build_idf([r.ref.tokens for r in rows]),
         args.epochs,
         args.batch,
         derive_seed(args.seed, "scst", 0),
@@ -188,14 +183,14 @@ def cmd_train_scst(args) -> int:
 
 
 def cmd_decode(args) -> int:
-    subset, clips = _load_corpus_dir(args.data, args.split)
+    rows = _load_rows(args.data, args.split, args.role)
     params, vocab = _load_model(args.ckpt)
     seed = args.seed if args.sample else None
-    decoded = harness.decode_split(params, subset, clips, vocab, _roles(args.role), seed, args.temperature)
+    decoded = harness.decode_split(params, rows, vocab, seed, args.temperature)
     with open(args.out, "w", encoding="utf-8") as f:
-        for sample_id, cap in decoded:
-            f.write(json.dumps({"id": sample_id, "role": cap.role, "text": cap.raw}) + "\n")
-    _log(f"decoded {len(subset)} clips to {args.out}")
+        for r, cap in zip(rows, decoded):
+            f.write(json.dumps({"id": r.sample_id, "role": cap.role, "text": cap.raw}) + "\n")
+    _log(f"decoded {len(decoded)} captions to {args.out}")
     return EXIT_OK
 
 
@@ -218,7 +213,7 @@ def cmd_score(args) -> int:
 
 
 def _load_feature_matrixes(index_path: str):
-    clips = _read_clips(index_path)
+    clips = _read_clips(_read_index(index_path), index_path)
     data = [clips[cid].data for cid in sorted(clips)]
     return np.vstack(data), np.vstack([d.mean(axis=0) for d in data])
 

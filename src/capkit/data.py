@@ -120,10 +120,6 @@ class FeatureClip:
     data: np.ndarray  # T x D, float32
 
     @property
-    def T(self) -> int:
-        return self.data.shape[0]
-
-    @property
     def D(self) -> int:
         return self.data.shape[1]
 

@@ -40,7 +40,9 @@ def rollout(params: ModelParams, features, seeds, temperature: float = 1.0) -> l
     matrix until EOS or the config's max_len. Row b is greedy (argmax; ties go
     to the lowest id) when seeds[b] is None, and otherwise samples at the
     temperature from default_rng(seeds[b]) with one uniform draw per step:
-    inverse-CDF sampling, the draw of Generator.choice."""
+    inverse-CDF sampling, the draw of Generator.choice. Non-finite logits
+    in a live row, or a sampling distribution that overflows, raise
+    NumericFailure."""
     if len(seeds) != len(features):
         raise BadPrefix(f"{len(seeds)} seeds for {len(features)} feature matrices: rollout needs one seed per row")
     rngs = [None if s is None else np.random.default_rng(s) for s in seeds]
@@ -55,6 +57,8 @@ def rollout(params: ModelParams, features, seeds, temperature: float = 1.0) -> l
     live = np.ones(B, dtype=bool)  # rows before their EOS; the others step on unread
     for t in range(1, L):
         logits = cache.step(ids[:, t - 1])
+        if not np.isfinite(logits[live]).all():
+            raise NumericFailure(f"non-finite logits at decoding step {t}")
         tok = logits.argmax(axis=-1)
         draw = sampled & live
         if draw.any():
@@ -87,21 +91,28 @@ def compute_rewards(
     return RewardVector(r=sample_score - baseline_score, baseline_score=baseline_score, sample_score=sample_score)
 
 
-def derive_seed(seed: int, sample_id: str, epoch: int) -> int:
-    h = hashlib.blake2b(f"{seed}:{sample_id}:{epoch}".encode(), digest_size=8)
+def derive_seed(seed: int, key: str, epoch: int) -> int:
+    h = hashlib.blake2b(f"{seed}:{key}:{epoch}".encode(), digest_size=8)
     return int.from_bytes(h.digest(), "little")
 
 
 @dataclass(frozen=True)
-class ScstItem:
+class Row:
+    """One (clip, role) pair: what MLE and SCST train on and decoding decodes."""
+
     sample_id: str
-    features: np.ndarray  # T x feature_dim
-    ref: Caption
+    features: np.ndarray  # T x feature_dim, the role frame included
+    ref: Caption  # the sample's caption of this role
+
+    @property
+    def key(self) -> str:
+        """The row's seed key, "<sample id>/<role>"."""
+        return f"{self.sample_id}/{self.ref.role}"
 
 
 def scst_train(
     params: ModelParams,
-    dataset: list[ScstItem],
+    dataset: list[Row],
     idf: IdfTable,
     epochs: int,
     batch_size: int,
@@ -120,7 +131,7 @@ def scst_train(
         # Greedy baselines and sampled rollouts decode as one lockstep batch;
         # the sampled captions are then teacher-forced under their rewards.
         feats = [item.features for item in items]
-        seeds = [derive_seed(seed, item.sample_id, epoch) for item in items]
+        seeds = [derive_seed(seed, item.key, epoch) for item in items]
         decoded = rollout(params, feats + feats, [None] * len(items) + seeds, temperature)
         greedy, rolls = decoded[: len(items)], decoded[len(items) :]
         rewards = [compute_rewards(s, g, item.ref, idf, vocab) for s, g, item in zip(rolls, greedy, items)]

@@ -321,6 +321,8 @@ def _fit(params: ModelParams, dataset: list, epochs: int, batch_size: int, seed:
     """
     if batch_size < 1 or epochs < 0:
         raise InvalidConfig(f"need batch_size >= 1 and epochs >= 0, got {batch_size} and {epochs}")
+    if not (math.isfinite(lr) and lr > 0.0):
+        raise InvalidConfig(f"learning rate must be finite and > 0, got {lr}")
     if not dataset:
         raise EmptyDataset("empty training dataset")
     rng = np.random.default_rng(seed)

@@ -169,8 +169,8 @@ def test_criterion_scst_loss_unit_value():
 
 def _val_cider(params, val, clips, vocab, idf):
     """Corpus CIDEr-D of the greedy description captions of the val split."""
-    decoded = harness.decode_split(params, val, clips, vocab, [ROLE_DESCRIPTION])
-    return cider_corpus([c.tokens for _, c in decoded], [s.description.tokens for s in val], idf)
+    decoded = harness.decode_split(params, harness.rows(val, clips, [ROLE_DESCRIPTION]), vocab)
+    return cider_corpus([c.tokens for c in decoded], [s.description.tokens for s in val], idf)
 
 
 def test_criterion_end_to_end_learning():
@@ -180,9 +180,9 @@ def test_criterion_end_to_end_learning():
     train = [by_id[i] for i in corpus.split["train"]]
     val = [by_id[i] for i in corpus.split["val"]]
     roles = [ROLE_DESCRIPTION]
-    caps = [harness.caption_for(s, r) for s in train for r in roles]
-    vocab = build_vocab(caps)
-    idf = build_idf([c.tokens for c in caps])
+    rows = harness.rows(train, corpus.clips, roles)
+    vocab = build_vocab([r.ref for r in rows])
+    idf = build_idf([r.ref.tokens for r in rows])
     feature_dim = corpus.clips[train[0].id].D
     wins = 0
     details = []
@@ -192,11 +192,10 @@ def test_criterion_end_to_end_learning():
             n_heads=2, max_len=24, seed=seed,
         )
         params = init_params(cfg)
-        items = harness.mle_items(train, corpus.clips, vocab, roles, cfg.max_len)
+        items = harness.mle_items(rows, vocab, cfg.max_len)
         params, _ = train_mle(params, items, epochs=30, batch_size=8, seed=seed)
         mle_score = _val_cider(params, val, corpus.clips, vocab, idf)
-        sitems = harness.scst_items(train, corpus.clips, roles)
-        params, _ = scst_train(params, sitems, idf, epochs=10, batch_size=8, seed=seed, vocab=vocab)
+        params, _ = scst_train(params, rows, idf, epochs=10, batch_size=8, seed=seed, vocab=vocab)
         scst_score = _val_cider(params, val, corpus.clips, vocab, idf)
         if scst_score >= mle_score:
             wins += 1

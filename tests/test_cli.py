@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from capkit import data as dmod
 from capkit.cli import build_parser, main, render_report_table
 from capkit.metrics import ScoreReport
 from capkit.seqmodel import load_checkpoint, save_checkpoint
@@ -241,6 +242,42 @@ def test_non_finite_checkpoint_exits_2(tmp_path, capsys, tiny_pipeline, command)
     assert status == 2
     assert "NonFiniteValue" in err
     assert os.listdir(tmp_path) == ["nan.ckpt"]
+
+
+def test_greedy_decode_non_finite_logits_exits_3(tmp_path, capsys, tiny_pipeline):
+    """A finite checkpoint whose logits overflow fails greedy decoding as a
+    numeric failure, as it fails sampled decoding, and writes no captions."""
+    params, extra = load_checkpoint(tiny_pipeline["ckpt"])
+    params.tensors["tok_emb"][...] = 1e308
+    ckpt = os.path.join(tmp_path, "big.ckpt")
+    save_checkpoint(params, ckpt, extra=extra)
+    out = os.path.join(tmp_path, "out")
+    with np.errstate(all="ignore"):
+        status, _, err = run(capsys, "decode", "--data", tiny_pipeline["data"], "--ckpt", ckpt, "--out", out)
+    assert status == 3
+    assert "non-finite logits" in err
+    assert not os.path.exists(out)
+
+
+def test_split_commands_read_only_their_split_clips(tmp_path, monkeypatch, tiny_pipeline):
+    data = tiny_pipeline["data"]
+    splits = json.load(open(os.path.join(data, "splits.json")))
+    read = []
+    real = dmod.read_features
+
+    def counting(path):
+        clip = real(path)
+        read.append(clip.id)
+        return clip
+
+    monkeypatch.setattr(dmod, "read_features", counting)
+    assert main(["decode", "--data", data, "--ckpt", tiny_pipeline["ckpt"],
+                 "--out", os.path.join(tmp_path, "h.jsonl"), "--split", "val"]) == 0
+    assert sorted(read) == sorted(splits["val"])
+    read.clear()
+    assert main(["train-mle", "--data", data, "--out", os.path.join(tmp_path, "m.ckpt"),
+                 "--epochs", "1", "--d-model", "8", "--n-heads", "1", "--max-len", "8"]) == 0
+    assert sorted(read) == sorted(splits["train"])
 
 
 # ---------------------------------------------------------------------------

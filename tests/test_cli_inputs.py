@@ -162,8 +162,12 @@ def test_rejected_input_exits_2(tmp_path, capsys, corpus, case):
 
 
 @pytest.mark.parametrize("stage", ["train-mle", "train-scst"])
-@pytest.mark.parametrize("flag, value", [("--batch", "0"), ("--batch", "-1"), ("--epochs", "-1")])
+@pytest.mark.parametrize("flag, value", [
+    ("--batch", "0"), ("--batch", "-1"), ("--epochs", "-1"),
+    ("--lr", "nan"), ("--lr", "inf"), ("--lr", "0"), ("--lr", "-1"),
+])
 def test_training_rejects_batch_and_epochs(tmp_path, capsys, corpus, stage, flag, value):
+    """A batch size, epoch count or learning rate out of range exits 2 and writes nothing."""
     out = os.path.join(tmp_path, "out")
     ckpt = ["--ckpt", corpus["ckpt"]] if stage == "train-scst" else []
     status, _, err = run(capsys, stage, "--data", corpus["data"], *ckpt, "--out", out, flag, value)

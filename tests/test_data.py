@@ -112,7 +112,7 @@ def test_feature_round_trip(tmp_path):
     write_features(clip, path)
     back = read_features(path)
     assert back.id == clip.id
-    assert back.T == 3 and back.D == 4
+    assert back.data.shape == (3, 4) and back.D == 4
     assert back.data.tobytes() == clip.data.tobytes()
 
 

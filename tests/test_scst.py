@@ -11,7 +11,7 @@ from capkit.errors import AllMasked, BadPrefix, EmptyDataset, InvalidTemperature
 from capkit.metrics import build_idf, cider_corpus, cider_d
 from capkit.scst import (
     RewardVector,
-    ScstItem,
+    Row,
     compute_rewards,
     derive_seed,
     rollout,
@@ -139,15 +139,32 @@ def test_decode_split_does_not_depend_on_chunk(monkeypatch):
     captions of one-row chunks."""
     corpus = synth_corpus(SynthConfig(n_clips=40, seed=2))
     roles = [ROLE_DESCRIPTION, ROLE_AVOIDANCE]
-    vocab = build_vocab([harness.caption_for(s, r) for s in corpus.samples for r in roles])
+    rows = harness.rows(corpus.samples, corpus.clips, roles)
+    vocab = build_vocab([r.ref for r in rows])
     params = init_params(replace(CFG, vocab_size=len(vocab), feature_dim=corpus.clips[corpus.samples[0].id].D))
-    assert len(corpus.samples) * len(roles) > harness.DECODE_CHUNK
+    assert len(rows) > harness.DECODE_CHUNK
     for seed in (None, 3):
-        chunked = harness.decode_split(params, corpus.samples, corpus.clips, vocab, roles, seed)
+        chunked = harness.decode_split(params, rows, vocab, seed)
         monkeypatch.setattr(harness, "DECODE_CHUNK", 1)
-        one_row = harness.decode_split(params, corpus.samples, corpus.clips, vocab, roles, seed)
+        one_row = harness.decode_split(params, rows, vocab, seed)
         monkeypatch.undo()
         assert chunked == one_row
+
+
+def test_harness_rows():
+    """One row per sample and then per role, keyed "<id>/<role>", with the
+    role frame last and the sample's caption of that role."""
+    corpus = synth_corpus(SynthConfig(n_clips=3, seed=4))
+    rows = harness.rows(corpus.samples, corpus.clips, [ROLE_DESCRIPTION, ROLE_AVOIDANCE])
+    expected = [(s, role) for s in corpus.samples for role in (ROLE_DESCRIPTION, ROLE_AVOIDANCE)]
+    assert len(rows) == len(expected)
+    for row, (s, role) in zip(rows, expected):
+        assert row.sample_id == s.id
+        assert row.key == f"{s.id}/{role}"
+        clip = corpus.clips[s.id].data
+        assert np.array_equal(row.features[:-1], clip)
+        assert np.all(row.features[-1] == (1.0 if role == ROLE_DESCRIPTION else -1.0))
+        assert row.ref == getattr(s, role) and row.ref.role == role
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +313,7 @@ def test_scst_train_memorized_sample():
     from capkit.textproc import decode_ids
 
     assert decode_ids(vocab, greedy) == list(ref.tokens)  # baseline is the reference
-    items = [ScstItem(sample_id="s0", features=FEATS, ref=ref)]
+    items = [Row(sample_id="s0", features=FEATS, ref=ref)]
     params, history = scst_train(params, items, idf, epochs=5, batch_size=1, seed=1, vocab=vocab)
     first = history[0].mean_baseline
     for h in history:
@@ -313,21 +330,20 @@ def test_scst_train_epoch_moves_parameters():
     train = [by_id[i] for i in corpus.split["train"]]
     val = [by_id[i] for i in corpus.split["val"]]
     roles = [ROLE_DESCRIPTION]
-    caps = [harness.caption_for(s, r) for s in train for r in roles]
-    vocab = build_vocab(caps)
-    idf = build_idf([c.tokens for c in caps])
+    rows = harness.rows(train, corpus.clips, roles)
+    vocab = build_vocab([r.ref for r in rows])
+    idf = build_idf([r.ref.tokens for r in rows])
     cfg = ModelConfig(
         vocab_size=len(vocab), feature_dim=corpus.clips[train[0].id].D, d_model=32,
         n_heads=2, max_len=24, seed=1,
     )
-    items = harness.mle_items(train, corpus.clips, vocab, roles, cfg.max_len)
+    items = harness.mle_items(rows, vocab, cfg.max_len)
     params, _ = train_mle(init_params(cfg), items, epochs=6, batch_size=8, seed=1)
-    decoded = harness.decode_split(params, val, corpus.clips, vocab, roles)
-    held_out = cider_corpus([c.tokens for _, c in decoded], [s.description.tokens for s in val], idf)
+    decoded = harness.decode_split(params, harness.rows(val, corpus.clips, roles), vocab)
+    held_out = cider_corpus([c.tokens for c in decoded], [s.description.tokens for s in val], idf)
     assert held_out < 10.0
     before = params.copy()
-    sitems = harness.scst_items(train, corpus.clips, roles)
-    params, history = scst_train(params, sitems, idf, epochs=1, batch_size=8, seed=1, vocab=vocab)
+    params, history = scst_train(params, rows, idf, epochs=1, batch_size=8, seed=1, vocab=vocab)
     assert len(history) == 1
     assert math.isfinite(history[0].mean_reward) and history[0].mean_reward != 0.0
     assert any(not np.array_equal(params.tensors[n], before.tensors[n]) for n in params.tensors)
@@ -339,7 +355,7 @@ def test_scst_train_batch_is_one_hand_composed_step():
     backward and adam_step, bit for bit."""
     rng = np.random.default_rng(8)
     items = [
-        ScstItem(f"s{k}", rng.normal(size=(T, CFG.feature_dim)), Caption.make(text, "description"))
+        Row(f"s{k}", rng.normal(size=(T, CFG.feature_dim)), Caption.make(text, "description"))
         for k, (T, text) in enumerate([(4, "a b"), (2, "c d e"), (5, "a f"), (3, "b b c")])
     ]
     idf = _idf()
@@ -348,7 +364,7 @@ def test_scst_train_batch_is_one_hand_composed_step():
 
     batch = [items[i] for i in np.random.default_rng(6).permutation(len(items))]
     feats = [it.features for it in batch]
-    seeds = [derive_seed(6, it.sample_id, 0) for it in batch]
+    seeds = [derive_seed(6, it.key, 0) for it in batch]
     decoded = rollout(ref, feats + feats, [None] * len(batch) + seeds)
     greedy, rolls = decoded[: len(batch)], decoded[len(batch) :]
     rewards = [compute_rewards(s, g, it.ref, idf, VOCAB) for s, g, it in zip(rolls, greedy, batch)]
@@ -364,7 +380,7 @@ def test_scst_train_batch_is_one_hand_composed_step():
 
 def test_scst_train_zero_epochs(params):
     before = params.copy()
-    items = [ScstItem(sample_id="s0", features=FEATS, ref=Caption.make("a b", "description"))]
+    items = [Row(sample_id="s0", features=FEATS, ref=Caption.make("a b", "description"))]
     out, history = scst_train(params, items, _idf(), 0, 1, seed=0, vocab=VOCAB)
     assert history == []
     for n in out.tensors:
@@ -374,7 +390,7 @@ def test_scst_train_zero_epochs(params):
 def test_scst_train_deterministic():
     def run():
         p = init_params(CFG)
-        items = [ScstItem(sample_id="s0", features=FEATS, ref=Caption.make("a b", "description"))]
+        items = [Row(sample_id="s0", features=FEATS, ref=Caption.make("a b", "description"))]
         _, h = scst_train(p, items, _idf(), 3, 1, seed=5, vocab=VOCAB)
         return [(x.mean_reward, x.loss) for x in h]
 
@@ -388,7 +404,7 @@ def test_scst_train_non_finite_loss_fails_fast(params, monkeypatch):
         return RewardVector(r=np.nan, baseline_score=0.0, sample_score=0.0)
 
     monkeypatch.setattr(scst, "compute_rewards", nan_rewards)
-    items = [ScstItem(sample_id="s0", features=FEATS, ref=Caption.make("a b", "description"))]
+    items = [Row(sample_id="s0", features=FEATS, ref=Caption.make("a b", "description"))]
     with pytest.raises(NumericFailure):
         scst_train(params, items, _idf(), 2, 1, seed=0, vocab=VOCAB)
     for n in params.tensors:
