@@ -132,8 +132,7 @@ def cmd_train_mle(args) -> int:
         seed=derive_seed(args.seed, "init", 0),
     )
     params = init_params(config)
-    items = harness.mle_items(rows, vocab, args.max_len)
-    params, curve = train_mle(params, items, args.epochs, args.batch, derive_seed(args.seed, "mle", 0), lr=args.lr)
+    curve = train_mle(params, rows, args.epochs, args.batch, derive_seed(args.seed, "mle", 0), vocab, lr=args.lr)
     save_checkpoint(params, args.out, extra={"vocab": list(vocab.tokens)})
     _log("epoch losses: " + " ".join(f"{x:.4f}" for x in curve))
     _log(f"saved checkpoint to {args.out}")
@@ -158,7 +157,7 @@ def _load_model(path: str):
 def cmd_train_scst(args) -> int:
     rows = _load_rows(args.data, "train", args.roles)
     params, vocab = _load_model(args.ckpt)
-    params, history = scst_train(
+    history = scst_train(
         params,
         rows,
         build_idf([r.ref.tokens for r in rows]),

@@ -182,8 +182,8 @@ class SynthConfig:
     def validate(self):
         if self.n_clips < 1:
             raise InvalidConfig("n_clips must be >= 1")
-        if self.noise_std < 0:
-            raise InvalidConfig("noise_std must be >= 0")
+        if not (np.isfinite(self.noise_std) and self.noise_std >= 0):
+            raise InvalidConfig(f"noise_std must be finite and >= 0, got {self.noise_std}")
         if self.seed < 0:
             raise InvalidConfig("seed must be >= 0")
         if self.D < len(ACTORS) + len(ACTIONS) + len(CAUSES):
@@ -223,7 +223,7 @@ def synth_corpus(config: SynthConfig) -> SynthCorpus:
         clip_id = f"clip{i:04d}"
         desc, avoid = template_caption(actor_i, action_i, cause_i)
         sig = template_signal(actor_i, action_i, cause_i, config.D)
-        noise = rng.normal(0.0, config.noise_std, size=(SYNTH_FRAMES, config.D))
+        noise = rng.normal(0.0, abs(config.noise_std), size=(SYNTH_FRAMES, config.D))  # numpy rejects -0.0
         data = (sig[None, :] + noise).astype(np.float32)
         samples.append(
             Sample(

@@ -1,5 +1,5 @@
-"""Glue between the dataset and the decoder: role conditioning, the (clip, role)
-rows that training and decoding read, and split decoding.
+"""Glue between the dataset and the decoder: role conditioning, building the
+(clip, role) rows that MLE, SCST and decoding read, and split decoding.
 
 The decoder is conditioned on features only, so the requested caption role is
 conveyed by appending one constant indicator frame to the feature matrix
@@ -8,9 +8,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .scst import Row, derive_seed, rollout
-from .seqmodel import ModelParams, TrainItem
-from .textproc import ROLE_DESCRIPTION, Caption, Vocab, decode_ids, encode
+from .scst import derive_seed, rollout
+from .seqmodel import ModelParams, Row
+from .textproc import ROLE_DESCRIPTION, Caption, Vocab, decode_ids
 
 
 def role_features(clip_data: np.ndarray, role: str) -> np.ndarray:
@@ -28,10 +28,6 @@ def rows(samples, clips, roles) -> list[Row]:
         for s in samples
         for role in roles
     ]
-
-
-def mle_items(rows: list[Row], vocab: Vocab, max_len: int) -> list[TrainItem]:
-    return [TrainItem(features=r.features, ids=encode(vocab, list(r.ref.tokens), max_len)) for r in rows]
 
 
 DECODE_CHUNK = 64  # rows per lockstep decoding batch

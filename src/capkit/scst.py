@@ -12,6 +12,7 @@ from .metrics import IdfTable, cider_d
 from .seqmodel import (
     DecoderCache,
     ModelParams,
+    Row,
     _fit,
     log_softmax,
     scst_loss,  # re-exported: the SCST loss, of which MLE is the unit-reward case
@@ -96,20 +97,6 @@ def derive_seed(seed: int, key: str, epoch: int) -> int:
     return int.from_bytes(h.digest(), "little")
 
 
-@dataclass(frozen=True)
-class Row:
-    """One (clip, role) pair: what MLE and SCST train on and decoding decodes."""
-
-    sample_id: str
-    features: np.ndarray  # T x feature_dim, the role frame included
-    ref: Caption  # the sample's caption of this role
-
-    @property
-    def key(self) -> str:
-        """The row's seed key, "<sample id>/<role>"."""
-        return f"{self.sample_id}/{self.ref.role}"
-
-
 def scst_train(
     params: ModelParams,
     dataset: list[Row],
@@ -121,27 +108,28 @@ def scst_train(
     lr: float = 1e-4,
     temperature: float = 1.0,
 ):
-    """One sampled rollout against a greedy baseline per sample per epoch.
+    """One sampled rollout against a greedy baseline per row per epoch.
 
     The gradient flows only through the sampled sequence's log-probabilities;
-    the baseline is a constant. Returns (params, per-epoch ScstBatchStats)."""
+    the baseline is a constant. Updates `params` in place; returns the
+    per-epoch ScstBatchStats."""
     scores = [([], []) for _ in range(epochs)]  # per epoch: baseline, sample CIDEr-D
 
-    def captions(items, epoch):
+    def captions(rows, epoch):
         # Greedy baselines and sampled rollouts decode as one lockstep batch;
         # the sampled captions are then teacher-forced under their rewards.
-        feats = [item.features for item in items]
-        seeds = [derive_seed(seed, item.key, epoch) for item in items]
-        decoded = rollout(params, feats + feats, [None] * len(items) + seeds, temperature)
-        greedy, rolls = decoded[: len(items)], decoded[len(items) :]
-        rewards = [compute_rewards(s, g, item.ref, idf, vocab) for s, g, item in zip(rolls, greedy, items)]
+        feats = [r.features for r in rows]
+        seeds = [derive_seed(seed, r.key, epoch) for r in rows]
+        decoded = rollout(params, feats + feats, [None] * len(rows) + seeds, temperature)
+        greedy, rolls = decoded[: len(rows)], decoded[len(rows) :]
+        rewards = [compute_rewards(s, g, r.ref, idf, vocab) for s, g, r in zip(rolls, greedy, rows)]
         scores[epoch][0].extend(rv.baseline_score for rv in rewards)
         scores[epoch][1].extend(rv.sample_score for rv in rewards)
-        return feats, rolls, [rv.r for rv in rewards]
+        return rolls, [rv.r for rv in rewards]
 
     curve = _fit(params, dataset, epochs, batch_size, seed, lr, captions)
     history = []
     for loss, (baselines, samples) in zip(curve, scores):
         mean_b, mean_s = float(np.mean(baselines)), float(np.mean(samples))
         history.append(ScstBatchStats(mean_s - mean_b, mean_b, mean_s, loss, len(dataset)))
-    return params, history
+    return history

@@ -11,7 +11,7 @@ import numpy as np
 from . import autodiff as ad
 from .data import _Frame, _json_object, _write_frame
 from .errors import AllMasked, BadPrefix, EmptyDataset, InvalidConfig, NonFiniteValue, NumericFailure
-from .textproc import BOS, PAD
+from .textproc import BOS, PAD, Caption, Vocab, encode
 
 PARAM_SHAPES = (
     # name, shape expression over (V, d, L, F)
@@ -288,11 +288,17 @@ def adam_step(params: ModelParams, grads: dict, state: AdamState, lr: float = 1e
 
 
 @dataclass(frozen=True)
-class TrainItem:
-    """One teacher-forcing example: features plus an encoded caption."""
+class Row:
+    """One (clip, role) pair: what MLE and SCST train on and decoding decodes."""
 
-    features: np.ndarray  # T x feature_dim, float64
-    ids: tuple  # (BOS, tokens.., EOS)
+    sample_id: str
+    features: np.ndarray  # T x feature_dim, the role frame included
+    ref: Caption  # the sample's caption of this role
+
+    @property
+    def key(self) -> str:
+        """The row's seed key, "<sample id>/<role>"."""
+        return f"{self.sample_id}/{self.ref.role}"
 
 
 def _pad_rows(rows, rewards) -> tuple:
@@ -309,15 +315,14 @@ def _pad_rows(rows, rewards) -> tuple:
     return ids[:, :-1], ids[:, 1:], np.asarray(rewards, dtype=np.float64)[:, None] * mask, mask
 
 
-def _fit(params: ModelParams, dataset: list, epochs: int, batch_size: int, seed: int, lr: float, captions):
-    """The training loop of MLE and SCST; returns the per-epoch mean item loss.
+def _fit(params: ModelParams, dataset: list[Row], epochs: int, batch_size: int, seed: int, lr: float, captions):
+    """The training loop of MLE and SCST; returns the per-epoch mean row loss.
 
-    Each epoch visits the dataset in one permutation drawn from
+    Each epoch visits the rows in one permutation drawn from
     default_rng(seed), and each batch takes one teacher-forced Adam step on
-    the mean of its rows' reward-weighted `_token_loss`.
-    captions(items, epoch) returns the batch's feature matrices, its BOS..EOS
-    id rows and one reward per row. A non-finite loss raises NumericFailure
-    before `backward` runs.
+    the mean of its rows' reward-weighted `_token_loss` given their features.
+    captions(rows, epoch) returns the batch's BOS..EOS id rows and one reward
+    per row. A non-finite loss raises NumericFailure before `backward` runs.
     """
     if batch_size < 1 or epochs < 0:
         raise InvalidConfig(f"need batch_size >= 1 and epochs >= 0, got {batch_size} and {epochs}")
@@ -332,9 +337,9 @@ def _fit(params: ModelParams, dataset: list, epochs: int, batch_size: int, seed:
         order = rng.permutation(len(dataset))
         losses = []
         for start in range(0, len(order), batch_size):
-            feats, rows, rewards = captions([dataset[i] for i in order[start : start + batch_size]], epoch)
-            prefix, targets, r, mask = _pad_rows(rows, rewards)
-            trace = forward(params, feats, prefix, train=True)
+            batch = [dataset[i] for i in order[start : start + batch_size]]
+            prefix, targets, r, mask = _pad_rows(*captions(batch, epoch))
+            trace = forward(params, [row.features for row in batch], prefix, train=True)
             loss, glogits = _token_loss(trace.logits.value, targets, r, mask)
             if not np.isfinite(loss).all():
                 raise NumericFailure(f"non-finite training loss {loss} in epoch {epoch}")
@@ -347,19 +352,21 @@ def _fit(params: ModelParams, dataset: list, epochs: int, batch_size: int, seed:
 
 def train_mle(
     params: ModelParams,
-    dataset: list[TrainItem],
+    dataset: list[Row],
     epochs: int,
     batch_size: int,
     seed: int,
+    vocab: Vocab,
     lr: float = 1e-3,
-):
-    """Teacher-forced maximum-likelihood training, the unit-reward case of
-    `_fit`'s step; returns per-epoch mean loss."""
+) -> list[float]:
+    """Teacher-forced maximum-likelihood training on the rows' captions, the
+    unit-reward case of `_fit`'s step. Each caption is encoded to the config's
+    max_len. Updates `params` in place; returns the per-epoch mean loss."""
 
-    def captions(items, _epoch):
-        return [it.features for it in items], [it.ids for it in items], np.ones(len(items))
+    def captions(rows, _epoch):
+        return [encode(vocab, r.ref.tokens, params.config.max_len) for r in rows], np.ones(len(rows))
 
-    return params, _fit(params, dataset, epochs, batch_size, seed, lr, captions)
+    return _fit(params, dataset, epochs, batch_size, seed, lr, captions)
 
 
 # ---------------------------------------------------------------------------

@@ -192,10 +192,9 @@ def test_criterion_end_to_end_learning():
             n_heads=2, max_len=24, seed=seed,
         )
         params = init_params(cfg)
-        items = harness.mle_items(rows, vocab, cfg.max_len)
-        params, _ = train_mle(params, items, epochs=30, batch_size=8, seed=seed)
+        train_mle(params, rows, epochs=30, batch_size=8, seed=seed, vocab=vocab)
         mle_score = _val_cider(params, val, corpus.clips, vocab, idf)
-        params, _ = scst_train(params, rows, idf, epochs=10, batch_size=8, seed=seed, vocab=vocab)
+        scst_train(params, rows, idf, epochs=10, batch_size=8, seed=seed, vocab=vocab)
         scst_score = _val_cider(params, val, corpus.clips, vocab, idf)
         if scst_score >= mle_score:
             wins += 1

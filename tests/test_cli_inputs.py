@@ -2,6 +2,7 @@
 and no traceback for any input in a documented format."""
 import json
 import os
+import pathlib
 import shutil
 import tempfile
 
@@ -209,9 +210,40 @@ def test_fid_clips_of_different_dimension(tmp_path, capsys, corpus):
     assert_validation_error(status, err, "DimensionMismatch")
 
 
+def _tree_bytes(root):
+    """Relative path -> bytes of every file under root."""
+    return {str(p.relative_to(root)): p.read_bytes() for p in pathlib.Path(root).rglob("*") if p.is_file()}
+
+
 def test_synth_negative_seed(tmp_path, capsys):
-    status, _, err = run(capsys, "synth", "--out", os.path.join(tmp_path, "d"), "--seed", "-1")
-    assert_validation_error(status, err, "InvalidConfig")
+    """A negative seed or a non-finite noise_std exits 2 before any output is
+    written; a noise_std of -0.0, by flag or by --config, writes the bytes of 0.0."""
+
+    def synth(name, *flags, config=None):
+        out = os.path.join(tmp_path, name)
+        pre = ["--config", write(os.path.join(tmp_path, f"{name}.json"), config)] if config else []
+        status, _, err = run(capsys, *pre, "synth", "--out", out, "--n-clips", "10", *flags)
+        return status, err, out
+
+    for name, flags, config in [
+        ("seed", ["--seed", "-1"], None),
+        ("nan", ["--noise-std", "nan"], None),
+        ("inf", ["--noise-std", "inf"], None),
+        ("nan_config", [], '{"noise_std": NaN}'),
+    ]:
+        status, err, out = synth(name, *flags, config=config)
+        assert_validation_error(status, err, "InvalidConfig")
+        assert not os.path.exists(out)
+    trees = []
+    for name, flags, config in [
+        ("zero", ["--noise-std", "0.0"], None),
+        ("minus_zero", ["--noise-std", "-0.0"], None),
+        ("minus_zero_config", [], '{"noise_std": -0.0}'),
+    ]:
+        status, err, out = synth(name, *flags, config=config)
+        assert status == 0, err
+        trees.append(_tree_bytes(out))
+    assert trees[0] and trees[1] == trees[0] and trees[2] == trees[0]
 
 
 @pytest.mark.parametrize("temperature, status, message", [

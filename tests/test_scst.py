@@ -11,7 +11,6 @@ from capkit.errors import AllMasked, BadPrefix, EmptyDataset, InvalidTemperature
 from capkit.metrics import build_idf, cider_corpus, cider_d
 from capkit.scst import (
     RewardVector,
-    Row,
     compute_rewards,
     derive_seed,
     rollout,
@@ -22,7 +21,7 @@ from capkit.seqmodel import (
     AdamState,
     DecoderCache,
     ModelConfig,
-    TrainItem,
+    Row,
     _pad_rows,
     _token_loss,
     adam_step,
@@ -32,7 +31,7 @@ from capkit.seqmodel import (
     log_softmax,
     train_mle,
 )
-from capkit.textproc import BOS, EOS, ROLE_AVOIDANCE, ROLE_DESCRIPTION, Caption, Vocab, RESERVED, build_vocab, decode_ids, encode
+from capkit.textproc import BOS, EOS, ROLE_AVOIDANCE, ROLE_DESCRIPTION, Caption, Vocab, RESERVED, build_vocab, decode_ids
 
 CFG = ModelConfig(vocab_size=12, feature_dim=6, d_model=16, n_heads=2, max_len=8, seed=3)
 FEATS = np.random.default_rng(0).normal(size=(4, 6))
@@ -301,8 +300,8 @@ def _memorized_setup():
     vocab = VOCAB
     ref = Caption.make("a b c", "description")
     params = init_params(CFG)
-    item = TrainItem(features=FEATS, ids=encode(vocab, list(ref.tokens), CFG.max_len))
-    params, _ = train_mle(params, [item], epochs=120, batch_size=1, seed=0, lr=1e-2)
+    rows = [Row(sample_id="s0", features=FEATS, ref=ref)]
+    train_mle(params, rows, epochs=120, batch_size=1, seed=0, vocab=vocab, lr=1e-2)
     idf = build_idf([ref.tokens, ("d", "e", "f", "g")])
     return params, vocab, ref, idf
 
@@ -314,7 +313,7 @@ def test_scst_train_memorized_sample():
 
     assert decode_ids(vocab, greedy) == list(ref.tokens)  # baseline is the reference
     items = [Row(sample_id="s0", features=FEATS, ref=ref)]
-    params, history = scst_train(params, items, idf, epochs=5, batch_size=1, seed=1, vocab=vocab)
+    history = scst_train(params, items, idf, epochs=5, batch_size=1, seed=1, vocab=vocab)
     first = history[0].mean_baseline
     for h in history:
         assert h.mean_reward <= 1e-12  # no rollout can beat the reference
@@ -337,13 +336,13 @@ def test_scst_train_epoch_moves_parameters():
         vocab_size=len(vocab), feature_dim=corpus.clips[train[0].id].D, d_model=32,
         n_heads=2, max_len=24, seed=1,
     )
-    items = harness.mle_items(rows, vocab, cfg.max_len)
-    params, _ = train_mle(init_params(cfg), items, epochs=6, batch_size=8, seed=1)
+    params = init_params(cfg)
+    train_mle(params, rows, epochs=6, batch_size=8, seed=1, vocab=vocab)
     decoded = harness.decode_split(params, harness.rows(val, corpus.clips, roles), vocab)
     held_out = cider_corpus([c.tokens for c in decoded], [s.description.tokens for s in val], idf)
     assert held_out < 10.0
     before = params.copy()
-    params, history = scst_train(params, rows, idf, epochs=1, batch_size=8, seed=1, vocab=vocab)
+    history = scst_train(params, rows, idf, epochs=1, batch_size=8, seed=1, vocab=vocab)
     assert len(history) == 1
     assert math.isfinite(history[0].mean_reward) and history[0].mean_reward != 0.0
     assert any(not np.array_equal(params.tensors[n], before.tensors[n]) for n in params.tensors)
@@ -360,7 +359,7 @@ def test_scst_train_batch_is_one_hand_composed_step():
     ]
     idf = _idf()
     params, ref = init_params(CFG), init_params(CFG)
-    _, history = scst_train(params, items, idf, 1, len(items), seed=6, vocab=VOCAB, lr=1e-2)
+    history = scst_train(params, items, idf, 1, len(items), seed=6, vocab=VOCAB, lr=1e-2)
 
     batch = [items[i] for i in np.random.default_rng(6).permutation(len(items))]
     feats = [it.features for it in batch]
@@ -379,19 +378,17 @@ def test_scst_train_batch_is_one_hand_composed_step():
 
 
 def test_scst_train_zero_epochs(params):
-    before = params.copy()
+    before = params.flat.copy()
     items = [Row(sample_id="s0", features=FEATS, ref=Caption.make("a b", "description"))]
-    out, history = scst_train(params, items, _idf(), 0, 1, seed=0, vocab=VOCAB)
-    assert history == []
-    for n in out.tensors:
-        assert np.array_equal(out.tensors[n], before.tensors[n])
+    assert scst_train(params, items, _idf(), 0, 1, seed=0, vocab=VOCAB) == []
+    assert params.flat.tobytes() == before.tobytes()
 
 
 def test_scst_train_deterministic():
     def run():
         p = init_params(CFG)
         items = [Row(sample_id="s0", features=FEATS, ref=Caption.make("a b", "description"))]
-        _, h = scst_train(p, items, _idf(), 3, 1, seed=5, vocab=VOCAB)
+        h = scst_train(p, items, _idf(), 3, 1, seed=5, vocab=VOCAB)
         return [(x.mean_reward, x.loss) for x in h]
 
     assert run() == run()

@@ -30,7 +30,7 @@ from capkit.seqmodel import (
     DecoderCache,
     ModelConfig,
     ModelParams,
-    TrainItem,
+    Row,
     _pad_rows,
     _token_loss,
     adam_step,
@@ -44,7 +44,7 @@ from capkit.seqmodel import (
     xent_loss,
 )
 from capkit.scst import rollout, scst_loss
-from capkit.textproc import BOS, EOS, PAD
+from capkit.textproc import BOS, EOS, PAD, RESERVED, Caption, Vocab, encode
 
 CFG = ModelConfig(vocab_size=12, feature_dim=6, d_model=16, n_heads=2, max_len=10, seed=3)
 RNG = np.random.default_rng(0)
@@ -468,27 +468,27 @@ def test_adam_state_allocated_once_and_update_unchanged(params):
 # ---------------------------------------------------------------------------
 # train_mle
 
-def _one_item():
-    ids = (BOS, 5, 6, 7, EOS)
-    return TrainItem(features=FEATS, ids=ids)
+VOCAB = Vocab(tokens=RESERVED + tuple("abcdefgh"))  # CFG.vocab_size ids
+
+
+def _one_row(features=FEATS):
+    return Row(sample_id="s0", features=features, ref=Caption.make("b c d", "description"))  # ids 5, 6, 7
 
 
 def test_train_mle_memorizes_one_sample(params):
-    params, curve = train_mle(params, [_one_item()], epochs=50, batch_size=1, seed=0, lr=1e-2)
+    curve = train_mle(params, [_one_row()], epochs=50, batch_size=1, seed=0, vocab=VOCAB, lr=1e-2)
     assert curve[-1] < 0.1
 
 
 def test_train_mle_zero_epochs(params):
-    before = params.copy()
-    out, curve = train_mle(params, [_one_item()], epochs=0, batch_size=1, seed=0)
-    assert curve == []
-    for n in out.tensors:
-        assert np.array_equal(out.tensors[n], before.tensors[n])
+    before = params.flat.copy()
+    assert train_mle(params, [_one_row()], epochs=0, batch_size=1, seed=0, vocab=VOCAB) == []
+    assert params.flat.tobytes() == before.tobytes()
 
 
 def test_train_mle_deterministic():
-    c1 = train_mle(init_params(CFG), [_one_item()], 5, 1, seed=9)[1]
-    c2 = train_mle(init_params(CFG), [_one_item()], 5, 1, seed=9)[1]
+    c1 = train_mle(init_params(CFG), [_one_row()], 5, 1, seed=9, vocab=VOCAB)
+    c2 = train_mle(init_params(CFG), [_one_row()], 5, 1, seed=9, vocab=VOCAB)
     assert c1 == c2
 
 
@@ -496,23 +496,28 @@ def test_train_mle_non_finite_loss_fails_fast(params, monkeypatch):
     """A non-finite loss stops the step before backward and Adam run."""
     before = params.copy()
     monkeypatch.setattr(seqmodel, "backward", lambda *_: pytest.fail("backward ran on a non-finite loss"))
-    item = TrainItem(features=np.full_like(FEATS, np.nan), ids=_one_item().ids)
     with pytest.raises(NumericFailure):
-        train_mle(params, [item], epochs=2, batch_size=1, seed=0)
+        train_mle(params, [_one_row(np.full_like(FEATS, np.nan))], epochs=2, batch_size=1, seed=0, vocab=VOCAB)
     for n in params.tensors:
         assert np.array_equal(params.tensors[n], before.tensors[n])
 
 
 def test_train_mle_epoch_is_one_hand_composed_step():
-    """A one-batch train_mle epoch is _pad_rows, forward, xent_loss, backward
-    and adam_step, bit for bit."""
-    rows, feats = _mixed_batch(np.random.default_rng(7))
-    items = [TrainItem(features=f, ids=tuple(r)) for r, f in zip(rows, feats)]
+    """A one-batch train_mle epoch is encode, _pad_rows, forward, xent_loss,
+    backward and adam_step, bit for bit; a caption longer than max_len - 2
+    tokens trains truncated to max_len ids."""
+    rng = np.random.default_rng(7)
+    lengths = [1, CFG.max_len + 3, 3, 0]  # tokens per caption
+    texts = [" ".join(VOCAB.tokens[i] for i in rng.integers(4, CFG.vocab_size, n)) for n in lengths]
+    feats = [rng.normal(size=(T, CFG.feature_dim)) for T in (4, 1, 7, 4)]
+    rows = [Row(f"s{k}", f, Caption.make(t, "description")) for k, (f, t) in enumerate(zip(feats, texts))]
+    ids = [encode(VOCAB, list(r.ref.tokens), CFG.max_len) for r in rows]
+    assert len(rows[1].ref.tokens) > CFG.max_len - 2 and len(ids[1]) == CFG.max_len
     params, ref = init_params(CFG), init_params(CFG)
-    _, curve = train_mle(params, items, epochs=1, batch_size=len(items), seed=4, lr=1e-2)
+    curve = train_mle(params, rows, epochs=1, batch_size=len(rows), seed=4, vocab=VOCAB, lr=1e-2)
 
-    order = np.random.default_rng(4).permutation(len(items))
-    prefix, targets, _, mask = _pad_rows([rows[i] for i in order], np.ones(len(items)))
+    order = np.random.default_rng(4).permutation(len(rows))
+    prefix, targets, _, mask = _pad_rows([ids[i] for i in order], np.ones(len(rows)))
     trace = forward(ref, [feats[i] for i in order], prefix, train=True)
     loss, glogits = xent_loss(trace.logits.value, targets, mask)
     adam_step(ref, backward(trace, glogits), AdamState(), lr=1e-2)
@@ -523,7 +528,7 @@ def test_train_mle_epoch_is_one_hand_composed_step():
 
 def test_train_mle_empty_dataset(params):
     with pytest.raises(EmptyDataset):
-        train_mle(params, [], 1, 1, seed=0)
+        train_mle(params, [], 1, 1, seed=0, vocab=VOCAB)
 
 
 # ---------------------------------------------------------------------------
