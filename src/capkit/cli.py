@@ -90,8 +90,7 @@ def _load_rows(path: str, split: str, roles: str) -> list:
 # Commands
 
 def cmd_ingest(args) -> int:
-    raws = dmod.read_annotations_jsonl(args.input)
-    samples = dmod.restructure(raws)
+    samples = dmod.read_annotations_jsonl(args.input)
     dmod.write_samples_jsonl(samples, args.out)
     empty = sum(1 for s in samples if not s.avoidance.tokens or not s.description.tokens)
     if empty:

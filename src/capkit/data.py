@@ -28,44 +28,10 @@ ANNOTATION_FIELDS = ("id", "texts", "causes", "measures")
 
 
 @dataclass(frozen=True)
-class RawAnnotation:
-    id: str
-    texts: str
-    causes: str
-    measures: str
-
-    @classmethod
-    def from_dict(cls, d: dict, where: str = "annotation") -> "RawAnnotation":
-        _check_record(d, where, ANNOTATION_FIELDS[1:])
-        extra = set(d) - set(ANNOTATION_FIELDS)
-        if extra:
-            raise UnknownField(f"{where}: unexpected annotation fields: {sorted(extra)}")
-        return cls(**{f: d[f] for f in ANNOTATION_FIELDS})
-
-
-@dataclass(frozen=True)
 class Sample:
     id: str
     description: Caption
     avoidance: Caption
-
-
-def restructure(raws: list[RawAnnotation]) -> list[Sample]:
-    """Merge texts+causes into a description caption; measures becomes avoidance."""
-    seen = set()
-    out = []
-    for raw in raws:
-        if raw.id in seen:
-            raise DuplicateId(f"duplicate annotation id {raw.id!r}")
-        seen.add(raw.id)
-        out.append(
-            Sample(
-                id=raw.id,
-                description=Caption.make(raw.texts + "; " + raw.causes, ROLE_DESCRIPTION),
-                avoidance=Caption.make(raw.measures, ROLE_AVOIDANCE),
-            )
-        )
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -291,8 +257,25 @@ def _check_record(d: dict, where: str, fields) -> None:
         raise MissingField(f"{where}: empty id")
 
 
-def read_annotations_jsonl(path: str) -> list[RawAnnotation]:
-    return [RawAnnotation.from_dict(d, where) for where, d in _jsonl_objects(path)]
+def read_annotations_jsonl(path: str) -> list[Sample]:
+    """One Sample per {"id","texts","causes","measures"} line, in file order:
+    texts + "; " + causes is the description, measures the avoidance. The first
+    bad line decides the error: an unknown field raises UnknownField, and a
+    repeated id DuplicateId naming `path:line`."""
+    out = {}
+    for where, d in _jsonl_objects(path):
+        _check_record(d, where, ANNOTATION_FIELDS[1:])
+        extra = set(d) - set(ANNOTATION_FIELDS)
+        if extra:
+            raise UnknownField(f"{where}: unexpected annotation fields: {sorted(extra)}")
+        if d["id"] in out:
+            raise DuplicateId(f"{where}: duplicate annotation id {d['id']!r}")
+        out[d["id"]] = Sample(
+            d["id"],
+            Caption.make(d["texts"] + "; " + d["causes"], ROLE_DESCRIPTION),
+            Caption.make(d["measures"], ROLE_AVOIDANCE),
+        )
+    return list(out.values())
 
 
 def write_samples_jsonl(samples: list[Sample], path: str) -> None:
@@ -312,6 +295,8 @@ def write_samples_jsonl(samples: list[Sample], path: str) -> None:
 
 
 def read_samples_jsonl(path: str) -> list[Sample]:
+    """One Sample per {"id","description","avoidance"} line, in file order; a
+    repeated id raises DuplicateId naming `path:line`."""
     out = {}
     for where, d in _jsonl_objects(path):
         _check_record(d, where, ROLES)

@@ -412,7 +412,8 @@ def frechet_distance(a: GaussianStats, b: GaussianStats) -> float:
     inner = l.T @ np.ldexp(b.cov, -shift) @ l
     w = symmetric_eigvals((inner + inner.T) / 2.0)
     tr_sqrt = np.ldexp(np.sqrt(np.clip(w, 0.0, None)).sum(), shift)  # a PSD matrix: negative eigenvalues are rounding
-    fd = float(diff @ diff + np.trace(a.cov) + np.trace(b.cov) - 2.0 * tr_sqrt)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked next
+        fd = float(diff @ diff + np.trace(a.cov) + np.trace(b.cov) - 2.0 * tr_sqrt)
     if not math.isfinite(fd):
         raise NumericFailure(f"Frechet distance is not finite: {fd}")
     return max(0.0, fd)

@@ -15,7 +15,6 @@ from .seqmodel import (
     Row,
     _fit,
     log_softmax,
-    scst_loss,  # re-exported: the SCST loss, of which MLE is the unit-reward case
 )
 from .textproc import BOS, EOS, PAD, Caption, Vocab, decode_ids
 
@@ -43,39 +42,42 @@ def rollout(params: ModelParams, features, seeds, temperature: float = 1.0) -> l
     temperature from default_rng(seeds[b]) with one uniform draw per step:
     inverse-CDF sampling, the draw of Generator.choice. Non-finite logits
     in a live row, or a sampling distribution that overflows, raise
-    NumericFailure."""
+    NumericFailure; a temperature that is not finite and > 0 raises
+    InvalidTemperature when a row samples."""
     if len(seeds) != len(features):
         raise BadPrefix(f"{len(seeds)} seeds for {len(features)} feature matrices: rollout needs one seed per row")
     rngs = [None if s is None else np.random.default_rng(s) for s in seeds]
     sampled = np.array([s is not None for s in seeds])
-    if sampled.any() and not temperature > 0.0:  # also rejects NaN
-        raise InvalidTemperature("temperature must be > 0")
+    if sampled.any() and not (np.isfinite(temperature) and temperature > 0.0):
+        raise InvalidTemperature(f"temperature must be finite and > 0, got {temperature}")
     B, L = len(seeds), params.config.max_len
     cache = DecoderCache(params, features)
     ids = np.full((B, L), PAD, dtype=np.intp)
     ids[:, 0] = BOS
     n = np.ones(B, dtype=np.intp)
     live = np.ones(B, dtype=bool)  # rows before their EOS; the others step on unread
-    for t in range(1, L):
-        logits = cache.step(ids[:, t - 1])
-        if not np.isfinite(logits[live]).all():
-            raise NumericFailure(f"non-finite logits at decoding step {t}")
-        tok = logits.argmax(axis=-1)
-        draw = sampled & live
-        if draw.any():
-            probs = np.exp(log_softmax(logits[draw] / temperature))
-            total = probs.sum(axis=-1, keepdims=True)
-            if not (total > 0.0).all():
-                raise NumericFailure(f"sampling distribution at temperature {temperature} is not finite")
-            cdf = (probs / total).cumsum(axis=-1)
-            cdf /= cdf[:, -1:]
-            u = np.array([rngs[b].random() for b in np.flatnonzero(draw)])
-            tok[draw] = (cdf <= u[:, None]).sum(axis=-1)
-        ids[:, t] = tok
-        n += live
-        live &= tok != EOS
-        if not live.any():
-            break
+    # Overflow and NaN are checked below and raise NumericFailure, not warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(1, L):
+            logits = cache.step(ids[:, t - 1])
+            if not np.isfinite(logits[live]).all():
+                raise NumericFailure(f"non-finite logits at decoding step {t}")
+            tok = logits.argmax(axis=-1)
+            draw = sampled & live
+            if draw.any():
+                probs = np.exp(log_softmax(logits[draw] / temperature))
+                total = probs.sum(axis=-1, keepdims=True)
+                if not (total > 0.0).all():
+                    raise NumericFailure(f"sampling distribution at temperature {temperature} is not finite")
+                cdf = (probs / total).cumsum(axis=-1)
+                cdf /= cdf[:, -1:]
+                u = np.array([rngs[b].random() for b in np.flatnonzero(draw)])
+                tok[draw] = (cdf <= u[:, None]).sum(axis=-1)
+            ids[:, t] = tok
+            n += live
+            live &= tok != EOS
+            if not live.any():
+                break
     return [tuple(row[:k].tolist()) for row, k in zip(ids, n)]
 
 

@@ -21,7 +21,7 @@ from capkit.metrics import (
     gaussian_stats,
     score_all,
 )
-from capkit.scst import scst_loss, scst_train
+from capkit.scst import scst_train
 from capkit.seqmodel import (
     ModelConfig,
     backward,
@@ -29,6 +29,7 @@ from capkit.seqmodel import (
     init_params,
     load_checkpoint,
     save_checkpoint,
+    scst_loss,
     train_mle,
     xent_loss,
 )

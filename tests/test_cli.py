@@ -45,7 +45,7 @@ def test_ingest_duplicate_id(tmp_path, capsys):
     _write_annotations(src, [GOOD_ROW, GOOD_ROW])
     status, _, err = run(capsys, "ingest", src, "--out", os.path.join(tmp_path, "o.jsonl"))
     assert status == 2
-    assert "a1" in err
+    assert f"validation error: DuplicateId: {src}:2: duplicate annotation id 'a1'" in err
 
 
 def test_ingest_missing_input(tmp_path, capsys):

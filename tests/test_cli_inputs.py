@@ -5,6 +5,7 @@ import os
 import pathlib
 import shutil
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -248,13 +249,18 @@ def test_synth_negative_seed(tmp_path, capsys):
 
 @pytest.mark.parametrize("temperature, status, message", [
     ("nan", 2, "validation error: InvalidTemperature: "),
+    ("inf", 2, "validation error: InvalidTemperature: "),
     ("1e-310", 3, "numeric failure: "),
 ])
 def test_decode_sample_temperature(tmp_path, capsys, corpus, temperature, status, message):
+    """The error is the one stderr line: no RuntimeWarning comes before it."""
     argv = _decode(str(tmp_path), corpus) + ["--sample", "--temperature", temperature]
-    got, _, err = run(capsys, *argv)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got, _, err = run(capsys, *argv)
     assert got == status
     assert err.strip().splitlines()[-1].startswith(message)
+    assert not any(issubclass(w.category, RuntimeWarning) for w in caught)
 
 
 def test_config_accepts_values_of_the_flag_type(tmp_path, capsys, corpus):

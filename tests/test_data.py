@@ -1,6 +1,7 @@
 import json
 import os
 import struct
+import tempfile
 
 import numpy as np
 import pytest
@@ -14,12 +15,11 @@ from capkit.data import (
     MEASURES,
     VERSION,
     FeatureClip,
-    RawAnnotation,
+    Sample,
     SynthConfig,
     read_annotations_jsonl,
     read_features,
     read_samples_jsonl,
-    restructure,
     synth_corpus,
     template_caption,
     template_signal,
@@ -39,62 +39,73 @@ from capkit.errors import (
     UnknownField,
 )
 from capkit.metrics import build_idf, cider_corpus
-from capkit.textproc import normalize
+from capkit.textproc import ROLE_AVOIDANCE, ROLE_DESCRIPTION, Caption, normalize
 
 
 # ---------------------------------------------------------------------------
-# restructure
+# annotations: read_annotations_jsonl restructures each line into a Sample
 
-def _raw(i="c1", texts="lead vehicle stops", causes="short braking distance", measures="keep distance"):
-    return RawAnnotation(id=i, texts=texts, causes=causes, measures=measures)
+def _ann(i="c1", texts="lead vehicle stops", causes="short braking distance", measures="keep distance"):
+    return {"id": i, "texts": texts, "causes": causes, "measures": measures}
 
 
-def test_restructure_merges_fields():
-    (s,) = restructure([_raw()])
+def _read_annotations(directory, *records):
+    path = os.path.join(directory, "ann.jsonl")
+    with open(path, "w") as f:
+        f.writelines(json.dumps(r) + "\n" for r in records)
+    return read_annotations_jsonl(path)
+
+
+def test_restructure_merges_fields(tmp_path):
+    (s,) = _read_annotations(tmp_path, _ann())
     assert s.description.raw == "lead vehicle stops; short braking distance"
     assert s.avoidance.raw == "keep distance"
     assert s.description.role == "description"
     assert s.avoidance.role == "avoidance"
 
 
-def test_restructure_empty_measures_allowed():
-    (s,) = restructure([_raw(measures="")])
+def test_restructure_empty_measures_allowed(tmp_path):
+    (s,) = _read_annotations(tmp_path, _ann(measures=""))
     assert s.avoidance.raw == ""
     assert s.avoidance.tokens == ()
 
 
-def test_restructure_duplicate_id():
-    with pytest.raises(DuplicateId):
-        restructure([_raw(), _raw()])
+def test_restructure_duplicate_id(tmp_path):
+    """The repeat on line 2 is the first bad line, so it decides the error."""
+    with pytest.raises(DuplicateId, match=r"ann\.jsonl:2: duplicate annotation id 'c1'"):
+        _read_annotations(tmp_path, _ann(), _ann(), {"id": "x"})
 
 
-def test_restructure_preserves_order():
-    out = restructure([_raw(i="b"), _raw(i="a")])
+def test_restructure_preserves_order(tmp_path):
+    out = _read_annotations(tmp_path, _ann(i="b"), _ann(i="a"))
     assert [s.id for s in out] == ["b", "a"]
 
 
-@given(st.text(max_size=20), st.text(max_size=20), st.text(max_size=20))
+# Text a UTF-8 file can hold: no NUL and no lone surrogates
+_FILE_TEXT = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"), max_size=20)
+
+
+@given(_FILE_TEXT, _FILE_TEXT, _FILE_TEXT)
 def test_restructure_lossless(texts, causes, measures):
-    (s,) = restructure([_raw(texts=texts, causes=causes, measures=measures)])
+    with tempfile.TemporaryDirectory() as tmp:
+        (s,) = _read_annotations(tmp, _ann(texts=texts, causes=causes, measures=measures))
     assert s.description.raw == texts + "; " + causes
     assert s.avoidance.raw == measures
 
 
-def test_annotation_missing_field():
+def test_annotation_missing_field(tmp_path):
     with pytest.raises(MissingField):
-        RawAnnotation.from_dict({"id": "x", "texts": "t", "causes": "c"})
+        _read_annotations(tmp_path, {"id": "x", "texts": "t", "causes": "c"})
 
 
-def test_annotation_unknown_field():
+def test_annotation_unknown_field(tmp_path):
     with pytest.raises(UnknownField):
-        RawAnnotation.from_dict(
-            {"id": "x", "texts": "t", "causes": "c", "measures": "m", "Texts": "t"}
-        )
+        _read_annotations(tmp_path, {**_ann(), "Texts": "t"})
 
 
-def test_annotation_empty_id():
+def test_annotation_empty_id(tmp_path):
     with pytest.raises(MissingField):
-        RawAnnotation.from_dict({"id": "", "texts": "t", "causes": "c", "measures": "m"})
+        _read_annotations(tmp_path, _ann(i=""))
 
 
 # ---------------------------------------------------------------------------
@@ -323,8 +334,5 @@ def test_samples_jsonl_round_trip(tmp_path):
 
 
 def test_annotations_jsonl(tmp_path):
-    path = os.path.join(tmp_path, "ann.jsonl")
-    with open(path, "w") as f:
-        f.write(json.dumps({"id": "a", "texts": "t", "causes": "c", "measures": "m"}) + "\n")
-    (raw,) = read_annotations_jsonl(path)
-    assert raw == RawAnnotation(id="a", texts="t", causes="c", measures="m")
+    (s,) = _read_annotations(tmp_path, {"id": "a", "texts": "t", "causes": "c", "measures": "m"})
+    assert s == Sample("a", Caption.make("t; c", ROLE_DESCRIPTION), Caption.make("m", ROLE_AVOIDANCE))

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import time
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -575,8 +576,10 @@ def test_jacobi_rejects_non_finite():
 
 @pytest.mark.parametrize("mu", [[0.0, np.inf, 0.0], [1e200, 0.0, 0.0]], ids=["inf", "overflow"])
 def test_frechet_non_finite_is_numeric_failure(mu):
+    """An overflow that the check turns into NumericFailure warns nothing."""
     a = GaussianStats(np.zeros(3), np.eye(3), 10)
-    with pytest.raises(NumericFailure):
+    with warnings.catch_warnings(), pytest.raises(NumericFailure):
+        warnings.simplefilter("error")
         frechet_distance(a, GaussianStats(np.array(mu), 2.0 * np.eye(3), 10))
 
 

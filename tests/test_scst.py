@@ -14,7 +14,6 @@ from capkit.scst import (
     compute_rewards,
     derive_seed,
     rollout,
-    scst_loss,
     scst_train,
 )
 from capkit.seqmodel import (
@@ -29,6 +28,7 @@ from capkit.seqmodel import (
     forward,
     init_params,
     log_softmax,
+    scst_loss,
     train_mle,
 )
 from capkit.textproc import BOS, EOS, ROLE_AVOIDANCE, ROLE_DESCRIPTION, Caption, Vocab, RESERVED, build_vocab, decode_ids
@@ -93,8 +93,9 @@ def test_sample_seed_deterministic(params):
 def test_sample_invalid_temperature(params):
     """A bad temperature, or a seed list whose length is not the number of
     feature matrices, is a typed error."""
-    with pytest.raises(InvalidTemperature):
-        rollout(params, [FEATS], [0], temperature=0.0)
+    for temperature in (0.0, math.inf):
+        with pytest.raises(InvalidTemperature):
+            rollout(params, [FEATS], [0], temperature=temperature)
     with pytest.raises(BadPrefix, match="1 seeds for 2 feature matrices"):
         rollout(params, [FEATS, FEATS], [None])
     with pytest.raises(BadPrefix, match="2 seeds for 1 feature matrices"):

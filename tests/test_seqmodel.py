@@ -40,10 +40,11 @@ from capkit.seqmodel import (
     load_checkpoint,
     log_softmax,
     save_checkpoint,
+    scst_loss,
     train_mle,
     xent_loss,
 )
-from capkit.scst import rollout, scst_loss
+from capkit.scst import rollout
 from capkit.textproc import BOS, EOS, PAD, RESERVED, Caption, Vocab, encode
 
 CFG = ModelConfig(vocab_size=12, feature_dim=6, d_model=16, n_heads=2, max_len=10, seed=3)
