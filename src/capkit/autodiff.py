@@ -5,9 +5,9 @@ tape is None every op degrades to its plain numpy forward computation, so the
 same model code serves both training and inference.
 
 The op set is the decoder's and no more: the token-plus-position `embed`,
-`matmul`, `matmul_nt`, `add`, `relu`, `layer_norm` and multi-head `attention`.
-Activations may carry any leading (batch) axes; weights are matrices or
-vectors, and their gradients sum over those axes.
+`matmul`, `matmul_nt`, `relu`, `layer_norm` of a sum of residual terms and
+multi-head `attention`. Activations may carry any leading (batch) axes;
+weights are matrices or vectors, and their gradients sum over those axes.
 """
 from __future__ import annotations
 
@@ -104,21 +104,6 @@ def matmul_nt(tape, a, b):
     return out
 
 
-def add(tape, a, b):
-    """a + b for operands of one shape (no broadcasting)."""
-    av, bv = val(a), val(b)
-    out = _out(tape, av + bv)
-    if tape is not None:
-        def back():
-            g = out.grad
-            if isinstance(a, Var):
-                a.accumulate(g)
-            if isinstance(b, Var):
-                b.accumulate(g)
-        tape.record(back)
-    return out
-
-
 def relu(tape, a):
     av = val(a)
     out_v = np.maximum(av, 0.0)
@@ -131,8 +116,10 @@ def relu(tape, a):
     return out
 
 
-def layer_norm(tape, x, gain, bias):
-    xv, gv, bv = val(x), val(gain), val(bias)
+def layer_norm(tape, terms, gain, bias):
+    """Layer norm of the sum of `terms`, operands of one shape added left to
+    right (a post-norm residual); every term gets the same input gradient."""
+    xv, gv, bv = sum(map(val, terms[1:]), val(terms[0])), val(gain), val(bias)
     xc = xv - xv.mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + LN_EPS)
     xhat = xc * inv
@@ -144,11 +131,13 @@ def layer_norm(tape, x, gain, bias):
                 gain.accumulate((g * xhat).sum(axis=tuple(range(g.ndim - 1))))
             if isinstance(bias, Var):
                 bias.accumulate(g.sum(axis=tuple(range(g.ndim - 1))))
-            if isinstance(x, Var):
-                gx = g * gv
-                m1 = gx.mean(axis=-1, keepdims=True)
-                m2 = (gx * xhat).mean(axis=-1, keepdims=True)
-                x.accumulate(inv * (gx - m1 - xhat * m2))
+            gx = g * gv
+            m1 = gx.mean(axis=-1, keepdims=True)
+            m2 = (gx * xhat).mean(axis=-1, keepdims=True)
+            gin = inv * (gx - m1 - xhat * m2)
+            for t in terms:
+                if isinstance(t, Var):
+                    t.accumulate(gin)
         tape.record(back)
     return out
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 
@@ -288,10 +289,12 @@ def gaussian_stats(features: np.ndarray) -> GaussianStats:
         raise TooFewSamples("need at least 2 feature rows")
     if not np.isfinite(x).all():
         raise NonFiniteValue("features contain NaN or infinite values")
-    mean = x.mean(axis=0)
-    c = np.cov(x, rowvar=False, ddof=1)
-    c = np.atleast_2d(c)
-    c = (c + c.T) / 2.0
+    with np.errstate(over="ignore", invalid="ignore"):  # checked next
+        mean = x.mean(axis=0)
+        c = np.atleast_2d(np.cov(x, rowvar=False, ddof=1))
+        c = (c + c.T) / 2.0
+    if not (np.isfinite(mean).all() and np.isfinite(c).all()):
+        raise NumericFailure("feature mean or covariance overflows float64")
     return GaussianStats(mean=mean, cov=c, n=x.shape[0])
 
 
@@ -399,10 +402,10 @@ def frechet_distance(a: GaussianStats, b: GaussianStats) -> float:
         raise DimensionMismatch(
             f"feature dimensions differ: {a.mean.shape} vs {b.mean.shape}"
         )
-    if np.array_equal(a.mean, b.mean) and np.array_equal(a.cov, b.cov):
-        return 0.0
     if not (np.isfinite(a.cov).all() and np.isfinite(b.cov).all()):
         raise NonFiniteValue("covariance contains NaN or infinite values")
+    if np.array_equal(a.mean, b.mean) and np.array_equal(a.cov, b.cov):
+        return 0.0
     diff = a.mean - b.mean
     # The trace term is homogeneous of degree one: one power of two brings the
     # larger covariance's largest entry into [0.5, 1), so that L^T B L neither
@@ -441,9 +444,10 @@ class ScoreReport:
 
     @classmethod
     def from_dict(cls, d: dict, where: str = "report") -> "ScoreReport":
-        """Raises MalformedReport unless every metric field is a number."""
-        if not all(type(d.get(f)) in (int, float) for f in cls.FIELDS):
-            raise MalformedReport(f"{where}: needs a number for each of {', '.join(cls.FIELDS)}")
+        """Raises MalformedReport unless every metric field is a finite number:
+        an int or float (not a bool) of at most a float's largest magnitude."""
+        if not all(type(d.get(f)) in (int, float) and abs(d[f]) <= sys.float_info.max for f in cls.FIELDS):
+            raise MalformedReport(f"{where}: needs a finite number for each of {', '.join(cls.FIELDS)}")
         return cls(**{f: d[f] for f in cls.FIELDS})
 
 

@@ -157,9 +157,9 @@ def _block(tape, P, x, sa_k, sa_v, ca_k, ca_v, ca_bias, n_heads: int):
     ca = ad.attention(tape, ad.matmul(tape, x, P["ca_q"]), ca_k, ca_v, n_heads, causal=False, key_bias=ca_bias)
     sa = ad.matmul(tape, sa, P["sa_o"])
     ca = ad.matmul(tape, ca, P["ca_o"])
-    x1 = ad.layer_norm(tape, ad.add(tape, x, ad.add(tape, sa, ca)), P["ln1_g"], P["ln1_b"])
+    x1 = ad.layer_norm(tape, (sa, ca, x), P["ln1_g"], P["ln1_b"])
     ff = ad.matmul(tape, ad.relu(tape, ad.matmul(tape, x1, P["ff_w1"])), P["ff_w2"])
-    x2 = ad.layer_norm(tape, ad.add(tape, x1, ff), P["ln2_g"], P["ln2_b"])
+    x2 = ad.layer_norm(tape, (ff, x1), P["ln2_g"], P["ln2_b"])
     return ad.matmul_nt(tape, x2, P["tok_emb"])
 
 

@@ -47,16 +47,28 @@ def test_matmul_nt():
     fd_check(lambda t, a, b: ad.matmul_nt(t, a, b), [(3, 4), (5, 4)])
 
 
-def test_add():
-    fd_check(lambda t, a, b: ad.add(t, a, b), [(3, 4), (3, 4)])
-
-
 def test_relu():
     fd_check(lambda t, a: ad.relu(t, a), [(4, 6)])
 
 
 def test_layer_norm():
-    fd_check(lambda t, x, g, b: ad.layer_norm(t, x, g, b), [(3, 6), (6,), (6,)], tol=1e-6)
+    """The norm of a sum of one, two or three tracked terms, each of which gets
+    the input gradient, and of a tracked term plus a constant (a plain
+    ndarray, which gets none and is left as it was)."""
+    for n in (1, 2, 3):
+        fd_check(lambda t, g, b, *xs: ad.layer_norm(t, xs, g, b), [(6,), (6,)] + [(3, 6)] * n, tol=1e-6, n_probe=30)
+    c = RNG.normal(size=(3, 6))
+    c0 = c.copy()
+    fd_check(lambda t, x, g, b: ad.layer_norm(t, (x, c), g, b), [(3, 6), (6,), (6,)], tol=1e-6)
+    assert np.array_equal(c, c0)
+
+
+def test_layer_norm_term_order():
+    """The block's residual terms (sa, ca, x) sum to x + (sa + ca) bit for bit,
+    the order the model's parameters were trained in."""
+    sa, ca, x = (RNG.normal(size=(4, 8)) for _ in range(3))
+    g, b = RNG.normal(size=8), RNG.normal(size=8)
+    assert np.array_equal(ad.layer_norm(None, (sa, ca, x), g, b), ad.layer_norm(None, (x + (sa + ca),), g, b))
 
 
 @pytest.mark.parametrize("n_heads", [1, 2])
@@ -115,13 +127,13 @@ def test_embed_accumulates_repeats():
 
 
 def test_op_set():
-    """The tape's ops are the decoder's seven and no more."""
+    """The tape's ops are the decoder's six and no more."""
     ops = {
         name
         for name, fn in vars(ad).items()
         if inspect.isfunction(fn) and fn.__module__ == ad.__name__ and not name.startswith("_")
     }
-    assert ops - {"val"} == {"embed", "matmul", "matmul_nt", "add", "relu", "layer_norm", "attention"}
+    assert ops - {"val"} == {"embed", "matmul", "matmul_nt", "relu", "layer_norm", "attention"}
 
 
 def test_constants_are_untracked():

@@ -19,6 +19,16 @@ def run(capsys, *argv):
     return status, captured.out, captured.err
 
 
+def read(path, mode="r"):
+    with open(path, mode) as f:
+        return f.read()
+
+
+def load_json(path):
+    with open(path) as f:
+        return json.load(f)
+
+
 # ---------------------------------------------------------------------------
 # ingest
 
@@ -37,7 +47,7 @@ def test_ingest_ok(tmp_path, capsys):
     _write_annotations(src, [GOOD_ROW, {**GOOD_ROW, "id": "a2"}])
     status, _, _ = run(capsys, "ingest", src, "--out", dst)
     assert status == 0
-    assert len(open(dst).read().strip().splitlines()) == 2
+    assert len(read(dst).strip().splitlines()) == 2
 
 
 def test_ingest_duplicate_id(tmp_path, capsys):
@@ -103,6 +113,19 @@ def test_report_missing_field(tmp_path, capsys):
     assert status == 2
 
 
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "1" + "0" * 400], ids=["NaN", "Infinity", "-Infinity", "10**400"])
+def test_report_non_finite_field(tmp_path, capsys, value):
+    """Python's json reads NaN and +-Infinity as floats; an integer too large
+    for a float is not finite either."""
+    path = os.path.join(tmp_path, "rep.json")
+    with open(path, "w") as f:
+        f.write(json.dumps(PAPER_ROW).replace('"rouge_l": 0.312', f'"rouge_l": {value}'))
+    status, out, err = run(capsys, "report", path, "--labels", "A/B")
+    assert status == 2
+    assert out == ""
+    assert f"MalformedReport: {path}: needs a finite number" in err
+
+
 # ---------------------------------------------------------------------------
 # pipeline on a tiny corpus
 
@@ -138,7 +161,7 @@ def tiny_pipeline(tmp_path_factory):
 
 def test_pipeline_outputs_exist(tiny_pipeline):
     assert os.path.exists(tiny_pipeline["hyps"])
-    rep = json.load(open(tiny_pipeline["report"]))
+    rep = load_json(tiny_pipeline["report"])
     for f in ("b1", "b2", "b3", "b4", "rouge_l", "meteor", "cider_d", "counts"):
         assert f in rep
     assert rep["counts"] > 0
@@ -146,7 +169,7 @@ def test_pipeline_outputs_exist(tiny_pipeline):
 
 def test_pipeline_scst_log_written(tiny_pipeline):
     log = tiny_pipeline["ckpt"] + ".log.jsonl"
-    lines = [json.loads(l) for l in open(log)]
+    lines = [json.loads(l) for l in read(log).splitlines()]
     assert len(lines) == 2
     for entry in lines:
         assert abs(entry["mean_reward"] - (entry["mean_sample"] - entry["mean_baseline"])) < 1e-9
@@ -157,7 +180,7 @@ def test_score_identity_gives_b1_one(tmp_path, capsys, tiny_pipeline):
     out = os.path.join(tmp_path, "self.json")
     status, _, _ = run(capsys, "score", "--hyps", refs, "--refs", refs, "--out", out)
     assert status == 0
-    rep = json.load(open(out))
+    rep = load_json(out)
     assert rep["b1"] == pytest.approx(1.0)
     assert rep["rouge_l"] == pytest.approx(1.0)
 
@@ -167,12 +190,12 @@ def test_score_counts_unmatched_hypotheses(tmp_path, capsys, tiny_pipeline):
     scores and counted as unmatched."""
     hyps = os.path.join(tmp_path, "hyps.jsonl")
     with open(hyps, "w") as f:
-        f.write(open(tiny_pipeline["hyps"]).read())
+        f.write(read(tiny_pipeline["hyps"]))
         f.write(json.dumps({"id": "no-such-clip", "role": "description", "text": "the car"}) + "\n")
     out = os.path.join(tmp_path, "report.json")
     status, stdout, _ = run(capsys, "score", "--hyps", hyps, "--refs", os.path.join(tiny_pipeline["data"], "samples.jsonl"), "--out", out)
     assert status == 0
-    base, rep = json.load(open(tiny_pipeline["report"])), json.load(open(out))
+    base, rep = load_json(tiny_pipeline["report"]), load_json(out)
     assert base["unmatched"] == 0 and rep["unmatched"] == 1
     assert json.loads(stdout) == rep
     assert {k: v for k, v in rep.items() if k != "unmatched"} == {k: v for k, v in base.items() if k != "unmatched"}
@@ -184,7 +207,7 @@ def test_decode_idempotent(tiny_pipeline):
         "decode", "--data", tiny_pipeline["data"], "--ckpt", tiny_pipeline["ckpt"],
         "--out", out2, "--split", "train", "--role", "description",
     ]) == 0
-    assert open(out2, "rb").read() == open(tiny_pipeline["hyps"], "rb").read()
+    assert read(out2, "rb") == read(tiny_pipeline["hyps"], "rb")
 
 
 def test_decode_sampled_seeded(tiny_pipeline):
@@ -196,7 +219,7 @@ def test_decode_sampled_seeded(tiny_pipeline):
             "--out", out, "--split", "val", "--role", "description",
             "--sample", "--seed", "9", "--temperature", "1.3",
         ]) == 0
-    assert open(a, "rb").read() == open(b, "rb").read()
+    assert read(a, "rb") == read(b, "rb")
 
 
 @pytest.mark.parametrize("vocab", ["short", "missing", "no_reserved", "not_strings"])
@@ -226,7 +249,7 @@ def test_config_file_defaults(tmp_path, capsys):
     data = os.path.join(tmp_path, "d")
     status, _, err = run(capsys, "--config", cfg, "synth", "--out", data)
     assert status == 0
-    index = json.load(open(os.path.join(data, "feature_index.json")))
+    index = load_json(os.path.join(data, "feature_index.json"))
     assert len(index) == 6
     assert '"seed": 11' in err  # effective config echoed to the log stream
 
@@ -261,7 +284,7 @@ def test_greedy_decode_non_finite_logits_exits_3(tmp_path, capsys, tiny_pipeline
 
 def test_split_commands_read_only_their_split_clips(tmp_path, monkeypatch, tiny_pipeline):
     data = tiny_pipeline["data"]
-    splits = json.load(open(os.path.join(data, "splits.json")))
+    splits = load_json(os.path.join(data, "splits.json"))
     read = []
     real = dmod.read_features
 

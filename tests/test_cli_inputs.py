@@ -179,7 +179,7 @@ def test_training_rejects_batch_and_epochs(tmp_path, capsys, corpus, stage, flag
 
 @pytest.mark.parametrize("stage", ["train-mle", "train-scst"])
 def test_training_on_empty_train_split(tmp_path, capsys, corpus, stage):
-    splits = json.load(open(os.path.join(corpus["data"], "splits.json")))
+    splits = json.loads(pathlib.Path(corpus["data"], "splits.json").read_text())
     data = corpus_copy(corpus, str(tmp_path), "splits.json", json.dumps({**splits, "train": []}))
     ckpt = ["--ckpt", corpus["ckpt"]] if stage == "train-scst" else []
     status, _, err = run(capsys, stage, "--data", data, *ckpt, "--out", os.path.join(tmp_path, "out"))
@@ -202,7 +202,7 @@ def test_index_path_with_nul_exits_2(tmp_path, capsys, corpus):
 
 
 def test_fid_clips_of_different_dimension(tmp_path, capsys, corpus):
-    index = json.load(open(os.path.join(corpus["data"], "feature_index.json")))
+    index = json.loads(pathlib.Path(corpus["data"], "feature_index.json").read_text())
     index = {cid: os.path.join(corpus["data"], rel) for cid, rel in index.items()}
     index["odd"] = os.path.join(tmp_path, "odd.avdf")
     write_features(FeatureClip("odd", np.ones((2, 8), dtype=np.float32)), index["odd"])  # the corpus has D = 16
@@ -330,7 +330,7 @@ def test_fuzz_jsonl_lines(corpus, command, lines):
             ann = write(os.path.join(tmp, "a.jsonl"), jsonl([GOOD_ANNOTATION]) + text)
             argv = ["ingest", ann, "--out", out]
         else:
-            samples = open(os.path.join(corpus["data"], "samples.jsonl"), encoding="utf-8").read()
+            samples = pathlib.Path(corpus["data"], "samples.jsonl").read_text(encoding="utf-8")
             data = corpus_copy(corpus, tmp, "samples.jsonl", samples + text)
             argv = ["train-mle", "--data", data, "--out", out, "--epochs", "1",
                     "--d-model", "8", "--n-heads", "1", "--max-len", "8"]
@@ -354,7 +354,7 @@ def test_fuzz_config_file(corpus, content):
 @FUZZ
 @given(data=st.data())
 def test_fuzz_feature_index(corpus, command, data):
-    index = json.load(open(os.path.join(corpus["data"], "feature_index.json")))
+    index = json.loads(pathlib.Path(corpus["data"], "feature_index.json").read_text())
     paths = [os.path.join(corpus["data"], rel) for rel in index.values()]
     mapped = st.dictionaries(st.sampled_from(sorted(index)) | st.text(max_size=4),
                              st.sampled_from(paths) | JSON_VALUES, max_size=4)
@@ -370,7 +370,7 @@ def test_fuzz_feature_index(corpus, command, data):
 @FUZZ
 @given(data=st.data())
 def test_fuzz_splits(corpus, data):
-    ids = sorted(json.load(open(os.path.join(corpus["data"], "feature_index.json"))))
+    ids = sorted(json.loads(pathlib.Path(corpus["data"], "feature_index.json").read_text()))
     splits = st.dictionaries(st.sampled_from(["train", "val", "test"]) | st.text(max_size=4),
                              st.lists(st.sampled_from(ids) | SCALARS, max_size=4) | JSON_VALUES, max_size=3)
     content = data.draw(FILES | splits.map(json.dumps))

@@ -146,9 +146,11 @@ def test_feature_bad_magic(tmp_path):
 def test_feature_bad_version(tmp_path):
     path = os.path.join(tmp_path, "c.avdf")
     write_features(_clip(), path)
-    blob = bytearray(open(path, "rb").read())
+    with open(path, "rb") as f:
+        blob = bytearray(f.read())
     blob[4] = 9
-    open(path, "wb").write(bytes(blob))
+    with open(path, "wb") as f:
+        f.write(blob)
     with pytest.raises(BadVersion):
         read_features(path)
 
@@ -158,9 +160,11 @@ def test_feature_truncated(tmp_path):
     of the magic included."""
     path = os.path.join(tmp_path, "c.avdf")
     write_features(_clip(), path)
-    blob = open(path, "rb").read()
+    with open(path, "rb") as f:
+        blob = f.read()
     for n in range(len(blob)):
-        open(path, "wb").write(blob[:n])
+        with open(path, "wb") as f:
+            f.write(blob[:n])
         with pytest.raises(TruncatedFile):
             read_features(path)
 
@@ -200,9 +204,11 @@ def test_feature_nonfinite_write():
 def test_feature_nonfinite_read(tmp_path):
     path = os.path.join(tmp_path, "c.avdf")
     write_features(_clip(np.ones((1, 1))), path)
-    blob = bytearray(open(path, "rb").read())
+    with open(path, "rb") as f:
+        blob = bytearray(f.read())
     blob[-4:] = np.array([np.inf], dtype="<f4").tobytes()
-    open(path, "wb").write(bytes(blob))
+    with open(path, "wb") as f:
+        f.write(blob)
     with pytest.raises(NonFiniteValue):
         read_features(path)
 
@@ -210,9 +216,11 @@ def test_feature_nonfinite_read(tmp_path):
 def test_feature_id_not_utf8(tmp_path):
     path = os.path.join(tmp_path, "c.avdf")
     write_features(_clip(cid="ab"), path)
-    blob = bytearray(open(path, "rb").read())
+    with open(path, "rb") as f:
+        blob = bytearray(f.read())
     blob[12:14] = b"\xff\xfe"
-    open(path, "wb").write(bytes(blob))
+    with open(path, "wb") as f:
+        f.write(blob)
     with pytest.raises(InvalidConfig):
         read_features(path)
 

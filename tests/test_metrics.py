@@ -567,6 +567,25 @@ def test_gaussian_stats_rejects_non_finite():
         gaussian_stats(x)
 
 
+@pytest.mark.parametrize("features", [
+    np.random.default_rng(0).normal(size=(10, 3)) * 1e160,  # the covariance overflows
+    np.full((4, 2), 1.5e308),  # the mean's sum overflows
+], ids=["cov", "mean"])
+def test_gaussian_stats_overflow_is_numeric_failure(features):
+    """Finite features whose mean or covariance overflows float64 raise
+    NumericFailure, with no warning."""
+    with warnings.catch_warnings(), pytest.raises(NumericFailure):
+        warnings.simplefilter("error")
+        gaussian_stats(features)
+
+
+def test_frechet_identical_non_finite_stats():
+    """Identical stats get no zero-distance shortcut past the finiteness check."""
+    a = GaussianStats(np.zeros(2), np.full((2, 2), np.inf), 10)
+    with pytest.raises(NonFiniteValue):
+        frechet_distance(a, a)
+
+
 def test_jacobi_rejects_non_finite():
     a = np.eye(4)
     a[1, 2] = a[2, 1] = np.nan

@@ -370,10 +370,10 @@ def test_backward_zero_upstream(params):
 def test_training_forward_tape_length(params):
     """One op each for the embedding, the self-attention keys and values, the
     feature projection and its cross-attention keys and values, and the
-    block's 15: 21 in all, for one row and for a batch of 8."""
-    assert len(forward(params, [FEATS], [PREFIX], train=True).tape._ops) == 21
+    block's 12: 18 in all, for one row and for a batch of 8."""
+    assert len(forward(params, [FEATS], [PREFIX], train=True).tape._ops) == 18
     batch = np.array([PREFIX] * 8)
-    assert len(forward(params, [FEATS] * 8, batch, train=True).tape._ops) == 21
+    assert len(forward(params, [FEATS] * 8, batch, train=True).tape._ops) == 18
 
 
 def test_tied_embedding_gradient_sums_both_roles(params):
@@ -381,23 +381,17 @@ def test_tied_embedding_gradient_sums_both_roles(params):
     contributions computed from an untied twin."""
     _, grads = _end_to_end_grads(params)
 
-    # untied twin: same math with an independent copy of the output matrix
+    # untied twin: the same block with an independent copy of the output matrix
     from capkit import autodiff as ad
 
     tape = ad.Tape()
     P = {k: ad.Var(v) for k, v in params.tensors.items()}
     out_proj = ad.Var(params.tensors["tok_emb"].copy())
-    # replay forward with the output projection untied
     x = ad.embed(tape, P["tok_emb"], P["pos_emb"], PREFIX, 0)
-    sa = ad.attention(tape, ad.matmul(tape, x, P["sa_q"]), ad.matmul(tape, x, P["sa_k"]), ad.matmul(tape, x, P["sa_v"]), CFG.n_heads, True)
-    sa = ad.matmul(tape, sa, P["sa_o"])
-    fp = ad.matmul(tape, FEATS, P["feat_proj"])
-    ca = ad.attention(tape, ad.matmul(tape, x, P["ca_q"]), ad.matmul(tape, fp, P["ca_k"]), ad.matmul(tape, fp, P["ca_v"]), CFG.n_heads, False)
-    ca = ad.matmul(tape, ca, P["ca_o"])
-    x1 = ad.layer_norm(tape, ad.add(tape, x, ad.add(tape, sa, ca)), P["ln1_g"], P["ln1_b"])
-    ff = ad.matmul(tape, ad.relu(tape, ad.matmul(tape, x1, P["ff_w1"])), P["ff_w2"])
-    x2 = ad.layer_norm(tape, ad.add(tape, x1, ff), P["ln2_g"], P["ln2_b"])
-    logits = ad.matmul_nt(tape, x2, out_proj)
+    logits = seqmodel._block(
+        tape, {**P, "tok_emb": out_proj}, x, ad.matmul(tape, x, P["sa_k"]), ad.matmul(tape, x, P["sa_v"]),
+        *seqmodel._cross_kv(tape, P, FEATS), None, CFG.n_heads,
+    )
     _, glog = xent_loss(logits.value, [5, 6, 7, EOS], [1, 1, 1, 1])
     logits.accumulate(glog)
     tape.run_backward()
@@ -557,7 +551,8 @@ def test_checkpoint_truncated_at_every_offset(tmp_path):
     params = init_params(ModelConfig(vocab_size=5, feature_dim=1, d_model=2, n_heads=1, max_len=2))
     path = os.path.join(tmp_path, "model.ckpt")
     save_checkpoint(params, path, extra={"vocab": ["<pad>", "<bos>", "<eos>", "<unk>", "a"]})
-    blob = open(path, "rb").read()
+    with open(path, "rb") as f:
+        blob = f.read()
     for n in range(len(blob)):
         with open(path, "wb") as f:
             f.write(blob[:n])
@@ -572,7 +567,8 @@ def _write_checkpoint(path, header: bytes, payload=b""):
 
 def _split_checkpoint(path):
     """(header dict, tensor bytes) of a checkpoint file."""
-    blob = open(path, "rb").read()
+    with open(path, "rb") as f:
+        blob = f.read()
     (hlen,) = struct.unpack("<I", blob[8:12])
     return json.loads(blob[12 : 12 + hlen]), blob[12 + hlen :]
 
@@ -582,7 +578,8 @@ def test_checkpoint_layout(tmp_path, params):
     then each tensor in PARAM_SHAPES order."""
     path = os.path.join(tmp_path, "model.ckpt")
     save_checkpoint(params, path, extra={"vocab": ["<pad>"]})
-    blob = open(path, "rb").read()
+    with open(path, "rb") as f:
+        blob = f.read()
     assert blob[:4] == b"CKPT" and struct.unpack("<I", blob[4:8]) == (1,)
     header, payload = _split_checkpoint(path)
     assert set(header) == {"config", "vocab"}
@@ -626,9 +623,11 @@ def test_checkpoint_manifest_mismatch(tmp_path, params, edit):
 def test_checkpoint_bad_magic(tmp_path, params):
     path = os.path.join(tmp_path, "model.ckpt")
     save_checkpoint(params, path)
-    blob = open(path, "rb").read()
+    with open(path, "rb") as f:
+        blob = f.read()
     for head in (b"AVDF", b"CKPX", b"XKPT"):
-        open(path, "wb").write(head + blob[4:])
+        with open(path, "wb") as f:
+            f.write(head + blob[4:])
         with pytest.raises(BadMagic):
             load_checkpoint(path)
 
@@ -636,10 +635,12 @@ def test_checkpoint_bad_magic(tmp_path, params):
 def test_checkpoint_bad_version(tmp_path, params):
     path = os.path.join(tmp_path, "model.ckpt")
     save_checkpoint(params, path)
-    blob = bytearray(open(path, "rb").read())
+    with open(path, "rb") as f:
+        blob = bytearray(f.read())
     for version in (0, 2, 2**32 - 1):
         blob[4:8] = struct.pack("<I", version)
-        open(path, "wb").write(bytes(blob))
+        with open(path, "wb") as f:
+            f.write(blob)
         with pytest.raises(BadVersion):
             load_checkpoint(path)
 
@@ -655,7 +656,8 @@ def test_checkpoint_old_layout_is_bad_magic(tmp_path, params):
         blobs.append(arr.tobytes())
         offset += arr.nbytes
     header = json.dumps({"config": asdict(params.config), "manifest": manifest}).encode("utf-8")
-    open(path, "wb").write(struct.pack("<I", len(header)) + header + b"".join(blobs))
+    with open(path, "wb") as f:
+        f.write(struct.pack("<I", len(header)) + header + b"".join(blobs))
     with pytest.raises(BadMagic):
         load_checkpoint(path)
 
