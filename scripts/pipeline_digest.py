@@ -10,19 +10,31 @@ greedy captions, report of that score, and fid of the corpus against a
 second one (20 clips, seed 4). It prints the sha256 of every file the run
 wrote, then the `epoch` lines of its stderr and the `FID`/`VID` lines of its
 stdout, which name no path. OpenBLAS is pinned to one thread, so the digest
-depends on the code and not on the thread count.
+depends on the code and not on the thread count. It does depend on the BLAS
+and the processor, so it first prints, as lines that start with "#", the
+numpy version, the BLAS name and version, the BLAS kernel set (the core that
+OpenBLAS chose for this processor, where it can be read) and the machine.
 
 Compare two trees:  PYTHONPATH=<tree>/src python3 scripts/pipeline_digest.py
+The digest of this tree is kept in tests/data/pipeline_digest.txt, which
+tests/test_cli.py compares with the script's output; after a change that
+moves a line, regenerate it with
+    PYTHONPATH=src python3 scripts/pipeline_digest.py > tests/data/pipeline_digest.txt
 """
 import os
 
 os.environ["OPENBLAS_NUM_THREADS"] = "1"  # before numpy is first imported
 
 import contextlib
+import ctypes
+import glob
 import hashlib
 import io
+import platform
 import sys
 import tempfile
+
+import numpy as np
 
 from capkit.cli import main as capkit
 
@@ -47,7 +59,35 @@ STEPS = (
 )
 
 
+def blas_core():
+    """The kernel set OpenBLAS chose for this processor, or None if no
+    OpenBLAS bundled with numpy can say."""
+    libdir = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in glob.glob(os.path.join(libdir, "*openblas*")):
+        lib = ctypes.CDLL(path)
+        for sym in ("scipy_openblas_get_corename64_", "openblas_get_corename64_", "openblas_get_corename"):
+            fn = getattr(lib, sym, None)
+            if fn is not None:
+                fn.argtypes, fn.restype = [], ctypes.c_char_p
+                return fn().decode()
+    return None
+
+
+def environment():
+    """What the digest's BLAS-computed lines depend on, one "#" line each."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy before 1.25 takes no mode
+        blas = {}
+    return [
+        f"# numpy {np.__version__}",
+        f"# blas {blas.get('name')} {blas.get('version')} core {blas_core()}",
+        f"# machine {platform.machine()}",
+    ]
+
+
 def main():
+    print(*environment(), sep="\n")
     epochs, distances = [], []
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)  # every path in STEPS is relative, so no output names the directory

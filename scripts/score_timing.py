@@ -1,12 +1,26 @@
 #!/usr/bin/env python3
-"""Time build_idf and score_all on seeded edited-reference pairs.
+"""Time build_idf, score_all and each metric on seeded edited-reference pairs.
 
 The pairs are those of the metrics_adversarial benchmark workload, made by
 its own code (`perfbench/workloads.py`): the references are the 2000 captions
 of a 1000-clip `synth_corpus` (seed 1), and each hypothesis is a reference with
 1-4 seeded adjacent swaps, duplications and deletions. Each round builds a
 fresh IDF table over all references, as the workload's set-up does, then
-scores 450 pairs one `score_all([hyp], [ref], idf)` call at a time.
+scores 450 pairs one `score_all([hyp], [ref], idf)` call at a time. It then
+builds a second table and times each part of `score_all` alone, over the same
+pairs in turn:
+
+- ngrams: `ngrams(hyp, MAX_N)`, the hypothesis's n-gram counts;
+- reference: `idf.reference(ref)`, which makes the reference's entry the
+  first time and looks it up after that;
+- bleu: `bleu_counts` of the pair's counts, reading the entry's n-grams;
+- rouge_l: `rouge_l(hyp, ref)`;
+- meteor: `meteor_lite(hyp, ref)`;
+- cider_d: `cider_d_counts` of the hypothesis's counts against the entry.
+
+The parts run after `reference`, so every entry they read is already made.
+Each part starts after a full garbage collection, so that a collection which
+earlier work made due is not charged to it.
 
 Two reference sets:
 
@@ -18,12 +32,14 @@ Two reference sets:
 
 Per set, prints the share of scored pairs whose reference was already scored
 in the same round, and over 12 rounds the median and quartiles of the
-`build_idf` time in ms and of the mean `score_all` time per pair in us.
+`build_idf` time in ms, of the mean `score_all` time per pair in us, and of
+each part's mean time per pair in us.
 
 Run from a checkout:  python3 scripts/score_timing.py
 Time another checkout's package:  python3 scripts/score_timing.py --src OTHER/src
 """
 import argparse
+import gc
 import os
 import statistics
 import sys
@@ -47,8 +63,8 @@ def main():
     # The workload module imports capkit, so --src goes first; it also imports tests/oracles.py.
     sys.path[:0] = [args.src, root, os.path.join(root, "tests")]
     from capkit.data import SynthConfig, synth_corpus
-    from capkit.metrics import build_idf, score_all
-    from capkit.textproc import ROLES, Caption
+    from capkit.metrics import MAX_N, bleu_counts, build_idf, cider_d_counts, meteor_lite, rouge_l, score_all
+    from capkit.textproc import ROLES, Caption, ngrams
     from perfbench.workloads import MetricsAdversarial
 
     workload = MetricsAdversarial(SEED, work=None)
@@ -60,23 +76,44 @@ def main():
     print(f"{ROUNDS} rounds of {workload.PAIRS_PER_ROUND} pairs; {'median':>10} {'q1':>10} {'q3':>10}")
     for name, refs in ref_sets.items():
         workload.refs = refs  # what the workload's set-up stores; its pairs() draws from it
+        ref_tokens = [r.tokens for r in refs]
         idf_ms, pair_us, repeated = [], [], 0
+        part_us = {part: [] for part in ("ngrams", "reference", "bleu", "rouge_l", "meteor", "cider_d")}
         for i in range(ROUNDS):
             pairs = workload.pairs(i)
             repeated += len(pairs) - len({ref.tokens for _, ref in pairs})
             t0 = time.perf_counter()
-            idf = build_idf([r.tokens for r in refs])
+            idf = build_idf(ref_tokens)
             t1 = time.perf_counter()
             for hyp, ref in pairs:
                 score_all([hyp], [ref], idf)
             t2 = time.perf_counter()
             idf_ms.append((t1 - t0) * 1e3)
             pair_us.append((t2 - t1) * 1e6 / len(pairs))
+
+            idf = build_idf(ref_tokens)
+            toks = [(hyp.tokens, ref.tokens) for hyp, ref in pairs]
+            grams = [ngrams(h, MAX_N) for h, _ in toks]
+            parts = {
+                "ngrams": lambda: [ngrams(h, MAX_N) for h, _ in toks],
+                "reference": lambda: [idf.reference(r) for _, r in toks],
+                "bleu": lambda: [bleu_counts([g], [idf.reference(r).grams]) for g, (_, r) in zip(grams, toks)],
+                "rouge_l": lambda: [rouge_l(h, r) for h, r in toks],
+                "meteor": lambda: [meteor_lite(h, r) for h, r in toks],
+                "cider_d": lambda: [cider_d_counts(g, len(h), r, idf) for g, (h, r) in zip(grams, toks)],
+            }
+            for part, run in parts.items():
+                gc.collect()
+                t0 = time.perf_counter()
+                run()
+                part_us[part].append((time.perf_counter() - t0) * 1e6 / len(pairs))
         distinct = len({r.tokens for r in refs})
         share = repeated / (ROUNDS * workload.PAIRS_PER_ROUND)
         print(f"{name}: {len(refs)} references ({distinct} distinct), {share:.1%} of pairs repeat a reference")
         print(f"  {'build_idf_ms':<20} {quartiles(idf_ms)}")
         print(f"  {'score_all_us_pair':<20} {quartiles(pair_us)}")
+        for part, us in part_us.items():
+            print(f"  {part + '_us_pair':<20} {quartiles(us)}")
 
 
 if __name__ == "__main__":

@@ -6,6 +6,7 @@ import math
 import sys
 from collections import Counter
 from dataclasses import asdict, dataclass, field
+from operator import mul
 
 import numpy as np
 
@@ -35,6 +36,18 @@ def _check_pairs(hyps, refs) -> None:
         raise EmptyCorpus("no sentences to score")
 
 
+def _clipped_total(counts, ref_counts) -> int:
+    """The sum over the keys of counts of min(count, its count in ref_counts),
+    exact for int counts. It reads ref_counts with `dict.get`, not a Counter
+    subscript, which calls `Counter.__missing__` for every missing key."""
+    total = 0
+    get = ref_counts.get
+    for key, c in counts.items():
+        r = get(key, 0)
+        total += c if c < r else r
+    return total
+
+
 # ---------------------------------------------------------------------------
 # BLEU
 
@@ -54,7 +67,7 @@ def bleu_counts(hyp_grams, ref_grams) -> list[float]:
         ref_len += sum(rg[1].values())
         for k in range(1, MAX_N + 1):
             total[k] += sum(hg[k].values())
-            clipped[k] += sum(min(c, rg[k][g]) for g, c in hg[k].items())
+            clipped[k] += _clipped_total(hg[k], rg[k])
     scores, log_p_sum = [0.0] * MAX_N, 0.0
     for k in range(1, MAX_N + 1):
         if clipped[k] == 0:  # BLEU-k and every higher order are 0; total[k] may be 0
@@ -69,18 +82,23 @@ def bleu_counts(hyp_grams, ref_grams) -> list[float]:
 # ROUGE-L
 
 def _lcs_len(a, b) -> int:
-    la, lb = len(a), len(b)
-    prev = [0] * (lb + 1)
-    for i in range(1, la + 1):
-        cur = [0] * (lb + 1)
-        ai = a[i - 1]
-        for j in range(1, lb + 1):
-            if ai == b[j - 1]:
-                cur[j] = prev[j - 1] + 1
-            else:
-                cur[j] = cur[j - 1] if cur[j - 1] >= prev[j] else prev[j]
-        prev = cur
-    return prev[lb]
+    """The length of a longest common subsequence of a and b, by the
+    bit-parallel recurrence of Allison & Dix (1986) in the form of Hyyrö
+    (2004), over Python ints. Bit j of `at[t]` is set where b[j] == t. For
+    each token of a, u = v & at[t] and v = ((v + u) | (v - u)) & full; the
+    LCS length is the number of bits of v that are 0. One big-int step per
+    token of a, not one Python step per pair of tokens."""
+    at = {}
+    for j, t in enumerate(b):
+        at[t] = at.get(t, 0) | 1 << j
+    full = (1 << len(b)) - 1
+    v = full
+    for t in a:
+        match = at.get(t)
+        if match:  # else u = 0, which leaves v as it is
+            u = v & match
+            v = ((v + u) | (v - u)) & full
+    return len(b) - v.bit_count()
 
 
 def rouge_l(hyp, ref) -> float:
@@ -154,8 +172,7 @@ def _min_chunks(hyp, ref, m: int) -> int:
                 by_len[k].append((k, ones << i, ones << j))
         below = row
     spans = [span for blocks in reversed(by_len) for span in blocks]
-    ref_bigrams = Counter(zip(ref, ref[1:]))
-    links = sum(min(c, ref_bigrams[g]) for g, c in Counter(zip(hyp, hyp[1:])).items())
+    links = _clipped_total(Counter(zip(hyp, hyp[1:])), Counter(zip(ref, ref[1:])))
     for chunks in range(max(1, m - links, -(-m // spans[0][0])), m + 1):
         if _cover(spans, 0, m, 0, 0, chunks):
             return chunks
@@ -163,8 +180,7 @@ def _min_chunks(hyp, ref, m: int) -> int:
 
 
 def meteor_lite(hyp, ref) -> float:
-    hc, rc = Counter(hyp), Counter(ref)
-    m = sum(min(c, rc[t]) for t, c in hc.items())
+    m = _clipped_total(Counter(hyp), Counter(ref))
     if m == 0:
         return 0.0
     p = m / len(hyp)
@@ -185,10 +201,18 @@ def meteor_corpus(hyps, refs) -> float:
 
 @dataclass(frozen=True)
 class RefEntry:
-    """One reference as CIDEr-D and BLEU read it."""
+    """One reference as BLEU and CIDEr-D read it.
+
+    `grams[n]` is the Counter of the reference's n-grams, which BLEU clips
+    against. `vecs[n]` is (table, norm): the table maps each n-gram of the
+    reference with a nonzero IDF weight to (its count in the reference, its
+    IDF weight, count x weight), the last being the gram's coordinate in the
+    reference's tf-idf vector, and norm is that vector's Euclidean norm.
+    CIDEr-D reads one table entry per hypothesis n-gram.
+    """
     grams: dict  # n -> Counter of the reference's n-grams
     length: int
-    vecs: dict  # n -> (tf-idf vector {gram: weight}, its Euclidean norm)
+    vecs: dict  # n -> ({gram: (count, weight, count * weight)}, Euclidean norm)
 
 
 @dataclass(frozen=True)
@@ -196,10 +220,11 @@ class IdfTable:
     """Document frequencies over a reference corpus, and the RefEntry of each
     reference scored against it.
 
-    `_weight[n][gram]` is log(doc_count / df), kept where it is nonzero. The
-    entries are made on first use, one per distinct reference scored (a
-    document of the table or not), so the table's memory grows with the
-    references scored against it; equality and repr ignore them.
+    `_weight[n][gram]` is log(doc_count / df), kept where it is nonzero; it
+    is read only to make entries. The entries are made on first use, one per
+    distinct reference scored (a document of the table or not), so the
+    table's memory grows with the references scored against it; equality and
+    repr ignore them.
     """
     doc_count: int
     df: dict  # n -> {gram: document frequency}
@@ -222,8 +247,8 @@ class IdfTable:
             vecs = {}
             for n in range(1, MAX_N + 1):
                 weight = self._weight[n]
-                vec = {g: c * weight[g] for g, c in grams[n].items() if g in weight}
-                vecs[n] = (vec, math.sqrt(sum(w * w for w in vec.values())))
+                table = {g: (c, w, c * w) for g, c in grams[n].items() if (w := weight.get(g)) is not None}
+                vecs[n] = (table, math.sqrt(sum(e[2] * e[2] for e in table.values())))
             entry = RefEntry(grams, len(key), vecs)
             # One store: a signal raised while the entry was built leaves no partial entry.
             self._entries[key] = entry
@@ -250,17 +275,35 @@ def cider_d(hyp, ref, idf: IdfTable) -> float:
 def cider_d_counts(hyp_grams: dict, hyp_len: int, ref, idf: IdfTable) -> float:
     """cider_d from the hypothesis's `ngrams` counts and length; the
     reference's counts and tf-idf vectors come from its entry in the table."""
-    entry = idf.reference(ref)
+    return cider_d_entry(hyp_grams, hyp_len, idf.reference(ref))
+
+
+def cider_d_entry(hyp_grams: dict, hyp_len: int, entry: RefEntry) -> float:
+    """cider_d_counts against the reference's entry in the table.
+
+    Per n, one table lookup per hypothesis n-gram gives its clipped tf-idf
+    weight and the reference's. Both sums run through `sum` in
+    hypothesis-gram order, the order of the four-lookup form that
+    tests/test_metrics.py keeps, so the two agree bit for bit."""
     sim_sum = 0.0
     for n in range(1, MAX_N + 1):
-        rg, (rv, rn), weight = entry.grams[n], entry.vecs[n], idf._weight[n]
-        # The clipped hypothesis vector: nonzero only on the grams of rv.
-        hv = {g: min(c, rg[g]) * weight[g] for g, c in hyp_grams[n].items() if g in rv}
-        hn = math.sqrt(sum(w * w for w in hv.values()))
-        if hn == 0.0 or rn == 0.0:
+        table, rn = entry.vecs[n]
+        if rn == 0.0:
             continue
-        dot = sum(w * rv[g] for g, w in hv.items())
-        sim_sum += max(0.0, dot / (hn * rn))
+        # The clipped hypothesis vector, nonzero only on the table's grams, and
+        # the reference's coordinates on the same grams.
+        hv, rv = [], []
+        get = table.get
+        for g, c in hyp_grams[n].items():
+            e = get(g)
+            if e is not None:
+                rc, w, r = e
+                hv.append((c if c < rc else rc) * w)
+                rv.append(r)
+        hn = math.sqrt(sum(map(mul, hv, hv)))
+        if hn == 0.0:
+            continue
+        sim_sum += max(0.0, sum(map(mul, hv, rv)) / (hn * rn))
     delta = hyp_len - entry.length
     penalty = math.exp(-(delta * delta) / (2.0 * CIDER_SIGMA * CIDER_SIGMA))
     return 10.0 * penalty * sim_sum / MAX_N
@@ -438,31 +481,50 @@ class ScoreReport:
     unmatched: int = 0  # hypotheses left out because no reference shares their (id, role)
 
     FIELDS = ("b1", "b2", "b3", "b4", "rouge_l", "meteor", "cider_d", "counts")
+    # Each score lies in [0, SCORE_MAX]; a report may pass either end by
+    # ROUNDING, since an exact match scores CIDEr-D 10.000000000000002.
+    SCORE_MAX = {"b1": 1.0, "b2": 1.0, "b3": 1.0, "b4": 1.0, "rouge_l": 1.0, "meteor": 1.0, "cider_d": 10.0}
+    ROUNDING = 1e-9
 
     def to_json(self) -> str:
         return json.dumps(asdict(self))
 
     @classmethod
     def from_dict(cls, d: dict, where: str = "report") -> "ScoreReport":
-        """Raises MalformedReport unless every metric field is a finite number:
-        an int or float (not a bool) of at most a float's largest magnitude."""
+        """Raises MalformedReport unless every metric field is a finite number
+        (an int or float, not a bool, of at most a float's largest magnitude),
+        each score lies in its range, and counts is an int >= 0."""
         if not all(type(d.get(f)) in (int, float) and abs(d[f]) <= sys.float_info.max for f in cls.FIELDS):
             raise MalformedReport(f"{where}: needs a finite number for each of {', '.join(cls.FIELDS)}")
+        for f, hi in cls.SCORE_MAX.items():
+            if not -cls.ROUNDING <= d[f] <= hi + cls.ROUNDING:
+                raise MalformedReport(f"{where}: {f} = {d[f]!r} lies outside [0, {hi:g}]")
+        if type(d["counts"]) is not int or d["counts"] < 0:
+            raise MalformedReport(f"{where}: counts = {d['counts']!r} is not an int >= 0")
         return cls(**{f: d[f] for f in cls.FIELDS})
 
 
 def score_all(hyps: list[Caption], refs: list[Caption], idf: IdfTable) -> ScoreReport:
+    """Every metric over the pairs. Each hypothesis is counted once and each
+    reference looked up once, and both serve BLEU and CIDEr-D."""
     _check_pairs(hyps, refs)
     for h, r in zip(hyps, refs):
         if h.role != r.role:
             raise LengthMismatch(f"role mismatch: {h.role} vs {r.role}")
-    ht = [h.tokens for h in hyps]
-    rt = [r.tokens for r in refs]
-    hg = [ngrams(h, MAX_N) for h in ht]  # each hypothesis counted once, for BLEU and CIDEr-D
+    hyp_grams, ref_grams, rouge, meteor, cider = [], [], [], [], []
+    for h, r in zip(hyps, refs):
+        ht, rt = h.tokens, r.tokens
+        grams, entry = ngrams(ht, MAX_N), idf.reference(rt)
+        hyp_grams.append(grams)
+        ref_grams.append(entry.grams)
+        rouge.append(rouge_l(ht, rt))
+        meteor.append(meteor_lite(ht, rt))
+        cider.append(cider_d_entry(grams, len(ht), entry))
+    n = len(hyps)
     return ScoreReport(
-        *bleu_counts(hg, [idf.reference(r).grams for r in rt]),  # b1..b4
-        rouge_l=rouge_l_corpus(ht, rt),
-        meteor=meteor_corpus(ht, rt),
-        cider_d=sum(cider_d_counts(g, len(h), r, idf) for g, h, r in zip(hg, ht, rt)) / len(hyps),
-        counts=len(hyps),
+        *bleu_counts(hyp_grams, ref_grams),  # b1..b4
+        rouge_l=sum(rouge) / n,
+        meteor=sum(meteor) / n,
+        cider_d=sum(cider) / n,
+        counts=n,
     )

@@ -21,13 +21,23 @@ from capkit.errors import (
     TooFewSamples,
 )
 from capkit.metrics import (
+    CIDER_SIGMA,
+    MAX_N,
+    METEOR_ALPHA,
+    METEOR_GAMMA,
+    METEOR_THETA,
     GaussianStats,
     IdfTable,
     ScoreReport,
+    _clipped_total,
+    _lcs_len,
+    _min_chunks,
     bleu_corpus,
+    bleu_counts,
     build_idf,
     cider_corpus,
     cider_d,
+    cider_d_counts,
     frechet_distance,
     gaussian_stats,
     meteor_corpus,
@@ -37,7 +47,7 @@ from capkit.metrics import (
     score_all,
     symmetric_eigvals,
 )
-from capkit.textproc import Caption
+from capkit.textproc import Caption, ngrams
 
 tokens_st = st.lists(st.sampled_from(["a", "b", "c", "car", "stops"]), max_size=10)
 # caption pairs over 2-3 words: the repeats make METEOR's chunk search branch
@@ -647,6 +657,128 @@ def test_fid_vid_d64_match_oracle():
         )
         assert got >= 0.0
         assert abs(got - want) <= 1e-6 * max(1.0, abs(want))
+
+
+# ---------------------------------------------------------------------------
+# The straightforward forms of the clipping, the LCS length and CIDEr-D, kept
+# as references: the package's forms must equal them under ==, bit for bit.
+
+# caption pairs of 0-30 tokens over 2-5 word types: repeats, empty captions
+# and empty overlaps all occur
+PAIR_WORDS = "abcde"
+pair_st = st.integers(2, 5).flatmap(
+    lambda w: st.tuples(*[st.lists(st.sampled_from(PAIR_WORDS[:w]), max_size=30)] * 2))
+
+
+def ref_lcs_len(a, b):
+    """The LCS length by the |a| x |b| dynamic programme."""
+    prev = [0] * (len(b) + 1)
+    for ai in a:
+        cur = [0] * (len(b) + 1)
+        for j in range(1, len(b) + 1):
+            cur[j] = prev[j - 1] + 1 if ai == b[j - 1] else max(cur[j - 1], prev[j])
+        prev = cur
+    return prev[-1]
+
+
+def ref_clipped_total(counts, ref_counts: Counter):
+    """Clipping by Counter subscript, which reads 0 for a missing key."""
+    return sum(min(c, ref_counts[g]) for g, c in counts.items())
+
+
+def ref_bleu_counts(hyp_grams, ref_grams):
+    clipped, total, ref_len = [0] * (MAX_N + 1), [0] * (MAX_N + 1), 0
+    for hg, rg in zip(hyp_grams, ref_grams):
+        ref_len += sum(rg[1].values())
+        for k in range(1, MAX_N + 1):
+            total[k] += sum(hg[k].values())
+            clipped[k] += ref_clipped_total(hg[k], rg[k])
+    scores, log_p_sum = [0.0] * MAX_N, 0.0
+    for k in range(1, MAX_N + 1):
+        if clipped[k] == 0:
+            break
+        log_p_sum += math.log(clipped[k] / total[k])
+        scores[k - 1] = min(1.0, math.exp(1.0 - ref_len / total[1])) * math.exp(log_p_sum / k)
+    return scores
+
+
+def ref_cider_d_counts(hyp_grams, hyp_len, ref, idf):
+    """CIDEr-D with four lookups per hypothesis n-gram: `g in rv`, the
+    reference count, the IDF weight and the reference's tf-idf weight."""
+    ref_grams = ngrams(ref, MAX_N)
+    sim_sum = 0.0
+    for n in range(1, MAX_N + 1):
+        rg, weight = ref_grams[n], idf._weight[n]
+        rv = {g: c * weight[g] for g, c in rg.items() if g in weight}
+        rn = math.sqrt(sum(w * w for w in rv.values()))
+        hv = {g: min(c, rg[g]) * weight[g] for g, c in hyp_grams[n].items() if g in rv}
+        hn = math.sqrt(sum(w * w for w in hv.values()))
+        if hn == 0.0 or rn == 0.0:
+            continue
+        dot = sum(w * rv[g] for g, w in hv.items())
+        sim_sum += max(0.0, dot / (hn * rn))
+    delta = hyp_len - len(ref)
+    return 10.0 * math.exp(-(delta * delta) / (2.0 * CIDER_SIGMA * CIDER_SIGMA)) * sim_sum / MAX_N
+
+
+@given(pair_st)
+def test_lcs_len_equals_dynamic_programme(pair):
+    hyp, ref = pair
+    assert _lcs_len(hyp, ref) == ref_lcs_len(hyp, ref)
+    assert _lcs_len(ref, hyp) == ref_lcs_len(hyp, ref)
+
+
+def test_lcs_len_across_a_machine_word():
+    """References of 70-150 tokens: the bit vector spans more than 64 bits."""
+    rng = np.random.default_rng(0)
+    for lh, lr, w in ((80, 70, 2), (100, 150, 3), (150, 130, 5)):
+        hyp = [str(t) for t in rng.integers(w, size=lh)]
+        ref = [str(t) for t in rng.integers(w, size=lr)]
+        assert _lcs_len(hyp, ref) == ref_lcs_len(hyp, ref)
+    assert _lcs_len(list("ab" * 40), list("ba" * 40)) == 79
+
+
+@given(st.lists(pair_st, min_size=1, max_size=4))
+def test_bleu_counts_equals_counter_clipping(pairs):
+    hg = [ngrams(h, MAX_N) for h, _ in pairs]
+    rg = [ngrams(r, MAX_N) for _, r in pairs]
+    assert bleu_counts(hg, rg) == ref_bleu_counts(hg, rg)
+
+
+@given(pair_st)
+def test_meteor_clipping_equals_counter_subscript(pair):
+    """The matches and the links (adjacent matched bigrams) that bound the
+    chunk search clip as Counter subscripts do."""
+    hyp, ref = pair
+    for h, r in ((hyp, ref), (list(zip(hyp, hyp[1:])), list(zip(ref, ref[1:])))):
+        assert _clipped_total(Counter(h), Counter(r)) == ref_clipped_total(Counter(h), Counter(r))
+
+
+@settings(deadline=None)
+@given(st.integers(2, 5).flatmap(lambda w: st.tuples(*[st.lists(st.sampled_from(PAIR_WORDS[:w]), max_size=12)] * 2)))
+def test_meteor_equals_counter_clipping(pair):
+    """Whole METEOR-lite scores, on captions short enough for the chunk search."""
+    hyp, ref = pair
+    m = ref_clipped_total(Counter(hyp), Counter(ref))
+    want = 0.0
+    if m:
+        p, r = m / len(hyp), m / len(ref)
+        f_mean = p * r / (METEOR_ALPHA * p + (1.0 - METEOR_ALPHA) * r)
+        want = f_mean * (1.0 - METEOR_GAMMA * (_min_chunks(hyp, ref, m) / m) ** METEOR_THETA)
+    assert meteor_lite(hyp, ref) == want
+
+
+@given(pair_st, st.lists(pair_st, max_size=3), st.booleans())
+def test_cider_d_counts_equals_four_lookups(pair, others, ref_is_doc):
+    """Against a table whose documents hold the reference or not, before and
+    after the reference's entry is made."""
+    hyp, ref = pair
+    docs = [d for o in others for d in o] + [list("abc"), list("cde")] + ([ref] if ref_is_doc else [])
+    idf = build_idf(docs)
+    want = ref_cider_d_counts(ngrams(hyp, MAX_N), len(hyp), ref, idf)
+    assert cider_d_counts(ngrams(hyp, MAX_N), len(hyp), ref, idf) == want
+    assert cider_d_counts(ngrams(hyp, MAX_N), len(hyp), ref, idf) == want
+    assert cider_d(hyp, ref, idf) == want
 
 
 # ---------------------------------------------------------------------------
