@@ -11,6 +11,7 @@ weights are matrices or vectors, and their gradients sum over those axes.
 """
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -118,26 +119,41 @@ def relu(tape, a):
 
 def layer_norm(tape, terms, gain, bias):
     """Layer norm of the sum of `terms`, operands of one shape added left to
-    right (a post-norm residual); every term gets the same input gradient."""
-    xv, gv, bv = sum(map(val, terms[1:]), val(terms[0])), val(gain), val(bias)
-    xc = xv - xv.mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + LN_EPS)
-    xhat = xc * inv
-    out = _out(tape, xhat * gv + bv)
+    right (a post-norm residual); every term gets the same input gradient.
+
+    Each mean is `np.add.reduce / n`, which is how `np.mean` computes it, and
+    the centring, scaling and backward steps run in place on arrays this op
+    owns, so the values are those of the plain expressions term for term."""
+    gv, bv = val(gain), val(bias)
+    x = np.add(val(terms[0]), val(terms[1])) if len(terms) > 1 else val(terms[0]).copy()
+    for t in terms[2:]:
+        x += val(t)
+    n = x.shape[-1]
+    x -= np.add.reduce(x, axis=-1, keepdims=True) / n
+    var = np.add.reduce(x * x, axis=-1, keepdims=True) / n
+    inv = 1.0 / np.sqrt(var + LN_EPS)
+    xhat = x
+    xhat *= inv
+    out_v = xhat * gv
+    out_v += bv
+    out = _out(tape, out_v)
     if tape is not None:
         def back():
             g = out.grad
+            buf = g * xhat  # the one scratch buffer: g * xhat, then gx * xhat, then xhat * m2
             if isinstance(gain, Var):
-                gain.accumulate((g * xhat).sum(axis=tuple(range(g.ndim - 1))))
+                gain.accumulate(np.add.reduce(_rows(buf), axis=0))
             if isinstance(bias, Var):
-                bias.accumulate(g.sum(axis=tuple(range(g.ndim - 1))))
+                bias.accumulate(np.add.reduce(_rows(g), axis=0))
             gx = g * gv
-            m1 = gx.mean(axis=-1, keepdims=True)
-            m2 = (gx * xhat).mean(axis=-1, keepdims=True)
-            gin = inv * (gx - m1 - xhat * m2)
+            m1 = np.add.reduce(gx, axis=-1, keepdims=True) / n
+            m2 = np.add.reduce(np.multiply(gx, xhat, out=buf), axis=-1, keepdims=True) / n
+            gx -= m1
+            gx -= np.multiply(xhat, m2, out=buf)
+            gx *= inv  # inv * (gx - m1 - xhat * m2)
             for t in terms:
                 if isinstance(t, Var):
-                    t.accumulate(gin)
+                    t.accumulate(gx)
         tape.record(back)
     return out
 
@@ -145,20 +161,23 @@ def layer_norm(tape, terms, gain, bias):
 def embed(tape, tok, pos, ids, start: int):
     """tok[ids] + pos[start:start + L] for ids of shape ... x L: token rows plus
     the position rows they sit at. A repeated id accumulates its rows'
-    gradients."""
+    gradients, summed in row order by one `np.bincount` over the flat indices
+    id * d + column: the sum that `np.add.at` forms, bit for bit."""
     ids = np.asarray(ids, dtype=np.intp)
     hi = start + ids.shape[-1]
-    out = _out(tape, val(tok)[ids] + val(pos)[start:hi])
+    x = val(tok)[ids]
+    x += val(pos)[start:hi]
+    out = _out(tape, x)
     if tape is not None:
         def back():
             g = out.grad
             if isinstance(tok, Var):
-                gt = np.zeros_like(tok.value)
-                np.add.at(gt, ids, g)
-                tok.accumulate(gt)
+                V, d = tok.value.shape
+                flat = (ids[..., None] * d + np.arange(d)).ravel()
+                tok.accumulate(np.bincount(flat, weights=g.ravel(), minlength=V * d).reshape(V, d))
             if isinstance(pos, Var):
                 gp = np.zeros_like(pos.value)
-                gp[start:hi] = g.reshape(-1, *g.shape[-2:]).sum(axis=0)
+                np.add.reduce(g.reshape(-1, *g.shape[-2:]), axis=0, out=gp[start:hi])
                 pos.accumulate(gp)
         tape.record(back)
     return out
@@ -176,30 +195,45 @@ def _merge_heads(a: np.ndarray) -> np.ndarray:
     return a.swapaxes(-2, -3).reshape(*lead, L, h * dh)
 
 
+@functools.lru_cache(maxsize=64)
+def _causal_mask(Lq: int, Lk: int) -> np.ndarray:
+    """The additive Lq x Lk causal mask: MASKED where key j > i + Lk - Lq.
+    Read-only, since every call with the same lengths shares it."""
+    mask = np.triu(np.full((Lq, Lk), MASKED), k=Lk - Lq + 1)
+    mask.flags.writeable = False
+    return mask
+
+
 def attention(tape, q, k, v, n_heads: int, causal: bool, key_bias=None):
     """Multi-head softmax(q k^T / sqrt(dh) + mask) v for ... x Lq x d queries
     against ... x Lk x d keys and values. Under `causal`, query i sees key j
     only when j <= i + Lk - Lq, so a full prefix and one cached query follow
-    one rule. key_bias (... x Lk, 0 or MASKED) hides padded keys."""
+    one rule. key_bias (... x Lk, 0 or MASKED) hides padded keys.
+
+    The scores are scaled, masked, shifted, exponentiated and normalised in
+    place; the max and sum are the ufunc reductions that `max` and `sum` call."""
     qh, kh, vh = _split_heads(val(q), n_heads), _split_heads(val(k), n_heads), _split_heads(val(v), n_heads)
     Lq, Lk = qh.shape[-2], kh.shape[-2]
     c = 1.0 / math.sqrt(qh.shape[-1])
-    s = (qh @ kh.swapaxes(-1, -2)) * c
+    s = qh @ kh.swapaxes(-1, -2)
+    s *= c
     if causal and Lq > 1:
-        s += np.triu(np.full((Lq, Lk), MASKED), k=Lk - Lq + 1)
+        s += _causal_mask(Lq, Lk)
     if key_bias is not None:
         s += key_bias[..., None, None, :]
-    s -= s.max(axis=-1, keepdims=True)
-    p = np.exp(s)
-    p /= p.sum(axis=-1, keepdims=True)
+    s -= np.maximum.reduce(s, axis=-1, keepdims=True)
+    p = np.exp(s, out=s)
+    p /= np.add.reduce(p, axis=-1, keepdims=True)
     out = _out(tape, _merge_heads(p @ vh))
     if tape is not None:
         def back():
             g = _split_heads(out.grad, n_heads)
             if isinstance(v, Var):
                 v.accumulate(_merge_heads(p.swapaxes(-1, -2) @ g))
-            gp = g @ vh.swapaxes(-1, -2)
-            gs = p * (gp - (gp * p).sum(axis=-1, keepdims=True)) * c
+            gs = g @ vh.swapaxes(-1, -2)
+            gs -= np.add.reduce(gs * p, axis=-1, keepdims=True)
+            gs *= p
+            gs *= c  # p * (gp - sum(gp * p)) * c
             if isinstance(q, Var):
                 q.accumulate(_merge_heads(gs @ kh))
             if isinstance(k, Var):

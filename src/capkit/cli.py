@@ -227,16 +227,11 @@ def cmd_fid(args) -> int:
 
 
 def render_report_row(report: ScoreReport) -> list[str]:
-    """Fractions print x100, CIDEr-D x10, one decimal each."""
-    return [
-        f"{report.b1 * 100:.1f}",
-        f"{report.b2 * 100:.1f}",
-        f"{report.b3 * 100:.1f}",
-        f"{report.b4 * 100:.1f}",
-        f"{report.cider_d * 10:.1f}",
-        f"{report.meteor * 100:.1f}",
-        f"{report.rouge_l * 100:.1f}",
-    ]
+    """Fractions print x100, CIDEr-D x10, one decimal each. A score in the
+    rounding slack below 0 that a report may hold prints as 0.0, not -0.0."""
+    shown = (report.b1 * 100, report.b2 * 100, report.b3 * 100, report.b4 * 100,
+             report.cider_d * 10, report.meteor * 100, report.rouge_l * 100)
+    return [f"{max(0.0, v):.1f}" for v in shown]
 
 
 def render_report_table(reports: list[ScoreReport], labels: list[str]) -> str:

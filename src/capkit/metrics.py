@@ -137,7 +137,7 @@ def _cover(spans, start, remaining, used_h, used_r, budget) -> bool:
     return False
 
 
-def _min_chunks(hyp, ref, m: int) -> int:
+def _min_chunks(hyp, ref, m: int, links: int) -> int:
     """Fewest contiguous common blocks that realize m matched unigrams.
 
     Exhaustive search over disjoint common substrings with iterative
@@ -151,8 +151,8 @@ def _min_chunks(hyp, ref, m: int) -> int:
     Deepening starts at a lower bound. chunks = m - links, where a link is a
     pair of adjacent hyp positions matched to adjacent ref positions; links
     use distinct hyp bigrams and distinct ref bigrams of the same type, so
-    there are at most sum_g min(hyp_bigrams[g], ref_bigrams[g]) of them. And
-    no block is longer than the longest common run.
+    there are at most `links` = sum_g min(hyp_bigrams[g], ref_bigrams[g]) of
+    them. And no block is longer than the longest common run.
     """
     if m == 0:
         return 0
@@ -172,7 +172,6 @@ def _min_chunks(hyp, ref, m: int) -> int:
                 by_len[k].append((k, ones << i, ones << j))
         below = row
     spans = [span for blocks in reversed(by_len) for span in blocks]
-    links = _clipped_total(Counter(zip(hyp, hyp[1:])), Counter(zip(ref, ref[1:])))
     for chunks in range(max(1, m - links, -(-m // spans[0][0])), m + 1):
         if _cover(spans, 0, m, 0, 0, chunks):
             return chunks
@@ -180,13 +179,20 @@ def _min_chunks(hyp, ref, m: int) -> int:
 
 
 def meteor_lite(hyp, ref) -> float:
-    m = _clipped_total(Counter(hyp), Counter(ref))
+    return meteor_counts(hyp, ref, ngrams(hyp, 2), ngrams(ref, 2))
+
+
+def meteor_counts(hyp, ref, hyp_grams: dict, ref_grams: dict) -> float:
+    """meteor_lite from the pair's `ngrams` counts, of which it reads orders 1
+    and 2: the clipped unigram total is the match count m, and the clipped
+    bigram total bounds the links between matches."""
+    m = _clipped_total(hyp_grams[1], ref_grams[1])
     if m == 0:
         return 0.0
     p = m / len(hyp)
     r = m / len(ref)
     f_mean = p * r / (METEOR_ALPHA * p + (1.0 - METEOR_ALPHA) * r)
-    chunks = _min_chunks(list(hyp), list(ref), m)
+    chunks = _min_chunks(list(hyp), list(ref), m, _clipped_total(hyp_grams[2], ref_grams[2]))
     penalty = METEOR_GAMMA * (chunks / m) ** METEOR_THETA
     return f_mean * (1.0 - penalty)
 
@@ -264,7 +270,7 @@ def build_idf(refs) -> IdfTable:
     for r, k in Counter(map(tuple, refs)).items():
         grams = ngrams(r, MAX_N)
         for n in range(1, MAX_N + 1):
-            df[n].update(list(grams[n]) * k)  # each of the k documents holds each gram once
+            df[n].update(dict.fromkeys(grams[n], k))  # each of the k documents holds each gram once
     return IdfTable(doc_count=len(refs), df={n: dict(c) for n, c in df.items()})
 
 
@@ -506,7 +512,7 @@ class ScoreReport:
 
 def score_all(hyps: list[Caption], refs: list[Caption], idf: IdfTable) -> ScoreReport:
     """Every metric over the pairs. Each hypothesis is counted once and each
-    reference looked up once, and both serve BLEU and CIDEr-D."""
+    reference looked up once, and both serve BLEU, METEOR and CIDEr-D."""
     _check_pairs(hyps, refs)
     for h, r in zip(hyps, refs):
         if h.role != r.role:
@@ -518,7 +524,7 @@ def score_all(hyps: list[Caption], refs: list[Caption], idf: IdfTable) -> ScoreR
         hyp_grams.append(grams)
         ref_grams.append(entry.grams)
         rouge.append(rouge_l(ht, rt))
-        meteor.append(meteor_lite(ht, rt))
+        meteor.append(meteor_counts(ht, rt, grams, entry.grams))
         cider.append(cider_d_entry(grams, len(ht), entry))
     n = len(hyps)
     return ScoreReport(

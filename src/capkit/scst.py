@@ -66,13 +66,13 @@ def rollout(params: ModelParams, features, seeds, temperature: float = 1.0) -> l
             draw = sampled & live
             if draw.any():
                 probs = np.exp(log_softmax(logits[draw] / temperature))
-                total = probs.sum(axis=-1, keepdims=True)
+                total = np.add.reduce(probs, axis=-1, keepdims=True)
                 if not (total > 0.0).all():
                     raise NumericFailure(f"sampling distribution at temperature {temperature} is not finite")
-                cdf = (probs / total).cumsum(axis=-1)
+                cdf = np.add.accumulate(np.divide(probs, total, out=probs), axis=-1)
                 cdf /= cdf[:, -1:]
                 u = np.array([rngs[b].random() for b in np.flatnonzero(draw)])
-                tok[draw] = (cdf <= u[:, None]).sum(axis=-1)
+                tok[draw] = np.add.reduce(cdf <= u[:, None], axis=-1)
             ids[:, t] = tok
             n += live
             live &= tok != EOS

@@ -204,8 +204,11 @@ def forward(params: ModelParams, features, prefix_ids, train: bool = False):
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    """logits - max - log(sum(exp(logits - max))) over the last axis, in place
+    on one new array."""
+    shifted = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
+    shifted -= np.log(np.add.reduce(np.exp(shifted), axis=-1, keepdims=True))
+    return shifted
 
 
 def scst_loss(logp, r, mask):
@@ -217,10 +220,10 @@ def scst_loss(logp, r, mask):
     m = np.asarray(mask, dtype=np.float64)
     if not (logp.shape == rv.shape == m.shape):
         raise ValueError("logp, r, and mask lengths differ")
-    n = m.sum(axis=-1)
-    if not np.all(n > 0):
+    n = np.add.reduce(m, axis=-1)
+    if not (n > 0).all():
         raise AllMasked("every position of a row is masked out")
-    loss = -(rv * logp * m).sum(axis=-1) / n
+    loss = -np.add.reduce(rv * logp * m, axis=-1) / n
     grad = -(rv * m) / n[..., None]
     return loss, grad
 
@@ -239,7 +242,8 @@ def _token_loss(logits: np.ndarray, target_ids, r, mask):
     at = np.arange(len(flat)), targets.ravel()
     loss, dlogp = scst_loss(flat[at].reshape(targets.shape), r, mask)
     dlogp = (dlogp / np.size(loss)).ravel()
-    grad = dlogp[:, None] * -np.exp(flat)
+    grad = np.exp(flat)
+    grad *= -dlogp[:, None]  # dlogp * -exp: a product's sign is the xor of its operands' signs
     grad[at] += dlogp
     return loss, grad.reshape(lp.shape)
 
@@ -361,10 +365,11 @@ def train_mle(
 ) -> list[float]:
     """Teacher-forced maximum-likelihood training on the rows' captions, the
     unit-reward case of `_fit`'s step. Each caption is encoded to the config's
-    max_len. Updates `params` in place; returns the per-epoch mean loss."""
+    max_len, once. Updates `params` in place; returns the per-epoch mean loss."""
+    encoded = {r.ref.tokens: encode(vocab, r.ref.tokens, params.config.max_len) for r in dataset}
 
     def captions(rows, _epoch):
-        return [encode(vocab, r.ref.tokens, params.config.max_len) for r in rows], np.ones(len(rows))
+        return [encoded[r.ref.tokens] for r in rows], np.ones(len(rows))
 
     return _fit(params, dataset, epochs, batch_size, seed, lr, captions)
 

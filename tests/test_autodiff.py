@@ -126,6 +126,115 @@ def test_embed_accumulates_repeats():
     assert np.array_equal(pos.grad, [[0.0] * 3] * 2 + [[1.0] * 3] * 3)
 
 
+# ---------------------------------------------------------------------------
+# The plain-expression forms of `embed`, `layer_norm` and `attention`, kept as
+# references: the ops, which reduce with ufuncs and work in place, must give
+# their values bit for bit, forward and backward.
+
+def ref_embed(tok, pos, ids, start, g):
+    """Output, then the tok and pos gradients for output gradient g."""
+    hi = start + ids.shape[-1]
+    gt, gp = np.zeros_like(tok), np.zeros_like(pos)
+    np.add.at(gt, ids, g)
+    gp[start:hi] = g.reshape(-1, *g.shape[-2:]).sum(axis=0)
+    return tok[ids] + pos[start:hi], gt, gp
+
+
+def ref_layer_norm(terms, gv, bv, g):
+    """Output, then the gain, bias and (shared) term gradients."""
+    xv = sum(terms[1:], terms[0])
+    xc = xv - xv.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + ad.LN_EPS)
+    xhat = xc * inv
+    axes = tuple(range(g.ndim - 1))
+    gx = g * gv
+    m1 = gx.mean(axis=-1, keepdims=True)
+    m2 = (gx * xhat).mean(axis=-1, keepdims=True)
+    return xhat * gv + bv, (g * xhat).sum(axis=axes), g.sum(axis=axes), inv * (gx - m1 - xhat * m2)
+
+
+def ref_attention(q, k, v, n_heads, causal, key_bias, g):
+    """Output, then the q, k and v gradients."""
+    qh, kh, vh = (ad._split_heads(a, n_heads) for a in (q, k, v))
+    Lq, Lk = qh.shape[-2], kh.shape[-2]
+    c = 1.0 / np.sqrt(qh.shape[-1])
+    s = (qh @ kh.swapaxes(-1, -2)) * c
+    if causal and Lq > 1:
+        s += np.triu(np.full((Lq, Lk), ad.MASKED), k=Lk - Lq + 1)
+    if key_bias is not None:
+        s += key_bias[..., None, None, :]
+    s -= s.max(axis=-1, keepdims=True)
+    p = np.exp(s)
+    p /= p.sum(axis=-1, keepdims=True)
+    gh = ad._split_heads(g, n_heads)
+    gp = gh @ vh.swapaxes(-1, -2)
+    gs = p * (gp - (gp * p).sum(axis=-1, keepdims=True)) * c
+    merge = ad._merge_heads
+    return merge(p @ vh), merge(gs @ kh), merge(gs.swapaxes(-1, -2) @ qh), merge(p.swapaxes(-1, -2) @ gh)
+
+
+def taped(op, arrays, g):
+    """The op's output on Vars of the arrays, then each array's gradient for
+    output gradient g."""
+    tape = ad.Tape()
+    vs = [ad.Var(a) for a in arrays]
+    out = op(tape, *vs)
+    out.accumulate(g)
+    tape.run_backward()
+    return [out.value] + [v.grad for v in vs]
+
+
+def assert_same_bits(got, want):
+    for a, b in zip(got, want, strict=True):
+        assert a.shape == b.shape and np.array_equal(a, b), np.abs(a - b).max()
+        assert np.array_equal(np.signbit(a), np.signbit(b))  # zero signs too
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 6), (4, 1), (3, 7), (9,)])
+@pytest.mark.parametrize("start", [0, 2])
+def test_embed_matches_add_at(shape, start):
+    """Repeated ids (5 rows of the table), one row, one position; some output
+    gradients are -0.0, which a sum that starts from +0.0 turns into +0.0."""
+    rng = np.random.default_rng(sum(shape) + start)
+    ids = rng.integers(0, 5, size=shape)
+    tok, pos = rng.normal(size=(5, 8)), rng.normal(size=(shape[-1] + start + 1, 8))
+    g = rng.normal(size=(*shape, 8))
+    g[rng.random(g.shape) < 0.3] = -0.0
+    got = taped(lambda t, a, b: ad.embed(t, a, b, ids, start), [tok, pos], g)
+    assert_same_bits(got, ref_embed(tok, pos, ids, start, g))
+
+
+@pytest.mark.parametrize("n_terms", [2, 3])
+@pytest.mark.parametrize("lead", [(6,), (4, 5)])
+def test_layer_norm_matches_plain_form(n_terms, lead):
+    rng = np.random.default_rng(n_terms + len(lead))
+    for scale in (1e-3, 1.0, 1e3):
+        terms = [rng.normal(size=(*lead, 8)) * scale for _ in range(n_terms)]
+        gv, bv, g = rng.normal(size=8), rng.normal(size=8), rng.normal(size=(*lead, 8)) * scale
+        got = taped(lambda t, gain, bias, *xs: ad.layer_norm(t, xs, gain, bias), [gv, bv, *terms], g)
+        out, g_gain, g_bias, g_in = ref_layer_norm(terms, gv, bv, g)
+        assert_same_bits(got, [out, g_gain, g_bias] + [g_in] * n_terms)
+
+
+@pytest.mark.parametrize("n_heads", [1, 2])
+@pytest.mark.parametrize(
+    "lq, lk, causal, padded",
+    [(6, 6, True, False), (1, 5, True, False), (4, 7, False, True)],
+    ids=["causal-prefix", "cached-query", "key-bias"],
+)
+def test_attention_matches_plain_form(n_heads, lq, lk, causal, padded):
+    """A causal full prefix, one cached query against its prefix's keys, and
+    cross-attention whose key bias hides the last keys of some rows."""
+    rng = np.random.default_rng(lq * 10 + lk + n_heads)
+    B, d = 3, 8
+    q, k, v = rng.normal(size=(B, lq, d)) * 3, rng.normal(size=(B, lk, d)), rng.normal(size=(B, lk, d))
+    bias = np.where(np.arange(lk) < np.array([[lk], [lk - 2], [3]]), 0.0, ad.MASKED) if padded else None
+    g = rng.normal(size=(B, lq, d))
+    got = taped(lambda t, *qkv: ad.attention(t, *qkv, n_heads, causal, key_bias=bias), [q, k, v], g)
+    assert_same_bits(got, ref_attention(q, k, v, n_heads, causal, bias, g))
+    assert_same_bits([ad.attention(None, q, k, v, n_heads, causal, key_bias=bias)], got[:1])
+
+
 def test_op_set():
     """The tape's ops are the decoder's six and no more."""
     ops = {

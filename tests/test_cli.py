@@ -147,13 +147,14 @@ def test_report_field_out_of_range(tmp_path, capsys, field, value, why):
 
 
 def test_report_accepts_the_range_ends(tmp_path, capsys):
-    """With rounding past the top: an exact match scores CIDEr-D 10.000000000000002."""
+    """With rounding past either end: an exact match scores CIDEr-D
+    10.000000000000002, and a score in the slack below 0 prints 0.0, not -0.0."""
     path = os.path.join(tmp_path, "rep.json")
     with open(path, "w") as f:
-        json.dump({**PAPER_ROW, "b1": 1, "b4": 0, "cider_d": 10.000000000000002}, f)
+        json.dump({**PAPER_ROW, "b1": 1, "b4": 0, "cider_d": 10.000000000000002, "meteor": -1e-12}, f)
     status, out, _ = run(capsys, "report", path, "--labels", "A/B")
     assert status == 0
-    assert out.splitlines()[1].split()[2:] == ["100.0", "24.3", "20.3", "0.0", "100.0", "17.2", "31.2"]
+    assert out.splitlines()[1].split()[2:] == ["100.0", "24.3", "20.3", "0.0", "100.0", "0.0", "31.2"]
 
 
 # ---------------------------------------------------------------------------

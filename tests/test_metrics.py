@@ -202,7 +202,8 @@ def test_meteor_chunks_of_rearranged_captions_in_bounded_time():
 
     for hyp, ref, want in _CHUNK_CASES:
         t0 = time.perf_counter()
-        got = _min_chunks(list(hyp), list(ref), len(hyp))
+        links = _clipped_total(Counter(zip(hyp, hyp[1:])), Counter(zip(ref, ref[1:])))
+        got = _min_chunks(list(hyp), list(ref), len(hyp), links)
         elapsed = time.perf_counter() - t0
         assert (got, elapsed < CHUNK_WALL_S) == (want, True), (hyp, ref, elapsed)
 
@@ -764,7 +765,8 @@ def test_meteor_equals_counter_clipping(pair):
     if m:
         p, r = m / len(hyp), m / len(ref)
         f_mean = p * r / (METEOR_ALPHA * p + (1.0 - METEOR_ALPHA) * r)
-        want = f_mean * (1.0 - METEOR_GAMMA * (_min_chunks(hyp, ref, m) / m) ** METEOR_THETA)
+        links = ref_clipped_total(Counter(zip(hyp, hyp[1:])), Counter(zip(ref, ref[1:])))
+        want = f_mean * (1.0 - METEOR_GAMMA * (_min_chunks(hyp, ref, m, links) / m) ** METEOR_THETA)
     assert meteor_lite(hyp, ref) == want
 
 
