@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time meteor_lite on adversarial 24-token captions, per vocabulary size.
+"""Time meteor_counts on adversarial 24-token captions, per vocabulary size.
 
 Two input families, each a hypothesis that is a rearrangement of its
 reference, so every token matches and only the chunk search is hard:
@@ -9,10 +9,12 @@ reference, so every token matches and only the chunk search is hard:
 - permutations: the reference's tokens in a uniformly random order (40 pairs
   per vocabulary size, 2-4 words).
 
-Every input comes from --seed. One line per cell: the family, the vocabulary
-size, the median and worst time of one meteor_lite call in ms, and how many
-calls took longer than 20 ms (the per-pair deadline of the
-metrics_adversarial benchmark workload).
+Each pair's unigram and bigram counts are made before its clock starts, as
+`score_all` makes them once for all its metrics. Every input comes from
+--seed. One line per cell: the family, the vocabulary size, the median and
+worst time of one meteor_counts call in ms, and how many calls took longer
+than 20 ms (the per-pair deadline of the metrics_adversarial benchmark
+workload).
 
 Run from a checkout:  python3 scripts/meteor_worst_case.py
 Time another checkout's package:  python3 scripts/meteor_worst_case.py --src OTHER/src
@@ -52,15 +54,17 @@ def main():
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
     sys.path.insert(0, args.src)
-    from capkit.metrics import meteor_lite
+    from capkit.metrics import meteor_counts
+    from capkit.textproc import ngrams
 
     print(f"{'family':<6} {'words':>5} {'pairs':>5} {'median_ms':>10} {'worst_ms':>10} {'over_20ms':>9}")
     for family, sizes, count in GRID:
         for words in sizes:
             ms = []
             for hyp, ref in pairs(args.seed, family, words, count):
+                hyp_grams, ref_grams = ngrams(hyp, 2), ngrams(ref, 2)
                 t0 = time.perf_counter()
-                meteor_lite(hyp, ref)
+                meteor_counts(hyp, ref, hyp_grams, ref_grams)
                 ms.append((time.perf_counter() - t0) * 1e3)
             over = sum(t > DEADLINE_MS for t in ms)
             print(f"{family:<6} {words:>5} {count:>5} {statistics.median(ms):>10.2f} {max(ms):>10.2f} {over:>9}",

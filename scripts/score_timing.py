@@ -15,8 +15,8 @@ pairs in turn:
   first time and looks it up after that;
 - bleu: `bleu_counts` of the pair's counts, reading the entry's n-grams;
 - rouge_l: `rouge_l(hyp, ref)`;
-- meteor: `meteor_lite(hyp, ref)`;
-- cider_d: `cider_d_counts` of the hypothesis's counts against the entry.
+- meteor: `meteor_counts` of the pair's counts, reading the entry's n-grams;
+- cider_d: `cider_d_entry` of the hypothesis's counts against the entry.
 
 The parts run after `reference`, so every entry they read is already made.
 Each part starts after a full garbage collection, so that a collection which
@@ -63,7 +63,7 @@ def main():
     # The workload module imports capkit, so --src goes first; it also imports tests/oracles.py.
     sys.path[:0] = [args.src, root, os.path.join(root, "tests")]
     from capkit.data import SynthConfig, synth_corpus
-    from capkit.metrics import MAX_N, bleu_counts, build_idf, cider_d_counts, meteor_lite, rouge_l, score_all
+    from capkit.metrics import MAX_N, bleu_counts, build_idf, cider_d_entry, meteor_counts, rouge_l, score_all
     from capkit.textproc import ROLES, Caption, ngrams
     from perfbench.workloads import MetricsAdversarial
 
@@ -99,8 +99,8 @@ def main():
                 "reference": lambda: [idf.reference(r) for _, r in toks],
                 "bleu": lambda: [bleu_counts([g], [idf.reference(r).grams]) for g, (_, r) in zip(grams, toks)],
                 "rouge_l": lambda: [rouge_l(h, r) for h, r in toks],
-                "meteor": lambda: [meteor_lite(h, r) for h, r in toks],
-                "cider_d": lambda: [cider_d_counts(g, len(h), r, idf) for g, (h, r) in zip(grams, toks)],
+                "meteor": lambda: [meteor_counts(h, r, g, idf.reference(r).grams) for g, (h, r) in zip(grams, toks)],
+                "cider_d": lambda: [cider_d_entry(g, len(h), idf.reference(r)) for g, (h, r) in zip(grams, toks)],
             }
             for part, run in parts.items():
                 gc.collect()

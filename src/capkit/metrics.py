@@ -28,14 +28,6 @@ CIDER_SIGMA = 6.0
 QL_MAX_ITERS = 30  # implicit QL iterations allowed per eigenvalue
 
 
-def _check_pairs(hyps, refs) -> None:
-    """Paired corpora hold the same number of sentences, and at least one."""
-    if len(hyps) != len(refs):
-        raise LengthMismatch(f"{len(hyps)} hypotheses vs {len(refs)} references")
-    if not hyps:
-        raise EmptyCorpus("no sentences to score")
-
-
 def _clipped_total(counts, ref_counts) -> int:
     """The sum over the keys of counts of min(count, its count in ref_counts),
     exact for int counts. It reads ref_counts with `dict.get`, not a Counter
@@ -51,15 +43,9 @@ def _clipped_total(counts, ref_counts) -> int:
 # ---------------------------------------------------------------------------
 # BLEU
 
-def bleu_corpus(hyps, refs) -> list[float]:
-    """Corpus BLEU-1..4 with pooled clipped counts, no smoothing, from one
-    n-gram count of each sentence."""
-    _check_pairs(hyps, refs)
-    return bleu_counts([ngrams(h, MAX_N) for h in hyps], [ngrams(r, MAX_N) for r in refs])
-
-
 def bleu_counts(hyp_grams, ref_grams) -> list[float]:
-    """bleu_corpus from each pair's `ngrams` counts of hypothesis and reference."""
+    """Corpus BLEU-1..4 from each pair's `ngrams` counts of hypothesis and
+    reference: clipped counts pooled over the pairs, no smoothing."""
     clipped = [0] * (MAX_N + 1)
     total = [0] * (MAX_N + 1)
     ref_len = 0
@@ -109,11 +95,6 @@ def rouge_l(hyp, ref) -> float:
         return 0.0
     b2 = ROUGE_BETA * ROUGE_BETA
     return (1.0 + b2) * p * r / (r + b2 * p)
-
-
-def rouge_l_corpus(hyps, refs) -> float:
-    _check_pairs(hyps, refs)
-    return sum(rouge_l(h, r) for h, r in zip(hyps, refs)) / len(hyps)
 
 
 # ---------------------------------------------------------------------------
@@ -178,13 +159,9 @@ def _min_chunks(hyp, ref, m: int, links: int) -> int:
     return m
 
 
-def meteor_lite(hyp, ref) -> float:
-    return meteor_counts(hyp, ref, ngrams(hyp, 2), ngrams(ref, 2))
-
-
 def meteor_counts(hyp, ref, hyp_grams: dict, ref_grams: dict) -> float:
-    """meteor_lite from the pair's `ngrams` counts, of which it reads orders 1
-    and 2: the clipped unigram total is the match count m, and the clipped
+    """METEOR-lite of a pair from its `ngrams` counts, of which it reads orders
+    1 and 2: the clipped unigram total is the match count m, and the clipped
     bigram total bounds the links between matches."""
     m = _clipped_total(hyp_grams[1], ref_grams[1])
     if m == 0:
@@ -195,11 +172,6 @@ def meteor_counts(hyp, ref, hyp_grams: dict, ref_grams: dict) -> float:
     chunks = _min_chunks(list(hyp), list(ref), m, _clipped_total(hyp_grams[2], ref_grams[2]))
     penalty = METEOR_GAMMA * (chunks / m) ** METEOR_THETA
     return f_mean * (1.0 - penalty)
-
-
-def meteor_corpus(hyps, refs) -> float:
-    _check_pairs(hyps, refs)
-    return sum(meteor_lite(h, r) for h, r in zip(hyps, refs)) / len(hyps)
 
 
 # ---------------------------------------------------------------------------
@@ -275,17 +247,12 @@ def build_idf(refs) -> IdfTable:
 
 
 def cider_d(hyp, ref, idf: IdfTable) -> float:
-    return cider_d_counts(ngrams(hyp, MAX_N), len(hyp), ref, idf)
-
-
-def cider_d_counts(hyp_grams: dict, hyp_len: int, ref, idf: IdfTable) -> float:
-    """cider_d from the hypothesis's `ngrams` counts and length; the
-    reference's counts and tf-idf vectors come from its entry in the table."""
-    return cider_d_entry(hyp_grams, hyp_len, idf.reference(ref))
+    return cider_d_entry(ngrams(hyp, MAX_N), len(hyp), idf.reference(ref))
 
 
 def cider_d_entry(hyp_grams: dict, hyp_len: int, entry: RefEntry) -> float:
-    """cider_d_counts against the reference's entry in the table.
+    """CIDEr-D of a hypothesis, from its `ngrams` counts and length, against
+    a reference's entry in the table.
 
     Per n, one table lookup per hypothesis n-gram gives its clipped tf-idf
     weight and the reference's. Both sums run through `sum` in
@@ -313,11 +280,6 @@ def cider_d_entry(hyp_grams: dict, hyp_len: int, entry: RefEntry) -> float:
     delta = hyp_len - entry.length
     penalty = math.exp(-(delta * delta) / (2.0 * CIDER_SIGMA * CIDER_SIGMA))
     return 10.0 * penalty * sim_sum / MAX_N
-
-
-def cider_corpus(hyps, refs, idf: IdfTable) -> float:
-    _check_pairs(hyps, refs)
-    return sum(cider_d(h, r, idf) for h, r in zip(hyps, refs)) / len(hyps)
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +475,10 @@ class ScoreReport:
 def score_all(hyps: list[Caption], refs: list[Caption], idf: IdfTable) -> ScoreReport:
     """Every metric over the pairs. Each hypothesis is counted once and each
     reference looked up once, and both serve BLEU, METEOR and CIDEr-D."""
-    _check_pairs(hyps, refs)
+    if len(hyps) != len(refs):
+        raise LengthMismatch(f"{len(hyps)} hypotheses vs {len(refs)} references")
+    if not hyps:
+        raise EmptyCorpus("no sentences to score")
     for h, r in zip(hyps, refs):
         if h.role != r.role:
             raise LengthMismatch(f"role mismatch: {h.role} vs {r.role}")

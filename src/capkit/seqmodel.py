@@ -72,9 +72,6 @@ class ModelParams:
         views = np.split(self.flat, np.cumsum([math.prod(shape) for shape in shapes])[:-1])
         self.tensors = {name: v.reshape(shape) for name, v, shape in zip(names, views, shapes)}
 
-    def copy(self) -> "ModelParams":
-        return ModelParams(self.config, self.flat.copy())
-
 
 def _shapes(config: ModelConfig) -> list:
     """(name, shape) of every parameter tensor, in PARAM_SHAPES order."""
@@ -246,12 +243,6 @@ def _token_loss(logits: np.ndarray, target_ids, r, mask):
     grad *= -dlogp[:, None]  # dlogp * -exp: a product's sign is the xor of its operands' signs
     grad[at] += dlogp
     return loss, grad.reshape(lp.shape)
-
-
-def xent_loss(logits: np.ndarray, target_ids, mask):
-    """Masked length-normalized cross entropy plus its gradient w.r.t. logits:
-    the `_token_loss` of unit rewards (Rennie et al., 2017)."""
-    return _token_loss(logits, target_ids, np.ones(np.shape(mask)), mask)
 
 
 def backward(trace: ForwardTrace, loss_grad: np.ndarray) -> dict:

@@ -16,7 +16,7 @@ from capkit.metrics import (
     GaussianStats,
     ScoreReport,
     build_idf,
-    cider_corpus,
+    cider_d,
     frechet_distance,
     gaussian_stats,
     score_all,
@@ -24,6 +24,7 @@ from capkit.metrics import (
 from capkit.scst import scst_train
 from capkit.seqmodel import (
     ModelConfig,
+    _token_loss,
     backward,
     forward,
     init_params,
@@ -31,7 +32,6 @@ from capkit.seqmodel import (
     save_checkpoint,
     scst_loss,
     train_mle,
-    xent_loss,
 )
 from capkit.textproc import BOS, EOS, Caption, ROLE_DESCRIPTION, build_vocab
 
@@ -111,6 +111,12 @@ def test_criterion_frechet_closed_forms():
     )
 
 
+def xent(logits, target_ids, mask):
+    """Masked length-normalized cross entropy and its gradient w.r.t. the
+    logits: the `_token_loss` of unit rewards, as MLE training runs it."""
+    return _token_loss(logits, target_ids, np.ones(np.shape(mask)), mask)
+
+
 def test_criterion_gradient_fidelity():
     t0 = time.perf_counter()
     cfg = ModelConfig(vocab_size=16, feature_dim=8, d_model=32, n_heads=2, max_len=12, seed=5)
@@ -120,7 +126,7 @@ def test_criterion_gradient_fidelity():
     targets = [6, 7, 8, 9, 10, EOS]
     mask = [1] * 6
     trace = forward(params, [feats], [prefix], train=True)
-    _, glog = xent_loss(trace.logits.value[0], targets, mask)
+    _, glog = xent(trace.logits.value[0], targets, mask)
     grads = backward(trace, glog[None])
     rng = np.random.default_rng(17)
     names = sorted(params.tensors)
@@ -132,9 +138,9 @@ def test_criterion_gradient_fidelity():
         h = 1e-4
         orig = arr[idx]
         arr[idx] = orig + h
-        up, _ = xent_loss(forward(params, [feats], [prefix])[0], targets, mask)
+        up, _ = xent(forward(params, [feats], [prefix])[0], targets, mask)
         arr[idx] = orig - h
-        dn, _ = xent_loss(forward(params, [feats], [prefix])[0], targets, mask)
+        dn, _ = xent(forward(params, [feats], [prefix])[0], targets, mask)
         arr[idx] = orig
         fd = (up - dn) / (2 * h)
         an = grads[name][idx]
@@ -171,7 +177,7 @@ def test_criterion_scst_loss_unit_value():
 def _val_cider(params, val, clips, vocab, idf):
     """Corpus CIDEr-D of the greedy description captions of the val split."""
     decoded = harness.decode_split(params, harness.rows(val, clips, [ROLE_DESCRIPTION]), vocab)
-    return cider_corpus([c.tokens for c in decoded], [s.description.tokens for s in val], idf)
+    return sum(cider_d(c.tokens, s.description.tokens, idf) for c, s in zip(decoded, val, strict=True)) / len(decoded)
 
 
 def test_criterion_end_to_end_learning():

@@ -38,7 +38,7 @@ from capkit.errors import (
     TruncatedFile,
     UnknownField,
 )
-from capkit.metrics import build_idf, cider_corpus
+from capkit.metrics import build_idf, cider_d
 from capkit.textproc import ROLE_AVOIDANCE, ROLE_DESCRIPTION, Caption, normalize
 
 
@@ -315,7 +315,7 @@ def test_synth_template_lookup_oracle_solves_noiseless_corpus():
         best = int(np.argmin(((signals - pooled) ** 2).sum(axis=1)))
         desc, _ = template_caption(*templates[best])
         hyps.append(tuple(normalize(desc)))
-    assert cider_corpus(hyps, refs, idf) >= 9.5
+    assert sum(cider_d(h, r, idf) for h, r in zip(hyps, refs, strict=True)) / len(hyps) >= 9.5
 
 
 # ---------------------------------------------------------------------------

@@ -32,18 +32,14 @@ from capkit.metrics import (
     _clipped_total,
     _lcs_len,
     _min_chunks,
-    bleu_corpus,
     bleu_counts,
     build_idf,
-    cider_corpus,
     cider_d,
-    cider_d_counts,
+    cider_d_entry,
     frechet_distance,
     gaussian_stats,
-    meteor_corpus,
-    meteor_lite,
+    meteor_counts,
     rouge_l,
-    rouge_l_corpus,
     score_all,
     symmetric_eigvals,
 )
@@ -54,35 +50,40 @@ tokens_st = st.lists(st.sampled_from(["a", "b", "c", "car", "stops"]), max_size=
 repeats_st = st.integers(2, 3).flatmap(lambda w: st.tuples(*[st.lists(st.sampled_from("abc"[:w]), max_size=9)] * 2))
 
 
+def bleu(hyps, refs):
+    """Corpus BLEU-1..4 of token lists, each counted here."""
+    return bleu_counts([ngrams(h, MAX_N) for h in hyps], [ngrams(r, MAX_N) for r in refs])
+
+
+def meteor(hyp, ref):
+    """METEOR-lite of a pair of token lists, each counted here."""
+    return meteor_counts(hyp, ref, ngrams(hyp, 2), ngrams(ref, 2))
+
+
 # ---------------------------------------------------------------------------
 # BLEU
 
 def test_bleu_identical():
     h = [["a", "car", "stops"]]
-    assert bleu_corpus(h, h)[0] == pytest.approx(1.0)
+    assert bleu(h, h)[0] == pytest.approx(1.0)
 
 
 def test_bleu_clipping():
-    got = bleu_corpus([["the", "the", "the"]], [["the", "cat"]])[0]
+    got = bleu([["the", "the", "the"]], [["the", "cat"]])[0]
     assert got == pytest.approx(1.0 / 3.0)
 
 
 def test_bleu_empty_hyp():
-    assert bleu_corpus([[]], [["a"]]) == [0.0] * 4
+    assert bleu([[]], [["a"]]) == [0.0] * 4
 
 
 def test_bleu_zero_order_precision():
-    assert bleu_corpus([["a", "b"]], [["a", "c"]])[1:] == [0.0] * 3
-
-
-def test_bleu_length_mismatch():
-    with pytest.raises(LengthMismatch):
-        bleu_corpus([["a"]], [["a"], ["b"]])
+    assert bleu([["a", "b"]], [["a", "c"]])[1:] == [0.0] * 3
 
 
 def test_bleu_brevity_penalty():
     # hyp shorter than ref: BP = exp(1 - 2/1)
-    got = bleu_corpus([["a"]], [["a", "b"]])[0]
+    got = bleu([["a"]], [["a", "b"]])[0]
     assert got == pytest.approx(math.exp(-1.0))
 
 
@@ -90,7 +91,7 @@ def test_bleu_brevity_penalty():
 def test_bleu_matches_oracle(hyps):
     refs = [list(reversed(h)) + ["car"] for h in hyps]
     want = [oracles.oracle_bleu(hyps, refs, n) for n in range(1, 5)]
-    assert bleu_corpus(hyps, refs) == pytest.approx(want)
+    assert bleu(hyps, refs) == pytest.approx(want)
 
 
 @given(tokens_st, st.integers(1, 6))
@@ -100,7 +101,7 @@ def test_bleu_clipping_property(ref, k):
         ref = ["a"]
     tok = ref[0]
     hyp = [tok] * k
-    p1 = bleu_corpus([hyp], [ref])[0]
+    p1 = bleu([hyp], [ref])[0]
     assert p1 <= min(1.0, ref.count(tok) / k) + 1e-12
 
 
@@ -133,30 +134,30 @@ def test_rouge_matches_brute_force(hyp, ref):
 # METEOR-lite
 
 def test_meteor_identical():
-    got = meteor_lite(["a", "b", "c"], ["a", "b", "c"])
+    got = meteor(["a", "b", "c"], ["a", "b", "c"])
     assert got == pytest.approx(1.0 - 0.5 * (1.0 / 3.0) ** 3)
 
 
 def test_meteor_disjoint():
-    assert meteor_lite(["x"], ["y"]) == 0.0
+    assert meteor(["x"], ["y"]) == 0.0
 
 
 def test_meteor_swapped():
-    assert meteor_lite(["b", "a"], ["a", "b"]) == pytest.approx(0.5)
+    assert meteor(["b", "a"], ["a", "b"]) == pytest.approx(0.5)
 
 
 def test_meteor_splits_a_common_run():
     """The fewest chunks take "a" alone from the common run "a c" (hyp 0, ref 2)."""
     hyp, ref = ["a", "c", "b", "c", "a"], ["c", "b", "a", "c", "a"]
-    assert meteor_lite(hyp, ref) == pytest.approx(1.0 - 0.5 * (3 / 5) ** 3)
-    assert meteor_lite(hyp, ref) == pytest.approx(oracles.oracle_meteor(hyp, ref))
+    assert meteor(hyp, ref) == pytest.approx(1.0 - 0.5 * (3 / 5) ** 3)
+    assert meteor(hyp, ref) == pytest.approx(oracles.oracle_meteor(hyp, ref))
 
 
 @settings(deadline=None)
 @given(st.one_of(st.tuples(tokens_st, tokens_st), repeats_st))
 def test_meteor_matches_exhaustive_oracle(pair):
     hyp, ref = pair
-    assert meteor_lite(hyp, ref) == pytest.approx(oracles.oracle_meteor(hyp, ref))
+    assert meteor(hyp, ref) == pytest.approx(oracles.oracle_meteor(hyp, ref))
 
 
 # 24-token hypotheses that rearrange their reference, at 2-10 words. Per
@@ -217,7 +218,7 @@ def test_meteor_leaves_no_reference_cycles():
     try:
         for _ in range(50):
             for hyp, ref in pairs:
-                meteor_lite(list(hyp), list(ref))
+                meteor(list(hyp), list(ref))
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -304,16 +305,8 @@ def test_cider_matches_oracle(hyp, ref):
 def test_cider_corpus_mean():
     idf = build_idf(TWO_DOC_REFS)
     sent = ["a", "b", "c", "d", "e"]
-    got = cider_corpus([sent, ["p"]], [sent, ["a"]], idf)
+    got = score_all(_caps(["a b c d e", "p"]), _caps(["a b c d e", "a"]), idf).cider_d
     assert got == pytest.approx(cider_d(sent, sent, idf) / 2.0)
-
-
-def test_cider_corpus_errors():
-    idf = build_idf(TWO_DOC_REFS)
-    with pytest.raises(LengthMismatch):
-        cider_corpus([["a"]], [], idf)
-    with pytest.raises(EmptyCorpus):
-        cider_corpus([], [], idf)
 
 
 @given(tokens_st, tokens_st)
@@ -703,7 +696,7 @@ def ref_bleu_counts(hyp_grams, ref_grams):
     return scores
 
 
-def ref_cider_d_counts(hyp_grams, hyp_len, ref, idf):
+def ref_cider_d(hyp_grams, hyp_len, ref, idf):
     """CIDEr-D with four lookups per hypothesis n-gram: `g in rv`, the
     reference count, the IDF weight and the reference's tf-idf weight."""
     ref_grams = ngrams(ref, MAX_N)
@@ -767,19 +760,19 @@ def test_meteor_equals_counter_clipping(pair):
         f_mean = p * r / (METEOR_ALPHA * p + (1.0 - METEOR_ALPHA) * r)
         links = ref_clipped_total(Counter(zip(hyp, hyp[1:])), Counter(zip(ref, ref[1:])))
         want = f_mean * (1.0 - METEOR_GAMMA * (_min_chunks(hyp, ref, m, links) / m) ** METEOR_THETA)
-    assert meteor_lite(hyp, ref) == want
+    assert meteor(hyp, ref) == want
 
 
 @given(pair_st, st.lists(pair_st, max_size=3), st.booleans())
-def test_cider_d_counts_equals_four_lookups(pair, others, ref_is_doc):
+def test_cider_d_entry_equals_four_lookups(pair, others, ref_is_doc):
     """Against a table whose documents hold the reference or not, before and
     after the reference's entry is made."""
     hyp, ref = pair
     docs = [d for o in others for d in o] + [list("abc"), list("cde")] + ([ref] if ref_is_doc else [])
     idf = build_idf(docs)
-    want = ref_cider_d_counts(ngrams(hyp, MAX_N), len(hyp), ref, idf)
-    assert cider_d_counts(ngrams(hyp, MAX_N), len(hyp), ref, idf) == want
-    assert cider_d_counts(ngrams(hyp, MAX_N), len(hyp), ref, idf) == want
+    want = ref_cider_d(ngrams(hyp, MAX_N), len(hyp), ref, idf)
+    assert cider_d_entry(ngrams(hyp, MAX_N), len(hyp), idf.reference(ref)) == want
+    assert cider_d_entry(ngrams(hyp, MAX_N), len(hyp), idf.reference(ref)) == want
     assert cider_d(hyp, ref, idf) == want
 
 
@@ -809,12 +802,17 @@ def test_score_all_disjoint():
 
 
 def test_score_all_role_mismatch():
+    """Pairs that do not line up, by role or by count, raise LengthMismatch;
+    no pairs at all raise EmptyCorpus."""
+    idf = build_idf([("a",)])
     with pytest.raises(LengthMismatch):
-        score_all(
-            _caps(["a"], "description"),
-            _caps(["a"], "avoidance"),
-            build_idf([("a",)]),
-        )
+        score_all(_caps(["a"], "description"), _caps(["a"], "avoidance"), idf)
+    with pytest.raises(LengthMismatch):
+        score_all(_caps(["a"]), _caps(["a", "b"]), idf)
+    with pytest.raises(LengthMismatch):
+        score_all(_caps(["a"]), [], idf)
+    with pytest.raises(EmptyCorpus):
+        score_all([], [], idf)
 
 
 def test_score_all_micro_corpus_oracle_sheet():
@@ -839,16 +837,19 @@ def test_score_all_micro_corpus_oracle_sheet():
 def test_score_all_equals_corpus_metrics_bit_for_bit(pairs, refs_are_docs):
     """score_all's shared n-gram counts and reference entries change no bit,
     whether the table makes the entries or already holds them, and whether
-    the references are documents of the table or not."""
+    the references are documents of the table or not. The reference counts
+    both captions of each pair per metric, and scores CIDEr-D against a
+    table of its own."""
     hyps = _caps([" ".join(h) for h, _ in pairs])
     refs = _caps([" ".join(r) for _, r in pairs])
     ht, rt = [h.tokens for h in hyps], [r.tokens for r in refs]
     docs = (rt if refs_are_docs else []) + [("car", "stops", "a"), ("b", "c")]
+    fresh = build_idf(docs)
     want = ScoreReport(
-        *bleu_corpus(ht, rt),
-        rouge_l=rouge_l_corpus(ht, rt),
-        meteor=meteor_corpus(ht, rt),
-        cider_d=cider_corpus(ht, rt, build_idf(docs)),
+        *bleu(ht, rt),
+        rouge_l=sum(rouge_l(h, r) for h, r in zip(ht, rt)) / len(ht),
+        meteor=sum(meteor(h, r) for h, r in zip(ht, rt)) / len(ht),
+        cider_d=sum(cider_d(h, r, fresh) for h, r in zip(ht, rt)) / len(ht),
         counts=len(ht),
     )
     idf = build_idf(docs)
@@ -876,7 +877,8 @@ def test_score_all_remembers_each_distinct_reference_once():
 def test_metric_ranges(hyps):
     refs = [h + ["car"] for h in hyps]
     idf = build_idf(refs)
-    assert all(0.0 <= b <= 1.0 for b in bleu_corpus(hyps, refs))
-    assert 0.0 <= rouge_l_corpus(hyps, refs) <= 1.0
-    assert 0.0 <= meteor_corpus(hyps, refs) <= 1.0
-    assert 0.0 <= cider_corpus(hyps, refs, idf) <= 10.0 + 1e-12
+    assert all(0.0 <= b <= 1.0 for b in bleu(hyps, refs))
+    for h, r in zip(hyps, refs):
+        assert 0.0 <= rouge_l(h, r) <= 1.0
+        assert 0.0 <= meteor(h, r) <= 1.0
+        assert 0.0 <= cider_d(h, r, idf) <= 10.0 + 1e-12

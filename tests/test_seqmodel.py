@@ -42,7 +42,6 @@ from capkit.seqmodel import (
     save_checkpoint,
     scst_loss,
     train_mle,
-    xent_loss,
 )
 from capkit.scst import rollout
 from capkit.textproc import BOS, EOS, PAD, RESERVED, Caption, Vocab, encode
@@ -56,6 +55,12 @@ PREFIX = [BOS, 5, 6, 7]
 @pytest.fixture
 def params():
     return init_params(CFG)
+
+
+def xent(logits, target_ids, mask):
+    """Masked length-normalized cross entropy and its gradient w.r.t. the
+    logits: the `_token_loss` of unit rewards, as MLE training runs it."""
+    return _token_loss(logits, target_ids, np.ones(np.shape(mask)), mask)
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +97,8 @@ def test_init_invalid_n_heads(n_heads):
 
 def test_tensors_are_views_of_flat(params):
     """Each tensor is the reshaped slice of `flat` at its PARAM_SHAPES offset,
-    writes through a view reach `flat`, and a copy shares no memory."""
+    writes through a view reach `flat`, and params over a copy of `flat` share
+    no memory with it."""
     dims = (CFG.vocab_size, CFG.d_model, CFG.max_len, CFG.feature_dim)
     assert list(params.tensors) == [name for name, _ in PARAM_SHAPES]
     offset = {}
@@ -107,7 +113,7 @@ def test_tensors_are_views_of_flat(params):
     assert params.flat.shape == (start,)
     params.tensors["sa_q"][1, 2] = 7.0
     assert params.flat[offset["sa_q"] + CFG.d_model + 2] == 7.0
-    twin = params.copy()
+    twin = ModelParams(params.config, params.flat.copy())
     assert not np.shares_memory(twin.flat, params.flat)
     assert all(np.shares_memory(twin.tensors[n], twin.flat) for n in twin.tensors)
     twin.tensors["sa_q"][1, 2] = -1.0
@@ -226,7 +232,7 @@ def test_batch_matches_single_rows(n_heads):
     want = {name: np.zeros_like(t) for name, t in params.tensors.items()}
     for row, f, loss in zip(rows, feats, losses):
         one = forward(params, [f], [row[:-1]], train=True)
-        l1, g1 = xent_loss(one.logits.value[0], row[1:], np.ones(len(row) - 1))
+        l1, g1 = xent(one.logits.value[0], row[1:], np.ones(len(row) - 1))
         assert loss == pytest.approx(l1, rel=1e-12, abs=1e-12)
         for name, g in backward(one, g1[None]).items():
             want[name] += g / len(rows)
@@ -272,24 +278,24 @@ def test_decoder_step_rejects_token_outside_vocab(params, bad):
 
 
 # ---------------------------------------------------------------------------
-# xent_loss
+# unit-reward loss
 
 def test_xent_uniform():
     logits = np.zeros((1, 10))
-    loss, _ = xent_loss(logits, [3], [1])
+    loss, _ = xent(logits, [3], [1])
     assert loss == pytest.approx(math.log(10))
 
 
 def test_xent_confident():
     logits = np.zeros((1, 10))
     logits[0, 3] = 50.0
-    loss, _ = xent_loss(logits, [3], [1])
+    loss, _ = xent(logits, [3], [1])
     assert loss < 1e-6
 
 
 def test_xent_all_masked():
     with pytest.raises(AllMasked):
-        xent_loss(np.zeros((2, 5)), [1, 2], [0, 0])
+        xent(np.zeros((2, 5)), [1, 2], [0, 0])
 
 
 def test_xent_grad_is_finite_difference():
@@ -297,20 +303,20 @@ def test_xent_grad_is_finite_difference():
     logits = rng.normal(size=(3, 7))
     targets = [1, 4, 2]
     mask = [1, 1, 0]
-    loss, grad = xent_loss(logits, targets, mask)
+    loss, grad = xent(logits, targets, mask)
     h = 1e-6
     for i in range(3):
         for j in range(7):
             logits[i, j] += h
-            up, _ = xent_loss(logits, targets, mask)
+            up, _ = xent(logits, targets, mask)
             logits[i, j] -= 2 * h
-            dn, _ = xent_loss(logits, targets, mask)
+            dn, _ = xent(logits, targets, mask)
             logits[i, j] += h
             assert grad[i, j] == pytest.approx((up - dn) / (2 * h), abs=1e-8)
 
 
 def test_xent_is_unit_reward_scst_loss_bit_for_bit():
-    """MLE is SCST with unit rewards: on seeded random cases xent_loss equals
+    """MLE is SCST with unit rewards: on seeded random cases xent equals
     both the textbook masked cross entropy and scst_loss of the target
     log-probabilities at r = 1, and its gradient the textbook (m/N) *
     (softmax - onehot), all bit for bit."""
@@ -321,7 +327,7 @@ def test_xent_is_unit_reward_scst_loss_bit_for_bit():
         targets = rng.integers(V, size=L)
         mask = (rng.random(L) < 0.7).astype(float)
         mask[rng.integers(L)] = 1.0
-        loss, grad = xent_loss(logits, targets, mask)
+        loss, grad = xent(logits, targets, mask)
 
         lp = log_softmax(logits)
         rows, w = np.arange(L), mask / mask.sum()
@@ -337,7 +343,7 @@ def test_xent_is_unit_reward_scst_loss_bit_for_bit():
 
 def _end_to_end_grads(params, prefix=PREFIX, targets=(5, 6, 7, EOS), mask=(1, 1, 1, 1)):
     trace = forward(params, [FEATS], [prefix], train=True)
-    loss, glog = xent_loss(trace.logits.value[0], list(targets), list(mask))
+    loss, glog = xent(trace.logits.value[0], list(targets), list(mask))
     return loss, backward(trace, glog[None])
 
 
@@ -352,9 +358,9 @@ def test_backward_finite_difference(params):
         h = 1e-4
         orig = arr[idx]
         arr[idx] = orig + h
-        up, _ = xent_loss(forward(params, [FEATS], [PREFIX])[0], [5, 6, 7, EOS], [1, 1, 1, 1])
+        up, _ = xent(forward(params, [FEATS], [PREFIX])[0], [5, 6, 7, EOS], [1, 1, 1, 1])
         arr[idx] = orig - h
-        dn, _ = xent_loss(forward(params, [FEATS], [PREFIX])[0], [5, 6, 7, EOS], [1, 1, 1, 1])
+        dn, _ = xent(forward(params, [FEATS], [PREFIX])[0], [5, 6, 7, EOS], [1, 1, 1, 1])
         arr[idx] = orig
         fd = (up - dn) / (2 * h)
         an = grads[name][idx]
@@ -392,7 +398,7 @@ def test_tied_embedding_gradient_sums_both_roles(params):
         tape, {**P, "tok_emb": out_proj}, x, ad.matmul(tape, x, P["sa_k"]), ad.matmul(tape, x, P["sa_v"]),
         *seqmodel._cross_kv(tape, P, FEATS), None, CFG.n_heads,
     )
-    _, glog = xent_loss(logits.value, [5, 6, 7, EOS], [1, 1, 1, 1])
+    _, glog = xent(logits.value, [5, 6, 7, EOS], [1, 1, 1, 1])
     logits.accumulate(glog)
     tape.run_backward()
 
@@ -404,24 +410,21 @@ def test_tied_embedding_gradient_sums_both_roles(params):
 # adam
 
 def test_adam_zero_grad(params):
-    before = params.copy()
+    before = params.flat.copy()
     adam_step(params, {n: np.zeros_like(t) for n, t in params.tensors.items()}, AdamState())
-    for n in params.tensors:
-        assert np.array_equal(params.tensors[n], before.tensors[n])
+    assert np.array_equal(params.flat, before)
 
 
 def test_adam_first_step_direction(params):
     g = {n: np.full_like(t, 0.5) for n, t in params.tensors.items()}
-    before = params.copy()
+    before = params.flat.copy()
     adam_step(params, g, AdamState(), lr=1e-3)
-    for n in params.tensors:
-        delta = params.tensors[n] - before.tensors[n]
-        expect = -1e-3 * 0.5 / (0.5 + 1e-8)
-        assert np.allclose(delta, expect, atol=1e-9)
+    expect = -1e-3 * 0.5 / (0.5 + 1e-8)
+    assert np.allclose(params.flat - before, expect, atol=1e-9)
 
 
 def test_adam_deterministic(params):
-    twin = params.copy()
+    twin = ModelParams(params.config, params.flat.copy())
     g = {n: np.random.default_rng(4).normal(size=t.shape) for n, t in params.tensors.items()}
     s1, s2 = AdamState(), AdamState()
     for _ in range(3):
@@ -489,16 +492,15 @@ def test_train_mle_deterministic():
 
 def test_train_mle_non_finite_loss_fails_fast(params, monkeypatch):
     """A non-finite loss stops the step before backward and Adam run."""
-    before = params.copy()
+    before = params.flat.copy()
     monkeypatch.setattr(seqmodel, "backward", lambda *_: pytest.fail("backward ran on a non-finite loss"))
     with pytest.raises(NumericFailure):
         train_mle(params, [_one_row(np.full_like(FEATS, np.nan))], epochs=2, batch_size=1, seed=0, vocab=VOCAB)
-    for n in params.tensors:
-        assert np.array_equal(params.tensors[n], before.tensors[n])
+    assert np.array_equal(params.flat, before)
 
 
 def test_train_mle_epoch_is_one_hand_composed_step():
-    """A one-batch train_mle epoch is encode, _pad_rows, forward, xent_loss,
+    """A one-batch train_mle epoch is encode, _pad_rows, forward, xent,
     backward and adam_step, bit for bit; a caption longer than max_len - 2
     tokens trains truncated to max_len ids."""
     rng = np.random.default_rng(7)
@@ -514,7 +516,7 @@ def test_train_mle_epoch_is_one_hand_composed_step():
     order = np.random.default_rng(4).permutation(len(rows))
     prefix, targets, _, mask = _pad_rows([ids[i] for i in order], np.ones(len(rows)))
     trace = forward(ref, [feats[i] for i in order], prefix, train=True)
-    loss, glogits = xent_loss(trace.logits.value, targets, mask)
+    loss, glogits = xent(trace.logits.value, targets, mask)
     adam_step(ref, backward(trace, glogits), AdamState(), lr=1e-2)
     assert curve == [float(np.mean(loss))]
     assert params.flat.tobytes() == ref.flat.tobytes()
