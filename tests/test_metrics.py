@@ -81,6 +81,13 @@ def test_bleu_zero_order_precision():
     assert bleu([["a", "b"]], [["a", "c"]])[1:] == [0.0] * 3
 
 
+def test_bleu_length_mismatch():
+    """One hypothesis against two references: the corpus BLEU that score_all
+    reports has no pairing to score."""
+    with pytest.raises(LengthMismatch):
+        score_all(_caps(["a"]), _caps(["a", "b"]), build_idf([("a",)]))
+
+
 def test_bleu_brevity_penalty():
     # hyp shorter than ref: BP = exp(1 - 2/1)
     got = bleu([["a"]], [["a", "b"]])[0]
@@ -307,6 +314,14 @@ def test_cider_corpus_mean():
     sent = ["a", "b", "c", "d", "e"]
     got = score_all(_caps(["a b c d e", "p"]), _caps(["a b c d e", "a"]), idf).cider_d
     assert got == pytest.approx(cider_d(sent, sent, idf) / 2.0)
+
+
+def test_cider_corpus_errors():
+    idf = build_idf(TWO_DOC_REFS)
+    with pytest.raises(LengthMismatch):
+        score_all(_caps(["a"]), [], idf)
+    with pytest.raises(EmptyCorpus):
+        score_all([], [], idf)
 
 
 @given(tokens_st, tokens_st)
@@ -802,17 +817,12 @@ def test_score_all_disjoint():
 
 
 def test_score_all_role_mismatch():
-    """Pairs that do not line up, by role or by count, raise LengthMismatch;
-    no pairs at all raise EmptyCorpus."""
+    """A hypothesis and reference of different roles raise LengthMismatch;
+    mismatched counts and an empty corpus are checked by
+    test_bleu_length_mismatch and test_cider_corpus_errors."""
     idf = build_idf([("a",)])
     with pytest.raises(LengthMismatch):
         score_all(_caps(["a"], "description"), _caps(["a"], "avoidance"), idf)
-    with pytest.raises(LengthMismatch):
-        score_all(_caps(["a"]), _caps(["a", "b"]), idf)
-    with pytest.raises(LengthMismatch):
-        score_all(_caps(["a"]), [], idf)
-    with pytest.raises(EmptyCorpus):
-        score_all([], [], idf)
 
 
 def test_score_all_micro_corpus_oracle_sheet():
