@@ -293,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--max-len", type=int, default=24)
     sp.add_argument("--d-model", type=int, default=64)
     sp.add_argument("--n-heads", type=int, default=2)
-    sp.add_argument("--roles", choices=["description", "avoidance", "both"], default="both")
+    sp.add_argument("--roles", choices=[*ROLES, "both"], default="both")
     sp.set_defaults(func=cmd_train_mle)
 
     sp = sub.add_parser("train-scst", help="self-critical sequence training")
@@ -305,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--lr", type=float, default=1e-4)
     sp.add_argument("--temperature", type=float, default=1.0)
-    sp.add_argument("--roles", choices=["description", "avoidance", "both"], default="both")
+    sp.add_argument("--roles", choices=[*ROLES, "both"], default="both")
     sp.set_defaults(func=cmd_train_scst)
 
     sp = sub.add_parser("decode", help="generate captions for a split")
@@ -313,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--ckpt", required=True)
     sp.add_argument("--out", required=True)
     sp.add_argument("--split", choices=["train", "val", "test"], default="val")
-    sp.add_argument("--role", choices=["description", "avoidance", "both"], default="both")
+    sp.add_argument("--role", choices=[*ROLES, "both"], default="both")
     sp.add_argument("--sample", action="store_true")
     sp.add_argument("--temperature", type=float, default=1.0)
     sp.add_argument("--seed", type=int, default=0)

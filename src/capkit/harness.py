@@ -30,7 +30,12 @@ def rows(samples, clips, roles) -> list[Row]:
     ]
 
 
-DECODE_CHUNK = 64  # rows per lockstep decoding batch
+# Rows per lockstep decoding batch. It bounds decoding memory, about 40 KB a row
+# (self-attention K/V at max_len 24, cross K/V, features): an 800-row split peaks
+# at 2.8 MB with 64 rows per chunk and 10.5 MB with 256 (tracemalloc), for 0.23
+# and 0.20 ms per row (d_model 64, 2-core Xeon). No benchmark workload or digest
+# step fills one chunk: `train` decodes 40 rows per split, the digest 12.
+DECODE_CHUNK = 64
 
 
 def decode_split(params: ModelParams, rows: list[Row], vocab: Vocab, seed=None, temperature=1.0) -> list[Caption]:

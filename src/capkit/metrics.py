@@ -183,10 +183,10 @@ class RefEntry:
 
     `grams[n]` is the Counter of the reference's n-grams, which BLEU clips
     against. `vecs[n]` is (table, norm): the table maps each n-gram of the
-    reference with a nonzero IDF weight to (its count in the reference, its
-    IDF weight, count x weight), the last being the gram's coordinate in the
-    reference's tf-idf vector, and norm is that vector's Euclidean norm.
-    CIDEr-D reads one table entry per hypothesis n-gram.
+    reference with a nonzero IDF weight, computed when the entry is made, to
+    (its count in the reference, its weight, count x weight), the last being
+    its coordinate in the reference's tf-idf vector, and norm is that vector's
+    Euclidean norm. CIDEr-D reads one table entry per hypothesis n-gram.
     """
     grams: dict  # n -> Counter of the reference's n-grams
     length: int
@@ -196,25 +196,15 @@ class RefEntry:
 @dataclass(frozen=True)
 class IdfTable:
     """Document frequencies over a reference corpus, and the RefEntry of each
-    reference scored against it.
-
-    `_weight[n][gram]` is log(doc_count / df), kept where it is nonzero; it
-    is read only to make entries. The entries are made on first use, one per
-    distinct reference scored (a document of the table or not), so the
-    table's memory grows with the references scored against it; equality and
-    repr ignore them.
+    reference scored against it, made on first use: one per distinct reference
+    scored (a document of the table or not), so the table's memory grows with
+    the references scored against it; equality and repr ignore them. The table
+    stores no weights: an entry computes log(doc_count / df) for each of its
+    n-grams when it is made, and keeps the grams with df > 0 and a nonzero weight.
     """
     doc_count: int
     df: dict  # n -> {gram: document frequency}
-    _weight: dict = field(init=False, repr=False, compare=False)
     _entries: dict = field(init=False, repr=False, compare=False, default_factory=dict)
-
-    def __post_init__(self):
-        weight = {}
-        for n, grams in self.df.items():
-            logs = ((g, math.log(self.doc_count / d)) for g, d in grams.items() if d > 0)
-            weight[n] = {g: w for g, w in logs if w != 0.0}
-        object.__setattr__(self, "_weight", weight)
 
     def reference(self, tokens) -> RefEntry:
         """The RefEntry of a reference's tokens, made the first time it is asked for."""
@@ -224,8 +214,10 @@ class IdfTable:
             grams = ngrams(key, MAX_N)
             vecs = {}
             for n in range(1, MAX_N + 1):
-                weight = self._weight[n]
-                table = {g: (c, w, c * w) for g, c in grams[n].items() if (w := weight.get(g)) is not None}
+                df, table = self.df[n], {}
+                for g, c in grams[n].items():
+                    if (d := df.get(g, 0)) > 0 and (w := math.log(self.doc_count / d)) != 0.0:
+                        table[g] = (c, w, c * w)
                 vecs[n] = (table, math.sqrt(sum(e[2] * e[2] for e in table.values())))
             entry = RefEntry(grams, len(key), vecs)
             # One store: a signal raised while the entry was built leaves no partial entry.
@@ -448,10 +440,10 @@ class ScoreReport:
     counts: int
     unmatched: int = 0  # hypotheses left out because no reference shares their (id, role)
 
-    FIELDS = ("b1", "b2", "b3", "b4", "rouge_l", "meteor", "cider_d", "counts")
     # Each score lies in [0, SCORE_MAX]; a report may pass either end by
     # ROUNDING, since an exact match scores CIDEr-D 10.000000000000002.
     SCORE_MAX = {"b1": 1.0, "b2": 1.0, "b3": 1.0, "b4": 1.0, "rouge_l": 1.0, "meteor": 1.0, "cider_d": 10.0}
+    FIELDS = (*SCORE_MAX, "counts")
     ROUNDING = 1e-9
 
     def to_json(self) -> str:

@@ -713,11 +713,14 @@ def ref_bleu_counts(hyp_grams, ref_grams):
 
 def ref_cider_d(hyp_grams, hyp_len, ref, idf):
     """CIDEr-D with four lookups per hypothesis n-gram: `g in rv`, the
-    reference count, the IDF weight and the reference's tf-idf weight."""
+    reference count, the IDF weight and the reference's tf-idf weight. The
+    weights are log(doc_count / df) over all of `idf.df`, kept where nonzero."""
     ref_grams = ngrams(ref, MAX_N)
     sim_sum = 0.0
     for n in range(1, MAX_N + 1):
-        rg, weight = ref_grams[n], idf._weight[n]
+        rg = ref_grams[n]
+        logs = {g: math.log(idf.doc_count / d) for g, d in idf.df[n].items() if d > 0}
+        weight = {g: w for g, w in logs.items() if w != 0.0}
         rv = {g: c * weight[g] for g, c in rg.items() if g in weight}
         rn = math.sqrt(sum(w * w for w in rv.values()))
         hv = {g: min(c, rg[g]) * weight[g] for g, c in hyp_grams[n].items() if g in rv}
