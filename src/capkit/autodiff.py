@@ -1,8 +1,9 @@
 """Minimal reverse-mode differentiation over numpy arrays.
 
-Ops accept either a `Var` (tracked) or a plain ndarray (constant). When the
-tape is None every op degrades to its plain numpy forward computation, so the
-same model code serves both training and inference.
+Under a tape every operand of an op is a `Var`, except `matmul`'s left
+operand, which may be a plain ndarray (the clip features): a constant that gets
+no gradient. With no tape (None) every op runs its plain numpy forward on
+ndarrays, so the same model code serves both training and inference.
 
 The op set is the decoder's and no more: the token-plus-position `embed`,
 `matmul`, `matmul_nt`, `relu`, `layer_norm` of a sum of residual terms and
@@ -35,25 +36,19 @@ class Tape:
 
 
 class Var:
-    """A tracked value. Its gradient is allocated when the first contribution
-    arrives; ops replace it by a sum and never update it in place, so one
-    contribution array may be shared by several Vars."""
+    """A tracked value and d(loss)/d(value) in `grad`: None until the first
+    contribution arrives, then the sum of the contributions. A sum replaces
+    `grad` and never updates it in place, so one contribution array may be
+    shared by several Vars."""
 
-    __slots__ = ("value", "_grad")
+    __slots__ = ("value", "grad")
 
     def __init__(self, value):
         self.value = np.asarray(value, dtype=np.float64)
-        self._grad = None
-
-    @property
-    def grad(self):
-        """d(loss)/d(value); zeros while nothing has reached this Var."""
-        if self._grad is None:
-            self._grad = np.zeros_like(self.value)
-        return self._grad
+        self.grad = None
 
     def accumulate(self, g) -> None:
-        self._grad = g if self._grad is None else self._grad + g
+        self.grad = g if self.grad is None else self.grad + g
 
 
 def val(x):
@@ -75,7 +70,8 @@ def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def matmul(tape, a, b):
-    """a @ b: a is ... x k, b a k x n matrix."""
+    """a @ b: a is ... x k, b a k x n matrix. Under a tape, a may be a plain
+    ndarray, which gets no gradient."""
     av, bv = val(a), val(b)
     out = _out(tape, _mm(av, bv))
     if tape is not None:
@@ -83,8 +79,7 @@ def matmul(tape, a, b):
             g = out.grad
             if isinstance(a, Var):
                 a.accumulate(_mm(g, bv.T))
-            if isinstance(b, Var):
-                b.accumulate(_rows(av).T @ _rows(g))
+            b.accumulate(_rows(av).T @ _rows(g))
         tape.record(back)
     return out
 
@@ -97,10 +92,8 @@ def matmul_nt(tape, a, b):
     if tape is not None:
         def back():
             g = out.grad
-            if isinstance(a, Var):
-                a.accumulate(_mm(g, bv))
-            if isinstance(b, Var):
-                b.accumulate(_rows(g).T @ _rows(av))
+            a.accumulate(_mm(g, bv))
+            b.accumulate(_rows(g).T @ _rows(av))
         tape.record(back)
     return out
 
@@ -111,8 +104,7 @@ def relu(tape, a):
     out = _out(tape, out_v)
     if tape is not None:
         def back():
-            if isinstance(a, Var):
-                a.accumulate(out.grad * (av > 0.0))
+            a.accumulate(out.grad * (av > 0.0))
         tape.record(back)
     return out
 
@@ -141,10 +133,8 @@ def layer_norm(tape, terms, gain, bias):
         def back():
             g = out.grad
             buf = g * xhat  # the one scratch buffer: g * xhat, then gx * xhat, then xhat * m2
-            if isinstance(gain, Var):
-                gain.accumulate(np.add.reduce(_rows(buf), axis=0))
-            if isinstance(bias, Var):
-                bias.accumulate(np.add.reduce(_rows(g), axis=0))
+            gain.accumulate(np.add.reduce(_rows(buf), axis=0))
+            bias.accumulate(np.add.reduce(_rows(g), axis=0))
             gx = g * gv
             m1 = np.add.reduce(gx, axis=-1, keepdims=True) / n
             m2 = np.add.reduce(np.multiply(gx, xhat, out=buf), axis=-1, keepdims=True) / n
@@ -152,8 +142,7 @@ def layer_norm(tape, terms, gain, bias):
             gx -= np.multiply(xhat, m2, out=buf)
             gx *= inv  # inv * (gx - m1 - xhat * m2)
             for t in terms:
-                if isinstance(t, Var):
-                    t.accumulate(gx)
+                t.accumulate(gx)
         tape.record(back)
     return out
 
@@ -171,14 +160,12 @@ def embed(tape, tok, pos, ids, start: int):
     if tape is not None:
         def back():
             g = out.grad
-            if isinstance(tok, Var):
-                V, d = tok.value.shape
-                flat = (ids[..., None] * d + np.arange(d)).ravel()
-                tok.accumulate(np.bincount(flat, weights=g.ravel(), minlength=V * d).reshape(V, d))
-            if isinstance(pos, Var):
-                gp = np.zeros_like(pos.value)
-                np.add.reduce(g.reshape(-1, *g.shape[-2:]), axis=0, out=gp[start:hi])
-                pos.accumulate(gp)
+            V, d = tok.value.shape
+            flat = (ids[..., None] * d + np.arange(d)).ravel()
+            tok.accumulate(np.bincount(flat, weights=g.ravel(), minlength=V * d).reshape(V, d))
+            gp = np.zeros_like(pos.value)
+            np.add.reduce(g.reshape(-1, *g.shape[-2:]), axis=0, out=gp[start:hi])
+            pos.accumulate(gp)
         tape.record(back)
     return out
 
@@ -228,15 +215,12 @@ def attention(tape, q, k, v, n_heads: int, causal: bool, key_bias=None):
     if tape is not None:
         def back():
             g = _split_heads(out.grad, n_heads)
-            if isinstance(v, Var):
-                v.accumulate(_merge_heads(p.swapaxes(-1, -2) @ g))
+            v.accumulate(_merge_heads(p.swapaxes(-1, -2) @ g))
             gs = g @ vh.swapaxes(-1, -2)
             gs -= np.add.reduce(gs * p, axis=-1, keepdims=True)
             gs *= p
             gs *= c  # p * (gp - sum(gp * p)) * c
-            if isinstance(q, Var):
-                q.accumulate(_merge_heads(gs @ kh))
-            if isinstance(k, Var):
-                k.accumulate(_merge_heads(gs.swapaxes(-1, -2) @ qh))
+            q.accumulate(_merge_heads(gs @ kh))
+            k.accumulate(_merge_heads(gs.swapaxes(-1, -2) @ qh))
         tape.record(back)
     return out

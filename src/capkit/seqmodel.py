@@ -230,7 +230,7 @@ def _token_loss(logits: np.ndarray, target_ids, r, mask):
     logits (... x L x |V|), and the gradient of the rows' mean loss w.r.t. the
     logits: r_i * m_i / (N * rows) * (softmax row i - onehot(target_i)) per
     position."""
-    lp = log_softmax(np.asarray(ad.val(logits), dtype=np.float64))
+    lp = log_softmax(np.asarray(logits, dtype=np.float64))
     targets = np.asarray(target_ids, dtype=np.intp)
     if lp.shape[:-1] != targets.shape:
         raise ValueError("logits and targets lengths differ")

@@ -121,6 +121,44 @@ def oracle_cider_d(hyp, ref, ref_corpus, sigma=6.0):
     return 10.0 * pen * total / 4.0
 
 
+def oracle_cider_d_paper(hyp, refs, images, sigma=6.0):
+    """CIDEr-D as Vedantam et al. (CVPR 2015, section 3) define it and the
+    coco-caption scorer (pycocoevalcap/cider/cider_scorer.py) computes it:
+    the candidate hyp against refs, the references of its image, with
+    `images` the corpus, a list of each image's references.
+
+    A sentence's n-gram g weighs tf(g) * log(N / max(1, df(g))): N images, of
+    which df(g) have a reference that holds g, so an n-gram that no image
+    holds weighs log N. tf is the raw count, as the scorer takes it (the
+    paper writes it divided by the sentence's n-gram total). For each n and
+    each reference s, min(g(hyp), g(s)) . g(s) is divided by the norms of the
+    whole vectors g(hyp) and g(s) and scaled by exp(-(l(hyp) - l(s))^2 /
+    (2 sigma^2)), l the token count. (The scorer counts a sentence's bigrams
+    as its length: the same difference for nonempty sentences.) The score is
+    10 times the mean over the references and n = 1..4."""
+    doc_count = len(images)
+
+    def grams(toks, n):
+        return Counter(tuple(toks[i : i + n]) for i in range(len(toks) - n + 1))
+
+    def weight(gram, n):
+        df = sum(1 for image in images if any(gram in grams(r, n) for r in image))
+        return math.log(doc_count / max(1, df))
+
+    total = 0.0
+    for ref in refs:
+        pen = math.exp(-((len(hyp) - len(ref)) ** 2) / (2 * sigma * sigma))
+        for n in range(1, 5):
+            hvec = {g: c * weight(g, n) for g, c in grams(hyp, n).items()}
+            rvec = {g: c * weight(g, n) for g, c in grams(ref, n).items()}
+            hn = math.sqrt(sum(v * v for v in hvec.values()))
+            rn = math.sqrt(sum(v * v for v in rvec.values()))
+            if hn > 0 and rn > 0:
+                dot = sum(min(v, rvec.get(g, 0.0)) * rvec.get(g, 0.0) for g, v in hvec.items())
+                total += pen * dot / (hn * rn)
+    return 10.0 * total / (4 * len(refs))
+
+
 def oracle_frechet(mu_a, cov_a, mu_b, cov_b):
     """Frechet distance via numpy's eigendecomposition."""
     wa, va = np.linalg.eigh(cov_a)

@@ -309,6 +309,76 @@ def test_cider_matches_oracle(hyp, ref):
     )
 
 
+# One reference per image, so a document is both a caption (capkit) and an
+# image (the paper); each case names its reference by index.
+CIDER_IMAGES = [
+    "a red car stops at the junction".split(),
+    "a truck merges into the traffic".split(),
+    "the cyclist ignores right of way".split(),
+    "snow melts slowly on the road".split(),
+]
+
+
+def _cider_d_both(hyp, i):
+    """capkit's CIDEr-D oracle and the paper's, of hyp against image i."""
+    ref = CIDER_IMAGES[i]
+    return oracles.oracle_cider_d(hyp, ref, CIDER_IMAGES), oracles.oracle_cider_d_paper(
+        hyp, [ref], [[r] for r in CIDER_IMAGES]
+    )
+
+
+def _excess(hyp, ref):
+    """Whether some n-gram of hyp occurs in it more often than in ref."""
+    return any(
+        Counter(tuple(hyp[k : k + n]) for k in range(len(hyp) - n + 1))
+        - Counter(tuple(ref[k : k + n]) for k in range(len(ref) - n + 1))
+        for n in range(1, MAX_N + 1)
+    )
+
+
+@pytest.mark.parametrize(
+    "hyp, i",
+    [
+        ("a red car stops at the junction", 0),
+        ("a red car stops", 0),
+        ("merges into the traffic", 1),
+        ("the cyclist", 2),
+        ("slowly on", 3),
+    ],
+)
+def test_cider_d_oracles_agree_without_excess_counts(hyp, i):
+    """When no hypothesis n-gram occurs more often than in the reference, the
+    clipped hypothesis vector is the whole one and every hypothesis n-gram is
+    a document's, so the two definitions give one value; capkit's is it."""
+    hyp = hyp.split()
+    assert not _excess(hyp, CIDER_IMAGES[i])
+    ours, paper = _cider_d_both(hyp, i)
+    assert ours > 0.0 and paper == pytest.approx(ours, rel=1e-12)
+    assert cider_d(hyp, CIDER_IMAGES[i], build_idf(CIDER_IMAGES)) == pytest.approx(ours, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "hyp, i",
+    [
+        ("a red red car stops at the junction", 0),  # repeats a unigram past its count
+        ("a red car a red car", 0),  # repeats a trigram
+        ("the the cyclist ignores right of way", 2),
+        ("a blue car stops at the junction", 0),  # "blue": no image holds it
+        ("a truck merges into the road", 1),  # "road": another image's
+    ],
+)
+def test_cider_d_paper_is_lower_on_excess_counts(hyp, i):
+    """The paper divides by the norm of the whole hypothesis vector, and an
+    n-gram that no image holds weighs log N there, so a hypothesis that
+    repeats an n-gram past the reference's count, or holds one the reference
+    lacks, scores strictly lower than under capkit's clipped norm."""
+    hyp = hyp.split()
+    assert _excess(hyp, CIDER_IMAGES[i])
+    ours, paper = _cider_d_both(hyp, i)
+    assert 0.0 < paper < ours
+    assert cider_d(hyp, CIDER_IMAGES[i], build_idf(CIDER_IMAGES)) == pytest.approx(ours, rel=1e-12)
+
+
 def test_cider_corpus_mean():
     idf = build_idf(TWO_DOC_REFS)
     sent = ["a", "b", "c", "d", "e"]

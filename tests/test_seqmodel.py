@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from capkit import seqmodel
+from capkit import autodiff as ad, seqmodel
 from capkit.errors import (
     AllMasked,
     BadMagic,
@@ -382,14 +382,51 @@ def test_training_forward_tape_length(params):
     assert len(forward(params, [FEATS] * 8, batch, train=True).tape._ops) == 18
 
 
+def _vars_made(monkeypatch) -> list:
+    """Every Var made from now on, in the order made."""
+    made, init = [], ad.Var.__init__
+
+    def recorded(self, value):
+        init(self, value)
+        made.append(self)
+
+    monkeypatch.setattr(ad.Var, "__init__", recorded)
+    return made
+
+
+@pytest.mark.parametrize("reward", [1.0, 0.0])
+def test_training_forward_vars_all_get_gradients(params, monkeypatch, reward):
+    """A training forward on clips of 9, 7 and 5 frames, whose cross-attention
+    key bias hides the padded frames, makes 35 Vars: the 17 parameters and
+    the 18 op outputs. `backward` reaches each of them, so each holds a
+    gradient of its value's shape, even when every reward is 0."""
+    rng = np.random.default_rng(5)
+    feats = [rng.normal(size=(T, CFG.feature_dim)) for T in (9, 7, 5)]
+    assert seqmodel._check_features(CFG, feats)[1] is not None
+    rows = [[BOS, 5, 6, 7, EOS], [BOS, 8, EOS], [BOS, 4, 9, EOS]]
+    prefix, targets, r, mask = _pad_rows(rows, np.full(3, reward))
+    made = _vars_made(monkeypatch)
+    trace = forward(params, feats, prefix, train=True)
+    assert len(made) == 35 and len(trace.param_vars) == len(PARAM_SHAPES) == 17
+    assert {id(v) for v in trace.param_vars.values()} <= {id(v) for v in made}
+    assert len(trace.tape._ops) == 18
+    backward(trace, _token_loss(trace.logits.value, targets, r, mask)[1])
+    assert all(v.grad is not None and v.grad.shape == v.value.shape for v in made)
+
+
+def test_rollout_makes_no_vars(params, monkeypatch):
+    """Decoding runs without a tape: 2 greedy and 2 sampled rows make no Var."""
+    made = _vars_made(monkeypatch)
+    rollout(params, [FEATS, FEATS[:3], FEATS[:2], FEATS], [None, None, 1, 2])
+    assert made == []
+
+
 def test_tied_embedding_gradient_sums_both_roles(params):
     """The tied tensor's gradient equals embedding-gather plus output-projection
     contributions computed from an untied twin."""
     _, grads = _end_to_end_grads(params)
 
     # untied twin: the same block with an independent copy of the output matrix
-    from capkit import autodiff as ad
-
     tape = ad.Tape()
     P = {k: ad.Var(v) for k, v in params.tensors.items()}
     out_proj = ad.Var(params.tensors["tok_emb"].copy())

@@ -35,17 +35,17 @@ def _source():
     return trees, refs
 
 
-def test_every_public_function_and_class_is_referenced():
-    """Each public module-level function and class of src/capkit is named,
-    as a name or an attribute, somewhere in src/capkit outside its own
-    definition. A name that only tests reach is dead code."""
+def test_every_function_and_class_is_referenced():
+    """Each module-level function and class of src/capkit, private ones
+    included, is named, as a name or an attribute, somewhere in src/capkit
+    outside its own definition. A name that only tests reach is dead code:
+    a test may import a private helper, but cannot keep it alive."""
     trees, refs = _source()
     unreferenced = [
         f"{module}:{stmt.name}"
         for module, tree in trees.items()
         for stmt in tree.body
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and not stmt.name.startswith("_")
         and not any(n == stmt.name and (m, p[:1]) != (module, (stmt.name,)) for n, _, m, p in refs)
     ]
     assert unreferenced == []
