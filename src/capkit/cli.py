@@ -6,6 +6,7 @@ Exit statuses: 0 success, 1 I/O error, 2 validation error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -46,8 +47,7 @@ def _log(msg: str) -> None:
 
 
 def _echo_config(args: argparse.Namespace) -> None:
-    cfg = {k: v for k, v in vars(args).items() if k != "func"}
-    _log("config: " + json.dumps(cfg, default=str, sort_keys=True))
+    _log("config: " + json.dumps(vars(args), default=str, sort_keys=True))
 
 
 # ---------------------------------------------------------------------------
@@ -274,14 +274,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("ingest", help="restructure raw annotations into samples")
     sp.add_argument("input")
     sp.add_argument("--out", required=True)
-    sp.set_defaults(func=cmd_ingest)
 
     sp = sub.add_parser("synth", help="generate the synthetic corpus")
     sp.add_argument("--out", required=True)
     sp.add_argument("--n-clips", type=int, default=500)
     sp.add_argument("--noise-std", type=float, default=0.1)
     sp.add_argument("--seed", type=int, default=0)
-    sp.set_defaults(func=cmd_synth)
 
     sp = sub.add_parser("train-mle", help="teacher-forced likelihood training")
     sp.add_argument("--data", required=True)
@@ -294,7 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--d-model", type=int, default=64)
     sp.add_argument("--n-heads", type=int, default=2)
     sp.add_argument("--roles", choices=[*ROLES, "both"], default="both")
-    sp.set_defaults(func=cmd_train_mle)
 
     sp = sub.add_parser("train-scst", help="self-critical sequence training")
     sp.add_argument("--data", required=True)
@@ -306,7 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--lr", type=float, default=1e-4)
     sp.add_argument("--temperature", type=float, default=1.0)
     sp.add_argument("--roles", choices=[*ROLES, "both"], default="both")
-    sp.set_defaults(func=cmd_train_scst)
 
     sp = sub.add_parser("decode", help="generate captions for a split")
     sp.add_argument("--data", required=True)
@@ -317,24 +313,20 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--sample", action="store_true")
     sp.add_argument("--temperature", type=float, default=1.0)
     sp.add_argument("--seed", type=int, default=0)
-    sp.set_defaults(func=cmd_decode)
 
     sp = sub.add_parser("score", help="score hypotheses against references")
     sp.add_argument("--hyps", required=True)
     sp.add_argument("--refs", required=True)
     sp.add_argument("--out", required=True)
-    sp.set_defaults(func=cmd_score)
 
     sp = sub.add_parser("fid", help="Frechet distance between two feature sets")
     sp.add_argument("index_a")
     sp.add_argument("index_b")
-    sp.set_defaults(func=cmd_fid)
 
     sp = sub.add_parser("report", help="render score reports as a table")
     sp.add_argument("reports", nargs="+")
     sp.add_argument("--labels", nargs="*", help='row labels as "Framework/Dataset"')
     sp.add_argument("--out", help="also write the table rows as JSON")
-    sp.set_defaults(func=cmd_report)
 
     p._command_parsers = sub.choices  # command name -> its parser
     return p
@@ -360,19 +352,30 @@ def _config_defaults(parser: argparse.ArgumentParser, path: str) -> dict:
     return defaults
 
 
+# The parser of every run without --config, built on the first call.
+_shared_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
     """Run one command. The class of a CapkitError or OSError picks the exit
-    status; any other exception is a bug and propagates with its traceback."""
-    parser = build_parser()
+    status; any other exception is a bug and propagates with its traceback.
+
+    A --config run sets its defaults on a parser of its own, so they do not
+    reach later calls. The commands' functions are looked up at each call, so
+    a module attribute replaced after the first call takes effect."""
+    parser = _shared_parser()
     try:
         args, _ = parser.parse_known_args(argv)
         if args.config:
             defaults = _config_defaults(parser, args.config)
+            parser = build_parser()
             for p in (parser, *parser._command_parsers.values()):
                 p.set_defaults(**defaults)
         args = parser.parse_args(argv)
         _echo_config(args)
-        return args.func(args)
+        commands = {"ingest": cmd_ingest, "synth": cmd_synth, "train-mle": cmd_train_mle, "train-scst": cmd_train_scst,
+                    "decode": cmd_decode, "score": cmd_score, "fid": cmd_fid, "report": cmd_report}
+        return commands[args.command](args)
     except NumericFailure as e:
         _log(f"numeric failure: {e}")
         return EXIT_NUMERIC

@@ -9,13 +9,7 @@ import numpy as np
 
 from .errors import BadPrefix, InvalidTemperature, NumericFailure
 from .metrics import IdfTable, cider_d
-from .seqmodel import (
-    DecoderCache,
-    ModelParams,
-    Row,
-    _fit,
-    log_softmax,
-)
+from .seqmodel import DecoderCache, ModelParams, Row, _fit
 from .textproc import BOS, EOS, PAD, Caption, Vocab, decode_ids
 
 
@@ -39,24 +33,26 @@ def rollout(params: ModelParams, features, seeds, temperature: float = 1.0) -> l
     """Each row's BOS-initial id tuple, decoded in lockstep from one feature
     matrix until EOS or the config's max_len. Row b is greedy (argmax; ties go
     to the lowest id) when seeds[b] is None, and otherwise samples at the
-    temperature from default_rng(seeds[b]) with one uniform draw per step:
-    inverse-CDF sampling, the draw of Generator.choice. Non-finite logits
-    in a live row, or a sampling distribution that overflows, raise
-    NumericFailure; a temperature that is not finite and > 0 raises
-    InvalidTemperature when a row samples."""
+    temperature with the k-th uniform of default_rng(seeds[b]) at step k:
+    inverse-CDF sampling, in exact arithmetic the draw of Generator.choice.
+    Non-finite logits in a live row raise NumericFailure; a temperature that
+    is not finite and > 0 raises InvalidTemperature when a row samples."""
     if len(seeds) != len(features):
         raise BadPrefix(f"{len(seeds)} seeds for {len(features)} feature matrices: rollout needs one seed per row")
-    rngs = [None if s is None else np.random.default_rng(s) for s in seeds]
     sampled = np.array([s is not None for s in seeds])
     if sampled.any() and not (np.isfinite(temperature) and temperature > 0.0):
         raise InvalidTemperature(f"temperature must be finite and > 0, got {temperature}")
     B, L = len(seeds), params.config.max_len
+    u = np.zeros((B, L - 1))  # row b's uniform at step t is u[b, t - 1]
+    for b in np.flatnonzero(sampled):
+        u[b] = np.random.default_rng(seeds[b]).random(L - 1)
     cache = DecoderCache(params, features)
     ids = np.full((B, L), PAD, dtype=np.intp)
     ids[:, 0] = BOS
     n = np.ones(B, dtype=np.intp)
     live = np.ones(B, dtype=bool)  # rows before their EOS; the others step on unread
-    # Overflow and NaN are checked below and raise NumericFailure, not warnings.
+    # NaN is checked below and raises NumericFailure, not a warning. A tiny
+    # temperature may overflow (z - max) / T to -inf, whose exp is 0.
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(1, L):
             logits = cache.step(ids[:, t - 1])
@@ -65,14 +61,11 @@ def rollout(params: ModelParams, features, seeds, temperature: float = 1.0) -> l
             tok = logits.argmax(axis=-1)
             draw = sampled & live
             if draw.any():
-                probs = np.exp(log_softmax(logits[draw] / temperature))
-                total = np.add.reduce(probs, axis=-1, keepdims=True)
-                if not (total > 0.0).all():
-                    raise NumericFailure(f"sampling distribution at temperature {temperature} is not finite")
-                cdf = np.add.accumulate(np.divide(probs, total, out=probs), axis=-1)
-                cdf /= cdf[:, -1:]
-                u = np.array([rngs[b].random() for b in np.flatnonzero(draw)])
-                tok[draw] = np.add.reduce(cdf <= u[:, None], axis=-1)
+                z = logits[draw]
+                # Shifted before scaling, the largest term is exp(0) = 1, so the
+                # unnormalised total is in [1, |V|] at any temperature.
+                cdf = np.add.accumulate(np.exp((z - z.max(axis=-1, keepdims=True)) / temperature), axis=-1)
+                tok[draw] = np.add.reduce(cdf <= u[draw, t - 1][:, None] * cdf[:, -1:], axis=-1)
             ids[:, t] = tok
             n += live
             live &= tok != EOS

@@ -54,39 +54,66 @@ def oracle_rouge_l(hyp, ref, beta=1.2):
     return (1 + beta**2) * p * r / (r + beta**2 * p)
 
 
-def oracle_meteor(hyp, ref, alpha=0.9, gamma=0.5, theta=3.0):
-    """Exhaustive search over all maximal exact-unigram alignments."""
-    hc, rc = Counter(hyp), Counter(ref)
-    m = sum(min(c, rc[t]) for t, c in hc.items())
-    if m == 0:
-        return 0.0
+def _max_alignments(hyp, ref):
+    """Every alignment with the most exact-unigram matches: each a list of
+    (hyp index, ref index) pairs in hyp order, no index used twice."""
+    m = sum((Counter(hyp) & Counter(ref)).values())
 
-    best_chunks = [m]
-
-    def chunks_of(pairs):
-        pairs = sorted(pairs)
-        c = 0
-        prev = None
-        for hi, ri in pairs:
-            if prev is None or hi != prev[0] + 1 or ri != prev[1] + 1:
-                c += 1
-            prev = (hi, ri)
-        return c
-
-    def rec(hi, used_r, pairs, matched):
-        if matched + (len(hyp) - hi) < m:
+    def rec(hi, used_r, pairs):
+        if len(pairs) + (len(hyp) - hi) < m:
             return
         if hi == len(hyp):
-            if matched == m:
-                best_chunks[0] = min(best_chunks[0], chunks_of(pairs))
+            yield pairs
             return
-        rec(hi + 1, used_r, pairs, matched)
+        yield from rec(hi + 1, used_r, pairs)
         for ri in range(len(ref)):
             if ri not in used_r and ref[ri] == hyp[hi]:
-                rec(hi + 1, used_r | {ri}, pairs + [(hi, ri)], matched + 1)
+                yield from rec(hi + 1, used_r | {ri}, pairs + [(hi, ri)])
 
-    rec(0, frozenset(), [], 0)
-    chunks = best_chunks[0]
+    return rec(0, frozenset(), [])
+
+
+def _chunks(pairs):
+    """Runs of matches adjacent in both captions."""
+    return sum(k == 0 or pairs[k] != (pairs[k - 1][0] + 1, pairs[k - 1][1] + 1) for k in range(len(pairs)))
+
+
+def _crossings(pairs):
+    """Pairs of matches whose order in the reference is not their order in the hypothesis."""
+    return sum(1 for k, (_, ri) in enumerate(pairs) for _, rj in pairs[k + 1 :] if rj < ri)
+
+
+def oracle_fewest_chunks(hyp, ref):
+    """capkit's rule: the fewest chunks over all maximal alignments."""
+    return min(map(_chunks, _max_alignments(hyp, ref)))
+
+
+def oracle_fewest_crossings(hyp, ref):
+    """Banerjee & Lavie (2005), Section 2: of the alignments with the most
+    matches, those with the fewest unigram mapping crosses, where two matches
+    cross when the reference orders them the other way from the hypothesis."""
+    fewest, tied = None, []
+    for a in _max_alignments(hyp, ref):
+        c = _crossings(a)
+        if fewest is None or c < fewest:
+            fewest, tied = c, []
+        if c == fewest:
+            tied.append(a)
+    return tied
+
+
+def oracle_paper_chunks(hyp, ref):
+    """The chunk counts of the fewest-crossing alignments: one value unless
+    the paper's rule needs a tie-break."""
+    return {_chunks(a) for a in oracle_fewest_crossings(hyp, ref)}
+
+
+def oracle_meteor(hyp, ref, alpha=0.9, gamma=0.5, theta=3.0):
+    """Exhaustive search over all maximal exact-unigram alignments."""
+    m = sum((Counter(hyp) & Counter(ref)).values())
+    if m == 0:
+        return 0.0
+    chunks = oracle_fewest_chunks(hyp, ref)
     p = m / len(hyp)
     r = m / len(ref)
     f = p * r / (alpha * p + (1 - alpha) * r)

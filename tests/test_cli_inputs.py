@@ -250,7 +250,6 @@ def test_synth_negative_seed(tmp_path, capsys):
 @pytest.mark.parametrize("temperature, status, message", [
     ("nan", 2, "validation error: InvalidTemperature: "),
     ("inf", 2, "validation error: InvalidTemperature: "),
-    ("1e-310", 3, "numeric failure: "),
 ])
 def test_decode_sample_temperature(tmp_path, capsys, corpus, temperature, status, message):
     """The error is the one stderr line: no RuntimeWarning comes before it."""
@@ -263,6 +262,20 @@ def test_decode_sample_temperature(tmp_path, capsys, corpus, temperature, status
     assert not any(issubclass(w.category, RuntimeWarning) for w in caught)
 
 
+def test_decode_sample_at_subnormal_temperature_is_greedy(tmp_path, capsys, corpus):
+    """At T = 1e-310 every non-maximal logit's (z - max) / T overflows to -inf
+    and its weight to 0: sampling returns the greedy captions, with no warning."""
+    out = pathlib.Path(tmp_path, "out")  # where _decode writes
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        status, _, err = run(capsys, *_decode(str(tmp_path), corpus), "--sample", "--temperature", "1e-310")
+    assert status == 0, err
+    assert not any(issubclass(w.category, RuntimeWarning) for w in caught)
+    sampled = out.read_bytes()
+    assert run(capsys, *_decode(str(tmp_path), corpus))[0] == 0
+    assert sampled == out.read_bytes()
+
+
 def test_config_accepts_values_of_the_flag_type(tmp_path, capsys, corpus):
     cfg = write(os.path.join(tmp_path, "cfg.json"), json.dumps({"sample": True, "temperature": 1, "split": "test"}))
     status, _, err = run(capsys, "--config", cfg, *_decode(str(tmp_path), corpus))
@@ -273,6 +286,18 @@ def test_config_accepts_values_of_the_flag_type(tmp_path, capsys, corpus):
     status, stdout, _ = run(capsys, "--config", cfg, "report", report)
     assert status == 0
     assert stdout.splitlines()[1].split()[:2] == ["A", "B"]
+
+
+def test_config_defaults_do_not_reach_the_next_call(tmp_path, capsys):
+    """main reuses one parser; a --config run's defaults stay with that run."""
+    report = write(os.path.join(tmp_path, "r.json"), json.dumps(REPORT))
+    cfg = write(os.path.join(tmp_path, "cfg.json"), json.dumps({"labels": ["A/B"]}))
+    status, stdout, _ = run(capsys, "--config", cfg, "report", report)
+    assert status == 0
+    assert stdout.splitlines()[1].split()[:2] == ["A", "B"]
+    status, stdout, _ = run(capsys, "report", report)
+    assert status == 0
+    assert stdout.splitlines()[1].split()[0] == "r.json"
 
 
 def test_flags_sharing_a_dest_share_type_and_choices():

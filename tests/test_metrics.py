@@ -167,6 +167,43 @@ def test_meteor_matches_exhaustive_oracle(pair):
     assert meteor(hyp, ref) == pytest.approx(oracles.oracle_meteor(hyp, ref))
 
 
+# Banerjee & Lavie (2005) align by fewest crossings, then count chunks; capkit
+# takes the fewest chunks over all maximal alignments (ROADMAP item 9).
+
+def _in_order_alignment(hyp, ref):
+    """The k-th occurrence of each hyp token matched to its k-th in ref."""
+    where = {}
+    for ri, t in enumerate(ref):
+        where.setdefault(t, []).append(ri)
+    return [(hi, where[t].pop(0)) for hi, t in enumerate(hyp)]
+
+
+def test_meteor_fewest_crossings_of_a_permutation_is_the_in_order_alignment():
+    rng = np.random.default_rng(0)
+    for _ in range(150):
+        words = "abc"[: int(rng.integers(2, 4))]
+        ref = [str(t) for t in rng.choice(list(words), size=int(rng.integers(2, 8)))]
+        hyp = [str(t) for t in rng.permutation(ref)]
+        assert oracles.oracle_fewest_crossings(hyp, ref) == [_in_order_alignment(hyp, ref)], (hyp, ref)
+
+
+def test_meteor_rules_agree_on_the_oracle_sheet():
+    for h, r in oracles.MICRO_CORPUS:
+        hyp, ref = h.split(), r.split()
+        assert oracles.oracle_paper_chunks(hyp, ref) == {oracles.oracle_fewest_chunks(hyp, ref)}
+
+
+def test_meteor_rules_differ_on_a_hand_pair():
+    """The fewest chunks map the first "the" to the last and keep "the car"
+    whole: 2 chunks, 2 crossings. The in-order alignment crosses once and
+    has 3 chunks. capkit counts 2."""
+    hyp, ref = ["the", "the", "car"], ["the", "car", "the"]
+    assert oracles.oracle_fewest_chunks(hyp, ref) == 2
+    assert oracles.oracle_fewest_crossings(hyp, ref) == [[(0, 0), (1, 2), (2, 1)]]
+    assert oracles.oracle_paper_chunks(hyp, ref) == {3}
+    assert meteor(hyp, ref) == pytest.approx(1.0 - 0.5 * (2 / 3) ** 3)
+
+
 # 24-token hypotheses that rearrange their reference, at 2-10 words. Per
 # vocabulary size: the block shuffle (4-10 blocks) slowest for the earlier
 # set-based search among 150 (seed 0 of scripts/meteor_worst_case.py), then

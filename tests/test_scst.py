@@ -81,9 +81,11 @@ def test_greedy_logit_shift_invariance(params):
 
 
 def test_sample_matches_greedy_at_tiny_temperature(params):
-    g = rollout(params, [FEATS], [None])
-    s = rollout(params, [FEATS], [5], temperature=1e-6)
-    assert s == g
+    """Down to the smallest subnormal, sampling returns the argmax (warnings
+    are errors in this suite, so no overflow warning escapes either)."""
+    g = rollout(params, [FEATS] * 4, [None] * 4)
+    for temperature in (1e-6, 1e-310, 5e-324):
+        assert rollout(params, [FEATS] * 4, [5, 6, 7, 8], temperature=temperature) == g
 
 
 def test_sample_seed_deterministic(params):
@@ -117,6 +119,51 @@ def test_sample_first_step_frequencies():
         counts[ids[1]] += 1
     assert counts[4] + counts[5] == 10000
     assert 0.48 <= counts[4] / 10000 <= 0.52
+
+
+def _reference_rollout(params, features, seeds, temperature):
+    """rollout's specification, one row at a time over one lockstep batch: a
+    greedy row takes the argmax; a sampled row draws default_rng(seed).random()
+    once per step until its EOS and takes the first id whose entry of the
+    normalised CDF of softmax(logits / T) exceeds the draw."""
+    rngs = [None if s is None else np.random.default_rng(s) for s in seeds]
+    cache = DecoderCache(params, features)
+    rows = [[BOS] for _ in seeds]
+    for _ in range(1, params.config.max_len):
+        logits = cache.step([row[-1] for row in rows])  # a finished row steps on EOS, unread
+        for row, rng, z in zip(rows, rngs, logits):
+            if row[-1] == EOS:
+                continue
+            if rng is None:
+                row.append(int(np.argmax(z)))
+            else:
+                p = np.exp(log_softmax(z / temperature))
+                cdf = np.cumsum(p / p.sum())
+                row.append(int(np.sum(cdf / cdf[-1] <= rng.random())))
+        if all(row[-1] == EOS for row in rows):
+            break
+    return [tuple(row) for row in rows]
+
+
+def test_rollout_draws_what_the_reference_sampler_draws():
+    """1152 rows over 24 models, a quarter greedy, at three temperatures: the
+    same ids as one uniform per live step against the normalised CDF."""
+    rows = differ = 0
+    for m in range(24):
+        params = init_params(replace(CFG, seed=m))
+        rng = np.random.default_rng(m)
+        for tensor in params.tensors.values():
+            tensor *= rng.uniform(0.5, 3.0)  # sharper or flatter distributions, earlier or later EOS
+        feats = [rng.normal(size=(int(rng.integers(1, 7)), CFG.feature_dim)) for _ in range(16)]
+        seeds = [None if b % 4 == 0 else int(rng.integers(1 << 40)) for b in range(16)]
+        greedy = rollout(params, feats, [None] * 16)
+        for temperature in (0.3, 1.0, 2.5):
+            got = rollout(params, feats, seeds, temperature)
+            assert got == _reference_rollout(params, feats, seeds, temperature)
+            rows += len(got)
+            differ += sum(s is not None and ids != g for s, ids, g in zip(seeds, got, greedy))
+    assert rows >= 1000
+    assert differ > rows // 4  # the sampled rows do not all fall back to the argmax
 
 
 def test_batch_rollout_matches_one_row_rollouts(params):
