@@ -13,12 +13,13 @@ pairs in turn:
 - ngrams: `ngrams(hyp, MAX_N)`, the hypothesis's n-gram counts;
 - reference: `idf.reference(ref)`, which makes the reference's entry the
   first time and looks it up after that;
-- bleu: `bleu_counts` of the pair's counts, reading the entry's n-grams;
+- overlap: `overlap` of the hypothesis's counts against the entry, the one
+  pass that gives the clipped counts BLEU and METEOR read and the CIDEr-D;
 - rouge_l: `rouge_l(hyp, ref)`;
-- meteor: `meteor_counts` of the pair's counts, reading the entry's n-grams;
-- cider_d: `cider_d_entry` of the hypothesis's counts against the entry.
+- meteor: `meteor_counts` given the pass's clipped unigram and bigram totals.
 
-The parts run after `reference`, so every entry they read is already made.
+The parts run after `reference`, so every entry they read is already made,
+and meteor reads the clipped totals that the overlap part returned.
 Each part starts after a full garbage collection, so that a collection which
 earlier work made due is not charged to it.
 
@@ -63,7 +64,7 @@ def main():
     # The workload module imports capkit, so --src goes first; it also imports tests/oracles.py.
     sys.path[:0] = [args.src, root, os.path.join(root, "tests")]
     from capkit.data import SynthConfig, synth_corpus
-    from capkit.metrics import MAX_N, bleu_counts, build_idf, cider_d_entry, meteor_counts, rouge_l, score_all
+    from capkit.metrics import MAX_N, build_idf, meteor_counts, overlap, rouge_l, score_all
     from capkit.textproc import ROLES, Caption, ngrams
     from perfbench.workloads import MetricsAdversarial
 
@@ -78,7 +79,7 @@ def main():
         workload.refs = refs  # what the workload's set-up stores; its pairs() draws from it
         ref_tokens = [r.tokens for r in refs]
         idf_ms, pair_us, repeated = [], [], 0
-        part_us = {part: [] for part in ("ngrams", "reference", "bleu", "rouge_l", "meteor", "cider_d")}
+        part_us = {part: [] for part in ("ngrams", "reference", "overlap", "rouge_l", "meteor")}
         for i in range(ROUNDS):
             pairs = workload.pairs(i)
             repeated += len(pairs) - len({ref.tokens for _, ref in pairs})
@@ -97,15 +98,15 @@ def main():
             parts = {
                 "ngrams": lambda: [ngrams(h, MAX_N) for h, _ in toks],
                 "reference": lambda: [idf.reference(r) for _, r in toks],
-                "bleu": lambda: [bleu_counts([g], [idf.reference(r).grams]) for g, (_, r) in zip(grams, toks)],
+                "overlap": lambda: [overlap(g, len(h), idf.reference(r)) for g, (h, r) in zip(grams, toks)],
                 "rouge_l": lambda: [rouge_l(h, r) for h, r in toks],
-                "meteor": lambda: [meteor_counts(h, r, g, idf.reference(r).grams) for g, (h, r) in zip(grams, toks)],
-                "cider_d": lambda: [cider_d_entry(g, len(h), idf.reference(r)) for g, (h, r) in zip(grams, toks)],
+                "meteor": lambda: [meteor_counts(h, r, c[0], c[1]) for (c, _), (h, r) in zip(out["overlap"], toks)],
             }
+            out = {}  # each part's results; meteor reads the clipped totals of overlap's
             for part, run in parts.items():
                 gc.collect()
                 t0 = time.perf_counter()
-                run()
+                out[part] = run()
                 part_us[part].append((time.perf_counter() - t0) * 1e6 / len(pairs))
         distinct = len({r.tokens for r in refs})
         share = repeated / (ROUNDS * workload.PAIRS_PER_ROUND)

@@ -28,39 +28,28 @@ CIDER_SIGMA = 6.0
 QL_MAX_ITERS = 30  # implicit QL iterations allowed per eigenvalue
 
 
-def _clipped_total(counts, ref_counts) -> int:
-    """The sum over the keys of counts of min(count, its count in ref_counts),
-    exact for int counts. It reads ref_counts with `dict.get`, not a Counter
-    subscript, which calls `Counter.__missing__` for every missing key."""
-    total = 0
-    get = ref_counts.get
-    for key, c in counts.items():
-        r = get(key, 0)
-        total += c if c < r else r
-    return total
-
-
 # ---------------------------------------------------------------------------
 # BLEU
 
-def bleu_counts(hyp_grams, ref_grams) -> list[float]:
-    """Corpus BLEU-1..4 from each pair's `ngrams` counts of hypothesis and
-    reference: clipped counts pooled over the pairs, no smoothing."""
-    clipped = [0] * (MAX_N + 1)
-    total = [0] * (MAX_N + 1)
+def bleu_counts(pairs) -> list[float]:
+    """Corpus BLEU-1..4 from each pair's (hypothesis length, reference length,
+    clipped counts of orders 1..4), as `overlap` gives them: pooled over the
+    pairs, no smoothing."""
+    clipped = [0] * MAX_N
+    total = [0] * MAX_N
     ref_len = 0
-    for hg, rg in zip(hyp_grams, ref_grams):
-        ref_len += sum(rg[1].values())
-        for k in range(1, MAX_N + 1):
-            total[k] += sum(hg[k].values())
-            clipped[k] += _clipped_total(hg[k], rg[k])
+    for hyp_len, rlen, clip in pairs:
+        ref_len += rlen
+        for k in range(MAX_N):
+            total[k] += max(0, hyp_len - k)  # the hypothesis's (k + 1)-grams
+            clipped[k] += clip[k]
     scores, log_p_sum = [0.0] * MAX_N, 0.0
-    for k in range(1, MAX_N + 1):
-        if clipped[k] == 0:  # BLEU-k and every higher order are 0; total[k] may be 0
+    for k in range(MAX_N):
+        if clipped[k] == 0:  # BLEU-(k + 1) and every higher order are 0; total[k] may be 0
             break
         log_p_sum += math.log(clipped[k] / total[k])
-        # total[1] is the hypothesis length, so this is the brevity penalty
-        scores[k - 1] = min(1.0, math.exp(1.0 - ref_len / total[1])) * math.exp(log_p_sum / k)
+        # total[0] is the hypothesis length, so this is the brevity penalty
+        scores[k] = min(1.0, math.exp(1.0 - ref_len / total[0])) * math.exp(log_p_sum / (k + 1))
     return scores
 
 
@@ -159,38 +148,31 @@ def _min_chunks(hyp, ref, m: int, links: int) -> int:
     return m
 
 
-def meteor_counts(hyp, ref, hyp_grams: dict, ref_grams: dict) -> float:
-    """METEOR-lite of a pair from its `ngrams` counts, of which it reads orders
-    1 and 2: the clipped unigram total is the match count m, and the clipped
-    bigram total bounds the links between matches."""
-    m = _clipped_total(hyp_grams[1], ref_grams[1])
+def meteor_counts(hyp, ref, m: int, links: int) -> float:
+    """METEOR-lite of a pair from its clipped unigram total m, the match
+    count, and its clipped bigram total `links`, which bounds the links
+    between matches."""
     if m == 0:
         return 0.0
     p = m / len(hyp)
     r = m / len(ref)
     f_mean = p * r / (METEOR_ALPHA * p + (1.0 - METEOR_ALPHA) * r)
-    chunks = _min_chunks(list(hyp), list(ref), m, _clipped_total(hyp_grams[2], ref_grams[2]))
-    penalty = METEOR_GAMMA * (chunks / m) ** METEOR_THETA
+    penalty = METEOR_GAMMA * (_min_chunks(hyp, ref, m, links) / m) ** METEOR_THETA
     return f_mean * (1.0 - penalty)
 
 
 # ---------------------------------------------------------------------------
-# CIDEr-D
+# The reference table, and the one pass that BLEU, METEOR and CIDEr-D read
 
 @dataclass(frozen=True)
 class RefEntry:
-    """One reference as BLEU and CIDEr-D read it.
-
-    `grams[n]` is the Counter of the reference's n-grams, which BLEU clips
-    against. `vecs[n]` is (table, norm): the table maps each n-gram of the
-    reference with a nonzero IDF weight, computed when the entry is made, to
-    (its count in the reference, its weight, count x weight), the last being
-    its coordinate in the reference's tf-idf vector, and norm is that vector's
-    Euclidean norm. CIDEr-D reads one table entry per hypothesis n-gram.
-    """
-    grams: dict  # n -> Counter of the reference's n-grams
+    """One reference as BLEU, METEOR and CIDEr-D read it: its length and,
+    per n, (table, norm). The table maps each n-gram of the reference to (its
+    count, its IDF weight, count x weight), the weight computed when the entry
+    is made and 0.0 where df is 0 or doc_count; norm is the Euclidean norm of
+    the reference's tf-idf vector."""
     length: int
-    vecs: dict  # n -> ({gram: (count, weight, count * weight)}, Euclidean norm)
+    tables: dict  # n -> ({gram: (count, weight, count * weight)}, norm)
 
 
 @dataclass(frozen=True)
@@ -200,7 +182,7 @@ class IdfTable:
     scored (a document of the table or not), so the table's memory grows with
     the references scored against it; equality and repr ignore them. The table
     stores no weights: an entry computes log(doc_count / df) for each of its
-    n-grams when it is made, and keeps the grams with df > 0 and a nonzero weight.
+    n-grams when it is made.
     """
     doc_count: int
     df: dict  # n -> {gram: document frequency}
@@ -211,15 +193,15 @@ class IdfTable:
         key = tuple(tokens)
         entry = self._entries.get(key)
         if entry is None:
-            grams = ngrams(key, MAX_N)
-            vecs = {}
+            grams, tables = ngrams(key, MAX_N), {}
             for n in range(1, MAX_N + 1):
                 df, table = self.df[n], {}
                 for g, c in grams[n].items():
-                    if (d := df.get(g, 0)) > 0 and (w := math.log(self.doc_count / d)) != 0.0:
-                        table[g] = (c, w, c * w)
-                vecs[n] = (table, math.sqrt(sum(e[2] * e[2] for e in table.values())))
-            entry = RefEntry(grams, len(key), vecs)
+                    d = df.get(g, 0)
+                    w = math.log(self.doc_count / d) if d else 0.0
+                    table[g] = (c, w, c * w)
+                tables[n] = (table, math.sqrt(sum(e[2] * e[2] for e in table.values() if e[1])))
+            entry = RefEntry(len(key), tables)
             # One store: a signal raised while the entry was built leaves no partial entry.
             self._entries[key] = entry
         return entry
@@ -239,39 +221,39 @@ def build_idf(refs) -> IdfTable:
 
 
 def cider_d(hyp, ref, idf: IdfTable) -> float:
-    return cider_d_entry(ngrams(hyp, MAX_N), len(hyp), idf.reference(ref))
+    return overlap(ngrams(hyp, MAX_N), len(hyp), idf.reference(ref))[1]
 
 
-def cider_d_entry(hyp_grams: dict, hyp_len: int, entry: RefEntry) -> float:
-    """CIDEr-D of a hypothesis, from its `ngrams` counts and length, against
-    a reference's entry in the table.
+def overlap(hyp_grams: dict, hyp_len: int, entry: RefEntry) -> tuple[list[int], float]:
+    """A hypothesis's `ngrams` counts and length against a reference's entry,
+    with one table lookup per hypothesis n-gram: the clipped count of each
+    order 1..MAX_N, and the CIDEr-D.
 
-    Per n, one table lookup per hypothesis n-gram gives its clipped tf-idf
-    weight and the reference's. Both sums run through `sum` in
+    CIDEr-D's sums run through `sum` over the grams of nonzero weight in
     hypothesis-gram order, the order of the four-lookup form that
     tests/test_metrics.py keeps, so the two agree bit for bit."""
-    sim_sum = 0.0
+    clipped, sim_sum = [], 0.0
     for n in range(1, MAX_N + 1):
-        table, rn = entry.vecs[n]
-        if rn == 0.0:
-            continue
-        # The clipped hypothesis vector, nonzero only on the table's grams, and
-        # the reference's coordinates on the same grams.
-        hv, rv = [], []
+        table, rn = entry.tables[n]
+        total, hv, rv = 0, [], []  # hv: the clipped hypothesis vector; rv: the reference's coordinates
         get = table.get
         for g, c in hyp_grams[n].items():
             e = get(g)
             if e is not None:
                 rc, w, r = e
-                hv.append((c if c < rc else rc) * w)
-                rv.append(r)
+                if rc < c:
+                    c = rc
+                total += c
+                if w:
+                    hv.append(c * w)
+                    rv.append(r)
+        clipped.append(total)
         hn = math.sqrt(sum(map(mul, hv, hv)))
-        if hn == 0.0:
-            continue
-        sim_sum += max(0.0, sum(map(mul, hv, rv)) / (hn * rn))
+        if hn and rn:
+            sim_sum += max(0.0, sum(map(mul, hv, rv)) / (hn * rn))
     delta = hyp_len - entry.length
     penalty = math.exp(-(delta * delta) / (2.0 * CIDER_SIGMA * CIDER_SIGMA))
-    return 10.0 * penalty * sim_sum / MAX_N
+    return clipped, 10.0 * penalty * sim_sum / MAX_N
 
 
 # ---------------------------------------------------------------------------
@@ -465,8 +447,9 @@ class ScoreReport:
 
 
 def score_all(hyps: list[Caption], refs: list[Caption], idf: IdfTable) -> ScoreReport:
-    """Every metric over the pairs. Each hypothesis is counted once and each
-    reference looked up once, and both serve BLEU, METEOR and CIDEr-D."""
+    """Every metric over the pairs. Each hypothesis is counted once, each
+    reference looked up once, and one `overlap` pass serves BLEU, METEOR and
+    CIDEr-D."""
     if len(hyps) != len(refs):
         raise LengthMismatch(f"{len(hyps)} hypotheses vs {len(refs)} references")
     if not hyps:
@@ -474,18 +457,18 @@ def score_all(hyps: list[Caption], refs: list[Caption], idf: IdfTable) -> ScoreR
     for h, r in zip(hyps, refs):
         if h.role != r.role:
             raise LengthMismatch(f"role mismatch: {h.role} vs {r.role}")
-    hyp_grams, ref_grams, rouge, meteor, cider = [], [], [], [], []
+    bleu, rouge, meteor, cider = [], [], [], []
     for h, r in zip(hyps, refs):
         ht, rt = h.tokens, r.tokens
-        grams, entry = ngrams(ht, MAX_N), idf.reference(rt)
-        hyp_grams.append(grams)
-        ref_grams.append(entry.grams)
+        entry = idf.reference(rt)
+        clipped, c = overlap(ngrams(ht, MAX_N), len(ht), entry)
+        bleu.append((len(ht), entry.length, clipped))
         rouge.append(rouge_l(ht, rt))
-        meteor.append(meteor_counts(ht, rt, grams, entry.grams))
-        cider.append(cider_d_entry(grams, len(ht), entry))
+        meteor.append(meteor_counts(ht, rt, clipped[0], clipped[1]))
+        cider.append(c)
     n = len(hyps)
     return ScoreReport(
-        *bleu_counts(hyp_grams, ref_grams),  # b1..b4
+        *bleu_counts(bleu),  # b1..b4
         rouge_l=sum(rouge) / n,
         meteor=sum(meteor) / n,
         cider_d=sum(cider) / n,

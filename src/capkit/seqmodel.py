@@ -87,7 +87,12 @@ def _size(config: ModelConfig) -> int:
 def init_params(config: ModelConfig) -> ModelParams:
     config.validate()
     rng = np.random.default_rng(config.seed)
-    params = ModelParams(config, np.empty(_size(config)))
+    size = _size(config)
+    try:
+        flat = np.empty(size)
+    except (MemoryError, ValueError) as e:  # numpy's "Unable to allocate" and "Maximum allowed dimension"
+        raise InvalidConfig(f"a model of {size} parameters cannot be allocated: {e}") from e
+    params = ModelParams(config, flat)
     for name, p in params.tensors.items():
         if name.startswith("ln"):
             p[...] = 1.0 if name.endswith("_g") else 0.0

@@ -177,6 +177,20 @@ def test_training_rejects_batch_and_epochs(tmp_path, capsys, corpus, stage, flag
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("d_model, numpy_error", [
+    ("100000000", "Unable to allocate"),  # 1.6e17 parameters: numpy's MemoryError
+    ("1000000000", "Maximum allowed dimension"),  # 1.6e19 parameters: numpy's ValueError
+])
+def test_train_mle_model_too_large_to_allocate(tmp_path, capsys, corpus, d_model, numpy_error):
+    """A model whose parameter vector cannot be allocated exits 2 naming its
+    parameter count. numpy refuses both sizes before it maps any page."""
+    out = os.path.join(tmp_path, "out")
+    status, _, err = run(capsys, "train-mle", "--data", corpus["data"], "--out", out, "--d-model", d_model)
+    assert_validation_error(status, err, "InvalidConfig")
+    assert "parameters cannot be allocated" in err and numpy_error in err
+    assert not os.path.exists(out)
+
+
 @pytest.mark.parametrize("stage", ["train-mle", "train-scst"])
 def test_training_on_empty_train_split(tmp_path, capsys, corpus, stage):
     splits = json.loads(pathlib.Path(corpus["data"], "splits.json").read_text())

@@ -29,16 +29,15 @@ from capkit.metrics import (
     GaussianStats,
     IdfTable,
     ScoreReport,
-    _clipped_total,
     _lcs_len,
     _min_chunks,
     bleu_counts,
     build_idf,
     cider_d,
-    cider_d_entry,
     frechet_distance,
     gaussian_stats,
     meteor_counts,
+    overlap,
     rouge_l,
     score_all,
     symmetric_eigvals,
@@ -50,14 +49,20 @@ tokens_st = st.lists(st.sampled_from(["a", "b", "c", "car", "stops"]), max_size=
 repeats_st = st.integers(2, 3).flatmap(lambda w: st.tuples(*[st.lists(st.sampled_from("abc"[:w]), max_size=9)] * 2))
 
 
+def clipped(hyp, ref):
+    """The clipped counts of orders 1..MAX_N of a pair of token lists, each
+    counted here; the table's weights do not change them."""
+    return overlap(ngrams(hyp, MAX_N), len(hyp), build_idf([ref]).reference(ref))[0]
+
+
 def bleu(hyps, refs):
-    """Corpus BLEU-1..4 of token lists, each counted here."""
-    return bleu_counts([ngrams(h, MAX_N) for h in hyps], [ngrams(r, MAX_N) for r in refs])
+    """Corpus BLEU-1..4 of token lists."""
+    return bleu_counts([(len(h), len(r), clipped(h, r)) for h, r in zip(hyps, refs)])
 
 
 def meteor(hyp, ref):
-    """METEOR-lite of a pair of token lists, each counted here."""
-    return meteor_counts(hyp, ref, ngrams(hyp, 2), ngrams(ref, 2))
+    """METEOR-lite of a pair of token lists."""
+    return meteor_counts(hyp, ref, *clipped(hyp, ref)[:2])
 
 
 # ---------------------------------------------------------------------------
@@ -247,8 +252,8 @@ def test_meteor_chunks_of_rearranged_captions_in_bounded_time():
 
     for hyp, ref, want in _CHUNK_CASES:
         t0 = time.perf_counter()
-        links = _clipped_total(Counter(zip(hyp, hyp[1:])), Counter(zip(ref, ref[1:])))
-        got = _min_chunks(list(hyp), list(ref), len(hyp), links)
+        links = ref_clipped_total(Counter(zip(hyp, hyp[1:])), Counter(zip(ref, ref[1:])))
+        got = _min_chunks(hyp, ref, len(hyp), links)
         elapsed = time.perf_counter() - t0
         assert (got, elapsed < CHUNK_WALL_S) == (want, True), (hyp, ref, elapsed)
 
@@ -859,18 +864,23 @@ def test_lcs_len_across_a_machine_word():
 
 @given(st.lists(pair_st, min_size=1, max_size=4))
 def test_bleu_counts_equals_counter_clipping(pairs):
+    """BLEU from the pass's clipped counts and the two lengths equals BLEU
+    from Counter clipping and sums over the Counters."""
     hg = [ngrams(h, MAX_N) for h, _ in pairs]
     rg = [ngrams(r, MAX_N) for _, r in pairs]
-    assert bleu_counts(hg, rg) == ref_bleu_counts(hg, rg)
+    assert bleu([h for h, _ in pairs], [r for _, r in pairs]) == ref_bleu_counts(hg, rg)
 
 
-@given(pair_st)
-def test_meteor_clipping_equals_counter_subscript(pair):
-    """The matches and the links (adjacent matched bigrams) that bound the
-    chunk search clip as Counter subscripts do."""
+@given(pair_st, st.lists(pair_st, max_size=3), st.booleans())
+def test_overlap_clipping_equals_counter_subscript(pair, others, ref_is_doc):
+    """The pass's clipped count of each order, which BLEU pools and METEOR
+    reads as its matches and links, equals Counter-subscript clipping,
+    whatever the reference's IDF weights are."""
     hyp, ref = pair
-    for h, r in ((hyp, ref), (list(zip(hyp, hyp[1:])), list(zip(ref, ref[1:])))):
-        assert _clipped_total(Counter(h), Counter(r)) == ref_clipped_total(Counter(h), Counter(r))
+    docs = [d for o in others for d in o] + [list("abc")] + ([ref] if ref_is_doc else [])
+    hg, rg = ngrams(hyp, MAX_N), ngrams(ref, MAX_N)
+    got = overlap(hg, len(hyp), build_idf(docs).reference(ref))[0]
+    assert got == [ref_clipped_total(hg[n], rg[n]) for n in range(1, MAX_N + 1)]
 
 
 @settings(deadline=None)
@@ -888,16 +898,21 @@ def test_meteor_equals_counter_clipping(pair):
     assert meteor(hyp, ref) == want
 
 
-@given(pair_st, st.lists(pair_st, max_size=3), st.booleans())
-def test_cider_d_entry_equals_four_lookups(pair, others, ref_is_doc):
-    """Against a table whose documents hold the reference or not, before and
-    after the reference's entry is made."""
+@given(pair_st, st.lists(pair_st, max_size=3), st.sampled_from(["no doc", "a doc", "every doc"]))
+def test_overlap_cider_d_equals_four_lookups(pair, others, ref_docs):
+    """Against a table whose documents hold the reference nowhere (its grams
+    of df 0 weigh 0), among others, or in every document (every gram of the
+    reference weighs 0), before and after the reference's entry is made."""
     hyp, ref = pair
-    docs = [d for o in others for d in o] + [list("abc"), list("cde")] + ([ref] if ref_is_doc else [])
+    docs = [d for o in others for d in o] + [list("abc"), list("cde")]
+    if ref_docs == "a doc":
+        docs.append(ref)
+    elif ref_docs == "every doc":
+        docs = [ref + d for d in docs]
     idf = build_idf(docs)
     want = ref_cider_d(ngrams(hyp, MAX_N), len(hyp), ref, idf)
-    assert cider_d_entry(ngrams(hyp, MAX_N), len(hyp), idf.reference(ref)) == want
-    assert cider_d_entry(ngrams(hyp, MAX_N), len(hyp), idf.reference(ref)) == want
+    assert overlap(ngrams(hyp, MAX_N), len(hyp), idf.reference(ref))[1] == want
+    assert overlap(ngrams(hyp, MAX_N), len(hyp), idf.reference(ref))[1] == want
     assert cider_d(hyp, ref, idf) == want
 
 
