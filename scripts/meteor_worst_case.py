@@ -48,21 +48,17 @@ def pairs(seed, family, words, count):
         yield hyp, ref
 
 
-def main():
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--src", default=os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"),
-                    help="directory that holds the capkit package (default: this checkout's src)")
-    ap.add_argument("--seed", type=int, default=0)
-    args = ap.parse_args()
-    sys.path.insert(0, args.src)
+def report(seed, grid=GRID):
+    """Print the header and one line per (family, words) cell of `grid`, a
+    sequence of (family, vocabulary sizes, pairs per size)."""
     from capkit.metrics import MAX_N, build_idf, meteor_counts, overlap
     from capkit.textproc import ngrams
 
     print(f"{'family':<6} {'words':>5} {'pairs':>5} {'median_ms':>10} {'worst_ms':>10} {'over_20ms':>9}")
-    for family, sizes, count in GRID:
+    for family, sizes, count in grid:
         for words in sizes:
             ms = []
-            for hyp, ref in pairs(args.seed, family, words, count):
+            for hyp, ref in pairs(seed, family, words, count):
                 m, links = overlap(ngrams(hyp, MAX_N), len(hyp), build_idf([ref]).reference(ref))[0][:2]
                 t0 = time.perf_counter()
                 meteor_counts(hyp, ref, m, links)
@@ -70,6 +66,16 @@ def main():
             over = sum(t > DEADLINE_MS for t in ms)
             print(f"{family:<6} {words:>5} {count:>5} {statistics.median(ms):>10.2f} {max(ms):>10.2f} {over:>9}",
                   flush=True)
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--src", default=os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"),
+                    help="directory that holds the capkit package (default: this checkout's src)")
+    ap.add_argument("--seed", type=int, default=0)
+    args = ap.parse_args()
+    sys.path.insert(0, args.src)
+    report(args.seed)
 
 
 if __name__ == "__main__":

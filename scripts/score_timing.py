@@ -51,18 +51,13 @@ ROUNDS = 12
 
 
 def quartiles(xs):
-    q1, q2, q3 = statistics.quantiles(xs, n=4)
+    q1, q2, q3 = statistics.quantiles(xs, n=4) if len(xs) > 1 else xs * 3
     return f"{q2:10.1f} {q1:10.1f} {q3:10.1f}"
 
 
-def main():
-    root = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--src", default=os.path.join(root, "src"),
-                    help="directory that holds the capkit package (default: this checkout's src)")
-    args = ap.parse_args()
-    # The workload module imports capkit, so --src goes first; it also imports tests/oracles.py.
-    sys.path[:0] = [args.src, root, os.path.join(root, "tests")]
+def report(rounds=ROUNDS):
+    """Print the tables above over `rounds` rounds per reference set. Needs
+    capkit, the repository root and tests/ on sys.path."""
     from capkit.data import SynthConfig, synth_corpus
     from capkit.metrics import MAX_N, build_idf, meteor_counts, overlap, rouge_l, score_all
     from capkit.textproc import ROLES, Caption, ngrams
@@ -74,13 +69,13 @@ def main():
         "workload": [getattr(s, role) for s in corpus.samples for role in ROLES],
         "unique": [Caption.make(f"{getattr(s, role).raw} {s.id}", role) for s in corpus.samples for role in ROLES],
     }
-    print(f"{ROUNDS} rounds of {workload.PAIRS_PER_ROUND} pairs; {'median':>10} {'q1':>10} {'q3':>10}")
+    print(f"{rounds} rounds of {workload.PAIRS_PER_ROUND} pairs; {'median':>10} {'q1':>10} {'q3':>10}")
     for name, refs in ref_sets.items():
         workload.refs = refs  # what the workload's set-up stores; its pairs() draws from it
         ref_tokens = [r.tokens for r in refs]
         idf_ms, pair_us, repeated = [], [], 0
         part_us = {part: [] for part in ("ngrams", "reference", "overlap", "rouge_l", "meteor")}
-        for i in range(ROUNDS):
+        for i in range(rounds):
             pairs = workload.pairs(i)
             repeated += len(pairs) - len({ref.tokens for _, ref in pairs})
             t0 = time.perf_counter()
@@ -109,12 +104,23 @@ def main():
                 out[part] = run()
                 part_us[part].append((time.perf_counter() - t0) * 1e6 / len(pairs))
         distinct = len({r.tokens for r in refs})
-        share = repeated / (ROUNDS * workload.PAIRS_PER_ROUND)
+        share = repeated / (rounds * workload.PAIRS_PER_ROUND)
         print(f"{name}: {len(refs)} references ({distinct} distinct), {share:.1%} of pairs repeat a reference")
         print(f"  {'build_idf_ms':<20} {quartiles(idf_ms)}")
         print(f"  {'score_all_us_pair':<20} {quartiles(pair_us)}")
         for part, us in part_us.items():
             print(f"  {part + '_us_pair':<20} {quartiles(us)}")
+
+
+def main():
+    root = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--src", default=os.path.join(root, "src"),
+                    help="directory that holds the capkit package (default: this checkout's src)")
+    args = ap.parse_args()
+    # The workload module imports capkit, so --src goes first; it also imports tests/oracles.py.
+    sys.path[:0] = [args.src, root, os.path.join(root, "tests")]
+    report()
 
 
 if __name__ == "__main__":

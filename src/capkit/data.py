@@ -179,27 +179,33 @@ class SynthCorpus:
 
 
 def synth_corpus(config: SynthConfig) -> SynthCorpus:
+    """`n_clips` clips drawn from the 27 (actor, action, cause) templates.
+
+    Per clip the generator draws, in this order, the actor, the action and the
+    cause (one `integers` each) and then the (SYNTH_FRAMES, D) noise; the clip
+    is float32(template signal + noise), and after the last clip one
+    `permutation` splits the ids 80/10/10. The captions come from 27
+    descriptions and 9 avoidances. Each template's `Caption` pair and signal
+    row are built the first time a clip draws it, and its later clips share
+    them (a `Caption` is immutable); the draws do not depend on that, so a
+    seed gives the same corpus."""
     config.validate()
     rng = np.random.default_rng(config.seed)
+    sigma = abs(config.noise_std)  # numpy rejects -0.0
+    templates = {}  # (actor_i, action_i, cause_i) -> (description, avoidance, signal)
     samples, clips, factors = [], {}, {}
     for i in range(config.n_clips):
-        actor_i = int(rng.integers(len(ACTORS)))
-        action_i = int(rng.integers(len(ACTIONS)))
-        cause_i = int(rng.integers(len(CAUSES)))
+        key = (int(rng.integers(len(ACTORS))), int(rng.integers(len(ACTIONS))), int(rng.integers(len(CAUSES))))
+        if key not in templates:
+            desc, avoid = template_caption(*key)
+            templates[key] = (Caption.make(desc, ROLE_DESCRIPTION), Caption.make(avoid, ROLE_AVOIDANCE),
+                              template_signal(*key, config.D))
+        desc, avoid, sig = templates[key]
         clip_id = f"clip{i:04d}"
-        desc, avoid = template_caption(actor_i, action_i, cause_i)
-        sig = template_signal(actor_i, action_i, cause_i, config.D)
-        noise = rng.normal(0.0, abs(config.noise_std), size=(SYNTH_FRAMES, config.D))  # numpy rejects -0.0
-        data = (sig[None, :] + noise).astype(np.float32)
-        samples.append(
-            Sample(
-                id=clip_id,
-                description=Caption.make(desc, ROLE_DESCRIPTION),
-                avoidance=Caption.make(avoid, ROLE_AVOIDANCE),
-            )
-        )
-        clips[clip_id] = FeatureClip(id=clip_id, data=data)
-        factors[clip_id] = (actor_i, action_i, cause_i)
+        noise = rng.normal(0.0, sigma, size=(SYNTH_FRAMES, config.D))
+        samples.append(Sample(id=clip_id, description=desc, avoidance=avoid))
+        clips[clip_id] = FeatureClip(id=clip_id, data=(sig + noise).astype(np.float32))
+        factors[clip_id] = key
     order = rng.permutation(config.n_clips)
     n_train = int(0.8 * config.n_clips)
     n_val = int(0.1 * config.n_clips)

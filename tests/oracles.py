@@ -1,9 +1,11 @@
-"""Independent brute-force oracles used to freeze expected metric values.
+"""Independent brute-force oracles used to freeze expected metric values and
+the synthetic corpus.
 
-Deliberately written as naive, direct translations of the scoring formulas,
-separate from the package implementations they check."""
+Deliberately written as naive, direct translations of the scoring formulas
+and the corpus recipe, separate from the package implementations they check."""
 import itertools
 import math
+import re
 from collections import Counter
 from functools import lru_cache
 
@@ -54,13 +56,14 @@ def oracle_rouge_l(hyp, ref, beta=1.2):
     return (1 + beta**2) * p * r / (r + beta**2 * p)
 
 
-def _max_alignments(hyp, ref):
+def _max_alignments(hyp, ref, prune=lambda pairs: False):
     """Every alignment with the most exact-unigram matches: each a list of
-    (hyp index, ref index) pairs in hyp order, no index used twice."""
+    (hyp index, ref index) pairs in hyp order, no index used twice. A partial
+    alignment for which `prune(pairs)` is true is dropped with its extensions."""
     m = sum((Counter(hyp) & Counter(ref)).values())
 
     def rec(hi, used_r, pairs):
-        if len(pairs) + (len(hyp) - hi) < m:
+        if len(pairs) + (len(hyp) - hi) < m or prune(pairs):
             return
         if hi == len(hyp):
             yield pairs
@@ -84,8 +87,13 @@ def _crossings(pairs):
 
 
 def oracle_fewest_chunks(hyp, ref):
-    """capkit's rule: the fewest chunks over all maximal alignments."""
-    return min(map(_chunks, _max_alignments(hyp, ref)))
+    """capkit's rule: the fewest chunks over all maximal alignments. A match
+    added to an alignment never removes a chunk, so the enumeration drops a
+    partial alignment with as many chunks as the best complete one so far."""
+    best = math.inf
+    for a in _max_alignments(hyp, ref, lambda pairs: _chunks(pairs) >= best):
+        best = _chunks(a)
+    return best
 
 
 def oracle_fewest_crossings(hyp, ref):
@@ -203,6 +211,41 @@ def oracle_trace_sqrt(cov_a, cov_b):
     inner = sa @ cov_b @ sa
     inner = (inner + inner.T) / 2
     return float(np.sqrt(np.clip(np.linalg.eigvalsh(inner), 0, None)).sum())
+
+
+def oracle_synth_corpus(config):
+    """The synthetic corpus re-derived from its recipe: per clip, integers(3)
+    for the actor, the action and the cause, then normal(0, |noise_std|,
+    (8, D)); the clip is float32 of that noise plus ones at the actor, 3 +
+    the action and 6 + the cause; the captions are the phrase tables'
+    sentences; after the last clip one permutation splits the ids 80/10/10.
+
+    Returns (clips, split): per clip in draw order (id, (actor, action,
+    cause), [(raw, tokens, role)] for the description and the avoidance,
+    float32 array)."""
+    from capkit.data import ACTIONS, ACTORS, CAUSES, MEASURES
+
+    def caption(raw, role):
+        return raw, tuple(re.findall("[a-z0-9]+", raw.lower())), role
+
+    rng = np.random.default_rng(config.seed)
+    clips = []
+    for i in range(config.n_clips):
+        actor = int(rng.integers(3))
+        action = int(rng.integers(3))
+        cause = int(rng.integers(3))
+        signal = np.zeros(config.D)
+        signal[[actor, 3 + action, 6 + cause]] = 1.0
+        noise = rng.normal(0.0, abs(config.noise_std), (8, config.D))
+        captions = [
+            caption(f"the {ACTORS[actor]} {ACTIONS[action]}; {CAUSES[cause]}", "description"),
+            caption(f"the {ACTORS[actor]} should {MEASURES[cause]}", "avoidance"),
+        ]
+        clips.append((f"clip{i:04d}", (actor, action, cause), captions, (signal + noise).astype(np.float32)))
+    ids = [clips[k][0] for k in rng.permutation(config.n_clips)]
+    n_train, n_val = int(0.8 * config.n_clips), int(0.1 * config.n_clips)
+    split = {"train": ids[:n_train], "val": ids[n_train : n_train + n_val], "test": ids[n_train + n_val :]}
+    return clips, split
 
 
 MICRO_CORPUS = [

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from capkit.data import (
     ACTORS,
     ACTIONS,
@@ -316,6 +317,42 @@ def test_synth_template_lookup_oracle_solves_noiseless_corpus():
         desc, _ = template_caption(*templates[best])
         hyps.append(tuple(normalize(desc)))
     assert sum(cider_d(h, r, idf) for h, r in zip(hyps, refs, strict=True)) / len(hyps) >= 9.5
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        SynthConfig(n_clips=1000, seed=1),  # the benchmark's reference corpus
+        SynthConfig(n_clips=80, D=64, noise_std=1.0, seed=3),  # the benchmark's FID sets
+        SynthConfig(n_clips=7, noise_std=0.0, seed=2),
+    ],
+    ids=["refs-1000", "fid-80-D64", "noiseless-7"],
+)
+def test_synth_corpus_matches_recipe_oracle(config):
+    """Every value `synth_corpus` returns is the recipe's; the clips of one
+    template share its description and avoidance `Caption` objects."""
+    corpus = synth_corpus(config)
+    want_clips, want_split = oracles.oracle_synth_corpus(config)
+    got_clips = [
+        (
+            s.id,
+            corpus.factors[s.id],
+            [(c.raw, c.tokens, c.role) for c in (s.description, s.avoidance)],
+            corpus.clips[s.id].data,
+        )
+        for s in corpus.samples
+    ]
+    assert [c[:3] for c in got_clips] == [c[:3] for c in want_clips]
+    for (cid, _, _, got), (_, _, _, want) in zip(got_clips, want_clips, strict=True):
+        assert corpus.clips[cid].id == cid
+        assert got.dtype == want.dtype == np.float32 and got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), cid
+    assert corpus.split == want_split
+    assert list(corpus.clips) == [s.id for s in corpus.samples] == list(corpus.factors)
+    first = {}
+    for s in corpus.samples:
+        shared = first.setdefault(corpus.factors[s.id], s)
+        assert s.description is shared.description and s.avoidance is shared.avoidance
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
-"""The capkit names the scripts import must exist. The scripts import inside
-`main()` and no test runs them, so a renamed or deleted name would otherwise
-break a script without failing any test."""
+"""The scripts still run against capkit. They import inside their functions,
+so a renamed or deleted name would otherwise break a script without failing
+any test; the timing scripts also run once on their smallest input, so a
+changed signature fails too."""
 import ast
 import glob
 import importlib
+import importlib.util
 import os
 
 SCRIPTS = os.path.join(os.path.dirname(__file__), "..", "scripts")
@@ -30,3 +32,33 @@ def test_every_capkit_name_a_script_imports_exists():
         if not hasattr(importlib.import_module(module), name)
     ]
     assert missing == []
+
+
+def _load_script(name):
+    spec = importlib.util.spec_from_file_location(name, os.path.join(SCRIPTS, f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_meteor_worst_case_runs_on_its_smallest_input(capsys):
+    """One block-family pair at 2 words: the script's calls into capkit run.
+    How long they take is not checked."""
+    _load_script("meteor_worst_case").report(0, (("block", range(2, 3), 1),))
+    header, line = capsys.readouterr().out.splitlines()
+    assert header.split() == ["family", "words", "pairs", "median_ms", "worst_ms", "over_20ms"]
+    assert line.split()[:3] == ["block", "2", "1"]
+
+
+def test_score_timing_runs_one_round(capsys, monkeypatch):
+    """One round over both reference sets: the script's calls into capkit and
+    into the benchmark's workload run. How long they take is not checked."""
+    monkeypatch.syspath_prepend(os.path.join(SCRIPTS, ".."))  # for perfbench.workloads
+    _load_script("score_timing").report(1)
+    out = capsys.readouterr().out
+    assert out.startswith("1 rounds of 450 pairs;")
+    for name in ("workload", "unique"):
+        assert f"\n{name}: 2000 references (" in out
+    for part in ("build_idf_ms", "score_all_us_pair", "ngrams_us_pair", "reference_us_pair", "overlap_us_pair",
+                 "rouge_l_us_pair", "meteor_us_pair"):
+        assert out.count(f"  {part} ") == 2
