@@ -16,15 +16,21 @@ numpy version, the BLAS name and version, the BLAS kernel set (the core that
 OpenBLAS chose for this processor, where it can be read) and the machine.
 
 Compare two trees:  PYTHONPATH=<tree>/src python3 scripts/pipeline_digest.py
-The digest of this tree is kept in tests/data/pipeline_digest.txt, which
-tests/test_cli.py compares with the script's output; after a change that
-moves a line, regenerate it with
+With --compare FILE the script prints no digest. It compares its digest with
+the one in FILE line by line, prints each line that moved as old and new, and
+exits 1 if any compared line moved. The lines that start with BLAS_FREE no
+BLAS call computes, so they are compared on every machine. The others are
+compared only where the "#" lines of both digests match; elsewhere the script
+names the lines it did not compare. The digest of this tree is kept in
+tests/data/pipeline_digest.txt, which tests/test_cli.py passes to --compare;
+after a change that moves a line, regenerate it with
     PYTHONPATH=src python3 scripts/pipeline_digest.py > tests/data/pipeline_digest.txt
 """
 import os
 
 os.environ["OPENBLAS_NUM_THREADS"] = "1"  # before numpy is first imported
 
+import argparse
 import contextlib
 import ctypes
 import glob
@@ -57,6 +63,9 @@ STEPS = (
     ["synth", "--out", "other", "--n-clips", "20", "--noise-std", "1.0", "--seed", "4"],
     ["fid", "data/feature_index.json", "other/feature_index.json"],
 )
+# Digest lines that no BLAS call produces: the annotations, their ingest, and
+# the synthesized corpora (features, samples, splits and index).
+BLAS_FREE = ("annotations.jsonl ", "ingested.jsonl ", "data/", "other/")
 
 
 def blas_core():
@@ -86,8 +95,10 @@ def environment():
     ]
 
 
-def main():
-    print(*environment(), sep="\n")
+def digest():
+    """The digest's lines: the "#" environment lines, then the sha256 of each
+    file the run wrote, then its epoch, FID and VID lines."""
+    lines = environment()
     epochs, distances = [], []
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)  # every path in STEPS is relative, so no output names the directory
@@ -106,8 +117,42 @@ def main():
             for name in sorted(files):
                 path = os.path.join(root, name)
                 with open(path, "rb") as f:
-                    print(os.path.relpath(path), hashlib.sha256(f.read()).hexdigest())
-    print(*epochs, *distances, sep="\n")
+                    lines.append(f"{os.path.relpath(path)} {hashlib.sha256(f.read()).hexdigest()}")
+    return lines + epochs + distances
+
+
+def compare(got, want, name):
+    """Print each compared line of `want` (the digest in file `name`) that
+    `got` moved, as old and new, and the lines left out; return the number
+    of moved lines."""
+    if [line.split()[0] for line in got] != [line.split()[0] for line in want]:
+        sys.exit(f"the digest names other files or lines than {name}")
+    same_env = [line for line in got if line.startswith("#")] == [line for line in want if line.startswith("#")]
+    compared, moved, left_out = 0, 0, []
+    for new, old in zip(got, want):
+        if same_env or old.startswith(BLAS_FREE):
+            compared += 1
+            if new != old:
+                moved += 1
+                print(f"old: {old}\nnew: {new}")
+        elif not old.startswith("#"):
+            left_out.append(old.split()[0])
+    if left_out:
+        print(f"not compared, as numpy, BLAS or machine differ from {name}: {', '.join(left_out)}")
+    print(f"{compared} lines compared, {moved} moved")
+    return moved
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--compare", metavar="FILE", help="compare with the digest in FILE instead of printing it")
+    args = parser.parse_args()
+    if args.compare is None:
+        print(*digest(), sep="\n")
+        return
+    with open(args.compare, encoding="utf-8") as f:  # read before digest() leaves the working directory
+        want = f.read().splitlines()
+    sys.exit(1 if compare(digest(), want, args.compare) else 0)
 
 
 if __name__ == "__main__":

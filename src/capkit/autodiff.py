@@ -12,13 +12,11 @@ weights are matrices or vectors, and their gradients sum over those axes.
 """
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
 
 LN_EPS = 1e-6
-MASKED = -1e9  # additive score of a key a query must not see
 
 
 class Tape:
@@ -182,32 +180,20 @@ def _merge_heads(a: np.ndarray) -> np.ndarray:
     return a.swapaxes(-2, -3).reshape(*lead, L, h * dh)
 
 
-@functools.lru_cache(maxsize=64)
-def _causal_mask(Lq: int, Lk: int) -> np.ndarray:
-    """The additive Lq x Lk causal mask: MASKED where key j > i + Lk - Lq.
-    Read-only, since every call with the same lengths shares it."""
-    mask = np.triu(np.full((Lq, Lk), MASKED), k=Lk - Lq + 1)
-    mask.flags.writeable = False
-    return mask
+def attention(tape, q, k, v, n_heads: int, bias=None):
+    """Multi-head softmax(q k^T / sqrt(dh) + bias) v for ... x Lq x d queries
+    against ... x Lk x d keys and values. `bias`, when given, broadcasts
+    against the ... x n_heads x Lq x Lk scores: 0 where a query may see a
+    key, a large negative score where it may not.
 
-
-def attention(tape, q, k, v, n_heads: int, causal: bool, key_bias=None):
-    """Multi-head softmax(q k^T / sqrt(dh) + mask) v for ... x Lq x d queries
-    against ... x Lk x d keys and values. Under `causal`, query i sees key j
-    only when j <= i + Lk - Lq, so a full prefix and one cached query follow
-    one rule. key_bias (... x Lk, 0 or MASKED) hides padded keys.
-
-    The scores are scaled, masked, shifted, exponentiated and normalised in
+    The scores are scaled, biased, shifted, exponentiated and normalised in
     place; the max and sum are the ufunc reductions that `max` and `sum` call."""
     qh, kh, vh = _split_heads(val(q), n_heads), _split_heads(val(k), n_heads), _split_heads(val(v), n_heads)
-    Lq, Lk = qh.shape[-2], kh.shape[-2]
     c = 1.0 / math.sqrt(qh.shape[-1])
     s = qh @ kh.swapaxes(-1, -2)
     s *= c
-    if causal and Lq > 1:
-        s += _causal_mask(Lq, Lk)
-    if key_bias is not None:
-        s += key_bias[..., None, None, :]
+    if bias is not None:
+        s += bias
     s -= np.maximum.reduce(s, axis=-1, keepdims=True)
     p = np.exp(s, out=s)
     p /= np.add.reduce(p, axis=-1, keepdims=True)

@@ -63,8 +63,12 @@ def _read_index(index_path: str) -> dict:
 
 
 def _read_clips(paths: dict, where: str) -> dict:
-    """id -> FeatureClip of each path; all clips share one D."""
+    """id -> FeatureClip of each path; each file holds the clip of its id, and
+    all clips share one D."""
     clips = {cid: dmod.read_features(path) for cid, path in paths.items()}
+    for cid, clip in clips.items():
+        if clip.id != cid:
+            raise InvalidConfig(f"{paths[cid]}: holds clip {clip.id!r}, but {where} lists it as {cid!r}")
     if len({c.D for c in clips.values()}) > 1:
         raise DimensionMismatch(f"{where}: clips differ in feature dimension")
     return clips
@@ -249,7 +253,7 @@ def render_report_table(reports: list[ScoreReport], labels: list[str]) -> str:
 
 def cmd_report(args) -> int:
     reports = [ScoreReport.from_dict(dmod.read_json_object(p), p) for p in args.reports]
-    labels = args.labels or [os.path.basename(p) for p in args.reports]
+    labels = [os.path.basename(p) for p in args.reports] if args.labels is None else args.labels
     if len(labels) != len(reports):
         raise MalformedReport("label count does not match report count")
     print(render_report_table(reports, labels))

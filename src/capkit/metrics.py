@@ -263,7 +263,6 @@ def overlap(hyp_grams: dict, hyp_len: int, entry: RefEntry) -> tuple[list[int], 
 class GaussianStats:
     mean: np.ndarray
     cov: np.ndarray
-    n: int
 
 
 def gaussian_stats(features: np.ndarray) -> GaussianStats:
@@ -280,7 +279,7 @@ def gaussian_stats(features: np.ndarray) -> GaussianStats:
         c = (c + c.T) / 2.0
     if not (np.isfinite(mean).all() and np.isfinite(c).all()):
         raise NumericFailure("feature mean or covariance overflows float64")
-    return GaussianStats(mean=mean, cov=c, n=x.shape[0])
+    return GaussianStats(mean=mean, cov=c)
 
 
 def symmetric_eigvals(a: np.ndarray) -> np.ndarray:

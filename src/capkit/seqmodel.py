@@ -13,6 +13,8 @@ from .data import _Frame, _json_object, _write_frame
 from .errors import AllMasked, BadPrefix, EmptyDataset, InvalidConfig, NonFiniteValue, NumericFailure
 from .textproc import BOS, PAD, Caption, Vocab, encode
 
+MASKED = -1e9  # the attention bias of a key a query must not see
+
 PARAM_SHAPES = (
     # name, shape expression over (V, d, L, F)
     ("tok_emb", lambda V, d, L, F: (V, d)),
@@ -127,8 +129,9 @@ def _check_ids(config: ModelConfig, token_ids) -> np.ndarray:
 
 def _check_features(config: ModelConfig, features):
     """Stack a batch's T_b x feature_dim matrices (T_b >= 1) into one zero-padded
-    B x T x feature_dim array; return it and the cross-attention key bias that
-    hides the padded frames (None when no row is padded). BadPrefix otherwise."""
+    B x T x feature_dim array; return it and the B x 1 x 1 x T cross-attention
+    bias that hides the padded frames (None when no row is padded). BadPrefix
+    otherwise."""
     rows = [np.asarray(f, dtype=np.float64) for f in features]
     if not rows or any(f.ndim != 2 or f.shape[0] < 1 or f.shape[1] != config.feature_dim for f in rows):
         raise BadPrefix("features must be a sequence of B matrices T x feature_dim with T >= 1")
@@ -139,7 +142,7 @@ def _check_features(config: ModelConfig, features):
     feats = np.zeros((len(rows), T, config.feature_dim))
     for dst, f in zip(feats, rows):
         dst[: len(f)] = f
-    return feats, np.where(np.arange(T) < lengths[:, None], 0.0, ad.MASKED)
+    return feats, np.where(np.arange(T) < lengths[:, None, None, None], 0.0, MASKED)
 
 
 def _cross_kv(tape, P, feats):
@@ -148,15 +151,16 @@ def _cross_kv(tape, P, feats):
     return ad.matmul(tape, fp, P["ca_k"]), ad.matmul(tape, fp, P["ca_v"])
 
 
-def _block(tape, P, x, sa_k, sa_v, ca_k, ca_v, ca_bias, n_heads: int):
+def _block(tape, P, x, sa_k, sa_v, sa_bias, ca_k, ca_v, ca_bias, n_heads: int):
     """The decoder block from embedded inputs x (B x Lq x d) to tied logits.
 
     sa_k/sa_v hold the self-attention keys and values of every position up to
-    and including x's last row; ca_k/ca_v those of the features, of which
-    ca_bias hides the padded frames.
+    and including x's last row, of which sa_bias hides each query's later
+    positions; ca_k/ca_v those of the features, of which ca_bias hides the
+    padded frames. A bias of None hides nothing.
     """
-    sa = ad.attention(tape, ad.matmul(tape, x, P["sa_q"]), sa_k, sa_v, n_heads, causal=True)
-    ca = ad.attention(tape, ad.matmul(tape, x, P["ca_q"]), ca_k, ca_v, n_heads, causal=False, key_bias=ca_bias)
+    sa = ad.attention(tape, ad.matmul(tape, x, P["sa_q"]), sa_k, sa_v, n_heads, sa_bias)
+    ca = ad.attention(tape, ad.matmul(tape, x, P["ca_q"]), ca_k, ca_v, n_heads, ca_bias)
     sa = ad.matmul(tape, sa, P["sa_o"])
     ca = ad.matmul(tape, ca, P["ca_o"])
     x1 = ad.layer_norm(tape, (sa, ca, x), P["ln1_g"], P["ln1_b"])
@@ -189,6 +193,7 @@ def forward(params: ModelParams, features, prefix_ids, train: bool = False):
         P = {k: ad.Var(v) for k, v in params.tensors.items()}
     else:
         P = params.tensors
+    L = ids.shape[1]
     x = ad.embed(tape, P["tok_emb"], P["pos_emb"], ids, 0)
     logits = _block(
         tape,
@@ -196,6 +201,7 @@ def forward(params: ModelParams, features, prefix_ids, train: bool = False):
         x,
         ad.matmul(tape, x, P["sa_k"]),
         ad.matmul(tape, x, P["sa_v"]),
+        np.triu(np.full((L, L), MASKED), k=1),  # position i sees positions 0..i
         *_cross_kv(tape, P, feats),
         ca_bias,
         cfg.n_heads,
@@ -402,8 +408,8 @@ class DecoderCache:
         self._keys[:, t] = x[:, 0] @ P["sa_k"]
         self._vals[:, t] = x[:, 0] @ P["sa_v"]
         self._t = t + 1
-        return _block(
-            None, P, x, self._keys[:, : t + 1], self._vals[:, : t + 1],
+        return _block(  # the one new query sees every cached position
+            None, P, x, self._keys[:, : t + 1], self._vals[:, : t + 1], None,
             self._ca_k, self._ca_v, self._ca_bias, cfg.n_heads,
         )[:, 0]
 

@@ -78,12 +78,12 @@ def test_criterion_frechet_closed_forms():
     s = gaussian_stats(x)
     self_d = frechet_distance(s, s)
 
-    a = GaussianStats(np.array([0.0, 0.0]), np.eye(2), 10)
-    b = GaussianStats(np.array([3.0, 4.0]), np.eye(2), 10)
+    a = GaussianStats(np.array([0.0, 0.0]), np.eye(2))
+    b = GaussianStats(np.array([3.0, 4.0]), np.eye(2))
     mean_d = frechet_distance(a, b)
 
-    c = GaussianStats(np.zeros(2), np.diag([4.0, 1.0]), 10)
-    d = GaussianStats(np.zeros(2), np.diag([1.0, 1.0]), 10)
+    c = GaussianStats(np.zeros(2), np.diag([4.0, 1.0]))
+    d = GaussianStats(np.zeros(2), np.diag([1.0, 1.0]))
     diag_d = frechet_distance(c, d)
 
     rng = np.random.default_rng(11)
@@ -92,7 +92,7 @@ def test_criterion_frechet_closed_forms():
         qa, qb = rng.normal(size=(3, 3)), rng.normal(size=(3, 3))
         ca, cb = qa @ qa.T, qb @ qb.T
         mu_a, mu_b = rng.normal(size=3), rng.normal(size=3)
-        got = frechet_distance(GaussianStats(mu_a, ca, 5), GaussianStats(mu_b, cb, 5))
+        got = frechet_distance(GaussianStats(mu_a, ca), GaussianStats(mu_b, cb))
         worst = max(worst, abs(got - oracles.oracle_frechet(mu_a, ca, mu_b, cb)))
 
     elapsed = time.perf_counter() - t0

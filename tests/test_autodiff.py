@@ -5,8 +5,15 @@ import numpy as np
 import pytest
 
 from capkit import autodiff as ad
+from capkit.seqmodel import MASKED
 
 RNG = np.random.default_rng(42)
+
+
+def causal_bias(L):
+    """The L x L self-attention bias `seqmodel.forward` builds: query i sees
+    keys 0..i."""
+    return np.triu(np.full((L, L), MASKED), k=1)
 
 
 def fd_check(fn, shapes, h=1e-6, tol=1e-7, n_probe=10):
@@ -68,39 +75,39 @@ def test_layer_norm_term_order():
 
 @pytest.mark.parametrize("n_heads", [1, 2])
 def test_attention_causal_self(n_heads):
-    fd_check(lambda t, q, k, v: ad.attention(t, q, k, v, n_heads, True), [(5, 4), (5, 4), (5, 4)])
+    fd_check(lambda t, q, k, v: ad.attention(t, q, k, v, n_heads, causal_bias(5)), [(5, 4), (5, 4), (5, 4)])
 
 
 @pytest.mark.parametrize("n_heads", [1, 2])
 def test_attention_cross_unequal_lengths(n_heads):
-    fd_check(lambda t, q, k, v: ad.attention(t, q, k, v, n_heads, False), [(3, 4), (6, 4), (6, 4)])
+    fd_check(lambda t, q, k, v: ad.attention(t, q, k, v, n_heads), [(3, 4), (6, 4), (6, 4)])
 
 
 @pytest.mark.parametrize("n_heads", [1, 2])
 def test_attention_one_query_cached_keys(n_heads):
-    fd_check(lambda t, q, k, v: ad.attention(t, q, k, v, n_heads, True), [(1, 4), (5, 4), (5, 4)])
+    """`DecoderCache.step`'s case: one query against every cached key, no bias."""
+    fd_check(lambda t, q, k, v: ad.attention(t, q, k, v, n_heads), [(1, 4), (5, 4), (5, 4)])
 
 
 def test_attention_causal_rule_matches_prefix_rows():
-    """Query i of Lq sees the same keys as the last query of a prefix that
-    ends at key i + Lk - Lq."""
+    """Under the causal bias, query i of a full prefix equals that query
+    alone against keys 0..i with no bias: what `DecoderCache` relies on."""
     q, k, v = (RNG.normal(size=(6, 4)) for _ in range(3))
-    full = ad.attention(None, q, k, v, 2, True)
+    full = ad.attention(None, q, k, v, 2, causal_bias(6))
     for i in range(6):
-        row = ad.attention(None, q[i : i + 1], k[: i + 1], v[: i + 1], 2, True)
+        row = ad.attention(None, q[i : i + 1], k[: i + 1], v[: i + 1], 2)
         assert np.allclose(row, full[i : i + 1], atol=1e-12)
-    tail = ad.attention(None, q[3:], k, v, 2, True)
-    assert np.allclose(tail, full[3:], atol=1e-12)
 
 
 def test_softmax_rows_sum_to_one():
     """With scores scaled by 10 the attention weights still sum to one per
-    query row and head, and every output stays finite."""
-    q, k = RNG.normal(size=(6, 8)) * 10, RNG.normal(size=(9, 8))
-    v = RNG.normal(size=(9, 8))
-    for causal in (True, False):
-        assert np.isfinite(ad.attention(None, q, k, v, 2, causal)).all()
-        ones = ad.attention(None, q, k, np.ones_like(v), 2, causal)
+    query row and head, with and without the causal bias, and every output
+    stays finite."""
+    q, k = RNG.normal(size=(6, 8)) * 10, RNG.normal(size=(6, 8))
+    v = RNG.normal(size=(6, 8))
+    for bias in (causal_bias(6), None):
+        assert np.isfinite(ad.attention(None, q, k, v, 2, bias)).all()
+        ones = ad.attention(None, q, k, np.ones_like(v), 2, bias)
         assert np.allclose(ones, 1.0, atol=1e-12)
 
 
@@ -148,16 +155,13 @@ def ref_layer_norm(terms, gv, bv, g):
     return xhat * gv + bv, (g * xhat).sum(axis=axes), g.sum(axis=axes), inv * (gx - m1 - xhat * m2)
 
 
-def ref_attention(q, k, v, n_heads, causal, key_bias, g):
+def ref_attention(q, k, v, n_heads, bias, g):
     """Output, then the q, k and v gradients."""
     qh, kh, vh = (ad._split_heads(a, n_heads) for a in (q, k, v))
-    Lq, Lk = qh.shape[-2], kh.shape[-2]
     c = 1.0 / np.sqrt(qh.shape[-1])
     s = (qh @ kh.swapaxes(-1, -2)) * c
-    if causal and Lq > 1:
-        s += np.triu(np.full((Lq, Lk), ad.MASKED), k=Lk - Lq + 1)
-    if key_bias is not None:
-        s += key_bias[..., None, None, :]
+    if bias is not None:
+        s += bias
     s -= s.max(axis=-1, keepdims=True)
     p = np.exp(s)
     p /= p.sum(axis=-1, keepdims=True)
@@ -213,21 +217,25 @@ def test_layer_norm_matches_plain_form(n_terms, lead):
 
 @pytest.mark.parametrize("n_heads", [1, 2])
 @pytest.mark.parametrize(
-    "lq, lk, causal, padded",
-    [(6, 6, True, False), (1, 5, True, False), (4, 7, False, True)],
+    "lq, lk, bias",
+    [
+        (6, 6, causal_bias(6)),
+        (1, 5, None),
+        (4, 7, np.where(np.arange(7) < np.array([7, 5, 3])[:, None, None, None], 0.0, MASKED)),
+    ],
     ids=["causal-prefix", "cached-query", "key-bias"],
 )
-def test_attention_matches_plain_form(n_heads, lq, lk, causal, padded):
-    """A causal full prefix, one cached query against its prefix's keys, and
-    cross-attention whose key bias hides the last keys of some rows."""
+def test_attention_matches_plain_form(n_heads, lq, lk, bias):
+    """The biases the model builds: the causal bias of a full prefix, none
+    for one cached query against its prefix's keys, and a B x 1 x 1 x Lk
+    cross-attention bias that hides the last keys of some rows."""
     rng = np.random.default_rng(lq * 10 + lk + n_heads)
     B, d = 3, 8
     q, k, v = rng.normal(size=(B, lq, d)) * 3, rng.normal(size=(B, lk, d)), rng.normal(size=(B, lk, d))
-    bias = np.where(np.arange(lk) < np.array([[lk], [lk - 2], [3]]), 0.0, ad.MASKED) if padded else None
     g = rng.normal(size=(B, lq, d))
-    got = taped(lambda t, *qkv: ad.attention(t, *qkv, n_heads, causal, key_bias=bias), [q, k, v], g)
-    assert_same_bits(got, ref_attention(q, k, v, n_heads, causal, bias, g))
-    assert_same_bits([ad.attention(None, q, k, v, n_heads, causal, key_bias=bias)], got[:1])
+    got = taped(lambda t, *qkv: ad.attention(t, *qkv, n_heads, bias), [q, k, v], g)
+    assert_same_bits(got, ref_attention(q, k, v, n_heads, bias, g))
+    assert_same_bits([ad.attention(None, q, k, v, n_heads, bias)], got[:1])
 
 
 def test_op_set():

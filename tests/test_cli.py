@@ -374,18 +374,16 @@ def test_score_text_not_a_string_exits_2(tmp_path, capsys):
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 DIGEST = os.path.join(ROOT, "scripts", "pipeline_digest.py")
-DIGEST_EXPECTED = os.path.join(ROOT, "tests", "data", "pipeline_digest.txt")
-# Digest lines that no BLAS call produces: the annotations, their ingest, and
-# the synthesized corpora (features, samples, splits and index).
-BLAS_FREE = ("annotations.jsonl ", "ingested.jsonl ", "data/", "other/")
+DIGEST_EXPECTED = os.path.join("tests", "data", "pipeline_digest.txt")
 
 
 def test_pipeline_digest_runs_every_command():
     """The seeded pipeline's digest equals the committed one, line by line.
-    The lines that BLAS computes (checkpoints, SCST log, decodes, scores,
-    report, epoch losses, FID and VID) are compared where the numpy, BLAS
-    and machine lines match the committed ones; elsewhere the test is
-    skipped after the other lines match, and names the lines it left out."""
+    `pipeline_digest.py --compare` compares the lines that BLAS computes
+    (checkpoints, SCST log, decodes, scores, report, epoch losses, FID and
+    VID) where the numpy, BLAS and machine lines match the committed ones;
+    elsewhere the test is skipped after the other lines match, and names the
+    lines that were left out."""
     # STEPS is read from the source, not imported: the script sets
     # OPENBLAS_NUM_THREADS at import, which would leak into this session.
     with open(DIGEST, encoding="utf-8") as f:
@@ -394,17 +392,9 @@ def test_pipeline_digest_runs_every_command():
                  if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "STEPS")
     assert {step[0] for step in steps} == set(build_parser()._command_parsers)
     env = {**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")}
-    done = subprocess.run([sys.executable, DIGEST], env=env, capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    got, want = done.stdout.splitlines(), read(DIGEST_EXPECTED).splitlines()
-    assert [line.split()[0] for line in got] == [line.split()[0] for line in want]
-    same_blas = [line for line in got if line.startswith("#")] == [line for line in want if line.startswith("#")]
-    left_out = []
-    for g, w in zip(got, want):
-        if same_blas or w.startswith(BLAS_FREE):
-            assert g == w
-        elif not w.startswith("#"):
-            left_out.append(w.split()[0])
+    done = subprocess.run([sys.executable, DIGEST, "--compare", DIGEST_EXPECTED], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stdout + done.stderr
+    left_out = [line for line in done.stdout.splitlines() if line.startswith("not compared")]
     if left_out:
-        pytest.skip(f"numpy, BLAS or machine differ from {os.path.relpath(DIGEST_EXPECTED, ROOT)}; "
-                    f"not compared: {', '.join(left_out)}")
+        pytest.skip(left_out[0])

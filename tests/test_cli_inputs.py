@@ -225,6 +225,32 @@ def test_fid_clips_of_different_dimension(tmp_path, capsys, corpus):
     assert_validation_error(status, err, "DimensionMismatch")
 
 
+def test_feature_file_must_hold_the_clip_of_its_index_id(tmp_path, capsys, corpus):
+    """An index that swaps the files of a train clip and a val clip exits 2
+    from every command that reads either clip, naming the file, the id it
+    holds and the id the index lists it under."""
+    data = pathlib.Path(corpus["data"])
+    index = json.loads((data / "feature_index.json").read_text())
+    splits = json.loads((data / "splits.json").read_text())
+    a, b = splits["train"][0], splits["val"][0]
+    index[a], index[b] = index[b], index[a]
+    data = corpus_copy(corpus, str(tmp_path), "feature_index.json", json.dumps(index))
+    index_path = os.path.join(data, "feature_index.json")
+    out = os.path.join(tmp_path, "out")
+    first = next(cid for cid in index if cid in (a, b))  # the one of the two that fid reads first
+    for argv, held, listed in [
+        (["train-mle", "--data", data, "--out", out, "--epochs", "1"], b, a),
+        (["train-scst", "--data", data, "--ckpt", corpus["ckpt"], "--out", out, "--epochs", "1"], b, a),
+        (["decode", "--data", data, "--ckpt", corpus["ckpt"], "--out", out], a, b),
+        (["fid", index_path, index_path], a if first == b else b, first),
+    ]:
+        status, _, err = run(capsys, *argv)
+        assert_validation_error(status, err, "InvalidConfig")
+        path = os.path.join(data, index[listed])
+        assert f"{path}: holds clip {held!r}, but {index_path} lists it as {listed!r}" in err
+        assert not os.path.exists(out)
+
+
 def _tree_bytes(root):
     """Relative path -> bytes of every file under root."""
     return {str(p.relative_to(root)): p.read_bytes() for p in pathlib.Path(root).rglob("*") if p.is_file()}
@@ -300,6 +326,19 @@ def test_config_accepts_values_of_the_flag_type(tmp_path, capsys, corpus):
     status, stdout, _ = run(capsys, "--config", cfg, "report", report)
     assert status == 0
     assert stdout.splitlines()[1].split()[:2] == ["A", "B"]
+
+
+def test_report_empty_labels_are_given_labels(tmp_path, capsys):
+    """`--labels` with no values, by flag or by --config, is a label list of
+    length 0: it does not fall back to the file names, so it exits 2 as any
+    other wrong label count does."""
+    report = write(os.path.join(tmp_path, "r.json"), json.dumps(REPORT))
+    cfg = write(os.path.join(tmp_path, "cfg.json"), json.dumps({"labels": []}))
+    for argv in (["report", report, "--labels"], ["--config", cfg, "report", report]):
+        status, stdout, err = run(capsys, *argv)
+        assert_validation_error(status, err, "MalformedReport")
+        assert "label count does not match report count" in err
+        assert stdout == ""
 
 
 def test_config_defaults_do_not_reach_the_next_call(tmp_path, capsys):

@@ -468,20 +468,20 @@ def test_frechet_self_zero():
 
 
 def test_frechet_identity_cov():
-    a = GaussianStats(np.array([0.0, 0.0]), np.eye(2), 10)
-    b = GaussianStats(np.array([3.0, 4.0]), np.eye(2), 10)
+    a = GaussianStats(np.array([0.0, 0.0]), np.eye(2))
+    b = GaussianStats(np.array([3.0, 4.0]), np.eye(2))
     assert frechet_distance(a, b) == pytest.approx(25.0, abs=1e-6)
 
 
 def test_frechet_diagonal_case():
-    a = GaussianStats(np.zeros(2), np.diag([4.0, 1.0]), 10)
-    b = GaussianStats(np.zeros(2), np.diag([1.0, 1.0]), 10)
+    a = GaussianStats(np.zeros(2), np.diag([4.0, 1.0]))
+    b = GaussianStats(np.zeros(2), np.diag([1.0, 1.0]))
     assert frechet_distance(a, b) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_frechet_dimension_mismatch():
-    a = GaussianStats(np.zeros(2), np.eye(2), 10)
-    b = GaussianStats(np.zeros(3), np.eye(3), 10)
+    a = GaussianStats(np.zeros(2), np.eye(2))
+    b = GaussianStats(np.zeros(3), np.eye(3))
     with pytest.raises(DimensionMismatch):
         frechet_distance(a, b)
 
@@ -501,7 +501,7 @@ def test_frechet_matches_oracle_random_psd():
         ca = qa @ qa.T
         cb = qb @ qb.T
         mu_a, mu_b = rng.normal(size=3), rng.normal(size=3)
-        got = frechet_distance(GaussianStats(mu_a, ca, 5), GaussianStats(mu_b, cb, 5))
+        got = frechet_distance(GaussianStats(mu_a, ca), GaussianStats(mu_b, cb))
         want = oracles.oracle_frechet(mu_a, ca, mu_b, cb)
         assert got == pytest.approx(want, abs=1e-6)
 
@@ -559,7 +559,7 @@ def test_frechet_rank_deficient_matches_oracle():
             mu_a, mu_b = rng.normal(size=d) * math.sqrt(scale_a), rng.normal(size=d) * math.sqrt(scale_b)
             tol = 1e-6 * (np.trace(a) + np.trace(b)) + 1e-12 * float((mu_a - mu_b) @ (mu_a - mu_b))
             for (m1, c1), (m2, c2) in (((mu_a, a), (mu_b, b)), ((mu_b, b), (mu_a, a))):
-                got = frechet_distance(GaussianStats(m1, c1, 5), GaussianStats(m2, c2, 5))
+                got = frechet_distance(GaussianStats(m1, c1), GaussianStats(m2, c2))
                 want = oracles.oracle_frechet(m1, c1, m2, c2)
                 case = (d, rank_a, scale_a, rank_b, scale_b, got, want)
                 assert abs(got - want) <= tol, case
@@ -570,8 +570,8 @@ def test_frechet_non_finite_covariance(first):
     """A non-finite covariance built straight into GaussianStats is a NonFiniteValue."""
     cov = np.eye(3)
     cov[0, 1] = cov[1, 0] = np.nan
-    bad = GaussianStats(np.zeros(3), cov, 10)
-    good = GaussianStats(np.ones(3), 2.0 * np.eye(3), 10)
+    bad = GaussianStats(np.zeros(3), cov)
+    good = GaussianStats(np.ones(3), 2.0 * np.eye(3))
     with pytest.raises(NonFiniteValue):
         frechet_distance(*((bad, good) if first else (good, bad)))
 
@@ -592,9 +592,9 @@ def test_frechet_one_eigensolve(monkeypatch):
     sb = gaussian_stats(rng.normal(size=(40, 8)) * 2 + 1)
     frechet_distance(sa, sb)
     assert calls == [(8, 8)]
-    frechet_distance(sa, GaussianStats(sa.mean.copy(), sa.cov.copy(), sa.n))
+    frechet_distance(sa, GaussianStats(sa.mean.copy(), sa.cov.copy()))
     assert calls == [(8, 8)]
-    frechet_distance(GaussianStats(sa.mean, np.zeros((8, 8)), 2), sb)
+    frechet_distance(GaussianStats(sa.mean, np.zeros((8, 8))), sb)
     assert calls == [(8, 8), (0, 0)]
 
 
@@ -712,7 +712,7 @@ def test_gaussian_stats_overflow_is_numeric_failure(features):
 
 def test_frechet_identical_non_finite_stats():
     """Identical stats get no zero-distance shortcut past the finiteness check."""
-    a = GaussianStats(np.zeros(2), np.full((2, 2), np.inf), 10)
+    a = GaussianStats(np.zeros(2), np.full((2, 2), np.inf))
     with pytest.raises(NonFiniteValue):
         frechet_distance(a, a)
 
@@ -727,10 +727,10 @@ def test_jacobi_rejects_non_finite():
 @pytest.mark.parametrize("mu", [[0.0, np.inf, 0.0], [1e200, 0.0, 0.0]], ids=["inf", "overflow"])
 def test_frechet_non_finite_is_numeric_failure(mu):
     """An overflow that the check turns into NumericFailure warns nothing."""
-    a = GaussianStats(np.zeros(3), np.eye(3), 10)
+    a = GaussianStats(np.zeros(3), np.eye(3))
     with warnings.catch_warnings(), pytest.raises(NumericFailure):
         warnings.simplefilter("error")
-        frechet_distance(a, GaussianStats(np.array(mu), 2.0 * np.eye(3), 10))
+        frechet_distance(a, GaussianStats(np.array(mu), 2.0 * np.eye(3)))
 
 
 @pytest.mark.parametrize("scale", [1e100, 1e150])
@@ -740,7 +740,7 @@ def test_frechet_large_scale_matches_oracle(scale):
     qa, qb = rng.normal(size=(2, 6, 6))
     ca, cb = scale * (qa @ qa.T), scale * (qb @ qb.T)
     mu_a, mu_b = rng.normal(size=(2, 6)) * math.sqrt(scale)
-    got = frechet_distance(GaussianStats(mu_a, ca, 5), GaussianStats(mu_b, cb, 5))
+    got = frechet_distance(GaussianStats(mu_a, ca), GaussianStats(mu_b, cb))
     want = oracles.oracle_frechet(mu_a, ca, mu_b, cb)
     assert got == pytest.approx(want, rel=1e-9)
 
@@ -758,8 +758,8 @@ def test_frechet_homogeneous_over_float_range():
     tr = np.trace(ca) + np.trace(cb)
     for e in range(-300, 301, 20):
         c = 10.0**e
-        a = GaussianStats(mu_a * math.sqrt(c), c * ca, 5)
-        b = GaussianStats(mu_b * math.sqrt(c), c * cb, 5)
+        a = GaussianStats(mu_a * math.sqrt(c), c * ca)
+        b = GaussianStats(mu_b * math.sqrt(c), c * cb)
         assert abs(frechet_distance(a, b) / c - want) <= 1e-12 * tr, e
 
 

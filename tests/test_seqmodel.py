@@ -433,7 +433,8 @@ def test_tied_embedding_gradient_sums_both_roles(params):
     x = ad.embed(tape, P["tok_emb"], P["pos_emb"], PREFIX, 0)
     logits = seqmodel._block(
         tape, {**P, "tok_emb": out_proj}, x, ad.matmul(tape, x, P["sa_k"]), ad.matmul(tape, x, P["sa_v"]),
-        *seqmodel._cross_kv(tape, P, FEATS), None, CFG.n_heads,
+        np.triu(np.full((len(PREFIX),) * 2, seqmodel.MASKED), k=1), *seqmodel._cross_kv(tape, P, FEATS), None,
+        CFG.n_heads,
     )
     _, glog = xent(logits.value, [5, 6, 7, EOS], [1, 1, 1, 1])
     logits.accumulate(glog)
