@@ -108,14 +108,15 @@ def relu(tape, a):
 
 
 def layer_norm(tape, terms, gain, bias):
-    """Layer norm of the sum of `terms`, operands of one shape added left to
-    right (a post-norm residual); every term gets the same input gradient.
+    """Layer norm of the sum of `terms`, two or more operands of one shape
+    added left to right (a post-norm residual); every term gets the same input
+    gradient.
 
     Each mean is `np.add.reduce / n`, which is how `np.mean` computes it, and
     the centring, scaling and backward steps run in place on arrays this op
     owns, so the values are those of the plain expressions term for term."""
     gv, bv = val(gain), val(bias)
-    x = np.add(val(terms[0]), val(terms[1])) if len(terms) > 1 else val(terms[0]).copy()
+    x = np.add(val(terms[0]), val(terms[1]))
     for t in terms[2:]:
         x += val(t)
     n = x.shape[-1]

@@ -313,13 +313,14 @@ def read_samples_jsonl(path: str) -> list[Sample]:
 
 
 def read_captions_jsonl(path: str) -> dict:
-    """(id, role) -> Caption from {"id","role","text"} lines; a line without "text"
-    that has role fields, as in samples.jsonl, gives one entry per role. DuplicateId on a repeat."""
+    """(id, role) -> Caption from {"id","role","text"} lines; any other line is a
+    samples.jsonl line, which must hold both role fields and gives one entry per
+    role. DuplicateId on a repeat."""
     out = {}
     for where, d in _jsonl_objects(path):
-        roles = [] if "text" in d else [r for r in ROLES if r in d]
-        _check_record(d, where, roles or ("role", "text"))
-        texts = {r: d[r] for r in roles} or {d["role"]: d["text"]}
+        caption = "role" in d or "text" in d
+        _check_record(d, where, ("role", "text") if caption else ROLES)
+        texts = {d["role"]: d["text"]} if caption else {r: d[r] for r in ROLES}
         for role, text in texts.items():
             if (d["id"], role) in out:
                 raise DuplicateId(f"{where}: duplicate caption ({d['id']!r}, {role!r})")

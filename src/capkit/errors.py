@@ -29,10 +29,6 @@ class BadPrefix(CapkitError):
     pass
 
 
-class AllMasked(CapkitError):
-    pass
-
-
 class EmptyDataset(CapkitError):
     pass
 

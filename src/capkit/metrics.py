@@ -108,7 +108,7 @@ def _cover(spans, start, remaining, used_h, used_r, budget) -> bool:
 
 
 def _min_chunks(hyp, ref, m: int, links: int) -> int:
-    """Fewest contiguous common blocks that realize m matched unigrams.
+    """Fewest contiguous common blocks that realize m >= 1 matched unigrams.
 
     Exhaustive search over disjoint common substrings with iterative
     deepening. Every sub-run of a common run is a candidate, because the
@@ -124,8 +124,6 @@ def _min_chunks(hyp, ref, m: int, links: int) -> int:
     there are at most `links` = sum_g min(hyp_bigrams[g], ref_bigrams[g]) of
     them. And no block is longer than the longest common run.
     """
-    if m == 0:
-        return 0
     at = {}  # token -> its ref positions, last first
     for j in range(len(ref) - 1, -1, -1):
         at.setdefault(ref[j], []).append(j)

@@ -10,7 +10,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .data import _Frame, _json_object, _write_frame
-from .errors import AllMasked, BadPrefix, EmptyDataset, InvalidConfig, NonFiniteValue, NumericFailure
+from .errors import BadPrefix, EmptyDataset, InvalidConfig, NonFiniteValue, NumericFailure
 from .textproc import BOS, PAD, Caption, Vocab, encode
 
 MASKED = -1e9  # the attention bias of a key a query must not see
@@ -211,45 +211,22 @@ def forward(params: ModelParams, features, prefix_ids, train: bool = False):
     return logits
 
 
-def log_softmax(logits: np.ndarray) -> np.ndarray:
-    """logits - max - log(sum(exp(logits - max))) over the last axis, in place
-    on one new array."""
-    shifted = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
-    shifted -= np.log(np.add.reduce(np.exp(shifted), axis=-1, keepdims=True))
-    return shifted
+def _token_loss(logits: np.ndarray, targets: np.ndarray, r: np.ndarray, n: np.ndarray):
+    """The rows' reward-weighted, length-normalised token losses and the
+    gradient of their mean w.r.t. the logits: the one loss of MLE (unit
+    rewards) and SCST.
 
-
-def scst_loss(logp, r, mask):
-    """L = -(1/N) sum_i r_i * logp_i * m_i, N = sum m_i, per row over the last
-    axis; returns (L, dL/dlogp): a float and a vector for one row, arrays for
-    a batch."""
-    logp = np.asarray(logp, dtype=np.float64)
-    rv = np.asarray(r, dtype=np.float64)
-    m = np.asarray(mask, dtype=np.float64)
-    if not (logp.shape == rv.shape == m.shape):
-        raise ValueError("logp, r, and mask lengths differ")
-    n = np.add.reduce(m, axis=-1)
-    if not (n > 0).all():
-        raise AllMasked("every position of a row is masked out")
-    loss = -np.add.reduce(rv * logp * m, axis=-1) / n
-    grad = -(rv * m) / n[..., None]
-    return loss, grad
-
-
-def _token_loss(logits: np.ndarray, target_ids, r, mask):
-    """Per-row `scst_loss` of the target tokens' log-probabilities under the
-    logits (... x L x |V|), and the gradient of the rows' mean loss w.r.t. the
-    logits: r_i * m_i / (N * rows) * (softmax row i - onehot(target_i)) per
-    position."""
-    lp = log_softmax(np.asarray(logits, dtype=np.float64))
-    targets = np.asarray(target_ids, dtype=np.intp)
-    if lp.shape[:-1] != targets.shape:
-        raise ValueError("logits and targets lengths differ")
-    V = lp.shape[-1]
-    flat = lp.reshape(-1, V)
+    logits are B x L x |V|, targets the B x L target ids, r the B x L rewards
+    (0 on padding) and n each row's count of real targets. Row i's loss is
+    -(1/n_i) sum_t r_it log p(target_it); the gradient at (i, t) is
+    r_it / n_i / B * (softmax - onehot(target_it)).
+    """
+    lp = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
+    lp -= np.log(np.add.reduce(np.exp(lp), axis=-1, keepdims=True))  # log-softmax
+    flat = lp.reshape(-1, lp.shape[-1])
     at = np.arange(len(flat)), targets.ravel()
-    loss, dlogp = scst_loss(flat[at].reshape(targets.shape), r, mask)
-    dlogp = (dlogp / np.size(loss)).ravel()
+    loss = -np.add.reduce(r * flat[at].reshape(targets.shape), axis=-1) / n
+    dlogp = (-r / n[:, None] / len(n)).ravel()  # d mean loss / d log p(target)
     grad = np.exp(flat)
     grad *= -dlogp[:, None]  # dlogp * -exp: a product's sign is the xor of its operands' signs
     grad[at] += dlogp
@@ -311,14 +288,14 @@ def _pad_rows(rows, rewards) -> tuple:
     """Teacher-forcing arrays of a batch of BOS..EOS id rows of any lengths, one
     reward per row: the B x L prefixes (each row but its last id, right-padded
     with PAD), the B x L targets (each row but its BOS), the B x L rewards (the
-    row's reward on its real targets, 0 on padding) and the B x L mask of real
-    targets."""
+    row's reward on its real targets, 0 on padding) and each row's count of
+    real targets."""
     n = np.array([len(r) for r in rows]) - 1
     ids = np.full((len(rows), int(n.max()) + 1), PAD, dtype=np.intp)
     for dst, r in zip(ids, rows):
         dst[: len(r)] = r
-    mask = np.arange(ids.shape[1] - 1) < n[:, None]
-    return ids[:, :-1], ids[:, 1:], np.asarray(rewards, dtype=np.float64)[:, None] * mask, mask
+    real = np.arange(ids.shape[1] - 1) < n[:, None]
+    return ids[:, :-1], ids[:, 1:], np.asarray(rewards, dtype=np.float64)[:, None] * real, n
 
 
 def _fit(params: ModelParams, dataset: list[Row], epochs: int, batch_size: int, seed: int, lr: float, captions):
@@ -344,9 +321,9 @@ def _fit(params: ModelParams, dataset: list[Row], epochs: int, batch_size: int, 
         losses = []
         for start in range(0, len(order), batch_size):
             batch = [dataset[i] for i in order[start : start + batch_size]]
-            prefix, targets, r, mask = _pad_rows(*captions(batch, epoch))
+            prefix, targets, r, n = _pad_rows(*captions(batch, epoch))
             trace = forward(params, [row.features for row in batch], prefix, train=True)
-            loss, glogits = _token_loss(trace.logits.value, targets, r, mask)
+            loss, glogits = _token_loss(trace.logits.value, targets, r, n)
             if not np.isfinite(loss).all():
                 raise NumericFailure(f"non-finite training loss {loss} in epoch {epoch}")
             losses.extend(loss)

@@ -1,5 +1,5 @@
-"""Independent brute-force oracles used to freeze expected metric values and
-the synthetic corpus.
+"""Independent brute-force oracles used to freeze expected metric values, the
+token log-probabilities of the training loss, and the synthetic corpus.
 
 Deliberately written as naive, direct translations of the scoring formulas
 and the corpus recipe, separate from the package implementations they check."""
@@ -10,6 +10,12 @@ from collections import Counter
 from functools import lru_cache
 
 import numpy as np
+
+
+def oracle_log_softmax(z):
+    """log softmax over the last axis: z - max - log(sum(exp(z - max)))."""
+    z = z - z.max(axis=-1, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
 
 def oracle_bleu(hyps, refs, n):

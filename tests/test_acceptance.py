@@ -30,7 +30,6 @@ from capkit.seqmodel import (
     init_params,
     load_checkpoint,
     save_checkpoint,
-    scst_loss,
     train_mle,
 )
 from capkit.textproc import BOS, EOS, Caption, ROLE_DESCRIPTION, build_vocab
@@ -112,9 +111,11 @@ def test_criterion_frechet_closed_forms():
 
 
 def xent(logits, target_ids, mask):
-    """Masked length-normalized cross entropy and its gradient w.r.t. the
-    logits: the `_token_loss` of unit rewards, as MLE training runs it."""
-    return _token_loss(logits, target_ids, np.ones(np.shape(mask)), mask)
+    """Masked length-normalized cross entropy of a batch (B x L x |V| logits,
+    B x L targets and 0/1 mask) and its gradient w.r.t. the logits: the
+    `_token_loss` of unit rewards, as MLE training runs it."""
+    m = np.asarray(mask, dtype=np.float64)
+    return _token_loss(np.asarray(logits, dtype=np.float64), np.asarray(target_ids, dtype=np.intp), m, m.sum(axis=-1))
 
 
 def test_criterion_gradient_fidelity():
@@ -123,11 +124,11 @@ def test_criterion_gradient_fidelity():
     params = init_params(cfg)
     feats = np.random.default_rng(3).normal(size=(5, 8))
     prefix = [BOS, 6, 7, 8, 9, 10]
-    targets = [6, 7, 8, 9, 10, EOS]
-    mask = [1] * 6
+    targets = [[6, 7, 8, 9, 10, EOS]]
+    mask = [[1] * 6]
     trace = forward(params, [feats], [prefix], train=True)
-    _, glog = xent(trace.logits.value[0], targets, mask)
-    grads = backward(trace, glog[None])
+    _, glog = xent(trace.logits.value, targets, mask)
+    grads = backward(trace, glog)
     rng = np.random.default_rng(17)
     names = sorted(params.tensors)
     worst = 0.0
@@ -138,40 +139,45 @@ def test_criterion_gradient_fidelity():
         h = 1e-4
         orig = arr[idx]
         arr[idx] = orig + h
-        up, _ = xent(forward(params, [feats], [prefix])[0], targets, mask)
+        (up,), _ = xent(forward(params, [feats], [prefix]), targets, mask)
         arr[idx] = orig - h
-        dn, _ = xent(forward(params, [feats], [prefix])[0], targets, mask)
+        (dn,), _ = xent(forward(params, [feats], [prefix]), targets, mask)
         arr[idx] = orig
         fd = (up - dn) / (2 * h)
         an = grads[name][idx]
         worst = max(worst, abs(an - fd) / max(1.0, abs(an)))
 
-    # scst_loss gradient: linear in logp, so central differences are near-exact
+    # the reward-weighted loss's logits gradient on a padded batch with
+    # signed rewards, against central differences of the rows' mean loss
     rng2 = np.random.default_rng(23)
-    logp = -np.abs(rng2.normal(size=8))
-    r = rng2.normal(size=8)
-    m = np.array([1, 1, 1, 0, 1, 1, 0, 1.0])
-    _, grad = scst_loss(logp, r, m)
+    logits = rng2.normal(size=(3, 5, 7))
+    tgt = rng2.integers(7, size=(3, 5))
+    n = np.array([5, 3, 1])
+    r = rng2.normal(size=(3, 1)) * (np.arange(5) < n[:, None])
+    _, grad = _token_loss(logits, tgt, r, n)
     worst_lin = 0.0
-    h = 1e-3
-    for i in range(8):
-        up = logp.copy(); up[i] += h
-        dn = logp.copy(); dn[i] -= h
-        fd = (scst_loss(up, r, m)[0] - scst_loss(dn, r, m)[0]) / (2 * h)
-        worst_lin = max(worst_lin, abs(fd - grad[i]))
+    h = 3e-5  # about eps ** (1/3): truncation and rounding errors balance
+    for idx in np.ndindex(logits.shape):
+        up = logits.copy(); up[idx] += h
+        dn = logits.copy(); dn[idx] -= h
+        fd = (_token_loss(up, tgt, r, n)[0].mean() - _token_loss(dn, tgt, r, n)[0].mean()) / (2 * h)
+        worst_lin = max(worst_lin, abs(fd - grad[idx]))
 
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-4 and worst_lin < 1e-10 and elapsed < 30.0
     _report(
-        "gradient fidelity (xent FD rel err < 1e-4; scst_loss FD < 1e-10)",
+        "gradient fidelity (xent FD rel err < 1e-4; SCST token loss FD < 1e-10)",
         ok,
         f"xent {worst:.2e}, scst {worst_lin:.2e}, {elapsed:.1f}s",
     )
 
 
 def test_criterion_scst_loss_unit_value():
-    loss, _ = scst_loss([-1.0, -2.0, -3.0], [0.5, 0.5, 0.5], [1, 1, 0])
-    _report("SCST loss unit value L=0.75 exactly", loss == 0.75, f"L={loss!r}")
+    # exp(-1000) and exp(-2000) underflow, so the targets' log-probabilities
+    # are exactly -1000 and -2000; the third position is padding
+    logits = np.array([[[0.0, -1000.0], [0.0, -2000.0], [0.0, -3000.0]]])
+    (loss,), _ = _token_loss(logits, np.ones((1, 3), dtype=np.intp), np.array([[0.5, 0.5, 0.0]]), np.array([2]))
+    _report("SCST loss unit value L=750 exactly", loss == 750.0, f"L={loss!r}")
 
 
 def _val_cider(params, val, clips, vocab, idf):

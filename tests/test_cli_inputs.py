@@ -4,6 +4,7 @@ import json
 import os
 import pathlib
 import shutil
+import struct
 import tempfile
 import warnings
 
@@ -93,6 +94,17 @@ def _score(hyps, refs):
     return make
 
 
+def _ckpt_with_unknown_config_key(corpus, tmp):
+    """A copy of the corpus checkpoint whose header config also holds "bogus"."""
+    with open(corpus["ckpt"], "rb") as f:
+        blob = f.read()
+    (n,) = struct.unpack("<I", blob[8:12])
+    header = json.loads(blob[12 : 12 + n])
+    header["config"]["bogus"] = 1
+    head = json.dumps(header).encode("utf-8")
+    return write(os.path.join(tmp, "bad.ckpt"), blob[:8] + struct.pack("<I", len(head)) + head + blob[12 + n :])
+
+
 def _samples_with_first_line_twice(corpus, tmp):
     with open(os.path.join(corpus["data"], "samples.jsonl"), encoding="utf-8") as f:
         lines = f.readlines()
@@ -142,6 +154,19 @@ REJECTED = {
     "score_duplicate_reference": (
         _score([GOOD_CAPTION], [{"id": "a1", "description": "the car stops", "avoidance": "brake"}] * 2),
         "DuplicateId",
+    ),
+    "score_reference_samples_line_without_a_role": (
+        _score([GOOD_CAPTION, {**GOOD_CAPTION, "role": "avoidance"}], [{"id": "a1", "description": "the car stops"}]),
+        "MissingField",
+    ),
+    "score_no_shared_pair": (
+        _score([GOOD_CAPTION], [{**GOOD_CAPTION, "id": "b1"}]),
+        "MalformedReport",
+    ),
+    "checkpoint_unknown_config_key_decode": (
+        lambda tmp, corpus: ["decode", "--data", corpus["data"], "--ckpt", _ckpt_with_unknown_config_key(corpus, tmp),
+                             "--out", os.path.join(tmp, "out")],
+        "InvalidConfig",
     ),
     "samples_duplicate_id_decode": (
         lambda tmp, corpus: _decode(tmp, corpus, _samples_with_first_line_twice(corpus, tmp)),
@@ -257,8 +282,9 @@ def _tree_bytes(root):
 
 
 def test_synth_negative_seed(tmp_path, capsys):
-    """A negative seed or a non-finite noise_std exits 2 before any output is
-    written; a noise_std of -0.0, by flag or by --config, writes the bytes of 0.0."""
+    """A clip count below 1, a negative seed or a non-finite noise_std exits 2
+    before any output is written; a noise_std of -0.0, by flag or by
+    --config, writes the bytes of 0.0."""
 
     def synth(name, *flags, config=None):
         out = os.path.join(tmp_path, name)
@@ -267,6 +293,7 @@ def test_synth_negative_seed(tmp_path, capsys):
         return status, err, out
 
     for name, flags, config in [
+        ("no_clips", ["--n-clips", "0"], None),
         ("seed", ["--seed", "-1"], None),
         ("nan", ["--noise-std", "nan"], None),
         ("inf", ["--noise-std", "inf"], None),

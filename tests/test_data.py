@@ -19,6 +19,7 @@ from capkit.data import (
     Sample,
     SynthConfig,
     read_annotations_jsonl,
+    read_captions_jsonl,
     read_features,
     read_samples_jsonl,
     synth_corpus,
@@ -92,6 +93,15 @@ def test_restructure_lossless(texts, causes, measures):
         (s,) = _read_annotations(tmp, _ann(texts=texts, causes=causes, measures=measures))
     assert s.description.raw == texts + "; " + causes
     assert s.avoidance.raw == measures
+
+
+@pytest.mark.parametrize("config, message", [
+    (SynthConfig(n_clips=0), "n_clips must be >= 1"),
+    (SynthConfig(n_clips=1, D=len(ACTORS) + len(ACTIONS) + len(CAUSES) - 1), "D too small"),
+])
+def test_synth_config_rejected(config, message):
+    with pytest.raises(InvalidConfig, match=message):
+        synth_corpus(config)
 
 
 def test_annotation_missing_field(tmp_path):
@@ -376,6 +386,24 @@ def test_samples_jsonl_round_trip(tmp_path):
     back = read_samples_jsonl(path)
     assert [s.id for s in back] == [s.id for s in corpus.samples]
     assert [s.description.raw for s in back] == [s.description.raw for s in corpus.samples]
+
+
+@pytest.mark.parametrize("role", [ROLE_DESCRIPTION, ROLE_AVOIDANCE])
+def test_captions_jsonl_samples_line_needs_both_roles(tmp_path, role):
+    """A reference line with neither "role" nor "text" is a samples.jsonl line,
+    so it needs both role fields, as `read_samples_jsonl` does: a missing one
+    raises MissingField naming it, where a caption line gives one caption."""
+    path = os.path.join(tmp_path, "refs.jsonl")
+    line = {"id": "a", ROLE_DESCRIPTION: "the car brakes", ROLE_AVOIDANCE: "slow down"}
+    del line[role]
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(json.dumps(line) + "\n")
+    for read in (read_captions_jsonl, read_samples_jsonl):
+        with pytest.raises(MissingField, match=f"missing field '{role}'"):
+            read(path)
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(json.dumps({"id": "a", "role": role, "text": "the car brakes"}) + "\n")
+    assert read_captions_jsonl(path) == {("a", role): Caption.make("the car brakes", role)}
 
 
 def test_annotations_jsonl(tmp_path):

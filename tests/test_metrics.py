@@ -456,6 +456,12 @@ def test_gaussian_stats_identical_rows():
     assert np.allclose(s.cov, 0.0)
 
 
+@pytest.mark.parametrize("features", [np.ones(5), np.ones((2, 3, 4))])
+def test_gaussian_stats_needs_a_matrix(features):
+    with pytest.raises(DimensionMismatch, match="N x D matrix"):
+        gaussian_stats(features)
+
+
 def test_gaussian_stats_too_few():
     with pytest.raises(TooFewSamples):
         gaussian_stats(np.ones((1, 3)))

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from capkit import harness, scst
 from capkit.data import SynthConfig, synth_corpus
-from capkit.errors import AllMasked, BadPrefix, EmptyDataset, InvalidTemperature, NumericFailure
+from capkit.errors import BadPrefix, EmptyDataset, InvalidTemperature, NumericFailure
 from capkit.metrics import build_idf, cider_d
 from capkit.scst import (
     RewardVector,
@@ -27,11 +27,11 @@ from capkit.seqmodel import (
     backward,
     forward,
     init_params,
-    log_softmax,
-    scst_loss,
     train_mle,
 )
 from capkit.textproc import BOS, EOS, ROLE_AVOIDANCE, ROLE_DESCRIPTION, Caption, Vocab, RESERVED, build_vocab, decode_ids
+
+from oracles import oracle_log_softmax
 
 CFG = ModelConfig(vocab_size=12, feature_dim=6, d_model=16, n_heads=2, max_len=8, seed=3)
 FEATS = np.random.default_rng(0).normal(size=(4, 6))
@@ -137,7 +137,7 @@ def _reference_rollout(params, features, seeds, temperature):
             if rng is None:
                 row.append(int(np.argmax(z)))
             else:
-                p = np.exp(log_softmax(z / temperature))
+                p = np.exp(oracle_log_softmax(z / temperature))
                 cdf = np.cumsum(p / p.sum())
                 row.append(int(np.sum(cdf / cdf[-1] <= rng.random())))
         if all(row[-1] == EOS for row in rows):
@@ -247,13 +247,13 @@ def test_rewards_broadcast_with_mask():
     rewards = [compute_rewards(s, greedy, ref, _idf(), VOCAB) for s in samples]
     diffs = [rv.sample_score - rv.baseline_score for rv in rewards]
     assert [rv.r for rv in rewards] == diffs and all(d != 0.0 for d in diffs)
-    prefix, targets, r, mask = _pad_rows(samples, [rv.r for rv in rewards])
+    prefix, targets, r, n = _pad_rows(samples, [rv.r for rv in rewards])
     assert prefix.tolist() == [[BOS, 4, 5], [BOS, 4, EOS]]
     assert targets.tolist() == [[4, 5, EOS], [4, EOS, 0]]
-    assert mask.tolist() == [[True] * 3, [True, True, False]]
+    assert n.tolist() == [3, 2]
     assert r.tolist() == [[diffs[0]] * 3, [diffs[1], diffs[1], 0.0]]
     logits = np.random.default_rng(1).normal(size=(2, 3, CFG.vocab_size))
-    _, grad = _token_loss(logits, targets, r, mask)
+    _, grad = _token_loss(logits, targets, r, n)
     assert np.all(grad[1, 2] == 0.0) and np.all(grad[:, :2] != 0.0)
 
 
@@ -293,51 +293,64 @@ def test_reward_symmetry():
 
 
 # ---------------------------------------------------------------------------
-# scst_loss
+# the reward-weighted token loss
+
+
+def _mean_loss_fd(logits, targets, r, n, h):
+    """Central differences, logit by logit, of the rows' mean `_token_loss`."""
+    fd = np.empty_like(logits)
+    for idx in np.ndindex(logits.shape):
+        up, dn = logits.copy(), logits.copy()
+        up[idx] += h
+        dn[idx] -= h
+        fd[idx] = (_token_loss(up, targets, r, n)[0].mean() - _token_loss(dn, targets, r, n)[0].mean()) / (2 * h)
+    return fd
+
 
 def test_scst_loss_hand_value():
-    loss, grad = scst_loss([-1.0, -2.0, -3.0], [0.5, 0.5, 0.5], [1, 1, 0])
-    assert loss == 0.75
-    assert np.allclose(grad, [-0.25, -0.25, 0.0])
+    """Logits [0, -k] give the target 1 the exact log-probability -k, since
+    exp(-k) underflows: -(0.5 * -1000 + 0.5 * -2000) / 2 = 750, and each real
+    position's gradient is 0.5 / 2 * (softmax - onehot) = [0.25, -0.25]."""
+    logits = np.array([[[0.0, -1000.0], [0.0, -2000.0], [0.0, -3000.0]]])
+    loss, grad = _token_loss(logits, np.ones((1, 3), dtype=np.intp), np.array([[0.5, 0.5, 0.0]]), np.array([2]))
+    assert loss.tolist() == [750.0]
+    assert grad.tolist() == [[[0.25, -0.25], [0.25, -0.25], [0.0, 0.0]]]
 
 
 def test_scst_loss_zero_rewards():
-    loss, grad = scst_loss([-1.0, -2.0], [0.0, 0.0], [1, 1])
-    assert loss == 0.0
+    logits = np.random.default_rng(4).normal(size=(2, 3, 5))
+    loss, grad = _token_loss(logits, np.array([[1, 2, 3], [4, 0, 0]]), np.zeros((2, 3)), np.array([3, 1]))
+    assert np.all(loss == 0.0)
     assert np.all(grad == 0.0)
 
 
-def test_scst_loss_all_masked():
-    with pytest.raises(AllMasked):
-        scst_loss([-1.0], [1.0], [0])
-
-
 def test_scst_loss_gradient_closed_form():
+    """On a padded batch with signed rewards the gradient is r_it / (n_i B) *
+    (softmax - onehot), and it matches central differences of the mean loss."""
     rng = np.random.default_rng(8)
-    logp = -np.abs(rng.normal(size=6))
-    r = rng.normal(size=6)
-    m = np.array([1, 1, 1, 1, 0, 1.0])
-    _, grad = scst_loss(logp, r, m)
-    n = m.sum()
-    assert np.allclose(grad, -r * m / n, atol=0)
-    # finite differences: the loss is linear in logp so this is near-exact
-    h = 1e-3
-    for i in range(6):
-        up = logp.copy(); up[i] += h
-        dn = logp.copy(); dn[i] -= h
-        fd = (scst_loss(up, r, m)[0] - scst_loss(dn, r, m)[0]) / (2 * h)
-        assert abs(fd - grad[i]) < 1e-10
+    logits = rng.normal(size=(2, 4, 6))
+    targets = rng.integers(6, size=(2, 4))
+    n = np.array([4, 2])
+    r = rng.normal(size=(2, 1)) * (np.arange(4) < n[:, None])
+    _, grad = _token_loss(logits, targets, r, n)
+    w = r / n[:, None] / 2
+    want = w[..., None] * np.exp(oracle_log_softmax(logits))
+    want[np.arange(2)[:, None], np.arange(4), targets] -= w
+    assert np.allclose(grad, want, atol=0)
+    assert np.all(grad[1, 2:] == 0.0)
+    assert np.abs(_mean_loss_fd(logits, targets, r, n, 3e-5) - grad).max() < 1e-10
 
 
 @given(st.floats(min_value=0.01, max_value=100.0))
 def test_scst_loss_scale_equivariance(c):
-    logp = [-1.0, -0.5, -2.0]
-    r = [0.3, -0.2, 0.7]
-    m = [1, 1, 1]
-    l1, g1 = scst_loss(logp, r, m)
-    l2, g2 = scst_loss(logp, [x * c for x in r], m)
+    logits = np.random.default_rng(9).normal(size=(2, 3, 5))
+    targets = np.array([[1, 2, 3], [4, 0, 0]])
+    n = np.array([3, 1])
+    r = np.array([[0.3, -0.2, 0.7], [-0.4, 0.0, 0.0]])
+    l1, g1 = _token_loss(logits, targets, r, n)
+    l2, g2 = _token_loss(logits, targets, r * c, n)
     assert l2 == pytest.approx(c * l1, rel=1e-12)
-    assert np.allclose(g2, np.asarray(g1) * c, rtol=1e-12)
+    assert np.allclose(g2, g1 * c, rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -416,9 +429,9 @@ def test_scst_train_batch_is_one_hand_composed_step():
     greedy, rolls = decoded[: len(batch)], decoded[len(batch) :]
     rewards = [compute_rewards(s, g, it.ref, idf, VOCAB) for s, g, it in zip(rolls, greedy, batch)]
     assert any(rv.r != 0.0 for rv in rewards)
-    prefix, targets, r, mask = _pad_rows(rolls, [rv.r for rv in rewards])
+    prefix, targets, r, n = _pad_rows(rolls, [rv.r for rv in rewards])
     trace = forward(ref, feats, prefix, train=True)
-    loss, glogits = _token_loss(trace.logits.value, targets, r, mask)
+    loss, glogits = _token_loss(trace.logits.value, targets, r, n)
     adam_step(ref, backward(trace, glogits), AdamState(), lr=1e-2)
     assert history[0].loss == float(np.mean(loss))
     assert history[0].mean_sample == float(np.mean([rv.sample_score for rv in rewards]))
@@ -456,22 +469,23 @@ def test_scst_train_non_finite_loss_fails_fast(params, monkeypatch):
 
 
 def test_scst_parameter_gradient_finite_difference(params):
-    """scst_loss on a fixed sampled caption, through forward, the logits
-    gradient and backward, against central differences of the loss."""
+    """The reward-weighted `_token_loss` of a fixed sampled caption whose last
+    target is padding, through forward, the logits gradient and backward,
+    against central differences of the textbook loss."""
     (roll,) = rollout(params, [FEATS], [4])
     prefix = roll[:-1]
     targets = np.asarray(roll[1:], dtype=np.intp)
     rows = np.arange(len(targets))
     r = np.random.default_rng(5).normal(size=len(targets))
-    m = np.ones(len(targets))
-    m[-1] = 0.0
-    assert len(targets) >= 3
+    r[-1] = 0.0
+    n = len(targets) - 1
+    assert n >= 2
 
     def loss_of():
-        return scst_loss(log_softmax(forward(params, [FEATS], [prefix])[0])[rows, targets], r, m)[0]
+        return -(r * oracle_log_softmax(forward(params, [FEATS], [prefix])[0])[rows, targets]).sum() / n
 
     trace = forward(params, [FEATS], [prefix], train=True)
-    grads = backward(trace, _token_loss(trace.logits.value[0], targets, r, m)[1][None])
+    grads = backward(trace, _token_loss(trace.logits.value, targets[None], r[None], np.array([n]))[1])
     rng = np.random.default_rng(6)
     names = sorted(params.tensors)
     for _ in range(30):

@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 
 from capkit import autodiff as ad, seqmodel
 from capkit.errors import (
-    AllMasked,
     BadMagic,
     BadPrefix,
     BadVersion,
@@ -38,13 +37,13 @@ from capkit.seqmodel import (
     forward,
     init_params,
     load_checkpoint,
-    log_softmax,
     save_checkpoint,
-    scst_loss,
     train_mle,
 )
 from capkit.scst import rollout
 from capkit.textproc import BOS, EOS, PAD, RESERVED, Caption, Vocab, encode
+
+from oracles import oracle_log_softmax
 
 CFG = ModelConfig(vocab_size=12, feature_dim=6, d_model=16, n_heads=2, max_len=10, seed=3)
 RNG = np.random.default_rng(0)
@@ -58,9 +57,11 @@ def params():
 
 
 def xent(logits, target_ids, mask):
-    """Masked length-normalized cross entropy and its gradient w.r.t. the
-    logits: the `_token_loss` of unit rewards, as MLE training runs it."""
-    return _token_loss(logits, target_ids, np.ones(np.shape(mask)), mask)
+    """Masked length-normalized cross entropy of a batch (B x L x |V| logits,
+    B x L targets and 0/1 mask) and its gradient w.r.t. the logits: the
+    `_token_loss` of unit rewards, as MLE training runs it."""
+    m = np.asarray(mask, dtype=np.float64)
+    return _token_loss(np.asarray(logits, dtype=np.float64), np.asarray(target_ids, dtype=np.intp), m, m.sum(axis=-1))
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +138,7 @@ def test_init_glorot_bounds(params):
 
 def test_forward_softmax_rows(params):
     (logits,) = forward(params, [FEATS], [PREFIX])
-    p = np.exp(log_softmax(logits))
+    p = np.exp(oracle_log_softmax(logits))
     assert np.allclose(p.sum(axis=1), 1.0, atol=1e-6)
     assert np.isfinite(logits).all()
 
@@ -209,6 +210,24 @@ def test_forward_rejects_bool_prefix(params, prefix):
         forward(params, [FEATS], prefix)
 
 
+@pytest.mark.parametrize("feats, prefix, message", [
+    ([FEATS, FEATS], [[BOS, 5], [BOS]], "do not form an array"),
+    ([FEATS], [[BOS] * (CFG.max_len + 1)], "longer than max_len"),
+    ([FEATS], [PREFIX, PREFIX], "2 prefixes but 1 feature matrices"),
+])
+def test_forward_rejects_batch_shape(params, feats, prefix, message):
+    """Ragged prefix rows, a prefix past max_len, and a prefix count other
+    than the feature count each raise BadPrefix."""
+    with pytest.raises(BadPrefix, match=message):
+        forward(params, feats, prefix)
+
+
+def test_decoder_step_rejects_id_count(params):
+    cache = DecoderCache(params, [FEATS, FEATS])
+    with pytest.raises(BadPrefix, match="1 token ids for 2 rows"):
+        cache.step([BOS])
+
+
 def _mixed_batch(rng):
     """Rows of different caption lengths (one of max_len ids) with clips of
     different T."""
@@ -224,17 +243,17 @@ def test_batch_matches_single_rows(n_heads):
     gradients, as one-row forwards do."""
     params = init_params(ModelConfig(**{**CFG.__dict__, "n_heads": n_heads}))
     rows, feats = _mixed_batch(np.random.default_rng(n_heads))
-    prefix, targets, r, mask = _pad_rows(rows, np.ones(len(rows)))
+    prefix, targets, r, n = _pad_rows(rows, np.ones(len(rows)))
     trace = forward(params, feats, prefix, train=True)
-    losses, glog = _token_loss(trace.logits.value, targets, r, mask)
+    losses, glog = _token_loss(trace.logits.value, targets, r, n)
     grads = backward(trace, glog)
 
     want = {name: np.zeros_like(t) for name, t in params.tensors.items()}
     for row, f, loss in zip(rows, feats, losses):
         one = forward(params, [f], [row[:-1]], train=True)
-        l1, g1 = xent(one.logits.value[0], row[1:], np.ones(len(row) - 1))
+        (l1,), g1 = xent(one.logits.value, [row[1:]], np.ones((1, len(row) - 1)))
         assert loss == pytest.approx(l1, rel=1e-12, abs=1e-12)
-        for name, g in backward(one, g1[None]).items():
+        for name, g in backward(one, g1).items():
             want[name] += g / len(rows)
     for name in want:
         assert np.allclose(grads[name], want[name], rtol=1e-12, atol=1e-12), name
@@ -281,61 +300,57 @@ def test_decoder_step_rejects_token_outside_vocab(params, bad):
 # unit-reward loss
 
 def test_xent_uniform():
-    logits = np.zeros((1, 10))
-    loss, _ = xent(logits, [3], [1])
-    assert loss == pytest.approx(math.log(10))
+    loss, _ = xent(np.zeros((1, 1, 10)), [[3]], [[1]])
+    assert loss[0] == pytest.approx(math.log(10))
 
 
 def test_xent_confident():
-    logits = np.zeros((1, 10))
-    logits[0, 3] = 50.0
-    loss, _ = xent(logits, [3], [1])
-    assert loss < 1e-6
-
-
-def test_xent_all_masked():
-    with pytest.raises(AllMasked):
-        xent(np.zeros((2, 5)), [1, 2], [0, 0])
+    logits = np.zeros((1, 1, 10))
+    logits[0, 0, 3] = 50.0
+    loss, _ = xent(logits, [[3]], [[1]])
+    assert loss[0] < 1e-6
 
 
 def test_xent_grad_is_finite_difference():
     rng = np.random.default_rng(2)
-    logits = rng.normal(size=(3, 7))
-    targets = [1, 4, 2]
-    mask = [1, 1, 0]
-    loss, grad = xent(logits, targets, mask)
+    logits = rng.normal(size=(1, 3, 7))
+    targets = [[1, 4, 2]]
+    mask = [[1, 1, 0]]
+    _, grad = xent(logits, targets, mask)
     h = 1e-6
     for i in range(3):
         for j in range(7):
-            logits[i, j] += h
-            up, _ = xent(logits, targets, mask)
-            logits[i, j] -= 2 * h
-            dn, _ = xent(logits, targets, mask)
-            logits[i, j] += h
-            assert grad[i, j] == pytest.approx((up - dn) / (2 * h), abs=1e-8)
+            logits[0, i, j] += h
+            (up,), _ = xent(logits, targets, mask)
+            logits[0, i, j] -= 2 * h
+            (dn,), _ = xent(logits, targets, mask)
+            logits[0, i, j] += h
+            assert grad[0, i, j] == pytest.approx((up - dn) / (2 * h), abs=1e-8)
 
 
 def test_xent_is_unit_reward_scst_loss_bit_for_bit():
-    """MLE is SCST with unit rewards: on seeded random cases xent equals
-    both the textbook masked cross entropy and scst_loss of the target
-    log-probabilities at r = 1, and its gradient the textbook (m/N) *
-    (softmax - onehot), all bit for bit."""
+    """MLE is SCST with unit rewards. On seeded batches of ragged rows,
+    `_token_loss` gives each row the textbook -(1/n_i) sum_t r_it log
+    p(target_it) and the logits the textbook gradient r_it / (n_i B) *
+    (softmax - onehot), all bit for bit, both at r = 1 on the real targets
+    (the masked cross entropy that `xent` and MLE run) and at signed rewards."""
     for seed in range(300):
         rng = np.random.default_rng(seed)
-        L, V = int(rng.integers(1, 12)), int(rng.integers(2, 30))
-        logits = rng.normal(scale=float(rng.uniform(0.1, 20.0)), size=(L, V))
-        targets = rng.integers(V, size=L)
-        mask = (rng.random(L) < 0.7).astype(float)
-        mask[rng.integers(L)] = 1.0
-        loss, grad = xent(logits, targets, mask)
-
-        lp = log_softmax(logits)
-        rows, w = np.arange(L), mask / mask.sum()
-        assert loss == float(-(mask * lp[rows, targets]).sum() / mask.sum())
-        assert loss == scst_loss(lp[rows, targets], np.ones(L), mask)[0]
-        want = w[:, None] * np.exp(lp)
-        want[rows, targets] -= w
-        assert np.array_equal(grad, want)
+        B, L, V = int(rng.integers(1, 6)), int(rng.integers(1, 12)), int(rng.integers(2, 30))
+        logits = rng.normal(scale=float(rng.uniform(0.1, 20.0)), size=(B, L, V))
+        targets = rng.integers(V, size=(B, L))
+        n = rng.integers(1, L + 1, size=B)
+        mask = (np.arange(L) < n[:, None]).astype(float)
+        signed = rng.normal(size=(B, 1)) * mask
+        lp = oracle_log_softmax(logits)
+        rows, cols = np.arange(B)[:, None], np.arange(L)
+        for r, (loss, grad) in [(mask, xent(logits, targets, mask)), (signed, _token_loss(logits, targets, signed, n))]:
+            for i in range(B):
+                assert loss[i] == float(-(r[i] * lp[i, cols, targets[i]]).sum() / n[i])
+            w = r / n[:, None] / B
+            want = w[..., None] * np.exp(lp)
+            want[rows, cols, targets] -= w
+            assert grad.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -343,8 +358,8 @@ def test_xent_is_unit_reward_scst_loss_bit_for_bit():
 
 def _end_to_end_grads(params, prefix=PREFIX, targets=(5, 6, 7, EOS), mask=(1, 1, 1, 1)):
     trace = forward(params, [FEATS], [prefix], train=True)
-    loss, glog = xent(trace.logits.value[0], list(targets), list(mask))
-    return loss, backward(trace, glog[None])
+    loss, glog = xent(trace.logits.value, [targets], [mask])
+    return loss[0], backward(trace, glog)
 
 
 def test_backward_finite_difference(params):
@@ -358,9 +373,9 @@ def test_backward_finite_difference(params):
         h = 1e-4
         orig = arr[idx]
         arr[idx] = orig + h
-        up, _ = xent(forward(params, [FEATS], [PREFIX])[0], [5, 6, 7, EOS], [1, 1, 1, 1])
+        (up,), _ = xent(forward(params, [FEATS], [PREFIX]), [[5, 6, 7, EOS]], [[1, 1, 1, 1]])
         arr[idx] = orig - h
-        dn, _ = xent(forward(params, [FEATS], [PREFIX])[0], [5, 6, 7, EOS], [1, 1, 1, 1])
+        (dn,), _ = xent(forward(params, [FEATS], [PREFIX]), [[5, 6, 7, EOS]], [[1, 1, 1, 1]])
         arr[idx] = orig
         fd = (up - dn) / (2 * h)
         an = grads[name][idx]
@@ -404,13 +419,13 @@ def test_training_forward_vars_all_get_gradients(params, monkeypatch, reward):
     feats = [rng.normal(size=(T, CFG.feature_dim)) for T in (9, 7, 5)]
     assert seqmodel._check_features(CFG, feats)[1] is not None
     rows = [[BOS, 5, 6, 7, EOS], [BOS, 8, EOS], [BOS, 4, 9, EOS]]
-    prefix, targets, r, mask = _pad_rows(rows, np.full(3, reward))
+    prefix, targets, r, n = _pad_rows(rows, np.full(3, reward))
     made = _vars_made(monkeypatch)
     trace = forward(params, feats, prefix, train=True)
     assert len(made) == 35 and len(trace.param_vars) == len(PARAM_SHAPES) == 17
     assert {id(v) for v in trace.param_vars.values()} <= {id(v) for v in made}
     assert len(trace.tape._ops) == 18
-    backward(trace, _token_loss(trace.logits.value, targets, r, mask)[1])
+    backward(trace, _token_loss(trace.logits.value, targets, r, n)[1])
     assert all(v.grad is not None and v.grad.shape == v.value.shape for v in made)
 
 
@@ -436,8 +451,8 @@ def test_tied_embedding_gradient_sums_both_roles(params):
         np.triu(np.full((len(PREFIX),) * 2, seqmodel.MASKED), k=1), *seqmodel._cross_kv(tape, P, FEATS), None,
         CFG.n_heads,
     )
-    _, glog = xent(logits.value, [5, 6, 7, EOS], [1, 1, 1, 1])
-    logits.accumulate(glog)
+    _, glog = xent(logits.value[None], [[5, 6, 7, EOS]], [[1, 1, 1, 1]])
+    logits.accumulate(glog[0])
     tape.run_backward()
 
     untied_sum = P["tok_emb"].grad + out_proj.grad
@@ -552,9 +567,9 @@ def test_train_mle_epoch_is_one_hand_composed_step():
     curve = train_mle(params, rows, epochs=1, batch_size=len(rows), seed=4, vocab=VOCAB, lr=1e-2)
 
     order = np.random.default_rng(4).permutation(len(rows))
-    prefix, targets, _, mask = _pad_rows([ids[i] for i in order], np.ones(len(rows)))
+    prefix, targets, _, n = _pad_rows([ids[i] for i in order], np.ones(len(rows)))
     trace = forward(ref, [feats[i] for i in order], prefix, train=True)
-    loss, glogits = xent(trace.logits.value, targets, mask)
+    loss, glogits = xent(trace.logits.value, targets, np.arange(targets.shape[1]) < n[:, None])
     adam_step(ref, backward(trace, glogits), AdamState(), lr=1e-2)
     assert curve == [float(np.mean(loss))]
     assert params.flat.tobytes() == ref.flat.tobytes()
@@ -657,6 +672,24 @@ def test_checkpoint_manifest_mismatch(tmp_path, params, edit):
         header["config"]["n_heads"] = json.loads(edit.partition("=")[2])
     _write_checkpoint(path, json.dumps(header).encode("utf-8"), payload)
     with pytest.raises(InvalidConfig):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("edit", ["no_config", "missing_key", "unknown_key"])
+def test_checkpoint_config_keys(tmp_path, params, edit):
+    """A header without a config, or whose config lacks a field or holds an
+    unknown one, raises InvalidConfig."""
+    path = os.path.join(tmp_path, "model.ckpt")
+    save_checkpoint(params, path)
+    header, payload = _split_checkpoint(path)
+    if edit == "no_config":
+        del header["config"]
+    elif edit == "missing_key":
+        del header["config"]["vocab_size"]
+    else:
+        header["config"]["bogus"] = 1
+    _write_checkpoint(path, json.dumps(header).encode("utf-8"), payload)
+    with pytest.raises(InvalidConfig, match="checkpoint config unreadable"):
         load_checkpoint(path)
 
 
