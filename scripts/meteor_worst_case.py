@@ -51,7 +51,7 @@ def pairs(seed, family, words, count):
 def report(seed, grid=GRID):
     """Print the header and one line per (family, words) cell of `grid`, a
     sequence of (family, vocabulary sizes, pairs per size)."""
-    from capkit.metrics import MAX_N, build_idf, meteor_counts, overlap
+    from capkit.metrics import build_idf, meteor_counts, overlap
     from capkit.textproc import ngrams
 
     print(f"{'family':<6} {'words':>5} {'pairs':>5} {'median_ms':>10} {'worst_ms':>10} {'over_20ms':>9}")
@@ -59,7 +59,7 @@ def report(seed, grid=GRID):
         for words in sizes:
             ms = []
             for hyp, ref in pairs(seed, family, words, count):
-                m, links = overlap(ngrams(hyp, MAX_N), len(hyp), build_idf([ref]).reference(ref))[0][:2]
+                m, links = overlap(ngrams(hyp), len(hyp), build_idf([ref]).reference(ref))[0][:2]
                 t0 = time.perf_counter()
                 meteor_counts(hyp, ref, m, links)
                 ms.append((time.perf_counter() - t0) * 1e3)

@@ -10,7 +10,7 @@ scores 450 pairs one `score_all([hyp], [ref], idf)` call at a time. It then
 builds a second table and times each part of `score_all` alone, over the same
 pairs in turn:
 
-- ngrams: `ngrams(hyp, MAX_N)`, the hypothesis's n-gram counts;
+- ngrams: `ngrams(hyp)`, the hypothesis's n-gram counts;
 - reference: `idf.reference(ref)`, which makes the reference's entry the
   first time and looks it up after that;
 - overlap: `overlap` of the hypothesis's counts against the entry, the one
@@ -59,7 +59,7 @@ def report(rounds=ROUNDS):
     """Print the tables above over `rounds` rounds per reference set. Needs
     capkit, the repository root and tests/ on sys.path."""
     from capkit.data import SynthConfig, synth_corpus
-    from capkit.metrics import MAX_N, build_idf, meteor_counts, overlap, rouge_l, score_all
+    from capkit.metrics import build_idf, meteor_counts, overlap, rouge_l, score_all
     from capkit.textproc import ROLES, Caption, ngrams
     from perfbench.workloads import MetricsAdversarial
 
@@ -89,9 +89,9 @@ def report(rounds=ROUNDS):
 
             idf = build_idf(ref_tokens)
             toks = [(hyp.tokens, ref.tokens) for hyp, ref in pairs]
-            grams = [ngrams(h, MAX_N) for h, _ in toks]
+            grams = [ngrams(h) for h, _ in toks]
             parts = {
-                "ngrams": lambda: [ngrams(h, MAX_N) for h, _ in toks],
+                "ngrams": lambda: [ngrams(h) for h, _ in toks],
                 "reference": lambda: [idf.reference(r) for _, r in toks],
                 "overlap": lambda: [overlap(g, len(h), idf.reference(r)) for g, (h, r) in zip(grams, toks)],
                 "rouge_l": lambda: [rouge_l(h, r) for h, r in toks],

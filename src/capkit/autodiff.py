@@ -1,9 +1,10 @@
 """Minimal reverse-mode differentiation over numpy arrays.
 
-Under a tape every operand of an op is a `Var`, except `matmul`'s left
-operand, which may be a plain ndarray (the clip features): a constant that gets
-no gradient. With no tape (None) every op runs its plain numpy forward on
-ndarrays, so the same model code serves both training and inference.
+Every op takes a tape first: None, or a list to which it appends its one
+backward closure, for the caller to replay last-first. Under a tape every
+operand is a `Var`, except `matmul`'s left operand, which may be a plain
+ndarray (the clip features) that gets no gradient. With None every op runs its
+plain numpy forward, so the same model code serves training and inference.
 
 The op set is the decoder's and no more: the token-plus-position `embed`,
 `matmul`, `matmul_nt`, `relu`, `layer_norm` of a sum of residual terms and
@@ -17,20 +18,6 @@ import math
 import numpy as np
 
 LN_EPS = 1e-6
-
-
-class Tape:
-    """Records backward closures; replayed in exact reverse order."""
-
-    def __init__(self):
-        self._ops = []
-
-    def record(self, fn) -> None:
-        self._ops.append(fn)
-
-    def run_backward(self) -> None:
-        for fn in reversed(self._ops):
-            fn()
 
 
 class Var:
@@ -78,7 +65,7 @@ def matmul(tape, a, b):
             if isinstance(a, Var):
                 a.accumulate(_mm(g, bv.T))
             b.accumulate(_rows(av).T @ _rows(g))
-        tape.record(back)
+        tape.append(back)
     return out
 
 
@@ -92,7 +79,7 @@ def matmul_nt(tape, a, b):
             g = out.grad
             a.accumulate(_mm(g, bv))
             b.accumulate(_rows(g).T @ _rows(av))
-        tape.record(back)
+        tape.append(back)
     return out
 
 
@@ -103,7 +90,7 @@ def relu(tape, a):
     if tape is not None:
         def back():
             a.accumulate(out.grad * (av > 0.0))
-        tape.record(back)
+        tape.append(back)
     return out
 
 
@@ -142,7 +129,7 @@ def layer_norm(tape, terms, gain, bias):
             gx *= inv  # inv * (gx - m1 - xhat * m2)
             for t in terms:
                 t.accumulate(gx)
-        tape.record(back)
+        tape.append(back)
     return out
 
 
@@ -165,7 +152,7 @@ def embed(tape, tok, pos, ids, start: int):
             gp = np.zeros_like(pos.value)
             np.add.reduce(g.reshape(-1, *g.shape[-2:]), axis=0, out=gp[start:hi])
             pos.accumulate(gp)
-        tape.record(back)
+        tape.append(back)
     return out
 
 
@@ -209,5 +196,5 @@ def attention(tape, q, k, v, n_heads: int, bias=None):
             gs *= c  # p * (gp - sum(gp * p)) * c
             q.accumulate(_merge_heads(gs @ kh))
             k.accumulate(_merge_heads(gs.swapaxes(-1, -2) @ qh))
-        tape.record(back)
+        tape.append(back)
     return out

@@ -315,11 +315,13 @@ def read_samples_jsonl(path: str) -> list[Sample]:
 def read_captions_jsonl(path: str) -> dict:
     """(id, role) -> Caption from {"id","role","text"} lines; any other line is a
     samples.jsonl line, which must hold both role fields and gives one entry per
-    role. DuplicateId on a repeat."""
+    role. An unknown role raises InvalidConfig and a repeat DuplicateId, naming `path:line`."""
     out = {}
     for where, d in _jsonl_objects(path):
         caption = "role" in d or "text" in d
         _check_record(d, where, ("role", "text") if caption else ROLES)
+        if caption and d["role"] not in ROLES:
+            raise InvalidConfig(f"{where}: unknown caption role {d['role']!r}")
         texts = {d["role"]: d["text"]} if caption else {r: d[r] for r in ROLES}
         for role, text in texts.items():
             if (d["id"], role) in out:

@@ -19,9 +19,8 @@ from .errors import (
     NumericFailure,
     TooFewSamples,
 )
-from .textproc import Caption, ngrams
+from .textproc import MAX_N, Caption, ngrams
 
-MAX_N = 4
 ROUGE_BETA = 1.2
 METEOR_ALPHA, METEOR_GAMMA, METEOR_THETA = 0.9, 0.5, 3.0
 CIDER_SIGMA = 6.0
@@ -191,7 +190,7 @@ class IdfTable:
         key = tuple(tokens)
         entry = self._entries.get(key)
         if entry is None:
-            grams, tables = ngrams(key, MAX_N), {}
+            grams, tables = ngrams(key), {}
             for n in range(1, MAX_N + 1):
                 df, table = self.df[n], {}
                 for g, c in grams[n].items():
@@ -212,14 +211,14 @@ def build_idf(refs) -> IdfTable:
         raise EmptyCorpus("cannot build an IDF table from zero references")
     df = {n: Counter() for n in range(1, MAX_N + 1)}
     for r, k in Counter(map(tuple, refs)).items():
-        grams = ngrams(r, MAX_N)
+        grams = ngrams(r)
         for n in range(1, MAX_N + 1):
             df[n].update(dict.fromkeys(grams[n], k))  # each of the k documents holds each gram once
     return IdfTable(doc_count=len(refs), df={n: dict(c) for n, c in df.items()})
 
 
 def cider_d(hyp, ref, idf: IdfTable) -> float:
-    return overlap(ngrams(hyp, MAX_N), len(hyp), idf.reference(ref))[1]
+    return overlap(ngrams(hyp), len(hyp), idf.reference(ref))[1]
 
 
 def overlap(hyp_grams: dict, hyp_len: int, entry: RefEntry) -> tuple[list[int], float]:
@@ -458,7 +457,7 @@ def score_all(hyps: list[Caption], refs: list[Caption], idf: IdfTable) -> ScoreR
     for h, r in zip(hyps, refs):
         ht, rt = h.tokens, r.tokens
         entry = idf.reference(rt)
-        clipped, c = overlap(ngrams(ht, MAX_N), len(ht), entry)
+        clipped, c = overlap(ngrams(ht), len(ht), entry)
         bleu.append((len(ht), entry.length, clipped))
         rouge.append(rouge_l(ht, rt))
         meteor.append(meteor_counts(ht, rt, clipped[0], clipped[1]))

@@ -1,5 +1,5 @@
-"""Self-critical sequence training: greedy baseline, sampled rollouts,
-CIDEr-difference rewards, masked length-normalized policy-gradient loss."""
+"""Self-critical sequence training: greedy baseline, sampled rollouts and
+CIDEr-difference rewards that weight `seqmodel._token_loss`, the loss MLE uses too."""
 from __future__ import annotations
 
 import hashlib

@@ -107,7 +107,7 @@ def init_params(config: ModelConfig) -> ModelParams:
 @dataclass
 class ForwardTrace:
     logits: ad.Var
-    tape: ad.Tape
+    tape: list
     param_vars: dict
 
 
@@ -188,7 +188,7 @@ def forward(params: ModelParams, features, prefix_ids, train: bool = False):
     if len(feats) != len(ids):
         raise BadPrefix(f"{len(ids)} prefixes but {len(feats)} feature matrices")
 
-    tape = ad.Tape() if train else None
+    tape = [] if train else None
     if train:
         P = {k: ad.Var(v) for k, v in params.tensors.items()}
     else:
@@ -236,7 +236,8 @@ def _token_loss(logits: np.ndarray, targets: np.ndarray, r: np.ndarray, n: np.nd
 def backward(trace: ForwardTrace, loss_grad: np.ndarray) -> dict:
     """Reverse-mode gradients of the scalar loss for every parameter tensor."""
     trace.logits.accumulate(np.asarray(loss_grad, dtype=np.float64))
-    trace.tape.run_backward()
+    for back in reversed(trace.tape):
+        back()
     return {name: var.grad for name, var in trace.param_vars.items()}
 
 

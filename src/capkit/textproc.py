@@ -5,8 +5,6 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .errors import InvalidConfig
-
 PAD, BOS, EOS, UNK = 0, 1, 2, 3
 RESERVED = ("<pad>", "<bos>", "<eos>", "<unk>")
 
@@ -30,8 +28,6 @@ class Caption:
 
     @classmethod
     def make(cls, raw: str, role: str) -> "Caption":
-        if role not in ROLES:
-            raise InvalidConfig(f"unknown caption role: {role!r}")
         return cls(raw=raw, tokens=tuple(normalize(raw)), role=role)
 
 
@@ -64,8 +60,6 @@ def build_vocab(corpus: list[Caption]) -> Vocab:
 
 def encode(vocab: Vocab, tokens: list[str], max_len: int) -> tuple[int, ...]:
     """(BOS, t_1.., EOS), with the tokens truncated to fit max_len ids."""
-    if max_len < 2:
-        raise ValueError("max_len must be >= 2")
     body = [vocab.id_of(t) for t in tokens[: max_len - 2]]
     return (BOS, *body, EOS)
 
@@ -75,8 +69,9 @@ def decode_ids(vocab: Vocab, ids: list[int]) -> list[str]:
     return [vocab.token_of(i) for i in ids if i not in (PAD, BOS, EOS)]
 
 
-def ngrams(tokens, max_n: int = 4) -> dict[int, Counter]:
-    if max_n < 1:
-        raise ValueError("max_n must be >= 1")
+MAX_N = 4  # the n-gram orders every metric counts: 1..MAX_N
+
+
+def ngrams(tokens) -> dict[int, Counter]:
     toks = tuple(tokens)
-    return {n: Counter(zip(*(toks[i:] for i in range(n)))) for n in range(1, max_n + 1)}
+    return {n: Counter(zip(*(toks[i:] for i in range(n)))) for n in range(1, MAX_N + 1)}

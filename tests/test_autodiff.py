@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from capkit import autodiff as ad
-from capkit.seqmodel import MASKED
+from capkit.seqmodel import MASKED, ForwardTrace, backward
 
 RNG = np.random.default_rng(42)
 
@@ -16,20 +16,26 @@ def causal_bias(L):
     return np.triu(np.full((L, L), MASKED), k=1)
 
 
+def replay(tape):
+    """Run a tape's backward closures last-first, as `seqmodel.backward` does."""
+    for back in reversed(tape):
+        back()
+
+
 def fd_check(fn, shapes, h=1e-6, tol=1e-7, n_probe=10):
     """Central-difference check of fn(*vars) -> Var against the tape gradient."""
     inputs = [RNG.normal(size=s) for s in shapes]
 
     def run(arrs, tape=None):
-        vs = [ad.Var(a) for a in arrs] if tape else list(arrs)
+        vs = [ad.Var(a) for a in arrs] if tape is not None else list(arrs)
         out = fn(tape, *vs)
         return out, vs
 
-    tape = ad.Tape()
+    tape = []
     out, vs = run(inputs, tape)
     seed = RNG.normal(size=out.value.shape)
     out.accumulate(seed)
-    tape.run_backward()
+    replay(tape)
 
     rng = np.random.default_rng(7)
     for _ in range(n_probe):
@@ -121,10 +127,10 @@ def test_embed(start):
 
 def test_embed_accumulates_repeats():
     tok, pos = ad.Var(np.eye(3)), ad.Var(np.zeros((5, 3)))
-    tape = ad.Tape()
+    tape = []
     out = ad.embed(tape, tok, pos, [1, 1, 1], 2)
     out.accumulate(np.ones((3, 3)))
-    tape.run_backward()
+    replay(tape)
     assert np.array_equal(tok.grad, [[0.0] * 3, [3.0] * 3, [0.0] * 3])
     assert np.array_equal(pos.grad, [[0.0] * 3] * 2 + [[1.0] * 3] * 3)
 
@@ -176,11 +182,11 @@ def ref_attention(q, k, v, n_heads, bias, g):
 def taped(op, arrays, g):
     """The op's output on Vars of the arrays, then each array's gradient for
     output gradient g."""
-    tape = ad.Tape()
+    tape = []
     vs = [ad.Var(a) for a in arrays]
     out = op(tape, *vs)
     out.accumulate(g)
-    tape.run_backward()
+    replay(tape)
     return [out.value] + [v.grad for v in vs]
 
 
@@ -252,25 +258,41 @@ def test_op_set():
 def test_constants_are_untracked():
     """matmul's left operand, the one operand an op takes as a plain ndarray
     under a tape, gets no gradient and is left as it was."""
-    tape = ad.Tape()
+    tape = []
     c = np.full((2, 2), 3.0)
     b = ad.Var(np.ones((2, 2)))
     out = ad.matmul(tape, c, b)
     out.accumulate(np.ones((2, 2)))
-    tape.run_backward()
+    replay(tape)
     assert np.array_equal(b.grad, c.T @ np.ones((2, 2)))
     assert np.array_equal(c, np.full((2, 2), 3.0))
 
 
 def test_no_tape_returns_ndarray():
-    out = ad.matmul(None, np.ones((2, 2)), np.ones((2, 2)))
-    assert isinstance(out, np.ndarray)
+    """The tape protocol, op by op: with None each of the six returns a plain
+    ndarray; with a list it returns a Var and appends exactly one closure."""
+    x, w, g = np.ones((2, 3)), np.ones((3, 3)), np.ones(3)
+    cases = {
+        "matmul": (ad.matmul, [x, w]),
+        "matmul_nt": (ad.matmul_nt, [x, w]),
+        "relu": (ad.relu, [x]),
+        "layer_norm": (lambda t, a, b, gain, bias: ad.layer_norm(t, (a, b), gain, bias), [x, x, g, g]),
+        "embed": (lambda t, tok, pos: ad.embed(t, tok, pos, [1, 0], 1), [x, w]),
+        "attention": (lambda t, q, k, v: ad.attention(t, q, k, v, 1), [x, x, x]),
+    }
+    for name, (op, arrays) in cases.items():
+        assert type(op(None, *arrays)) is np.ndarray, name
+        tape = []
+        out = op(tape, *(ad.Var(a) for a in arrays))
+        assert isinstance(out, ad.Var) and len(tape) == 1 and callable(tape[0]), name
 
 
 def test_backward_order_is_reversed():
+    """`seqmodel.backward` seeds the logits' gradient, then runs the trace's
+    closures last-first."""
     calls = []
-    tape = ad.Tape()
-    tape.record(lambda: calls.append("first"))
-    tape.record(lambda: calls.append("second"))
-    tape.run_backward()
-    assert calls == ["second", "first"]
+    logits = ad.Var(np.zeros(2))
+    tape = [lambda: calls.append("first"), lambda: calls.append(("second", logits.grad.tolist()))]
+    trace = ForwardTrace(logits=logits, tape=tape, param_vars={})
+    assert backward(trace, np.ones(2)) == {}
+    assert calls == [("second", [1.0, 1.0]), "first"]

@@ -159,6 +159,10 @@ REJECTED = {
         _score([GOOD_CAPTION, {**GOOD_CAPTION, "role": "avoidance"}], [{"id": "a1", "description": "the car stops"}]),
         "MissingField",
     ),
+    "score_hypothesis_unknown_role": (
+        _score([{**GOOD_CAPTION, "role": "narration"}], [GOOD_CAPTION]),
+        "InvalidConfig",
+    ),
     "score_no_shared_pair": (
         _score([GOOD_CAPTION], [{**GOOD_CAPTION, "id": "b1"}]),
         "MalformedReport",

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import struct
 import tempfile
 
@@ -404,6 +405,17 @@ def test_captions_jsonl_samples_line_needs_both_roles(tmp_path, role):
     with open(path, "w", encoding="utf-8") as f:
         f.write(json.dumps({"id": "a", "role": role, "text": "the car brakes"}) + "\n")
     assert read_captions_jsonl(path) == {("a", role): Caption.make("the car brakes", role)}
+
+
+def test_caption_bad_role(tmp_path):
+    """A caption line whose role is not one of ROLES raises InvalidConfig
+    naming its `path:line`."""
+    path = os.path.join(tmp_path, "hyps.jsonl")
+    lines = [{"id": "a", "role": ROLE_DESCRIPTION, "text": "the car"}, {"id": "a", "role": "narration", "text": "x"}]
+    with open(path, "w", encoding="utf-8") as f:
+        f.write("".join(json.dumps(d) + "\n" for d in lines))
+    with pytest.raises(InvalidConfig, match=re.escape(f"{path}:2: unknown caption role 'narration'")):
+        read_captions_jsonl(path)
 
 
 def test_annotations_jsonl(tmp_path):

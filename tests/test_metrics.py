@@ -52,7 +52,7 @@ repeats_st = st.integers(2, 3).flatmap(lambda w: st.tuples(*[st.lists(st.sampled
 def clipped(hyp, ref):
     """The clipped counts of orders 1..MAX_N of a pair of token lists, each
     counted here; the table's weights do not change them."""
-    return overlap(ngrams(hyp, MAX_N), len(hyp), build_idf([ref]).reference(ref))[0]
+    return overlap(ngrams(hyp), len(hyp), build_idf([ref]).reference(ref))[0]
 
 
 def bleu(hyps, refs):
@@ -833,7 +833,7 @@ def ref_cider_d(hyp_grams, hyp_len, ref, idf):
     """CIDEr-D with four lookups per hypothesis n-gram: `g in rv`, the
     reference count, the IDF weight and the reference's tf-idf weight. The
     weights are log(doc_count / df) over all of `idf.df`, kept where nonzero."""
-    ref_grams = ngrams(ref, MAX_N)
+    ref_grams = ngrams(ref)
     sim_sum = 0.0
     for n in range(1, MAX_N + 1):
         rg = ref_grams[n]
@@ -872,8 +872,8 @@ def test_lcs_len_across_a_machine_word():
 def test_bleu_counts_equals_counter_clipping(pairs):
     """BLEU from the pass's clipped counts and the two lengths equals BLEU
     from Counter clipping and sums over the Counters."""
-    hg = [ngrams(h, MAX_N) for h, _ in pairs]
-    rg = [ngrams(r, MAX_N) for _, r in pairs]
+    hg = [ngrams(h) for h, _ in pairs]
+    rg = [ngrams(r) for _, r in pairs]
     assert bleu([h for h, _ in pairs], [r for _, r in pairs]) == ref_bleu_counts(hg, rg)
 
 
@@ -884,7 +884,7 @@ def test_overlap_clipping_equals_counter_subscript(pair, others, ref_is_doc):
     whatever the reference's IDF weights are."""
     hyp, ref = pair
     docs = [d for o in others for d in o] + [list("abc")] + ([ref] if ref_is_doc else [])
-    hg, rg = ngrams(hyp, MAX_N), ngrams(ref, MAX_N)
+    hg, rg = ngrams(hyp), ngrams(ref)
     got = overlap(hg, len(hyp), build_idf(docs).reference(ref))[0]
     assert got == [ref_clipped_total(hg[n], rg[n]) for n in range(1, MAX_N + 1)]
 
@@ -916,9 +916,9 @@ def test_overlap_cider_d_equals_four_lookups(pair, others, ref_docs):
     elif ref_docs == "every doc":
         docs = [ref + d for d in docs]
     idf = build_idf(docs)
-    want = ref_cider_d(ngrams(hyp, MAX_N), len(hyp), ref, idf)
-    assert overlap(ngrams(hyp, MAX_N), len(hyp), idf.reference(ref))[1] == want
-    assert overlap(ngrams(hyp, MAX_N), len(hyp), idf.reference(ref))[1] == want
+    want = ref_cider_d(ngrams(hyp), len(hyp), ref, idf)
+    assert overlap(ngrams(hyp), len(hyp), idf.reference(ref))[1] == want
+    assert overlap(ngrams(hyp), len(hyp), idf.reference(ref))[1] == want
     assert cider_d(hyp, ref, idf) == want
 
 

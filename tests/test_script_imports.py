@@ -1,11 +1,13 @@
 """The scripts still run against capkit. They import inside their functions,
 so a renamed or deleted name would otherwise break a script without failing
 any test; the timing scripts also run once on their smallest input, so a
-changed signature fails too."""
+changed signature fails too. The benchmark pair runner, which imports no
+capkit module, summarizes two fake results."""
 import ast
 import glob
 import importlib
 import importlib.util
+import json
 import os
 
 SCRIPTS = os.path.join(os.path.dirname(__file__), "..", "scripts")
@@ -62,3 +64,26 @@ def test_score_timing_runs_one_round(capsys, monkeypatch):
     for part in ("build_idf_ms", "score_all_us_pair", "ngrams_us_pair", "reference_us_pair", "overlap_us_pair",
                  "rouge_l_us_pair", "meteor_us_pair"):
         assert out.count(f"  {part} ") == 2
+
+
+def test_bench_pairs_summarizes_two_result_files(tmp_path):
+    """Two fake `perfbench/run.py` outputs, one per side of one pair: the
+    runner reads each last line, and its summary and tables judge each metric
+    by its direction."""
+    bench_pairs = _load_script("bench_pairs")
+    runs = []
+    for side, round_s, ok_frac in (("parent", 0.9, 1.0), ("change", 0.8, 0.5)):
+        result = {"correct": True, "attempted": 4, "failed": 0 if side == "parent" else 2,
+                  "metrics": {"round_s": {"value": round_s, "unit": "s"}, "ok_frac": {"value": ok_frac, "unit": "frac"}}}
+        path = tmp_path / f"{side}.txt"
+        path.write_text('manifest {"seed": 1}\ntrain round_s 0.9 s\n' + json.dumps(result) + "\n")
+        run = bench_pairs.parse_run(path.read_text())
+        assert run["manifest"] == {"seed": 1}
+        runs.append({"workload": "train", "seed": 1, "side": side, "first": "parent", **run})
+    summary = bench_pairs.summarize(runs, {"round_s": "lower", "ok_frac": "higher"})
+    train = summary["train"]
+    assert train["pairs"] == 1 and train["failed"] == {"parent": 0, "change": 2}
+    assert train["metrics"]["round_s"]["change_wins"] == 1 and train["metrics"]["ok_frac"]["change_wins"] == 0
+    assert train["metrics"]["round_s"]["change"] == {"median": 0.8, "q1": 0.8, "q3": 0.8, "n": 1}
+    pair_row = bench_pairs.tables(runs, summary).splitlines()[2]
+    assert pair_row == "| train | 1 | parent | 0.90000 / 0.80000 | 1.00000 / 0.50000 | 0 / 2 |"

@@ -1,7 +1,5 @@
-import pytest
 from hypothesis import given, strategies as st
 
-from capkit.errors import InvalidConfig
 from capkit.textproc import (
     BOS,
     EOS,
@@ -130,8 +128,3 @@ def test_ngram_totals(toks):
 def test_caption_tokens_match_normalize():
     c = Caption.make("The CAR stops!", "description")
     assert list(c.tokens) == normalize(c.raw)
-
-
-def test_caption_bad_role():
-    with pytest.raises(InvalidConfig):
-        Caption.make("x", "narration")
