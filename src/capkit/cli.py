@@ -16,7 +16,7 @@ import numpy as np
 
 from . import data as dmod
 from . import harness
-from .errors import CapkitError, DimensionMismatch, EmptyDataset, InvalidConfig, MalformedReport, NumericFailure
+from .errors import CapkitError, NumericFailure
 from .metrics import (
     ScoreReport,
     build_idf,
@@ -57,7 +57,7 @@ def _read_index(index_path: str) -> dict:
     """id -> feature file path of a non-empty feature_index.json."""
     index = dmod.read_json_object(index_path)
     if not index or not all(dmod._is_text(rel) for rel in index.values()):
-        raise InvalidConfig(f"{index_path}: expected a non-empty object mapping clip ids to paths")
+        raise CapkitError(f"{index_path}: expected a non-empty object mapping clip ids to paths")
     base = os.path.dirname(index_path)
     return {cid: os.path.join(base, rel) for cid, rel in index.items()}
 
@@ -68,9 +68,9 @@ def _read_clips(paths: dict, where: str) -> dict:
     clips = {cid: dmod.read_features(path) for cid, path in paths.items()}
     for cid, clip in clips.items():
         if clip.id != cid:
-            raise InvalidConfig(f"{paths[cid]}: holds clip {clip.id!r}, but {where} lists it as {cid!r}")
+            raise CapkitError(f"{paths[cid]}: holds clip {clip.id!r}, but {where} lists it as {cid!r}")
     if len({c.D for c in clips.values()}) > 1:
-        raise DimensionMismatch(f"{where}: clips differ in feature dimension")
+        raise CapkitError(f"{where}: clips differ in feature dimension")
     return clips
 
 
@@ -81,11 +81,11 @@ def _load_rows(path: str, split: str, roles: str) -> list:
     index = _read_index(index_path)
     ids = dmod.read_json_object(os.path.join(path, "splits.json")).get(split)
     if not (isinstance(ids, list) and all(isinstance(i, str) and i in index for i in ids)):
-        raise InvalidConfig(f"{path}: splits.json: split {split!r} must list ids that each have a clip")
+        raise CapkitError(f"{path}: splits.json: split {split!r} must list ids that each have a clip")
     wanted = set(ids)
     subset = [s for s in dmod.read_samples_jsonl(os.path.join(path, "samples.jsonl")) if s.id in wanted]
     if not subset:
-        raise EmptyDataset(f"{path}: split {split!r} has no samples")
+        raise CapkitError(f"{path}: split {split!r} has no samples")
     clips = _read_clips({s.id: index[s.id] for s in subset}, index_path)
     return harness.rows(subset, clips, list(ROLES) if roles == "both" else [roles])
 
@@ -153,7 +153,7 @@ def _load_model(path: str):
         and tuple(tokens[: len(RESERVED)]) == RESERVED
         and all(isinstance(t, str) for t in tokens)
     ):
-        raise InvalidConfig(f"{path}: checkpoint vocabulary is missing or does not match vocab_size")
+        raise CapkitError(f"{path}: checkpoint vocabulary is missing or does not match vocab_size")
     return params, Vocab(tokens=tuple(tokens))
 
 
@@ -201,7 +201,7 @@ def cmd_score(args) -> int:
     refs = dmod.read_captions_jsonl(args.refs)
     keys = [k for k in hyps if k in refs]
     if not keys:
-        raise MalformedReport("no (id, role) pairs shared by hypotheses and references")
+        raise CapkitError("no (id, role) pairs shared by hypotheses and references")
     keys.sort()
     h = [hyps[k] for k in keys]
     r = [refs[k] for k in keys]
@@ -255,7 +255,7 @@ def cmd_report(args) -> int:
     reports = [ScoreReport.from_dict(dmod.read_json_object(p), p) for p in args.reports]
     labels = [os.path.basename(p) for p in args.reports] if args.labels is None else args.labels
     if len(labels) != len(reports):
-        raise MalformedReport("label count does not match report count")
+        raise CapkitError("label count does not match report count")
     print(render_report_table(reports, labels))
     if args.out:
         payload = [
@@ -348,11 +348,11 @@ def _config_defaults(parser: argparse.ArgumentParser, path: str) -> dict:
     for key, value in defaults.items():
         a = flags.get(key)
         if a is None or key in ("help", "config"):
-            raise InvalidConfig(f"{path}: unknown flag {key!r}")
+            raise CapkitError(f"{path}: unknown flag {key!r}")
         ok = (lambda v: type(v) is bool) if a.nargs == 0 else takes[a.type]  # nargs 0: store_true
         items = value if a.nargs == "*" else [value]
         if not isinstance(items, list) or not all(ok(v) and (a.choices is None or v in a.choices) for v in items):
-            raise InvalidConfig(f"{path}: {a.option_strings[0]} cannot take {value!r}")
+            raise CapkitError(f"{path}: {a.option_strings[0]} cannot take {value!r}")
     return defaults
 
 
@@ -361,8 +361,11 @@ _shared_parser = functools.cache(build_parser)
 
 
 def main(argv=None) -> int:
-    """Run one command. The class of a CapkitError or OSError picks the exit
-    status; any other exception is a bug and propagates with its traceback.
+    """Run one command. An OSError exits 1 with "I/O error: <message>", a
+    NumericFailure 3 with "numeric failure: <message>" and any other
+    CapkitError 2 with "validation error: <message>", each message naming the
+    file, line or value at fault; any other exception is a bug and propagates
+    with its traceback.
 
     A --config run sets its defaults on a parser of its own, so they do not
     reach later calls. The commands' functions are looked up at each call, so
@@ -384,7 +387,7 @@ def main(argv=None) -> int:
         _log(f"numeric failure: {e}")
         return EXIT_NUMERIC
     except CapkitError as e:
-        _log(f"validation error: {type(e).__name__}: {e}")
+        _log(f"validation error: {e}")
         return EXIT_VALIDATION
     except OSError as e:
         _log(f"I/O error: {e}")

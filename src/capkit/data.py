@@ -8,17 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    BadMagic,
-    BadVersion,
-    DimensionMismatch,
-    DuplicateId,
-    InvalidConfig,
-    MissingField,
-    NonFiniteValue,
-    TruncatedFile,
-    UnknownField,
-)
+from .errors import CapkitError
 from .textproc import ROLE_AVOIDANCE, ROLE_DESCRIPTION, ROLES, Caption
 
 MAGIC = b"AVDF"
@@ -47,9 +37,9 @@ def _write_frame(path: str, magic: bytes, version: int, parts) -> None:
 class _Frame:
     """The body of a framed file, read in order by `take` and `u32`.
 
-    A strict prefix of the magic or a read past the end raises TruncatedFile,
-    other leading bytes BadMagic, another version BadVersion, and bytes left
-    over at `end` DimensionMismatch.
+    A strict prefix of the magic or a read past the end, other leading bytes,
+    another version and bytes left over at `end` each raise CapkitError naming
+    the path and the byte or version at fault.
     """
 
     def __init__(self, path: str, magic: bytes, version: int):
@@ -58,15 +48,15 @@ class _Frame:
         self.path, self.pos = path, len(magic)
         if self.blob[: len(magic)] != magic:
             if magic.startswith(self.blob):
-                raise TruncatedFile(f"{path}: truncated at byte {len(self.blob)}")
-            raise BadMagic(f"{path}: bad magic bytes")
+                raise CapkitError(f"{path}: truncated at byte {len(self.blob)}")
+            raise CapkitError(f"{path}: bad magic bytes")
         found = self.u32()
         if found != version:
-            raise BadVersion(f"{path}: unsupported version {found}")
+            raise CapkitError(f"{path}: unsupported version {found}")
 
     def take(self, n: int) -> bytes:
         if self.pos + n > len(self.blob):
-            raise TruncatedFile(f"{self.path}: truncated at byte {self.pos}")
+            raise CapkitError(f"{self.path}: truncated at byte {self.pos}")
         self.pos += n
         return self.blob[self.pos - n : self.pos]
 
@@ -75,7 +65,7 @@ class _Frame:
 
     def end(self) -> None:
         if self.pos != len(self.blob):
-            raise DimensionMismatch(f"{self.path}: header describes {self.pos} bytes, file has {len(self.blob)}")
+            raise CapkitError(f"{self.path}: header describes {self.pos} bytes, file has {len(self.blob)}")
 
 
 # Feature files: magic | version u32 | id_len u32 | id | T u32 | D u32 | f32 data
@@ -92,14 +82,14 @@ class FeatureClip:
 
 def _check_shape(shape, where: str) -> None:
     if len(shape) != 2 or shape[0] < 1 or shape[1] < 1:
-        raise DimensionMismatch(f"{where}: feature data must be T x D with T, D >= 1, got shape {tuple(shape)}")
+        raise CapkitError(f"{where}: feature data must be T x D with T, D >= 1, got shape {tuple(shape)}")
 
 
 def write_features(clip: FeatureClip, path: str) -> None:
     data = np.ascontiguousarray(clip.data, dtype="<f4")
     _check_shape(data.shape, f"clip {clip.id!r}")
     if not np.isfinite(data).all():
-        raise NonFiniteValue(f"clip {clip.id!r} contains non-finite features")
+        raise CapkitError(f"clip {clip.id!r} contains non-finite features")
     id_bytes = clip.id.encode("utf-8")
     head = struct.pack("<I", len(id_bytes)) + id_bytes + struct.pack("<II", *data.shape)
     _write_frame(path, MAGIC, VERSION, [head, data.tobytes()])
@@ -110,13 +100,13 @@ def read_features(path: str) -> FeatureClip:
     try:
         clip_id = frame.take(frame.u32()).decode("utf-8")
     except UnicodeDecodeError as e:
-        raise InvalidConfig(f"{path}: clip id is not UTF-8") from e
+        raise CapkitError(f"{path}: clip id is not UTF-8") from e
     t, d = frame.u32(), frame.u32()
     _check_shape((t, d), path)
     data = np.frombuffer(frame.take(t * d * 4), dtype="<f4").reshape(t, d)
     frame.end()
     if not np.isfinite(data).all():
-        raise NonFiniteValue(f"{path}: non-finite feature values")
+        raise CapkitError(f"{path}: non-finite feature values")
     return FeatureClip(id=clip_id, data=data.copy())
 
 
@@ -147,13 +137,13 @@ class SynthConfig:
 
     def validate(self):
         if self.n_clips < 1:
-            raise InvalidConfig("n_clips must be >= 1")
+            raise CapkitError("n_clips must be >= 1")
         if not (np.isfinite(self.noise_std) and self.noise_std >= 0):
-            raise InvalidConfig(f"noise_std must be finite and >= 0, got {self.noise_std}")
+            raise CapkitError(f"noise_std must be finite and >= 0, got {self.noise_std}")
         if self.seed < 0:
-            raise InvalidConfig("seed must be >= 0")
+            raise CapkitError("seed must be >= 0")
         if self.D < len(ACTORS) + len(ACTIONS) + len(CAUSES):
-            raise InvalidConfig("D too small for the one-hot template encoding")
+            raise CapkitError("D too small for the one-hot template encoding")
 
 
 def template_caption(actor_i: int, action_i: int, cause_i: int) -> tuple[str, str]:
@@ -231,15 +221,15 @@ def _json_object(blob: bytes, where: str) -> dict:
     try:
         obj = json.loads(blob.decode("utf-8"))
     except (ValueError, RecursionError) as e:  # bad UTF-8 and bad JSON are ValueErrors
-        raise InvalidConfig(f"{where}: not UTF-8 JSON: {e}") from e
+        raise CapkitError(f"{where}: not UTF-8 JSON: {e}") from e
     if not isinstance(obj, dict):
-        raise InvalidConfig(f"{where}: expected a JSON object, got {type(obj).__name__}")
+        raise CapkitError(f"{where}: expected a JSON object, got {type(obj).__name__}")
     return obj
 
 
 def read_json_object(path: str) -> dict:
     """The JSON object a whole file holds; a file that is not UTF-8, not JSON or
-    not a JSON object raises InvalidConfig naming the path."""
+    not a JSON object raises CapkitError naming the path."""
     with open(path, "rb") as f:
         return _json_object(f.read(), path)
 
@@ -256,26 +246,26 @@ def _check_record(d: dict, where: str, fields) -> None:
     """The "id" and `fields` are present and text, and the id is not empty."""
     for f in ("id", *fields):
         if f not in d:
-            raise MissingField(f"{where}: missing field {f!r}")
+            raise CapkitError(f"{where}: missing field {f!r}")
         if not _is_text(d[f]):
-            raise InvalidConfig(f"{where}: field {f!r} must be a string without NUL or lone surrogates")
+            raise CapkitError(f"{where}: field {f!r} must be a string without NUL or lone surrogates")
     if not d["id"]:
-        raise MissingField(f"{where}: empty id")
+        raise CapkitError(f"{where}: empty id")
 
 
 def read_annotations_jsonl(path: str) -> list[Sample]:
     """One Sample per {"id","texts","causes","measures"} line, in file order:
     texts + "; " + causes is the description, measures the avoidance. The first
-    bad line decides the error: an unknown field raises UnknownField, and a
-    repeated id DuplicateId naming `path:line`."""
+    bad line decides the error: an unknown field or a repeated id raises
+    CapkitError naming `path:line`."""
     out = {}
     for where, d in _jsonl_objects(path):
         _check_record(d, where, ANNOTATION_FIELDS[1:])
         extra = set(d) - set(ANNOTATION_FIELDS)
         if extra:
-            raise UnknownField(f"{where}: unexpected annotation fields: {sorted(extra)}")
+            raise CapkitError(f"{where}: unexpected annotation fields: {sorted(extra)}")
         if d["id"] in out:
-            raise DuplicateId(f"{where}: duplicate annotation id {d['id']!r}")
+            raise CapkitError(f"{where}: duplicate annotation id {d['id']!r}")
         out[d["id"]] = Sample(
             d["id"],
             Caption.make(d["texts"] + "; " + d["causes"], ROLE_DESCRIPTION),
@@ -302,12 +292,12 @@ def write_samples_jsonl(samples: list[Sample], path: str) -> None:
 
 def read_samples_jsonl(path: str) -> list[Sample]:
     """One Sample per {"id","description","avoidance"} line, in file order; a
-    repeated id raises DuplicateId naming `path:line`."""
+    repeated id raises CapkitError naming `path:line`."""
     out = {}
     for where, d in _jsonl_objects(path):
         _check_record(d, where, ROLES)
         if d["id"] in out:
-            raise DuplicateId(f"{where}: duplicate sample id {d['id']!r}")
+            raise CapkitError(f"{where}: duplicate sample id {d['id']!r}")
         out[d["id"]] = Sample(d["id"], *(Caption.make(d[r], r) for r in ROLES))
     return list(out.values())
 
@@ -315,16 +305,16 @@ def read_samples_jsonl(path: str) -> list[Sample]:
 def read_captions_jsonl(path: str) -> dict:
     """(id, role) -> Caption from {"id","role","text"} lines; any other line is a
     samples.jsonl line, which must hold both role fields and gives one entry per
-    role. An unknown role raises InvalidConfig and a repeat DuplicateId, naming `path:line`."""
+    role. An unknown role or a repeat raises CapkitError naming `path:line`."""
     out = {}
     for where, d in _jsonl_objects(path):
         caption = "role" in d or "text" in d
         _check_record(d, where, ("role", "text") if caption else ROLES)
         if caption and d["role"] not in ROLES:
-            raise InvalidConfig(f"{where}: unknown caption role {d['role']!r}")
+            raise CapkitError(f"{where}: unknown caption role {d['role']!r}")
         texts = {d["role"]: d["text"]} if caption else {r: d[r] for r in ROLES}
         for role, text in texts.items():
             if (d["id"], role) in out:
-                raise DuplicateId(f"{where}: duplicate caption ({d['id']!r}, {role!r})")
+                raise CapkitError(f"{where}: duplicate caption ({d['id']!r}, {role!r})")
             out[(d["id"], role)] = Caption.make(text, role)
     return out

@@ -1,73 +1,10 @@
-"""Exception hierarchy shared across the toolkit."""
+"""The toolkit's two error classes, one per exit status of the CLI. Each
+message names the file, line or value at fault."""
 
 
 class CapkitError(Exception):
-    """Base class for all toolkit errors."""
-
-
-class LengthMismatch(CapkitError):
-    pass
-
-
-class EmptyCorpus(CapkitError):
-    pass
-
-
-class TooFewSamples(CapkitError):
-    pass
-
-
-class DimensionMismatch(CapkitError):
-    pass
-
-
-class InvalidConfig(CapkitError):
-    pass
-
-
-class BadPrefix(CapkitError):
-    pass
-
-
-class EmptyDataset(CapkitError):
-    pass
-
-
-class InvalidTemperature(CapkitError):
-    pass
-
-
-class DuplicateId(CapkitError):
-    pass
-
-
-class MissingField(CapkitError):
-    pass
-
-
-class UnknownField(CapkitError):
-    pass
-
-
-class BadMagic(CapkitError):
-    pass
-
-
-class BadVersion(CapkitError):
-    pass
-
-
-class TruncatedFile(CapkitError):
-    pass
-
-
-class NonFiniteValue(CapkitError):
-    pass
-
-
-class MalformedReport(CapkitError):
-    pass
+    """Input or configuration that the toolkit rejects: exit status 2."""
 
 
 class NumericFailure(CapkitError):
-    pass
+    """A computation on valid input that did not give a finite result: exit status 3."""

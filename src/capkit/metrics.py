@@ -10,15 +10,7 @@ from operator import mul
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    EmptyCorpus,
-    LengthMismatch,
-    MalformedReport,
-    NonFiniteValue,
-    NumericFailure,
-    TooFewSamples,
-)
+from .errors import CapkitError, NumericFailure
 from .textproc import MAX_N, Caption, ngrams
 
 ROUGE_BETA = 1.2
@@ -208,7 +200,7 @@ def build_idf(refs) -> IdfTable:
     """The table over refs, token sequences: the n-grams of each distinct
     reference are counted once, and go into df once per occurrence."""
     if not refs:
-        raise EmptyCorpus("cannot build an IDF table from zero references")
+        raise CapkitError("cannot build an IDF table from zero references")
     df = {n: Counter() for n in range(1, MAX_N + 1)}
     for r, k in Counter(map(tuple, refs)).items():
         grams = ngrams(r)
@@ -265,11 +257,11 @@ class GaussianStats:
 def gaussian_stats(features: np.ndarray) -> GaussianStats:
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2:
-        raise DimensionMismatch("features must be an N x D matrix")
+        raise CapkitError("features must be an N x D matrix")
     if x.shape[0] < 2:
-        raise TooFewSamples("need at least 2 feature rows")
+        raise CapkitError("need at least 2 feature rows")
     if not np.isfinite(x).all():
-        raise NonFiniteValue("features contain NaN or infinite values")
+        raise CapkitError("features contain NaN or infinite values")
     with np.errstate(over="ignore", invalid="ignore"):  # checked next
         mean = x.mean(axis=0)
         c = np.atleast_2d(np.cov(x, rowvar=False, ddof=1))
@@ -291,12 +283,12 @@ def symmetric_eigvals(a: np.ndarray) -> np.ndarray:
     times the tridiagonal's norm: a test relative to its diagonal neighbours
     stalls on eigenvalues near zero in one block with a much larger one.
 
-    Raises NonFiniteValue for NaN or infinite entries, and NumericFailure when
+    Raises CapkitError for NaN or infinite entries, and NumericFailure when
     an eigenvalue needs more than QL_MAX_ITERS iterations.
     """
     b = np.array(a, dtype=np.float64)
     if not np.isfinite(b).all():
-        raise NonFiniteValue("matrix contains NaN or infinite values")
+        raise CapkitError("matrix contains NaN or infinite values")
     n = b.shape[0]
     shift = math.frexp(np.abs(b).max(initial=0.0))[1]
     b = np.ldexp(b, -shift)
@@ -377,14 +369,12 @@ def frechet_distance(a: GaussianStats, b: GaussianStats) -> float:
     For any factor A = L L^T the last trace is sum sqrt(eig(L^T B L))
     (Dowson & Landau 1982), so a pivoted Cholesky factor and the eigenvalues
     of the r x r matrix L^T B L give it. A non-finite covariance raises
-    NonFiniteValue; an overflow from finite inputs raises NumericFailure.
+    CapkitError; an overflow from finite inputs raises NumericFailure.
     """
     if a.mean.shape != b.mean.shape:
-        raise DimensionMismatch(
-            f"feature dimensions differ: {a.mean.shape} vs {b.mean.shape}"
-        )
+        raise CapkitError(f"feature dimensions differ: {a.mean.shape} vs {b.mean.shape}")
     if not (np.isfinite(a.cov).all() and np.isfinite(b.cov).all()):
-        raise NonFiniteValue("covariance contains NaN or infinite values")
+        raise CapkitError("covariance contains NaN or infinite values")
     if np.array_equal(a.mean, b.mean) and np.array_equal(a.cov, b.cov):
         return 0.0
     diff = a.mean - b.mean
@@ -429,16 +419,16 @@ class ScoreReport:
 
     @classmethod
     def from_dict(cls, d: dict, where: str = "report") -> "ScoreReport":
-        """Raises MalformedReport unless every metric field is a finite number
+        """Raises CapkitError unless every metric field is a finite number
         (an int or float, not a bool, of at most a float's largest magnitude),
         each score lies in its range, and counts is an int >= 0."""
         if not all(type(d.get(f)) in (int, float) and abs(d[f]) <= sys.float_info.max for f in cls.FIELDS):
-            raise MalformedReport(f"{where}: needs a finite number for each of {', '.join(cls.FIELDS)}")
+            raise CapkitError(f"{where}: needs a finite number for each of {', '.join(cls.FIELDS)}")
         for f, hi in cls.SCORE_MAX.items():
             if not -cls.ROUNDING <= d[f] <= hi + cls.ROUNDING:
-                raise MalformedReport(f"{where}: {f} = {d[f]!r} lies outside [0, {hi:g}]")
+                raise CapkitError(f"{where}: {f} = {d[f]!r} lies outside [0, {hi:g}]")
         if type(d["counts"]) is not int or d["counts"] < 0:
-            raise MalformedReport(f"{where}: counts = {d['counts']!r} is not an int >= 0")
+            raise CapkitError(f"{where}: counts = {d['counts']!r} is not an int >= 0")
         return cls(**{f: d[f] for f in cls.FIELDS})
 
 
@@ -447,12 +437,12 @@ def score_all(hyps: list[Caption], refs: list[Caption], idf: IdfTable) -> ScoreR
     reference looked up once, and one `overlap` pass serves BLEU, METEOR and
     CIDEr-D."""
     if len(hyps) != len(refs):
-        raise LengthMismatch(f"{len(hyps)} hypotheses vs {len(refs)} references")
+        raise CapkitError(f"{len(hyps)} hypotheses vs {len(refs)} references")
     if not hyps:
-        raise EmptyCorpus("no sentences to score")
+        raise CapkitError("no sentences to score")
     for h, r in zip(hyps, refs):
         if h.role != r.role:
-            raise LengthMismatch(f"role mismatch: {h.role} vs {r.role}")
+            raise CapkitError(f"role mismatch: {h.role} vs {r.role}")
     bleu, rouge, meteor, cider = [], [], [], []
     for h, r in zip(hyps, refs):
         ht, rt = h.tokens, r.tokens

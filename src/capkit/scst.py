@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadPrefix, InvalidTemperature, NumericFailure
+from .errors import CapkitError, NumericFailure
 from .metrics import IdfTable, cider_d
 from .seqmodel import DecoderCache, ModelParams, Row, _fit
 from .textproc import BOS, EOS, PAD, Caption, Vocab, decode_ids
@@ -36,12 +36,12 @@ def rollout(params: ModelParams, features, seeds, temperature: float = 1.0) -> l
     temperature with the k-th uniform of default_rng(seeds[b]) at step k:
     inverse-CDF sampling, in exact arithmetic the draw of Generator.choice.
     Non-finite logits in a live row raise NumericFailure; a temperature that
-    is not finite and > 0 raises InvalidTemperature when a row samples."""
+    is not finite and > 0 raises CapkitError when a row samples."""
     if len(seeds) != len(features):
-        raise BadPrefix(f"{len(seeds)} seeds for {len(features)} feature matrices: rollout needs one seed per row")
+        raise CapkitError(f"{len(seeds)} seeds for {len(features)} feature matrices: rollout needs one seed per row")
     sampled = np.array([s is not None for s in seeds])
     if sampled.any() and not (np.isfinite(temperature) and temperature > 0.0):
-        raise InvalidTemperature(f"temperature must be finite and > 0, got {temperature}")
+        raise CapkitError(f"temperature must be finite and > 0, got {temperature}")
     B, L = len(seeds), params.config.max_len
     u = np.zeros((B, L - 1))  # row b's uniform at step t is u[b, t - 1]
     for b in np.flatnonzero(sampled):

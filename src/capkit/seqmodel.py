@@ -10,31 +10,10 @@ import numpy as np
 
 from . import autodiff as ad
 from .data import _Frame, _json_object, _write_frame
-from .errors import BadPrefix, EmptyDataset, InvalidConfig, NonFiniteValue, NumericFailure
+from .errors import CapkitError, NumericFailure
 from .textproc import BOS, PAD, Caption, Vocab, encode
 
 MASKED = -1e9  # the attention bias of a key a query must not see
-
-PARAM_SHAPES = (
-    # name, shape expression over (V, d, L, F)
-    ("tok_emb", lambda V, d, L, F: (V, d)),
-    ("pos_emb", lambda V, d, L, F: (L, d)),
-    ("feat_proj", lambda V, d, L, F: (F, d)),
-    ("sa_q", lambda V, d, L, F: (d, d)),
-    ("sa_k", lambda V, d, L, F: (d, d)),
-    ("sa_v", lambda V, d, L, F: (d, d)),
-    ("sa_o", lambda V, d, L, F: (d, d)),
-    ("ca_q", lambda V, d, L, F: (d, d)),
-    ("ca_k", lambda V, d, L, F: (d, d)),
-    ("ca_v", lambda V, d, L, F: (d, d)),
-    ("ca_o", lambda V, d, L, F: (d, d)),
-    ("ff_w1", lambda V, d, L, F: (d, 4 * d)),
-    ("ff_w2", lambda V, d, L, F: (4 * d, d)),
-    ("ln1_g", lambda V, d, L, F: (d,)),
-    ("ln1_b", lambda V, d, L, F: (d,)),
-    ("ln2_g", lambda V, d, L, F: (d,)),
-    ("ln2_b", lambda V, d, L, F: (d,)),
-)
 
 
 @dataclass(frozen=True)
@@ -48,22 +27,22 @@ class ModelConfig:
 
     def validate(self) -> None:
         if not all(type(getattr(self, f.name)) is int for f in fields(self)):
-            raise InvalidConfig("every model config field must be an int")
+            raise CapkitError("every model config field must be an int")
         if self.n_heads < 1:
-            raise InvalidConfig("n_heads must be >= 1")
+            raise CapkitError("n_heads must be >= 1")
         if self.d_model % self.n_heads != 0:
-            raise InvalidConfig("d_model must be divisible by n_heads")
+            raise CapkitError("d_model must be divisible by n_heads")
         if self.vocab_size < 5:
-            raise InvalidConfig("vocab_size must be >= 5")
+            raise CapkitError("vocab_size must be >= 5")
         if self.max_len < 2:
-            raise InvalidConfig("max_len must be >= 2")
+            raise CapkitError("max_len must be >= 2")
         if self.feature_dim < 1 or self.d_model < 1:
-            raise InvalidConfig("dimensions must be positive")
+            raise CapkitError("dimensions must be positive")
 
 
 @dataclass
 class ModelParams:
-    """Every parameter in one float64 vector `flat`, in PARAM_SHAPES order; `tensors` holds its named views."""
+    """Every parameter in one float64 vector `flat`, in `_shapes` order; `tensors` holds its named views."""
 
     config: ModelConfig
     flat: np.ndarray
@@ -76,9 +55,16 @@ class ModelParams:
 
 
 def _shapes(config: ModelConfig) -> list:
-    """(name, shape) of every parameter tensor, in PARAM_SHAPES order."""
-    dims = (config.vocab_size, config.d_model, config.max_len, config.feature_dim)
-    return [(name, shape_fn(*dims)) for name, shape_fn in PARAM_SHAPES]
+    """(name, shape) of every parameter tensor, in the one order that `flat`,
+    `tensors` and the checkpoint payload share."""
+    V, d, L, F = config.vocab_size, config.d_model, config.max_len, config.feature_dim
+    return [
+        ("tok_emb", (V, d)), ("pos_emb", (L, d)), ("feat_proj", (F, d)),
+        ("sa_q", (d, d)), ("sa_k", (d, d)), ("sa_v", (d, d)), ("sa_o", (d, d)),
+        ("ca_q", (d, d)), ("ca_k", (d, d)), ("ca_v", (d, d)), ("ca_o", (d, d)),
+        ("ff_w1", (d, 4 * d)), ("ff_w2", (4 * d, d)),
+        ("ln1_g", (d,)), ("ln1_b", (d,)), ("ln2_g", (d,)), ("ln2_b", (d,)),
+    ]
 
 
 def _size(config: ModelConfig) -> int:
@@ -93,7 +79,7 @@ def init_params(config: ModelConfig) -> ModelParams:
     try:
         flat = np.empty(size)
     except (MemoryError, ValueError) as e:  # numpy's "Unable to allocate" and "Maximum allowed dimension"
-        raise InvalidConfig(f"a model of {size} parameters cannot be allocated: {e}") from e
+        raise CapkitError(f"a model of {size} parameters cannot be allocated: {e}") from e
     params = ModelParams(config, flat)
     for name, p in params.tensors.items():
         if name.startswith("ln"):
@@ -112,29 +98,29 @@ class ForwardTrace:
 
 
 def _check_ids(config: ModelConfig, token_ids) -> np.ndarray:
-    """token_ids as an intp array; BadPrefix unless every id is an integer (not
+    """token_ids as an intp array; CapkitError unless every id is an integer (not
     a bool) in 0..vocab_size-1."""
     try:
         ids = np.asarray(token_ids)
     except ValueError as e:  # ragged rows
-        raise BadPrefix(f"token ids do not form an array: {e}") from None
+        raise CapkitError(f"token ids do not form an array: {e}") from None
     # numpy stores [1, True] as ints, so a sequence's element types are read too
     bools = not isinstance(token_ids, np.ndarray) and {bool, np.bool_} & set(
         map(type, np.ravel(np.asarray(token_ids, dtype=object)))
     )
     if ids.dtype.kind not in "iu" or bools or ids.size and not (0 <= ids.min() and ids.max() < config.vocab_size):
-        raise BadPrefix(f"token ids {np.ravel(token_ids)[:8]!r} are not all ints in 0..{config.vocab_size - 1}")
+        raise CapkitError(f"token ids {np.ravel(token_ids)[:8]!r} are not all ints in 0..{config.vocab_size - 1}")
     return ids.astype(np.intp, copy=False)
 
 
 def _check_features(config: ModelConfig, features):
     """Stack a batch's T_b x feature_dim matrices (T_b >= 1) into one zero-padded
     B x T x feature_dim array; return it and the B x 1 x 1 x T cross-attention
-    bias that hides the padded frames (None when no row is padded). BadPrefix
+    bias that hides the padded frames (None when no row is padded). CapkitError
     otherwise."""
     rows = [np.asarray(f, dtype=np.float64) for f in features]
     if not rows or any(f.ndim != 2 or f.shape[0] < 1 or f.shape[1] != config.feature_dim for f in rows):
-        raise BadPrefix("features must be a sequence of B matrices T x feature_dim with T >= 1")
+        raise CapkitError("features must be a sequence of B matrices T x feature_dim with T >= 1")
     lengths = np.array([f.shape[0] for f in rows])
     T = int(lengths.max())
     if (lengths == T).all():
@@ -181,12 +167,12 @@ def forward(params: ModelParams, features, prefix_ids, train: bool = False):
     cfg = params.config
     ids = _check_ids(cfg, prefix_ids)
     if ids.ndim != 2 or ids.shape[1] == 0 or (ids[:, 0] != BOS).any():
-        raise BadPrefix(f"prefixes must be a B x L array of rows that start with BOS, got shape {ids.shape}")
+        raise CapkitError(f"prefixes must be a B x L array of rows that start with BOS, got shape {ids.shape}")
     if ids.shape[1] > cfg.max_len:
-        raise BadPrefix("prefix longer than max_len")
+        raise CapkitError("prefix longer than max_len")
     feats, ca_bias = _check_features(cfg, features)
     if len(feats) != len(ids):
-        raise BadPrefix(f"{len(ids)} prefixes but {len(feats)} feature matrices")
+        raise CapkitError(f"{len(ids)} prefixes but {len(feats)} feature matrices")
 
     tape = [] if train else None
     if train:
@@ -309,11 +295,11 @@ def _fit(params: ModelParams, dataset: list[Row], epochs: int, batch_size: int, 
     per row. A non-finite loss raises NumericFailure before `backward` runs.
     """
     if batch_size < 1 or epochs < 0:
-        raise InvalidConfig(f"need batch_size >= 1 and epochs >= 0, got {batch_size} and {epochs}")
+        raise CapkitError(f"need batch_size >= 1 and epochs >= 0, got {batch_size} and {epochs}")
     if not (math.isfinite(lr) and lr > 0.0):
-        raise InvalidConfig(f"learning rate must be finite and > 0, got {lr}")
+        raise CapkitError(f"learning rate must be finite and > 0, got {lr}")
     if not dataset:
-        raise EmptyDataset("empty training dataset")
+        raise CapkitError("empty training dataset")
     rng = np.random.default_rng(seed)
     state = AdamState()
     curve = []
@@ -378,10 +364,10 @@ class DecoderCache:
         """Feed one token per row; return the next-token logits, B x |V|."""
         cfg, P, t = self.params.config, self.params.tensors, self._t
         if t >= cfg.max_len:
-            raise BadPrefix("prefix longer than max_len")
+            raise CapkitError("prefix longer than max_len")
         ids = _check_ids(cfg, token_ids).reshape(-1, 1)
         if len(ids) != len(self._keys):
-            raise BadPrefix(f"{len(ids)} token ids for {len(self._keys)} rows")
+            raise CapkitError(f"{len(ids)} token ids for {len(self._keys)} rows")
         x = ad.embed(None, P["tok_emb"], P["pos_emb"], ids, t)
         self._keys[:, t] = x[:, 0] @ P["sa_k"]
         self._vals[:, t] = x[:, 0] @ P["sa_v"]
@@ -394,7 +380,7 @@ class DecoderCache:
 
 # ---------------------------------------------------------------------------
 # Checkpoint format: CKPT magic | version u32 | header_len u32 | JSON header
-# (config and extra keys) | float64 little-endian tensors in PARAM_SHAPES order
+# (config and extra keys) | float64 little-endian tensors in `_shapes` order
 
 CKPT_MAGIC = b"CKPT"
 CKPT_VERSION = 1
@@ -409,17 +395,17 @@ def save_checkpoint(params: ModelParams, path: str, extra: dict | None = None) -
 def load_checkpoint(path: str) -> tuple[ModelParams, dict]:
     """Read a checkpoint and its extra header keys. Framing errors raise as in
     `data._Frame`; a header that does not decode to a valid config raises
-    InvalidConfig, a non-finite parameter NonFiniteValue."""
+    CapkitError, as does a non-finite parameter."""
     frame = _Frame(path, CKPT_MAGIC, CKPT_VERSION)
     header = _json_object(frame.take(frame.u32()), f"{path}: checkpoint header")
     try:
         config = ModelConfig(**header.pop("config"))
     except (TypeError, KeyError) as e:
-        raise InvalidConfig(f"{path}: checkpoint config unreadable: {type(e).__name__}: {e}") from e
+        raise CapkitError(f"{path}: checkpoint config unreadable: {type(e).__name__}: {e}") from e
     config.validate()
     payload = frame.take(8 * _size(config))  # a huge config fails here, before any allocation
     frame.end()
     flat = np.frombuffer(payload, dtype="<f8").astype(np.float64)
     if not np.isfinite(flat).all():
-        raise NonFiniteValue(f"{path}: non-finite parameter values")
+        raise CapkitError(f"{path}: non-finite parameter values")
     return ModelParams(config, flat), header

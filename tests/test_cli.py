@@ -55,7 +55,7 @@ def test_ingest_duplicate_id(tmp_path, capsys):
     _write_annotations(src, [GOOD_ROW, GOOD_ROW])
     status, _, err = run(capsys, "ingest", src, "--out", os.path.join(tmp_path, "o.jsonl"))
     assert status == 2
-    assert f"validation error: DuplicateId: {src}:2: duplicate annotation id 'a1'" in err
+    assert f"validation error: {src}:2: duplicate annotation id 'a1'" in err
 
 
 def test_ingest_missing_input(tmp_path, capsys):
@@ -123,7 +123,7 @@ def test_report_non_finite_field(tmp_path, capsys, value):
     status, out, err = run(capsys, "report", path, "--labels", "A/B")
     assert status == 2
     assert out == ""
-    assert f"MalformedReport: {path}: needs a finite number" in err
+    assert f"validation error: {path}: needs a finite number" in err
 
 
 @pytest.mark.parametrize("field, value, why", [
@@ -143,7 +143,7 @@ def test_report_field_out_of_range(tmp_path, capsys, field, value, why):
     status, out, err = run(capsys, "report", path, "--labels", "A/B")
     assert status == 2
     assert out == ""
-    assert f"MalformedReport: {path}: {why}" in err
+    assert f"validation error: {path}: {why}" in err
 
 
 def test_report_accepts_the_range_ends(tmp_path, capsys):
@@ -270,7 +270,7 @@ def test_decode_rejects_bad_checkpoint_vocab(tmp_path, capsys, tiny_pipeline, vo
         "--out", os.path.join(tmp_path, "h.jsonl"), "--split", "val",
     )
     assert status == 2
-    assert "InvalidConfig" in err
+    assert f"validation error: {ckpt}: checkpoint vocabulary is missing or does not match vocab_size" in err
 
 
 def test_config_file_defaults(tmp_path, capsys):
@@ -294,7 +294,7 @@ def test_non_finite_checkpoint_exits_2(tmp_path, capsys, tiny_pipeline, command)
     out = os.path.join(tmp_path, "out")
     status, _, err = run(capsys, command, "--data", tiny_pipeline["data"], "--ckpt", ckpt, "--out", out)
     assert status == 2
-    assert "NonFiniteValue" in err
+    assert f"validation error: {ckpt}: non-finite parameter values" in err
     assert os.listdir(tmp_path) == ["nan.ckpt"]
 
 
@@ -357,7 +357,8 @@ def test_jsonl_line_not_an_object_exits_2(tmp_path, capsys, command, line):
         f.write(line + "\n")
     status, _, err = run(capsys, *argv)
     assert status == 2
-    assert f"InvalidConfig: {bad}:2: " in err
+    why = "not UTF-8 JSON" if line == "{not json" else "expected a JSON object"
+    assert f"validation error: {bad}:2: {why}" in err
     assert not os.path.exists(out)
 
 

@@ -29,18 +29,7 @@ from capkit.data import (
     write_features,
     write_samples_jsonl,
 )
-from capkit.errors import (
-    BadMagic,
-    BadVersion,
-    CapkitError,
-    DimensionMismatch,
-    DuplicateId,
-    InvalidConfig,
-    MissingField,
-    NonFiniteValue,
-    TruncatedFile,
-    UnknownField,
-)
+from capkit.errors import CapkitError
 from capkit.metrics import build_idf, cider_d
 from capkit.textproc import ROLE_AVOIDANCE, ROLE_DESCRIPTION, Caption, normalize
 
@@ -75,8 +64,9 @@ def test_restructure_empty_measures_allowed(tmp_path):
 
 def test_restructure_duplicate_id(tmp_path):
     """The repeat on line 2 is the first bad line, so it decides the error."""
-    with pytest.raises(DuplicateId, match=r"ann\.jsonl:2: duplicate annotation id 'c1'"):
+    with pytest.raises(CapkitError, match=r"ann\.jsonl:2: duplicate annotation id 'c1'") as excinfo:
         _read_annotations(tmp_path, _ann(), _ann(), {"id": "x"})
+    assert excinfo.type is CapkitError
 
 
 def test_restructure_preserves_order(tmp_path):
@@ -101,23 +91,27 @@ def test_restructure_lossless(texts, causes, measures):
     (SynthConfig(n_clips=1, D=len(ACTORS) + len(ACTIONS) + len(CAUSES) - 1), "D too small"),
 ])
 def test_synth_config_rejected(config, message):
-    with pytest.raises(InvalidConfig, match=message):
+    with pytest.raises(CapkitError, match=message) as excinfo:
         synth_corpus(config)
+    assert excinfo.type is CapkitError
 
 
 def test_annotation_missing_field(tmp_path):
-    with pytest.raises(MissingField):
+    with pytest.raises(CapkitError, match="missing field 'measures'") as excinfo:
         _read_annotations(tmp_path, {"id": "x", "texts": "t", "causes": "c"})
+    assert excinfo.type is CapkitError
 
 
 def test_annotation_unknown_field(tmp_path):
-    with pytest.raises(UnknownField):
+    with pytest.raises(CapkitError, match=r"unexpected annotation fields: \['Texts'\]") as excinfo:
         _read_annotations(tmp_path, {**_ann(), "Texts": "t"})
+    assert excinfo.type is CapkitError
 
 
 def test_annotation_empty_id(tmp_path):
-    with pytest.raises(MissingField):
+    with pytest.raises(CapkitError, match="empty id") as excinfo:
         _read_annotations(tmp_path, _ann(i=""))
+    assert excinfo.type is CapkitError
 
 
 # ---------------------------------------------------------------------------
@@ -151,8 +145,9 @@ def test_feature_bad_magic(tmp_path):
     path = os.path.join(tmp_path, "c.avdf")
     with open(path, "wb") as f:
         f.write(b"NOPE" + b"\x00" * 20)
-    with pytest.raises(BadMagic):
+    with pytest.raises(CapkitError, match="bad magic bytes") as excinfo:
         read_features(path)
+    assert excinfo.type is CapkitError
 
 
 def test_feature_bad_version(tmp_path):
@@ -163,8 +158,9 @@ def test_feature_bad_version(tmp_path):
     blob[4] = 9
     with open(path, "wb") as f:
         f.write(blob)
-    with pytest.raises(BadVersion):
+    with pytest.raises(CapkitError, match="unsupported version 9") as excinfo:
         read_features(path)
+    assert excinfo.type is CapkitError
 
 
 def test_feature_truncated(tmp_path):
@@ -177,8 +173,9 @@ def test_feature_truncated(tmp_path):
     for n in range(len(blob)):
         with open(path, "wb") as f:
             f.write(blob[:n])
-        with pytest.raises(TruncatedFile):
+        with pytest.raises(CapkitError, match="truncated at byte") as excinfo:
             read_features(path)
+        assert excinfo.type is CapkitError
 
 
 def test_feature_trailing_bytes(tmp_path):
@@ -188,14 +185,16 @@ def test_feature_trailing_bytes(tmp_path):
     size = os.path.getsize(path)
     with open(path, "ab") as f:
         f.write(b"\x00" * 4)
-    with pytest.raises(DimensionMismatch, match=f"describes {size} bytes, file has {size + 4}"):
+    with pytest.raises(CapkitError, match=f"describes {size} bytes, file has {size + 4}") as excinfo:
         read_features(path)
+    assert excinfo.type is CapkitError
 
 
 @pytest.mark.parametrize("shape", [(0, 4), (3, 0), (0, 0), (12,), (2, 3, 2)])
 def test_feature_write_bad_shape(shape):
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(CapkitError, match="feature data must be T x D") as excinfo:
         write_features(_clip(np.zeros(shape)), os.devnull)
+    assert excinfo.type is CapkitError
 
 
 @pytest.mark.parametrize("t,d", [(0, 4), (3, 0), (0, 0)])
@@ -203,14 +202,16 @@ def test_feature_read_empty_dimension(tmp_path, t, d):
     path = os.path.join(tmp_path, "c.avdf")
     with open(path, "wb") as f:
         f.write(MAGIC + struct.pack("<II", VERSION, 2) + b"ab" + struct.pack("<II", t, d))
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(CapkitError, match="feature data must be T x D") as excinfo:
         read_features(path)
+    assert excinfo.type is CapkitError
 
 
 def test_feature_nonfinite_write():
     clip = _clip(np.array([[np.nan, 1.0]], dtype=np.float32))
-    with pytest.raises(NonFiniteValue):
+    with pytest.raises(CapkitError, match="contains non-finite features") as excinfo:
         write_features(clip, os.devnull)
+    assert excinfo.type is CapkitError
 
 
 def test_feature_nonfinite_read(tmp_path):
@@ -221,8 +222,9 @@ def test_feature_nonfinite_read(tmp_path):
     blob[-4:] = np.array([np.inf], dtype="<f4").tobytes()
     with open(path, "wb") as f:
         f.write(blob)
-    with pytest.raises(NonFiniteValue):
+    with pytest.raises(CapkitError, match="non-finite feature values") as excinfo:
         read_features(path)
+    assert excinfo.type is CapkitError
 
 
 def test_feature_id_not_utf8(tmp_path):
@@ -233,8 +235,9 @@ def test_feature_id_not_utf8(tmp_path):
     blob[12:14] = b"\xff\xfe"
     with open(path, "wb") as f:
         f.write(blob)
-    with pytest.raises(InvalidConfig):
+    with pytest.raises(CapkitError, match="clip id is not UTF-8") as excinfo:
         read_features(path)
+    assert excinfo.type is CapkitError
 
 
 def _read_bytes_only_capkit_errors(tmp_path_factory, blob: bytes):
@@ -393,29 +396,31 @@ def test_samples_jsonl_round_trip(tmp_path):
 def test_captions_jsonl_samples_line_needs_both_roles(tmp_path, role):
     """A reference line with neither "role" nor "text" is a samples.jsonl line,
     so it needs both role fields, as `read_samples_jsonl` does: a missing one
-    raises MissingField naming it, where a caption line gives one caption."""
+    raises CapkitError naming it, where a caption line gives one caption."""
     path = os.path.join(tmp_path, "refs.jsonl")
     line = {"id": "a", ROLE_DESCRIPTION: "the car brakes", ROLE_AVOIDANCE: "slow down"}
     del line[role]
     with open(path, "w", encoding="utf-8") as f:
         f.write(json.dumps(line) + "\n")
     for read in (read_captions_jsonl, read_samples_jsonl):
-        with pytest.raises(MissingField, match=f"missing field '{role}'"):
+        with pytest.raises(CapkitError, match=f"missing field '{role}'") as excinfo:
             read(path)
+        assert excinfo.type is CapkitError
     with open(path, "w", encoding="utf-8") as f:
         f.write(json.dumps({"id": "a", "role": role, "text": "the car brakes"}) + "\n")
     assert read_captions_jsonl(path) == {("a", role): Caption.make("the car brakes", role)}
 
 
 def test_caption_bad_role(tmp_path):
-    """A caption line whose role is not one of ROLES raises InvalidConfig
+    """A caption line whose role is not one of ROLES raises CapkitError
     naming its `path:line`."""
     path = os.path.join(tmp_path, "hyps.jsonl")
     lines = [{"id": "a", "role": ROLE_DESCRIPTION, "text": "the car"}, {"id": "a", "role": "narration", "text": "x"}]
     with open(path, "w", encoding="utf-8") as f:
         f.write("".join(json.dumps(d) + "\n" for d in lines))
-    with pytest.raises(InvalidConfig, match=re.escape(f"{path}:2: unknown caption role 'narration'")):
+    with pytest.raises(CapkitError, match=re.escape(f"{path}:2: unknown caption role 'narration'")) as excinfo:
         read_captions_jsonl(path)
+    assert excinfo.type is CapkitError
 
 
 def test_annotations_jsonl(tmp_path):

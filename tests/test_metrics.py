@@ -12,14 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from capkit.data import SynthConfig, synth_corpus
-from capkit.errors import (
-    DimensionMismatch,
-    EmptyCorpus,
-    LengthMismatch,
-    NonFiniteValue,
-    NumericFailure,
-    TooFewSamples,
-)
+from capkit.errors import CapkitError, NumericFailure
 from capkit.metrics import (
     CIDER_SIGMA,
     MAX_N,
@@ -27,7 +20,6 @@ from capkit.metrics import (
     METEOR_GAMMA,
     METEOR_THETA,
     GaussianStats,
-    IdfTable,
     ScoreReport,
     _lcs_len,
     _min_chunks,
@@ -89,8 +81,9 @@ def test_bleu_zero_order_precision():
 def test_bleu_length_mismatch():
     """One hypothesis against two references: the corpus BLEU that score_all
     reports has no pairing to score."""
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(CapkitError, match="1 hypotheses vs 2 references") as excinfo:
         score_all(_caps(["a"]), _caps(["a", "b"]), build_idf([("a",)]))
+    assert excinfo.type is CapkitError
 
 
 def test_bleu_brevity_penalty():
@@ -295,8 +288,9 @@ def test_build_idf_absent_gram():
 
 
 def test_build_idf_empty():
-    with pytest.raises(EmptyCorpus):
+    with pytest.raises(CapkitError, match="cannot build an IDF table from zero references") as excinfo:
         build_idf([])
+    assert excinfo.type is CapkitError
 
 
 @given(st.data())
@@ -430,10 +424,12 @@ def test_cider_corpus_mean():
 
 def test_cider_corpus_errors():
     idf = build_idf(TWO_DOC_REFS)
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(CapkitError, match="1 hypotheses vs 0 references") as excinfo:
         score_all(_caps(["a"]), [], idf)
-    with pytest.raises(EmptyCorpus):
+    assert excinfo.type is CapkitError
+    with pytest.raises(CapkitError, match="no sentences to score") as excinfo:
         score_all([], [], idf)
+    assert excinfo.type is CapkitError
 
 
 @given(tokens_st, tokens_st)
@@ -458,13 +454,15 @@ def test_gaussian_stats_identical_rows():
 
 @pytest.mark.parametrize("features", [np.ones(5), np.ones((2, 3, 4))])
 def test_gaussian_stats_needs_a_matrix(features):
-    with pytest.raises(DimensionMismatch, match="N x D matrix"):
+    with pytest.raises(CapkitError, match="N x D matrix") as excinfo:
         gaussian_stats(features)
+    assert excinfo.type is CapkitError
 
 
 def test_gaussian_stats_too_few():
-    with pytest.raises(TooFewSamples):
+    with pytest.raises(CapkitError, match="need at least 2 feature rows") as excinfo:
         gaussian_stats(np.ones((1, 3)))
+    assert excinfo.type is CapkitError
 
 
 def test_frechet_self_zero():
@@ -488,8 +486,9 @@ def test_frechet_diagonal_case():
 def test_frechet_dimension_mismatch():
     a = GaussianStats(np.zeros(2), np.eye(2))
     b = GaussianStats(np.zeros(3), np.eye(3))
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(CapkitError, match="feature dimensions differ") as excinfo:
         frechet_distance(a, b)
+    assert excinfo.type is CapkitError
 
 
 def test_frechet_symmetry():
@@ -573,13 +572,14 @@ def test_frechet_rank_deficient_matches_oracle():
 
 @pytest.mark.parametrize("first", [True, False], ids=["first", "second"])
 def test_frechet_non_finite_covariance(first):
-    """A non-finite covariance built straight into GaussianStats is a NonFiniteValue."""
+    """A non-finite covariance built straight into GaussianStats is rejected as input: a CapkitError, not a NumericFailure."""
     cov = np.eye(3)
     cov[0, 1] = cov[1, 0] = np.nan
     bad = GaussianStats(np.zeros(3), cov)
     good = GaussianStats(np.ones(3), 2.0 * np.eye(3))
-    with pytest.raises(NonFiniteValue):
+    with pytest.raises(CapkitError, match="covariance contains NaN or infinite values") as excinfo:
         frechet_distance(*((bad, good) if first else (good, bad)))
+    assert excinfo.type is CapkitError
 
 
 def test_frechet_one_eigensolve(monkeypatch):
@@ -700,8 +700,9 @@ def test_symmetric_eigvals_iteration_limit(monkeypatch):
 def test_gaussian_stats_rejects_non_finite():
     x = np.random.default_rng(0).normal(size=(50, 16))
     x[7, 3] = np.nan
-    with pytest.raises(NonFiniteValue):
+    with pytest.raises(CapkitError, match="features contain NaN or infinite values") as excinfo:
         gaussian_stats(x)
+    assert excinfo.type is CapkitError
 
 
 @pytest.mark.parametrize("features", [
@@ -719,15 +720,17 @@ def test_gaussian_stats_overflow_is_numeric_failure(features):
 def test_frechet_identical_non_finite_stats():
     """Identical stats get no zero-distance shortcut past the finiteness check."""
     a = GaussianStats(np.zeros(2), np.full((2, 2), np.inf))
-    with pytest.raises(NonFiniteValue):
+    with pytest.raises(CapkitError, match="covariance contains NaN or infinite values") as excinfo:
         frechet_distance(a, a)
+    assert excinfo.type is CapkitError
 
 
 def test_jacobi_rejects_non_finite():
     a = np.eye(4)
     a[1, 2] = a[2, 1] = np.nan
-    with pytest.raises(NonFiniteValue):
+    with pytest.raises(CapkitError, match="matrix contains NaN or infinite values") as excinfo:
         symmetric_eigvals(a)
+    assert excinfo.type is CapkitError
 
 
 @pytest.mark.parametrize("mu", [[0.0, np.inf, 0.0], [1e200, 0.0, 0.0]], ids=["inf", "overflow"])
@@ -948,12 +951,13 @@ def test_score_all_disjoint():
 
 
 def test_score_all_role_mismatch():
-    """A hypothesis and reference of different roles raise LengthMismatch;
+    """A hypothesis and reference of different roles raise CapkitError;
     mismatched counts and an empty corpus are checked by
     test_bleu_length_mismatch and test_cider_corpus_errors."""
     idf = build_idf([("a",)])
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(CapkitError, match="role mismatch: description vs avoidance") as excinfo:
         score_all(_caps(["a"], "description"), _caps(["a"], "avoidance"), idf)
+    assert excinfo.type is CapkitError
 
 
 def test_score_all_micro_corpus_oracle_sheet():

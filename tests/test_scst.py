@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from capkit import harness, scst
 from capkit.data import SynthConfig, synth_corpus
-from capkit.errors import BadPrefix, EmptyDataset, InvalidTemperature, NumericFailure
+from capkit.errors import CapkitError, NumericFailure
 from capkit.metrics import build_idf, cider_d
 from capkit.scst import (
     RewardVector,
@@ -96,12 +96,15 @@ def test_sample_invalid_temperature(params):
     """A bad temperature, or a seed list whose length is not the number of
     feature matrices, is a typed error."""
     for temperature in (0.0, math.inf):
-        with pytest.raises(InvalidTemperature):
+        with pytest.raises(CapkitError, match="temperature must be finite and > 0") as excinfo:
             rollout(params, [FEATS], [0], temperature=temperature)
-    with pytest.raises(BadPrefix, match="1 seeds for 2 feature matrices"):
+        assert excinfo.type is CapkitError
+    with pytest.raises(CapkitError, match="1 seeds for 2 feature matrices") as excinfo:
         rollout(params, [FEATS, FEATS], [None])
-    with pytest.raises(BadPrefix, match="2 seeds for 1 feature matrices"):
+    assert excinfo.type is CapkitError
+    with pytest.raises(CapkitError, match="2 seeds for 1 feature matrices") as excinfo:
         rollout(params, [FEATS], [None, 3])
+    assert excinfo.type is CapkitError
 
 
 def test_sample_first_step_frequencies():
@@ -505,8 +508,9 @@ def test_scst_parameter_gradient_finite_difference(params):
 
 
 def test_scst_train_empty_dataset(params):
-    with pytest.raises(EmptyDataset):
+    with pytest.raises(CapkitError, match="empty training dataset") as excinfo:
         scst_train(params, [], _idf(), 1, 1, seed=0, vocab=VOCAB)
+    assert excinfo.type is CapkitError
 
 
 def test_derive_seed_stable():

@@ -9,28 +9,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from capkit import autodiff as ad, seqmodel
-from capkit.errors import (
-    BadMagic,
-    BadPrefix,
-    BadVersion,
-    CapkitError,
-    DimensionMismatch,
-    EmptyDataset,
-    InvalidConfig,
-    NonFiniteValue,
-    NumericFailure,
-    TruncatedFile,
-)
+from capkit.errors import CapkitError, NumericFailure
 from capkit.seqmodel import (
     CKPT_MAGIC,
     CKPT_VERSION,
-    PARAM_SHAPES,
     AdamState,
     DecoderCache,
     ModelConfig,
     ModelParams,
     Row,
     _pad_rows,
+    _shapes,
     _token_loss,
     adam_step,
     backward,
@@ -81,32 +70,42 @@ def test_init_seed_changes_params():
 
 
 def test_init_invalid_divisibility():
-    with pytest.raises(InvalidConfig):
+    with pytest.raises(CapkitError, match="d_model must be divisible by n_heads") as excinfo:
         init_params(ModelConfig(vocab_size=12, feature_dim=6, d_model=65, n_heads=2))
+    assert excinfo.type is CapkitError
 
 
 def test_init_invalid_vocab():
-    with pytest.raises(InvalidConfig):
+    with pytest.raises(CapkitError, match="vocab_size must be >= 5") as excinfo:
         init_params(ModelConfig(vocab_size=4, feature_dim=6))
+    assert excinfo.type is CapkitError
 
 
 @pytest.mark.parametrize("n_heads", [0, -2, 0.5, True])
 def test_init_invalid_n_heads(n_heads):
-    with pytest.raises(InvalidConfig):
+    with pytest.raises(CapkitError, match="n_heads must be >= 1|every model config field must be an int") as excinfo:
         init_params(ModelConfig(vocab_size=12, feature_dim=6, d_model=16, n_heads=n_heads))
+    assert excinfo.type is CapkitError
 
 
 def test_tensors_are_views_of_flat(params):
-    """Each tensor is the reshaped slice of `flat` at its PARAM_SHAPES offset,
+    """Each tensor is the reshaped slice of `flat` at its `_shapes` offset,
     writes through a view reach `flat`, and params over a copy of `flat` share
-    no memory with it."""
-    dims = (CFG.vocab_size, CFG.d_model, CFG.max_len, CFG.feature_dim)
-    assert list(params.tensors) == [name for name, _ in PARAM_SHAPES]
+    no memory with it. The names, order and shapes are those every checkpoint
+    was written in (V=12, d=16, L=10, F=6)."""
+    assert _shapes(CFG) == [
+        ("tok_emb", (12, 16)), ("pos_emb", (10, 16)), ("feat_proj", (6, 16)),
+        ("sa_q", (16, 16)), ("sa_k", (16, 16)), ("sa_v", (16, 16)), ("sa_o", (16, 16)),
+        ("ca_q", (16, 16)), ("ca_k", (16, 16)), ("ca_v", (16, 16)), ("ca_o", (16, 16)),
+        ("ff_w1", (16, 64)), ("ff_w2", (64, 16)),
+        ("ln1_g", (16,)), ("ln1_b", (16,)), ("ln2_g", (16,)), ("ln2_b", (16,)),
+    ]
+    assert list(params.tensors) == [name for name, _ in _shapes(CFG)]
     offset = {}
     start = 0
-    for name, shape_fn in PARAM_SHAPES:
+    for name, shape in _shapes(CFG):
         view = params.tensors[name]
-        assert view.shape == shape_fn(*dims) and view.dtype == np.float64
+        assert view.shape == shape and view.dtype == np.float64
         assert view.ctypes.data == params.flat.ctypes.data + 8 * start
         assert np.shares_memory(view, params.flat)
         offset[name] = start
@@ -144,15 +143,17 @@ def test_forward_softmax_rows(params):
 
 
 def test_forward_requires_bos(params):
-    with pytest.raises(BadPrefix):
+    with pytest.raises(CapkitError, match="start with BOS") as excinfo:
         forward(params, [FEATS], [[5, 6]])
+    assert excinfo.type is CapkitError
 
 
 @pytest.mark.parametrize("prefix", [PREFIX, np.array(PREFIX)])
 def test_forward_rejects_one_row_prefix(params, prefix):
     """Prefixes are a B x L array: one 1-D prefix is not a batch of one."""
-    with pytest.raises(BadPrefix, match="B x L"):
+    with pytest.raises(CapkitError, match="B x L") as excinfo:
         forward(params, [FEATS], prefix)
+    assert excinfo.type is CapkitError
 
 
 def test_forward_causality(params):
@@ -193,21 +194,24 @@ def test_decoder_cache_stops_at_max_len(params):
     cache = DecoderCache(params, [FEATS])
     for _ in range(CFG.max_len):
         cache.step([BOS])
-    with pytest.raises(BadPrefix):
+    with pytest.raises(CapkitError, match="prefix longer than max_len") as excinfo:
         cache.step([BOS])
+    assert excinfo.type is CapkitError
 
 
 @pytest.mark.parametrize("bad", [CFG.vocab_size, 40, -1, 2.0, True, False])
 def test_forward_rejects_token_outside_vocab(params, bad):
-    with pytest.raises(BadPrefix):
+    with pytest.raises(CapkitError, match="are not all ints in 0") as excinfo:
         forward(params, [FEATS], [[BOS, 5, bad]])
+    assert excinfo.type is CapkitError
 
 
 @pytest.mark.parametrize("prefix", [[[True]], np.array([[True, False]]), [(BOS, np.True_)]])
 def test_forward_rejects_bool_prefix(params, prefix):
     """A bool is not a token id, though numpy reads True as 1 (BOS)."""
-    with pytest.raises(BadPrefix, match="not all ints"):
+    with pytest.raises(CapkitError, match="not all ints") as excinfo:
         forward(params, [FEATS], prefix)
+    assert excinfo.type is CapkitError
 
 
 @pytest.mark.parametrize("feats, prefix, message", [
@@ -217,15 +221,17 @@ def test_forward_rejects_bool_prefix(params, prefix):
 ])
 def test_forward_rejects_batch_shape(params, feats, prefix, message):
     """Ragged prefix rows, a prefix past max_len, and a prefix count other
-    than the feature count each raise BadPrefix."""
-    with pytest.raises(BadPrefix, match=message):
+    than the feature count each raise CapkitError."""
+    with pytest.raises(CapkitError, match=message) as excinfo:
         forward(params, feats, prefix)
+    assert excinfo.type is CapkitError
 
 
 def test_decoder_step_rejects_id_count(params):
     cache = DecoderCache(params, [FEATS, FEATS])
-    with pytest.raises(BadPrefix, match="1 token ids for 2 rows"):
+    with pytest.raises(CapkitError, match="1 token ids for 2 rows") as excinfo:
         cache.step([BOS])
+    assert excinfo.type is CapkitError
 
 
 def _mixed_batch(rng):
@@ -279,20 +285,24 @@ def test_batch_incremental_decode_matches_forward():
 def test_decoder_cache_rejects_bad_features(params, bad):
     """The features of forward, DecoderCache and rollout are a sequence of
     T x feature_dim matrices, T >= 1; one bare matrix is not a batch of one."""
-    with pytest.raises(BadPrefix):
+    with pytest.raises(CapkitError, match="features must be a sequence of B matrices") as excinfo:
         DecoderCache(params, bad)
-    with pytest.raises(BadPrefix):
+    assert excinfo.type is CapkitError
+    with pytest.raises(CapkitError, match="features must be a sequence of B matrices") as excinfo:
         forward(params, bad, [[BOS]] * max(len(bad), 1))
-    with pytest.raises(BadPrefix):
+    assert excinfo.type is CapkitError
+    with pytest.raises(CapkitError, match="features must be a sequence of B matrices|1 seeds for 0 feature") as excinfo:
         rollout(params, bad, [None] * max(len(bad), 1))
+    assert excinfo.type is CapkitError
 
 
 @pytest.mark.parametrize("bad", [CFG.vocab_size, 40, -1, 2.0, True, False])
 def test_decoder_step_rejects_token_outside_vocab(params, bad):
     cache = DecoderCache(params, [FEATS])
     cache.step([BOS])
-    with pytest.raises(BadPrefix):
+    with pytest.raises(CapkitError, match="are not all ints in 0") as excinfo:
         cache.step([bad])
+    assert excinfo.type is CapkitError
     assert np.allclose(cache.step([5]), forward(params, [FEATS], [[BOS, 5]])[:, -1], atol=1e-10)
 
 
@@ -422,7 +432,7 @@ def test_training_forward_vars_all_get_gradients(params, monkeypatch, reward):
     prefix, targets, r, n = _pad_rows(rows, np.full(3, reward))
     made = _vars_made(monkeypatch)
     trace = forward(params, feats, prefix, train=True)
-    assert len(made) == 35 and len(trace.param_vars) == len(PARAM_SHAPES) == 17
+    assert len(made) == 35 and len(trace.param_vars) == len(_shapes(CFG)) == 17
     assert {id(v) for v in trace.param_vars.values()} <= {id(v) for v in made}
     assert len(trace.tape) == 18
     backward(trace, _token_loss(trace.logits.value, targets, r, n)[1])
@@ -576,8 +586,9 @@ def test_train_mle_epoch_is_one_hand_composed_step():
 
 
 def test_train_mle_empty_dataset(params):
-    with pytest.raises(EmptyDataset):
+    with pytest.raises(CapkitError, match="empty training dataset") as excinfo:
         train_mle(params, [], 1, 1, seed=0, vocab=VOCAB)
+    assert excinfo.type is CapkitError
 
 
 # ---------------------------------------------------------------------------
@@ -610,8 +621,9 @@ def test_checkpoint_truncated_at_every_offset(tmp_path):
     for n in range(len(blob)):
         with open(path, "wb") as f:
             f.write(blob[:n])
-        with pytest.raises(TruncatedFile):
+        with pytest.raises(CapkitError, match="truncated at byte") as excinfo:
             load_checkpoint(path)
+        assert excinfo.type is CapkitError
 
 
 def _write_checkpoint(path, header: bytes, payload=b""):
@@ -629,7 +641,7 @@ def _split_checkpoint(path):
 
 def test_checkpoint_layout(tmp_path, params):
     """CKPT, u32 version, u32 header length, a JSON header without a manifest,
-    then each tensor in PARAM_SHAPES order."""
+    then each tensor in `_shapes` order."""
     path = os.path.join(tmp_path, "model.ckpt")
     save_checkpoint(params, path, extra={"vocab": ["<pad>"]})
     with open(path, "rb") as f:
@@ -637,7 +649,7 @@ def test_checkpoint_layout(tmp_path, params):
     assert blob[:4] == b"CKPT" and struct.unpack("<I", blob[4:8]) == (1,)
     header, payload = _split_checkpoint(path)
     assert set(header) == {"config", "vocab"}
-    assert payload == b"".join(params.tensors[name].astype("<f8").tobytes() for name, _ in PARAM_SHAPES)
+    assert payload == b"".join(params.tensors[name].astype("<f8").tobytes() for name, _ in _shapes(CFG))
     assert payload == params.flat.astype("<f8").tobytes()
 
 
@@ -648,16 +660,18 @@ def test_checkpoint_payload_longer_than_header(tmp_path, params):
     header, payload = _split_checkpoint(path)
     header["config"]["d_model"] = 8
     _write_checkpoint(path, json.dumps(header).encode("utf-8"), payload)
-    with pytest.raises(DimensionMismatch, match=f"file has {12 + len(json.dumps(header)) + len(payload)}"):
+    with pytest.raises(CapkitError, match=f"file has {12 + len(json.dumps(header)) + len(payload)}") as excinfo:
         load_checkpoint(path)
+    assert excinfo.type is CapkitError
 
 
 def test_checkpoint_corrupt_json_header(tmp_path):
     path = os.path.join(tmp_path, "model.ckpt")
     for header in (b'{"config": {"vocab_size": 12,', b"\xff\xfe not utf-8"):
         _write_checkpoint(path, header)
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(CapkitError, match="checkpoint header: not UTF-8 JSON") as excinfo:
             load_checkpoint(path)
+        assert excinfo.type is CapkitError
 
 
 @pytest.mark.parametrize("edit", ["bad_config", "n_heads=0", "n_heads=0.5", "n_heads=-2"])
@@ -670,14 +684,15 @@ def test_checkpoint_manifest_mismatch(tmp_path, params, edit):
     else:
         header["config"]["n_heads"] = json.loads(edit.partition("=")[2])
     _write_checkpoint(path, json.dumps(header).encode("utf-8"), payload)
-    with pytest.raises(InvalidConfig):
+    with pytest.raises(CapkitError, match="d_model must be divisible by n_heads|n_heads must be >= 1|every model config field must be an int") as excinfo:
         load_checkpoint(path)
+    assert excinfo.type is CapkitError
 
 
 @pytest.mark.parametrize("edit", ["no_config", "missing_key", "unknown_key"])
 def test_checkpoint_config_keys(tmp_path, params, edit):
     """A header without a config, or whose config lacks a field or holds an
-    unknown one, raises InvalidConfig."""
+    unknown one, raises CapkitError."""
     path = os.path.join(tmp_path, "model.ckpt")
     save_checkpoint(params, path)
     header, payload = _split_checkpoint(path)
@@ -688,8 +703,9 @@ def test_checkpoint_config_keys(tmp_path, params, edit):
     else:
         header["config"]["bogus"] = 1
     _write_checkpoint(path, json.dumps(header).encode("utf-8"), payload)
-    with pytest.raises(InvalidConfig, match="checkpoint config unreadable"):
+    with pytest.raises(CapkitError, match="checkpoint config unreadable") as excinfo:
         load_checkpoint(path)
+    assert excinfo.type is CapkitError
 
 
 def test_checkpoint_bad_magic(tmp_path, params):
@@ -700,8 +716,9 @@ def test_checkpoint_bad_magic(tmp_path, params):
     for head in (b"AVDF", b"CKPX", b"XKPT"):
         with open(path, "wb") as f:
             f.write(head + blob[4:])
-        with pytest.raises(BadMagic):
+        with pytest.raises(CapkitError, match="bad magic bytes") as excinfo:
             load_checkpoint(path)
+        assert excinfo.type is CapkitError
 
 
 def test_checkpoint_bad_version(tmp_path, params):
@@ -713,8 +730,9 @@ def test_checkpoint_bad_version(tmp_path, params):
         blob[4:8] = struct.pack("<I", version)
         with open(path, "wb") as f:
             f.write(blob)
-        with pytest.raises(BadVersion):
+        with pytest.raises(CapkitError, match="unsupported version") as excinfo:
             load_checkpoint(path)
+        assert excinfo.type is CapkitError
 
 
 def test_checkpoint_old_layout_is_bad_magic(tmp_path, params):
@@ -730,8 +748,9 @@ def test_checkpoint_old_layout_is_bad_magic(tmp_path, params):
     header = json.dumps({"config": asdict(params.config), "manifest": manifest}).encode("utf-8")
     with open(path, "wb") as f:
         f.write(struct.pack("<I", len(header)) + header + b"".join(blobs))
-    with pytest.raises(BadMagic):
+    with pytest.raises(CapkitError, match="bad magic bytes") as excinfo:
         load_checkpoint(path)
+    assert excinfo.type is CapkitError
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -739,8 +758,9 @@ def test_checkpoint_non_finite_tensor(tmp_path, params, value):
     params.tensors["ff_w2"][0, 0] = value
     path = os.path.join(tmp_path, "model.ckpt")
     save_checkpoint(params, path)
-    with pytest.raises(NonFiniteValue):
+    with pytest.raises(CapkitError, match="non-finite parameter values") as excinfo:
         load_checkpoint(path)
+    assert excinfo.type is CapkitError
 
 
 # Fuzzing: any bytes must come out as a loaded model or a CapkitError.

@@ -78,3 +78,27 @@ def test_every_public_method_is_referenced():
         and not any(names(cls.name, f.name, module, *r) for r in refs)
     ]
     assert unreferenced == []
+
+
+def test_every_raise_is_one_of_the_two_error_classes():
+    """errors.py defines CapkitError (exit 2) and NumericFailure, a CapkitError
+    (exit 3), and nothing else; every `raise` in src/capkit constructs one of
+    them with a message, so the exit status follows from the class and the
+    message is what tells one rejection from another."""
+    trees, _ = _source()
+    defined = {s.name: [b.id for b in s.bases] for s in trees["errors.py"].body if isinstance(s, ast.ClassDef)}
+    assert defined == {"CapkitError": ["Exception"], "NumericFailure": ["CapkitError"]}
+    bad = [
+        f"{module}:{node.lineno}"
+        for module, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Raise)
+        and not (
+            isinstance(node.exc, ast.Call)
+            and isinstance(node.exc.func, ast.Name)
+            and node.exc.func.id in defined
+            and len(node.exc.args) == 1
+            and not node.exc.keywords
+        )
+    ]
+    assert bad == []
