@@ -15,7 +15,9 @@ It writes BENCH_<label>.json at CHANGE's root, after every run:
 - runs: each run's workload, seed, side, which side ran first, end-to-end
   metrics, `attempted`, `failed` and `correct`;
 - manifest: each side's manifest of its first run (machine, Python, numpy,
-  BLAS, commit and source digest);
+  BLAS, commit and source digest), plus `checkout_commit`: what
+  `git -C <checkout> rev-parse HEAD` prints, or null when the checkout is not
+  the top of a git work tree (a `git archive` copy, say);
 - summary: per workload, each side's `failed` total and, per end-to-end
   metric, each side's median and quartiles, and the number of pairs in which
   the change is better than the parent (wins) and equal to it (ties), by the
@@ -54,6 +56,20 @@ def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
            "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, stdout=subprocess.PIPE, text=True, check=True)
     return parse_run(proc.stdout)
+
+
+def checkout_commit(checkout: str) -> str | None:
+    """The commit a checkout's HEAD names, or None unless the checkout is the
+    top of a git work tree."""
+    try:
+        proc = subprocess.run(["git", "-C", checkout, "rev-parse", "--show-toplevel", "HEAD"],
+                              stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
+    except OSError:  # no git
+        return None
+    lines = proc.stdout.splitlines()
+    if proc.returncode != 0 or len(lines) != 2 or not os.path.samefile(lines[0], checkout):
+        return None
+    return lines[1]
 
 
 def quartiles(xs) -> dict | None:
@@ -137,13 +153,14 @@ def main():
     workloads = args.workloads or [w["name"] for w in bench["workloads"]]
     out_path = os.path.join(checkouts["change"], f"BENCH_{args.label}.json")
 
+    commits = {side: checkout_commit(path) for side, path in checkouts.items()}
     runs, manifests = [], {}
     for seed in args.seeds:
         order = SIDES if seed % 2 else SIDES[::-1]
         for workload in workloads:
             for side in order:
                 run = run_once(checkouts[side], workload, seed, args.seconds)
-                manifests.setdefault(side, run.pop("manifest"))
+                manifests.setdefault(side, {**run.pop("manifest"), "checkout_commit": commits[side]})
                 runs.append({"workload": workload, "seed": seed, "side": side, "first": order[0], **run})
                 print(f"{workload} seed {seed} {side}: {json.dumps(run['metrics'])}", file=sys.stderr)
                 with open(out_path, "w", encoding="utf-8") as f:

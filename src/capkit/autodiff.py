@@ -168,11 +168,11 @@ def _merge_heads(a: np.ndarray) -> np.ndarray:
     return a.swapaxes(-2, -3).reshape(*lead, L, h * dh)
 
 
-def attention(tape, q, k, v, n_heads: int, bias=None):
+def attention(tape, q, k, v, n_heads: int, bias):
     """Multi-head softmax(q k^T / sqrt(dh) + bias) v for ... x Lq x d queries
-    against ... x Lk x d keys and values. `bias`, when given, broadcasts
-    against the ... x n_heads x Lq x Lk scores: 0 where a query may see a
-    key, a large negative score where it may not.
+    against ... x Lk x d keys and values. `bias` broadcasts against the
+    ... x n_heads x Lq x Lk scores: 0 where a query may see a key (0.0 alone
+    lets it see every key), a large negative score where it may not.
 
     The scores are scaled, biased, shifted, exponentiated and normalised in
     place; the max and sum are the ufunc reductions that `max` and `sum` call."""
@@ -180,8 +180,7 @@ def attention(tape, q, k, v, n_heads: int, bias=None):
     c = 1.0 / math.sqrt(qh.shape[-1])
     s = qh @ kh.swapaxes(-1, -2)
     s *= c
-    if bias is not None:
-        s += bias
+    s += bias
     s -= np.maximum.reduce(s, axis=-1, keepdims=True)
     p = np.exp(s, out=s)
     p /= np.add.reduce(p, axis=-1, keepdims=True)

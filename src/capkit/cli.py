@@ -93,20 +93,17 @@ def _load_rows(path: str, split: str, roles: str) -> list:
 # ---------------------------------------------------------------------------
 # Commands
 
-def cmd_ingest(args) -> int:
+def cmd_ingest(args) -> None:
     samples = dmod.read_annotations_jsonl(args.input)
     dmod.write_samples_jsonl(samples, args.out)
     empty = sum(1 for s in samples if not s.avoidance.tokens or not s.description.tokens)
     if empty:
         _log(f"warning: {empty} sample(s) with empty captions")
     _log(f"wrote {len(samples)} samples to {args.out}")
-    return EXIT_OK
 
 
-def cmd_synth(args) -> int:
-    cfg = dmod.SynthConfig(
-        n_clips=args.n_clips, noise_std=args.noise_std, seed=args.seed
-    )
+def cmd_synth(args) -> None:
+    cfg = dmod.SynthConfig(n_clips=args.n_clips, noise_std=args.noise_std, seed=args.seed)
     corpus = dmod.synth_corpus(cfg)
     os.makedirs(os.path.join(args.out, "features"), exist_ok=True)
     index = {}
@@ -120,10 +117,9 @@ def cmd_synth(args) -> int:
     with open(os.path.join(args.out, "splits.json"), "w", encoding="utf-8") as f:
         json.dump(corpus.split, f)
     _log(f"synthesized {cfg.n_clips} clips into {args.out}")
-    return EXIT_OK
 
 
-def cmd_train_mle(args) -> int:
+def cmd_train_mle(args) -> None:
     rows = _load_rows(args.data, "train", args.roles)
     vocab = build_vocab([r.ref for r in rows])
     config = ModelConfig(
@@ -139,7 +135,6 @@ def cmd_train_mle(args) -> int:
     save_checkpoint(params, args.out, extra={"vocab": list(vocab.tokens)})
     _log("epoch losses: " + " ".join(f"{x:.4f}" for x in curve))
     _log(f"saved checkpoint to {args.out}")
-    return EXIT_OK
 
 
 def _load_model(path: str):
@@ -157,7 +152,7 @@ def _load_model(path: str):
     return params, Vocab(tokens=tuple(tokens))
 
 
-def cmd_train_scst(args) -> int:
+def cmd_train_scst(args) -> None:
     rows = _load_rows(args.data, "train", args.roles)
     params, vocab = _load_model(args.ckpt)
     history = scst_train(
@@ -181,10 +176,9 @@ def cmd_train_scst(args) -> int:
             f"reward {h.mean_reward:+.4f} loss {h.loss:+.5f}"
         )
     _log(f"saved checkpoint to {args.out}")
-    return EXIT_OK
 
 
-def cmd_decode(args) -> int:
+def cmd_decode(args) -> None:
     rows = _load_rows(args.data, args.split, args.role)
     params, vocab = _load_model(args.ckpt)
     seed = args.seed if args.sample else None
@@ -193,10 +187,9 @@ def cmd_decode(args) -> int:
         for r, cap in zip(rows, decoded):
             f.write(json.dumps({"id": r.sample_id, "role": cap.role, "text": cap.raw}) + "\n")
     _log(f"decoded {len(decoded)} captions to {args.out}")
-    return EXIT_OK
 
 
-def cmd_score(args) -> int:
+def cmd_score(args) -> None:
     hyps = dmod.read_captions_jsonl(args.hyps)
     refs = dmod.read_captions_jsonl(args.refs)
     keys = [k for k in hyps if k in refs]
@@ -211,7 +204,6 @@ def cmd_score(args) -> int:
     with open(args.out, "w", encoding="utf-8") as f:
         f.write(report.to_json() + "\n")
     print(report.to_json())
-    return EXIT_OK
 
 
 def _load_feature_matrixes(index_path: str):
@@ -220,14 +212,13 @@ def _load_feature_matrixes(index_path: str):
     return np.vstack(data), np.vstack([d.mean(axis=0) for d in data])
 
 
-def cmd_fid(args) -> int:
+def cmd_fid(args) -> None:
     frames_a, pooled_a = _load_feature_matrixes(args.index_a)
     frames_b, pooled_b = _load_feature_matrixes(args.index_b)
     fid = frechet_distance(gaussian_stats(frames_a), gaussian_stats(frames_b))
     vid = frechet_distance(gaussian_stats(pooled_a), gaussian_stats(pooled_b))
     print(f"FID {fid:.6f}")
     print(f"VID {vid:.6f}")
-    return EXIT_OK
 
 
 def render_report_row(report: ScoreReport) -> list[str]:
@@ -251,7 +242,7 @@ def render_report_table(reports: list[ScoreReport], labels: list[str]) -> str:
     )
 
 
-def cmd_report(args) -> int:
+def cmd_report(args) -> None:
     reports = [ScoreReport.from_dict(dmod.read_json_object(p), p) for p in args.reports]
     labels = [os.path.basename(p) for p in args.reports] if args.labels is None else args.labels
     if len(labels) != len(reports):
@@ -264,7 +255,6 @@ def cmd_report(args) -> int:
         ]
         with open(args.out, "w", encoding="utf-8") as f:
             json.dump(payload, f, indent=2)
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -361,11 +351,12 @@ _shared_parser = functools.cache(build_parser)
 
 
 def main(argv=None) -> int:
-    """Run one command. An OSError exits 1 with "I/O error: <message>", a
-    NumericFailure 3 with "numeric failure: <message>" and any other
-    CapkitError 2 with "validation error: <message>", each message naming the
-    file, line or value at fault; any other exception is a bug and propagates
-    with its traceback.
+    """Run one command; this function alone decides the exit status: 0 when
+    the command returns, 1 with "I/O error: <message>" on an OSError, 3 with
+    "numeric failure: <message>" on a NumericFailure and 2 with "validation
+    error: <message>" on any other CapkitError, each message naming the file,
+    line or value at fault; any other exception is a bug and propagates with
+    its traceback.
 
     A --config run sets its defaults on a parser of its own, so they do not
     reach later calls. The commands' functions are looked up at each call, so
@@ -382,7 +373,8 @@ def main(argv=None) -> int:
         _echo_config(args)
         commands = {"ingest": cmd_ingest, "synth": cmd_synth, "train-mle": cmd_train_mle, "train-scst": cmd_train_scst,
                     "decode": cmd_decode, "score": cmd_score, "fid": cmd_fid, "report": cmd_report}
-        return commands[args.command](args)
+        commands[args.command](args)
+        return EXIT_OK
     except NumericFailure as e:
         _log(f"numeric failure: {e}")
         return EXIT_NUMERIC

@@ -130,12 +130,14 @@ SYNTH_FRAMES = 8  # frames per synthetic clip
 
 @dataclass(frozen=True)
 class SynthConfig:
+    """The synthetic corpus's parameters; building one with an invalid field raises CapkitError."""
+
     n_clips: int = 500
     D: int = 16
     noise_std: float = 0.1
     seed: int = 0
 
-    def validate(self):
+    def __post_init__(self):
         if self.n_clips < 1:
             raise CapkitError("n_clips must be >= 1")
         if not (np.isfinite(self.noise_std) and self.noise_std >= 0):
@@ -179,7 +181,6 @@ def synth_corpus(config: SynthConfig) -> SynthCorpus:
     row are built the first time a clip draws it, and its later clips share
     them (a `Caption` is immutable); the draws do not depend on that, so a
     seed gives the same corpus."""
-    config.validate()
     rng = np.random.default_rng(config.seed)
     sigma = abs(config.noise_std)  # numpy rejects -0.0
     templates = {}  # (actor_i, action_i, cause_i) -> (description, avoidance, signal)

@@ -18,6 +18,8 @@ MASKED = -1e9  # the attention bias of a key a query must not see
 
 @dataclass(frozen=True)
 class ModelConfig:
+    """The decoder's sizes and init seed; building one with an invalid field raises CapkitError."""
+
     vocab_size: int
     feature_dim: int
     d_model: int = 64
@@ -25,7 +27,7 @@ class ModelConfig:
     max_len: int = 24
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not all(type(getattr(self, f.name)) is int for f in fields(self)):
             raise CapkitError("every model config field must be an int")
         if self.n_heads < 1:
@@ -73,7 +75,6 @@ def _size(config: ModelConfig) -> int:
 
 
 def init_params(config: ModelConfig) -> ModelParams:
-    config.validate()
     rng = np.random.default_rng(config.seed)
     size = _size(config)
     try:
@@ -116,15 +117,13 @@ def _check_ids(config: ModelConfig, token_ids) -> np.ndarray:
 def _check_features(config: ModelConfig, features):
     """Stack a batch's T_b x feature_dim matrices (T_b >= 1) into one zero-padded
     B x T x feature_dim array; return it and the B x 1 x 1 x T cross-attention
-    bias that hides the padded frames (None when no row is padded). CapkitError
-    otherwise."""
+    bias that hides the padded frames (all zeros when no row is padded).
+    CapkitError otherwise."""
     rows = [np.asarray(f, dtype=np.float64) for f in features]
     if not rows or any(f.ndim != 2 or f.shape[0] < 1 or f.shape[1] != config.feature_dim for f in rows):
         raise CapkitError("features must be a sequence of B matrices T x feature_dim with T >= 1")
     lengths = np.array([f.shape[0] for f in rows])
     T = int(lengths.max())
-    if (lengths == T).all():
-        return np.stack(rows), None
     feats = np.zeros((len(rows), T, config.feature_dim))
     for dst, f in zip(feats, rows):
         dst[: len(f)] = f
@@ -143,7 +142,7 @@ def _block(tape, P, x, sa_k, sa_v, sa_bias, ca_k, ca_v, ca_bias, n_heads: int):
     sa_k/sa_v hold the self-attention keys and values of every position up to
     and including x's last row, of which sa_bias hides each query's later
     positions; ca_k/ca_v those of the features, of which ca_bias hides the
-    padded frames. A bias of None hides nothing.
+    padded frames. A bias of 0.0 hides nothing.
     """
     sa = ad.attention(tape, ad.matmul(tape, x, P["sa_q"]), sa_k, sa_v, n_heads, sa_bias)
     ca = ad.attention(tape, ad.matmul(tape, x, P["ca_q"]), ca_k, ca_v, n_heads, ca_bias)
@@ -373,7 +372,7 @@ class DecoderCache:
         self._vals[:, t] = x[:, 0] @ P["sa_v"]
         self._t = t + 1
         return _block(  # the one new query sees every cached position
-            None, P, x, self._keys[:, : t + 1], self._vals[:, : t + 1], None,
+            None, P, x, self._keys[:, : t + 1], self._vals[:, : t + 1], 0.0,
             self._ca_k, self._ca_v, self._ca_bias, cfg.n_heads,
         )[:, 0]
 
@@ -402,7 +401,6 @@ def load_checkpoint(path: str) -> tuple[ModelParams, dict]:
         config = ModelConfig(**header.pop("config"))
     except (TypeError, KeyError) as e:
         raise CapkitError(f"{path}: checkpoint config unreadable: {type(e).__name__}: {e}") from e
-    config.validate()
     payload = frame.take(8 * _size(config))  # a huge config fails here, before any allocation
     frame.end()
     flat = np.frombuffer(payload, dtype="<f8").astype(np.float64)

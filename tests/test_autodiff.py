@@ -87,32 +87,32 @@ def test_attention_causal_self(n_heads):
 
 @pytest.mark.parametrize("n_heads", [1, 2])
 def test_attention_cross_unequal_lengths(n_heads):
-    fd_check(lambda t, q, k, v: ad.attention(t, q, k, v, n_heads), [(3, 4), (6, 4), (6, 4)])
+    fd_check(lambda t, q, k, v: ad.attention(t, q, k, v, n_heads, 0.0), [(3, 4), (6, 4), (6, 4)])
 
 
 @pytest.mark.parametrize("n_heads", [1, 2])
 def test_attention_one_query_cached_keys(n_heads):
-    """`DecoderCache.step`'s case: one query against every cached key, no bias."""
-    fd_check(lambda t, q, k, v: ad.attention(t, q, k, v, n_heads), [(1, 4), (5, 4), (5, 4)])
+    """`DecoderCache.step`'s case: one query against every cached key, bias 0.0."""
+    fd_check(lambda t, q, k, v: ad.attention(t, q, k, v, n_heads, 0.0), [(1, 4), (5, 4), (5, 4)])
 
 
 def test_attention_causal_rule_matches_prefix_rows():
     """Under the causal bias, query i of a full prefix equals that query
-    alone against keys 0..i with no bias: what `DecoderCache` relies on."""
+    alone against keys 0..i with bias 0.0: what `DecoderCache` relies on."""
     q, k, v = (RNG.normal(size=(6, 4)) for _ in range(3))
     full = ad.attention(None, q, k, v, 2, causal_bias(6))
     for i in range(6):
-        row = ad.attention(None, q[i : i + 1], k[: i + 1], v[: i + 1], 2)
+        row = ad.attention(None, q[i : i + 1], k[: i + 1], v[: i + 1], 2, 0.0)
         assert np.allclose(row, full[i : i + 1], atol=1e-12)
 
 
 def test_softmax_rows_sum_to_one():
     """With scores scaled by 10 the attention weights still sum to one per
-    query row and head, with and without the causal bias, and every output
+    query row and head, with the causal bias and with bias 0.0, and every output
     stays finite."""
     q, k = RNG.normal(size=(6, 8)) * 10, RNG.normal(size=(6, 8))
     v = RNG.normal(size=(6, 8))
-    for bias in (causal_bias(6), None):
+    for bias in (causal_bias(6), 0.0):
         assert np.isfinite(ad.attention(None, q, k, v, 2, bias)).all()
         ones = ad.attention(None, q, k, np.ones_like(v), 2, bias)
         assert np.allclose(ones, 1.0, atol=1e-12)
@@ -227,13 +227,13 @@ def test_layer_norm_matches_plain_form(n_terms, lead):
     "lq, lk, bias",
     [
         (6, 6, causal_bias(6)),
-        (1, 5, None),
+        (1, 5, 0.0),
         (4, 7, np.where(np.arange(7) < np.array([7, 5, 3])[:, None, None, None], 0.0, MASKED)),
     ],
     ids=["causal-prefix", "cached-query", "key-bias"],
 )
 def test_attention_matches_plain_form(n_heads, lq, lk, bias):
-    """The biases the model builds: the causal bias of a full prefix, none
+    """The biases the model builds: the causal bias of a full prefix, 0.0
     for one cached query against its prefix's keys, and a B x 1 x 1 x Lk
     cross-attention bias that hides the last keys of some rows."""
     rng = np.random.default_rng(lq * 10 + lk + n_heads)
@@ -278,7 +278,7 @@ def test_no_tape_returns_ndarray():
         "relu": (ad.relu, [x]),
         "layer_norm": (lambda t, a, b, gain, bias: ad.layer_norm(t, (a, b), gain, bias), [x, x, g, g]),
         "embed": (lambda t, tok, pos: ad.embed(t, tok, pos, [1, 0], 1), [x, w]),
-        "attention": (lambda t, q, k, v: ad.attention(t, q, k, v, 1), [x, x, x]),
+        "attention": (lambda t, q, k, v: ad.attention(t, q, k, v, 1, 0.0), [x, x, x]),
     }
     for name, (op, arrays) in cases.items():
         assert type(op(None, *arrays)) is np.ndarray, name

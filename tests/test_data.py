@@ -87,12 +87,15 @@ def test_restructure_lossless(texts, causes, measures):
 
 
 @pytest.mark.parametrize("config, message", [
-    (SynthConfig(n_clips=0), "n_clips must be >= 1"),
-    (SynthConfig(n_clips=1, D=len(ACTORS) + len(ACTIONS) + len(CAUSES) - 1), "D too small"),
+    ({"n_clips": 0}, "n_clips must be >= 1"),
+    ({"n_clips": 1, "D": len(ACTORS) + len(ACTIONS) + len(CAUSES) - 1}, "D too small"),
+    ({"noise_std": float("nan")}, "noise_std must be finite and >= 0, got nan"),
+    ({"seed": -1}, "seed must be >= 0"),
 ])
 def test_synth_config_rejected(config, message):
+    """An invalid SynthConfig cannot be built: its keyword arguments raise at construction."""
     with pytest.raises(CapkitError, match=message) as excinfo:
-        synth_corpus(config)
+        SynthConfig(**config)
     assert excinfo.type is CapkitError
 
 

@@ -2,13 +2,14 @@
 so a renamed or deleted name would otherwise break a script without failing
 any test; the timing scripts also run once on their smallest input, so a
 changed signature fails too. The benchmark pair runner, which imports no
-capkit module, summarizes two fake results."""
+capkit module, summarizes two fake results and reads each checkout's commit."""
 import ast
 import glob
 import importlib
 import importlib.util
 import json
 import os
+import subprocess
 
 SCRIPTS = os.path.join(os.path.dirname(__file__), "..", "scripts")
 
@@ -87,3 +88,18 @@ def test_bench_pairs_summarizes_two_result_files(tmp_path):
     assert train["metrics"]["round_s"]["change"] == {"median": 0.8, "q1": 0.8, "q3": 0.8, "n": 1}
     pair_row = bench_pairs.tables(runs, summary).splitlines()[2]
     assert pair_row == "| train | 1 | parent | 0.90000 / 0.80000 | 1.00000 / 0.50000 | 0 / 2 |"
+
+
+def test_bench_pairs_checkout_commit(tmp_path):
+    """A plain directory has no commit, nor does a directory inside a work
+    tree; the top of a work tree has its HEAD."""
+    bench_pairs = _load_script("bench_pairs")
+    assert bench_pairs.checkout_commit(str(tmp_path)) is None
+    repo = tmp_path / "repo"
+    (repo / "sub").mkdir(parents=True)
+    git = ["git", "-C", str(repo), "-c", "user.name=t", "-c", "user.email=t@t"]
+    subprocess.run(git[:3] + ["init", "-q"], check=True)
+    subprocess.run(git + ["commit", "-q", "--allow-empty", "-m", "empty"], check=True)
+    head = subprocess.run(git[:3] + ["rev-parse", "HEAD"], stdout=subprocess.PIPE, text=True, check=True).stdout
+    assert bench_pairs.checkout_commit(str(repo)) == head.strip()
+    assert bench_pairs.checkout_commit(str(repo / "sub")) is None

@@ -70,21 +70,22 @@ def test_init_seed_changes_params():
 
 
 def test_init_invalid_divisibility():
+    """An invalid ModelConfig raises when it is built, before any init."""
     with pytest.raises(CapkitError, match="d_model must be divisible by n_heads") as excinfo:
-        init_params(ModelConfig(vocab_size=12, feature_dim=6, d_model=65, n_heads=2))
+        ModelConfig(vocab_size=12, feature_dim=6, d_model=65, n_heads=2)
     assert excinfo.type is CapkitError
 
 
 def test_init_invalid_vocab():
     with pytest.raises(CapkitError, match="vocab_size must be >= 5") as excinfo:
-        init_params(ModelConfig(vocab_size=4, feature_dim=6))
+        ModelConfig(vocab_size=4, feature_dim=6)
     assert excinfo.type is CapkitError
 
 
 @pytest.mark.parametrize("n_heads", [0, -2, 0.5, True])
 def test_init_invalid_n_heads(n_heads):
     with pytest.raises(CapkitError, match="n_heads must be >= 1|every model config field must be an int") as excinfo:
-        init_params(ModelConfig(vocab_size=12, feature_dim=6, d_model=16, n_heads=n_heads))
+        ModelConfig(vocab_size=12, feature_dim=6, d_model=16, n_heads=n_heads)
     assert excinfo.type is CapkitError
 
 
@@ -296,6 +297,19 @@ def test_decoder_cache_rejects_bad_features(params, bad):
     assert excinfo.type is CapkitError
 
 
+def test_check_features_equal_lengths():
+    """Clips of one length stack to exactly the bytes of `np.stack`, -0.0
+    and float32 inputs included, under an all-zero B x 1 x 1 x T bias."""
+    rng = np.random.default_rng(11)
+    rows = [rng.normal(size=(5, CFG.feature_dim)) for _ in range(3)]
+    rows[1][2, 3] = -0.0
+    rows[2] = rows[2].astype(np.float32)
+    feats, bias = seqmodel._check_features(CFG, rows)
+    want = np.stack([np.asarray(f, dtype=np.float64) for f in rows])
+    assert feats.dtype == want.dtype and feats.shape == want.shape and feats.tobytes() == want.tobytes()
+    assert bias.shape == (3, 1, 1, 5) and not bias.any() and not np.signbit(bias).any()
+
+
 @pytest.mark.parametrize("bad", [CFG.vocab_size, 40, -1, 2.0, True, False])
 def test_decoder_step_rejects_token_outside_vocab(params, bad):
     cache = DecoderCache(params, [FEATS])
@@ -427,7 +441,7 @@ def test_training_forward_vars_all_get_gradients(params, monkeypatch, reward):
     gradient of its value's shape, even when every reward is 0."""
     rng = np.random.default_rng(5)
     feats = [rng.normal(size=(T, CFG.feature_dim)) for T in (9, 7, 5)]
-    assert seqmodel._check_features(CFG, feats)[1] is not None
+    assert (seqmodel._check_features(CFG, feats)[1] == seqmodel.MASKED).any()
     rows = [[BOS, 5, 6, 7, EOS], [BOS, 8, EOS], [BOS, 4, 9, EOS]]
     prefix, targets, r, n = _pad_rows(rows, np.full(3, reward))
     made = _vars_made(monkeypatch)
@@ -458,7 +472,7 @@ def test_tied_embedding_gradient_sums_both_roles(params):
     x = ad.embed(tape, P["tok_emb"], P["pos_emb"], PREFIX, 0)
     logits = seqmodel._block(
         tape, {**P, "tok_emb": out_proj}, x, ad.matmul(tape, x, P["sa_k"]), ad.matmul(tape, x, P["sa_v"]),
-        np.triu(np.full((len(PREFIX),) * 2, seqmodel.MASKED), k=1), *seqmodel._cross_kv(tape, P, FEATS), None,
+        np.triu(np.full((len(PREFIX),) * 2, seqmodel.MASKED), k=1), *seqmodel._cross_kv(tape, P, FEATS), 0.0,
         CFG.n_heads,
     )
     _, glog = xent(logits.value[None], [[5, 6, 7, EOS]], [[1, 1, 1, 1]])
@@ -674,8 +688,17 @@ def test_checkpoint_corrupt_json_header(tmp_path):
         assert excinfo.type is CapkitError
 
 
-@pytest.mark.parametrize("edit", ["bad_config", "n_heads=0", "n_heads=0.5", "n_heads=-2"])
+CONFIG_RULES = {
+    "bad_config": "d_model must be divisible by n_heads",
+    "n_heads=0": "n_heads must be >= 1",
+    "n_heads=0.5": "every model config field must be an int",
+    "n_heads=-2": "n_heads must be >= 1",
+}
+
+
+@pytest.mark.parametrize("edit", list(CONFIG_RULES))
 def test_checkpoint_manifest_mismatch(tmp_path, params, edit):
+    """A header whose config breaks a rule raises that rule's message, unchanged."""
     path = os.path.join(tmp_path, "model.ckpt")
     save_checkpoint(params, path)
     header, payload = _split_checkpoint(path)
@@ -684,9 +707,9 @@ def test_checkpoint_manifest_mismatch(tmp_path, params, edit):
     else:
         header["config"]["n_heads"] = json.loads(edit.partition("=")[2])
     _write_checkpoint(path, json.dumps(header).encode("utf-8"), payload)
-    with pytest.raises(CapkitError, match="d_model must be divisible by n_heads|n_heads must be >= 1|every model config field must be an int") as excinfo:
+    with pytest.raises(CapkitError) as excinfo:
         load_checkpoint(path)
-    assert excinfo.type is CapkitError
+    assert excinfo.type is CapkitError and str(excinfo.value) == CONFIG_RULES[edit]
 
 
 @pytest.mark.parametrize("edit", ["no_config", "missing_key", "unknown_key"])

@@ -102,3 +102,19 @@ def test_every_raise_is_one_of_the_two_error_classes():
         )
     ]
     assert bad == []
+
+
+def test_cli_commands_return_nothing():
+    """`cli.main` alone decides the exit status: no `cmd_*` function of cli.py
+    has a `return` with a value, so a command reports success by returning
+    and failure by raising."""
+    trees, _ = _source()
+    commands = [s for s in trees["cli.py"].body if isinstance(s, ast.FunctionDef) and s.name.startswith("cmd_")]
+    assert len(commands) == 8
+    valued = [
+        f"{f.name}:{node.lineno}"
+        for f in commands
+        for node in ast.walk(f)
+        if isinstance(node, ast.Return) and node.value is not None
+    ]
+    assert valued == []
