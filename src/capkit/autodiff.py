@@ -10,6 +10,8 @@ The op set is the decoder's and no more: the token-plus-position `embed`,
 `matmul`, `matmul_nt`, `relu`, `layer_norm` of a sum of residual terms and
 multi-head `attention`. Activations may carry any leading (batch) axes;
 weights are matrices or vectors, and their gradients sum over those axes.
+Every op computes in its operands' floating dtype: the model passes values
+of one dtype, its parameters', so values and gradients keep it.
 """
 from __future__ import annotations
 
@@ -21,15 +23,15 @@ LN_EPS = 1e-6
 
 
 class Var:
-    """A tracked value and d(loss)/d(value) in `grad`: None until the first
-    contribution arrives, then the sum of the contributions. A sum replaces
-    `grad` and never updates it in place, so one contribution array may be
-    shared by several Vars."""
+    """A tracked value, an array of its own dtype, and d(loss)/d(value) in
+    `grad`: None until the first contribution arrives, then the sum of the
+    contributions. A sum replaces `grad` and never updates it in place, so one
+    contribution array may be shared by several Vars."""
 
     __slots__ = ("value", "grad")
 
     def __init__(self, value):
-        self.value = np.asarray(value, dtype=np.float64)
+        self.value = np.asarray(value)
         self.grad = None
 
     def accumulate(self, g) -> None:
@@ -137,7 +139,9 @@ def embed(tape, tok, pos, ids, start: int):
     """tok[ids] + pos[start:start + L] for ids of shape ... x L: token rows plus
     the position rows they sit at. A repeated id accumulates its rows'
     gradients, summed in row order by one `np.bincount` over the flat indices
-    id * d + column: the sum that `np.add.at` forms, bit for bit."""
+    id * d + column. `np.bincount` sums in float64: for float64 values that is
+    the sum that `np.add.at` forms, bit for bit, and a float32 sum is rounded
+    to float32 once."""
     ids = np.asarray(ids, dtype=np.intp)
     hi = start + ids.shape[-1]
     x = val(tok)[ids]
@@ -148,7 +152,8 @@ def embed(tape, tok, pos, ids, start: int):
             g = out.grad
             V, d = tok.value.shape
             flat = (ids[..., None] * d + np.arange(d)).ravel()
-            tok.accumulate(np.bincount(flat, weights=g.ravel(), minlength=V * d).reshape(V, d))
+            gt = np.bincount(flat, weights=g.ravel(), minlength=V * d).reshape(V, d)
+            tok.accumulate(gt.astype(g.dtype, copy=False))
             gp = np.zeros_like(pos.value)
             np.add.reduce(g.reshape(-1, *g.shape[-2:]), axis=0, out=gp[start:hi])
             pos.accumulate(gp)

@@ -254,12 +254,22 @@ def _check_record(d: dict, where: str, fields) -> None:
         raise CapkitError(f"{where}: empty id")
 
 
+def _caption(made: dict, text: str, role: str) -> Caption:
+    """The Caption of (text, role), made once per `made`: each reader call keeps
+    its own dict, so a text that repeats within a file is normalised once (a
+    Caption is immutable, so its records share it)."""
+    caption = made.get((text, role))
+    if caption is None:
+        caption = made[(text, role)] = Caption.make(text, role)
+    return caption
+
+
 def read_annotations_jsonl(path: str) -> list[Sample]:
     """One Sample per {"id","texts","causes","measures"} line, in file order:
     texts + "; " + causes is the description, measures the avoidance. The first
     bad line decides the error: an unknown field or a repeated id raises
     CapkitError naming `path:line`."""
-    out = {}
+    out, made = {}, {}
     for where, d in _jsonl_objects(path):
         _check_record(d, where, ANNOTATION_FIELDS[1:])
         extra = set(d) - set(ANNOTATION_FIELDS)
@@ -269,8 +279,8 @@ def read_annotations_jsonl(path: str) -> list[Sample]:
             raise CapkitError(f"{where}: duplicate annotation id {d['id']!r}")
         out[d["id"]] = Sample(
             d["id"],
-            Caption.make(d["texts"] + "; " + d["causes"], ROLE_DESCRIPTION),
-            Caption.make(d["measures"], ROLE_AVOIDANCE),
+            _caption(made, d["texts"] + "; " + d["causes"], ROLE_DESCRIPTION),
+            _caption(made, d["measures"], ROLE_AVOIDANCE),
         )
     return list(out.values())
 
@@ -294,12 +304,12 @@ def write_samples_jsonl(samples: list[Sample], path: str) -> None:
 def read_samples_jsonl(path: str) -> list[Sample]:
     """One Sample per {"id","description","avoidance"} line, in file order; a
     repeated id raises CapkitError naming `path:line`."""
-    out = {}
+    out, made = {}, {}
     for where, d in _jsonl_objects(path):
         _check_record(d, where, ROLES)
         if d["id"] in out:
             raise CapkitError(f"{where}: duplicate sample id {d['id']!r}")
-        out[d["id"]] = Sample(d["id"], *(Caption.make(d[r], r) for r in ROLES))
+        out[d["id"]] = Sample(d["id"], *(_caption(made, d[r], r) for r in ROLES))
     return list(out.values())
 
 
@@ -307,7 +317,7 @@ def read_captions_jsonl(path: str) -> dict:
     """(id, role) -> Caption from {"id","role","text"} lines; any other line is a
     samples.jsonl line, which must hold both role fields and gives one entry per
     role. An unknown role or a repeat raises CapkitError naming `path:line`."""
-    out = {}
+    out, made = {}, {}
     for where, d in _jsonl_objects(path):
         caption = "role" in d or "text" in d
         _check_record(d, where, ("role", "text") if caption else ROLES)
@@ -317,5 +327,5 @@ def read_captions_jsonl(path: str) -> dict:
         for role, text in texts.items():
             if (d["id"], role) in out:
                 raise CapkitError(f"{where}: duplicate caption ({d['id']!r}, {role!r})")
-            out[(d["id"], role)] = Caption.make(text, role)
+            out[(d["id"], role)] = _caption(made, text, role)
     return out

@@ -14,9 +14,11 @@ from .textproc import ROLE_DESCRIPTION, Caption, Vocab, decode_ids
 
 
 def role_features(clip_data: np.ndarray, role: str) -> np.ndarray:
-    data = np.asarray(clip_data, dtype=np.float64)
+    """The clip's T x D frames and the role's indicator frame, in the clip's
+    dtype; the model casts features to its parameters' dtype."""
+    data = np.asarray(clip_data)
     sign = 1.0 if role == ROLE_DESCRIPTION else -1.0
-    frame = np.full((1, data.shape[1]), sign)
+    frame = np.full((1, data.shape[1]), sign, dtype=data.dtype)
     return np.vstack([data, frame])
 
 
@@ -30,10 +32,10 @@ def rows(samples, clips, roles) -> list[Row]:
     ]
 
 
-# Rows per lockstep decoding batch. It bounds decoding memory, about 40 KB a row
-# (self-attention K/V at max_len 24, cross K/V, features): an 800-row split peaks
-# at 2.8 MB with 64 rows per chunk and 10.5 MB with 256 (tracemalloc), for 0.23
-# and 0.20 ms per row (d_model 64, 2-core Xeon). No benchmark workload or digest
+# Rows per lockstep decoding batch. It bounds decoding memory, about 20 KB a row
+# in float32 (self-attention K/V at max_len 24, cross K/V, features): an 800-row
+# split peaks at 2.1 MB with 64 rows per chunk and 5.8 MB with 256 (tracemalloc),
+# for 0.13 and 0.12 ms per row (d_model 64, 2-core Xeon). No benchmark workload or digest
 # step fills one chunk: `train` decodes 40 rows per split, the digest 12.
 DECODE_CHUNK = 64
 

@@ -80,21 +80,32 @@ def rouge_l(hyp, ref) -> float:
 # ---------------------------------------------------------------------------
 # METEOR-lite (exact-match stage only)
 
-def _cover(spans, start, remaining, used_h, used_r, budget) -> bool:
-    """Whether at most `budget` blocks of spans[start:], disjoint from each
-    other and from the used hyp and ref masks, hold exactly `remaining`
-    unigrams.
-    A module function, not a closure, so a call leaves no reference cycle."""
-    if remaining == 0:
-        return True
-    for n in range(start, len(spans)):
-        k, hs, rs = spans[n]
-        if k * budget < remaining:
-            return False
-        if k > remaining or hs & used_h or rs & used_r:
-            continue
-        if _cover(spans, n + 1, remaining - k, used_h | hs, used_r | rs, budget - 1):
+def _cover(spans, remaining, budget) -> bool:
+    """Whether at most `budget` disjoint blocks of spans hold exactly
+    `remaining` unigrams.
+
+    A depth-first search over an explicit stack, so its depth (one level per
+    block taken) is data, not Python frames. A frame is (the next span it
+    tries, the unigrams still to cover, the used hyp and ref masks, the blocks
+    left); taking a block pushes the frame, to resume at the next span, and
+    then the child, which tries only later spans. A frame gives up once its
+    next span times its budget cannot reach what is left, since the spans are
+    longest first."""
+    stack = [(0, remaining, 0, 0, budget)]
+    while stack:
+        n, remaining, used_h, used_r, budget = stack.pop()
+        if remaining == 0:
             return True
+        while n < len(spans):
+            k, hs, rs = spans[n]
+            if k * budget < remaining:
+                break
+            n += 1
+            if k > remaining or hs & used_h or rs & used_r:
+                continue
+            stack.append((n, remaining, used_h, used_r, budget))
+            stack.append((n, remaining - k, used_h | hs, used_r | rs, budget - 1))
+            break
     return False
 
 
@@ -132,7 +143,7 @@ def _min_chunks(hyp, ref, m: int, links: int) -> int:
         below = row
     spans = [span for blocks in reversed(by_len) for span in blocks]
     for chunks in range(max(1, m - links, -(-m // spans[0][0])), m + 1):
-        if _cover(spans, 0, m, 0, 0, chunks):
+        if _cover(spans, m, chunks):
             return chunks
     return m
 

@@ -52,7 +52,9 @@ def rollout(params: ModelParams, features, seeds, temperature: float = 1.0) -> l
     n = np.ones(B, dtype=np.intp)
     live = np.ones(B, dtype=bool)  # rows before their EOS; the others step on unread
     # NaN is checked below and raises NumericFailure, not a warning. A tiny
-    # temperature may overflow (z - max) / T to -inf, whose exp is 0.
+    # temperature may overflow (z - max) / T to -inf, whose exp is 0. The
+    # sampling weights are float64 whatever the logits' dtype, so a temperature
+    # below float32's range is not rounded to 0.
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(1, L):
             logits = cache.step(ids[:, t - 1])
@@ -61,7 +63,7 @@ def rollout(params: ModelParams, features, seeds, temperature: float = 1.0) -> l
             tok = logits.argmax(axis=-1)
             draw = sampled & live
             if draw.any():
-                z = logits[draw]
+                z = logits[draw].astype(np.float64)
                 # Shifted before scaling, the largest term is exp(0) = 1, so the
                 # unnormalised total is in [1, |V|] at any temperature.
                 cdf = np.add.accumulate(np.exp((z - z.max(axis=-1, keepdims=True)) / temperature), axis=-1)

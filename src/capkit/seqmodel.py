@@ -14,6 +14,7 @@ from .errors import CapkitError, NumericFailure
 from .textproc import BOS, PAD, Caption, Vocab, encode
 
 MASKED = -1e9  # the attention bias of a key a query must not see
+PARAM_DTYPE = np.float32  # what `init_params` and `load_checkpoint` give; the model computes in `flat`'s dtype
 
 
 @dataclass(frozen=True)
@@ -44,7 +45,12 @@ class ModelConfig:
 
 @dataclass
 class ModelParams:
-    """Every parameter in one float64 vector `flat`, in `_shapes` order; `tensors` holds its named views."""
+    """Every parameter in one vector `flat`, in `_shapes` order; `tensors` holds its named views.
+
+    The model computes in `flat`'s dtype: `forward`, `DecoderCache`, `backward`
+    and `adam_step` give values, gradients and moments of that dtype. Production
+    parameters are PARAM_DTYPE (float32); a test that needs float64 precision
+    runs the same code on `ModelParams(config, flat.astype(np.float64))`."""
 
     config: ModelConfig
     flat: np.ndarray
@@ -78,7 +84,7 @@ def init_params(config: ModelConfig) -> ModelParams:
     rng = np.random.default_rng(config.seed)
     size = _size(config)
     try:
-        flat = np.empty(size)
+        flat = np.empty(size, dtype=PARAM_DTYPE)
     except (MemoryError, ValueError) as e:  # numpy's "Unable to allocate" and "Maximum allowed dimension"
         raise CapkitError(f"a model of {size} parameters cannot be allocated: {e}") from e
     params = ModelParams(config, flat)
@@ -114,20 +120,32 @@ def _check_ids(config: ModelConfig, token_ids) -> np.ndarray:
     return ids.astype(np.intp, copy=False)
 
 
-def _check_features(config: ModelConfig, features):
+def _cast(values, dtype, what: str) -> np.ndarray:
+    """values as an array of dtype; CapkitError naming `what` when a finite
+    value is out of dtype's range (NaN and infinities pass unchanged)."""
+    try:
+        with np.errstate(over="raise"):
+            return np.asarray(values, dtype=dtype)
+    except FloatingPointError:
+        raise CapkitError(f"{what} overflow {np.dtype(dtype).name}") from None
+
+
+def _check_features(params: ModelParams, features):
     """Stack a batch's T_b x feature_dim matrices (T_b >= 1) into one zero-padded
-    B x T x feature_dim array; return it and the B x 1 x 1 x T cross-attention
-    bias that hides the padded frames (all zeros when no row is padded).
-    CapkitError otherwise."""
-    rows = [np.asarray(f, dtype=np.float64) for f in features]
+    B x T x feature_dim array of `flat`'s dtype; return it and the B x 1 x 1 x T
+    cross-attention bias, of the same dtype, that hides the padded frames (all
+    zeros when no row is padded). CapkitError otherwise, and for a finite
+    feature value that overflows the dtype."""
+    config, dtype = params.config, params.flat.dtype
+    rows = [_cast(f, dtype, "feature values") for f in features]
     if not rows or any(f.ndim != 2 or f.shape[0] < 1 or f.shape[1] != config.feature_dim for f in rows):
         raise CapkitError("features must be a sequence of B matrices T x feature_dim with T >= 1")
     lengths = np.array([f.shape[0] for f in rows])
     T = int(lengths.max())
-    feats = np.zeros((len(rows), T, config.feature_dim))
+    feats = np.zeros((len(rows), T, config.feature_dim), dtype=dtype)
     for dst, f in zip(feats, rows):
         dst[: len(f)] = f
-    return feats, np.where(np.arange(T) < lengths[:, None, None, None], 0.0, MASKED)
+    return feats, np.where(np.arange(T) < lengths[:, None, None, None], 0.0, MASKED).astype(dtype, copy=False)
 
 
 def _cross_kv(tape, P, feats):
@@ -169,7 +187,7 @@ def forward(params: ModelParams, features, prefix_ids, train: bool = False):
         raise CapkitError(f"prefixes must be a B x L array of rows that start with BOS, got shape {ids.shape}")
     if ids.shape[1] > cfg.max_len:
         raise CapkitError("prefix longer than max_len")
-    feats, ca_bias = _check_features(cfg, features)
+    feats, ca_bias = _check_features(params, features)
     if len(feats) != len(ids):
         raise CapkitError(f"{len(ids)} prefixes but {len(feats)} feature matrices")
 
@@ -186,7 +204,7 @@ def forward(params: ModelParams, features, prefix_ids, train: bool = False):
         x,
         ad.matmul(tape, x, P["sa_k"]),
         ad.matmul(tape, x, P["sa_v"]),
-        np.triu(np.full((L, L), MASKED), k=1),  # position i sees positions 0..i
+        np.triu(np.full((L, L), MASKED, dtype=params.flat.dtype), k=1),  # position i sees positions 0..i
         *_cross_kv(tape, P, feats),
         ca_bias,
         cfg.n_heads,
@@ -205,12 +223,15 @@ def _token_loss(logits: np.ndarray, targets: np.ndarray, r: np.ndarray, n: np.nd
     (0 on padding) and n each row's count of real targets. Row i's loss is
     -(1/n_i) sum_t r_it log p(target_it); the gradient at (i, t) is
     r_it / n_i / B * (softmax - onehot(target_it)).
+
+    The log-softmax and the gradient are of the logits' dtype; each row's loss
+    is summed in float64.
     """
     lp = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
     lp -= np.log(np.add.reduce(np.exp(lp), axis=-1, keepdims=True))  # log-softmax
     flat = lp.reshape(-1, lp.shape[-1])
     at = np.arange(len(flat)), targets.ravel()
-    loss = -np.add.reduce(r * flat[at].reshape(targets.shape), axis=-1) / n
+    loss = -np.add.reduce(r * flat[at].reshape(targets.shape), axis=-1, dtype=np.float64) / n
     dlogp = (-r / n[:, None] / len(n)).ravel()  # d mean loss / d log p(target)
     grad = np.exp(flat)
     grad *= -dlogp[:, None]  # dlogp * -exp: a product's sign is the xor of its operands' signs
@@ -219,8 +240,9 @@ def _token_loss(logits: np.ndarray, targets: np.ndarray, r: np.ndarray, n: np.nd
 
 
 def backward(trace: ForwardTrace, loss_grad: np.ndarray) -> dict:
-    """Reverse-mode gradients of the scalar loss for every parameter tensor."""
-    trace.logits.accumulate(np.asarray(loss_grad, dtype=np.float64))
+    """Reverse-mode gradients of the scalar loss for every parameter tensor,
+    seeded with `loss_grad` cast to the logits' dtype."""
+    trace.logits.accumulate(np.asarray(loss_grad, dtype=trace.logits.value.dtype))
     for back in reversed(trace.tape):
         back()
     return {name: var.grad for name, var in trace.param_vars.items()}
@@ -232,7 +254,8 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 @dataclass
 class AdamState:
     """Adam's moments m and v over `flat`, and two scratch vectors: the
-    gradient in `flat` order and a temporary; allocated on the first step."""
+    gradient in `flat` order and a temporary; allocated on the first step, of
+    `flat`'s dtype."""
 
     m: np.ndarray | None = None
     v: np.ndarray | None = None
@@ -274,14 +297,14 @@ def _pad_rows(rows, rewards) -> tuple:
     """Teacher-forcing arrays of a batch of BOS..EOS id rows of any lengths, one
     reward per row: the B x L prefixes (each row but its last id, right-padded
     with PAD), the B x L targets (each row but its BOS), the B x L rewards (the
-    row's reward on its real targets, 0 on padding) and each row's count of
-    real targets."""
+    row's reward on its real targets, 0 on padding, of the rewards' dtype) and
+    each row's count of real targets."""
     n = np.array([len(r) for r in rows]) - 1
     ids = np.full((len(rows), int(n.max()) + 1), PAD, dtype=np.intp)
     for dst, r in zip(ids, rows):
         dst[: len(r)] = r
     real = np.arange(ids.shape[1] - 1) < n[:, None]
-    return ids[:, :-1], ids[:, 1:], np.asarray(rewards, dtype=np.float64)[:, None] * real, n
+    return ids[:, :-1], ids[:, 1:], np.asarray(rewards)[:, None] * real, n
 
 
 def _fit(params: ModelParams, dataset: list[Row], epochs: int, batch_size: int, seed: int, lr: float, captions):
@@ -291,7 +314,8 @@ def _fit(params: ModelParams, dataset: list[Row], epochs: int, batch_size: int, 
     default_rng(seed), and each batch takes one teacher-forced Adam step on
     the mean of its rows' reward-weighted `_token_loss` given their features.
     captions(rows, epoch) returns the batch's BOS..EOS id rows and one reward
-    per row. A non-finite loss raises NumericFailure before `backward` runs.
+    per row, which the step casts to `flat`'s dtype. A non-finite loss raises
+    NumericFailure before `backward` runs.
     """
     if batch_size < 1 or epochs < 0:
         raise CapkitError(f"need batch_size >= 1 and epochs >= 0, got {batch_size} and {epochs}")
@@ -307,7 +331,8 @@ def _fit(params: ModelParams, dataset: list[Row], epochs: int, batch_size: int, 
         losses = []
         for start in range(0, len(order), batch_size):
             batch = [dataset[i] for i in order[start : start + batch_size]]
-            prefix, targets, r, n = _pad_rows(*captions(batch, epoch))
+            ids, rewards = captions(batch, epoch)
+            prefix, targets, r, n = _pad_rows(ids, np.asarray(rewards, dtype=params.flat.dtype))
             trace = forward(params, [row.features for row in batch], prefix, train=True)
             loss, glogits = _token_loss(trace.logits.value, targets, r, n)
             if not np.isfinite(loss).all():
@@ -353,9 +378,9 @@ class DecoderCache:
     def __init__(self, params: ModelParams, features):
         self.params = params
         cfg = params.config
-        feats, self._ca_bias = _check_features(cfg, features)
+        feats, self._ca_bias = _check_features(params, features)
         self._ca_k, self._ca_v = _cross_kv(None, params.tensors, feats)
-        self._keys = np.empty((len(feats), cfg.max_len, cfg.d_model))
+        self._keys = np.empty((len(feats), cfg.max_len, cfg.d_model), dtype=params.flat.dtype)
         self._vals = np.empty_like(self._keys)
         self._t = 0
 
@@ -379,7 +404,9 @@ class DecoderCache:
 
 # ---------------------------------------------------------------------------
 # Checkpoint format: CKPT magic | version u32 | header_len u32 | JSON header
-# (config and extra keys) | float64 little-endian tensors in `_shapes` order
+# (config and extra keys) | float64 little-endian tensors in `_shapes` order.
+# `flat` is PARAM_DTYPE in memory; float32 widens to float64 exactly, so a
+# save and a load give the same bits.
 
 CKPT_MAGIC = b"CKPT"
 CKPT_VERSION = 1
@@ -392,9 +419,10 @@ def save_checkpoint(params: ModelParams, path: str, extra: dict | None = None) -
 
 
 def load_checkpoint(path: str) -> tuple[ModelParams, dict]:
-    """Read a checkpoint and its extra header keys. Framing errors raise as in
-    `data._Frame`; a header that does not decode to a valid config raises
-    CapkitError, as does a non-finite parameter."""
+    """Read a checkpoint and its extra header keys, with `flat` of PARAM_DTYPE.
+    Framing errors raise as in `data._Frame`; a header that does not decode to
+    a valid config raises CapkitError, as do a non-finite parameter and a
+    finite one that overflows PARAM_DTYPE."""
     frame = _Frame(path, CKPT_MAGIC, CKPT_VERSION)
     header = _json_object(frame.take(frame.u32()), f"{path}: checkpoint header")
     try:
@@ -403,7 +431,7 @@ def load_checkpoint(path: str) -> tuple[ModelParams, dict]:
         raise CapkitError(f"{path}: checkpoint config unreadable: {type(e).__name__}: {e}") from e
     payload = frame.take(8 * _size(config))  # a huge config fails here, before any allocation
     frame.end()
-    flat = np.frombuffer(payload, dtype="<f8").astype(np.float64)
-    if not np.isfinite(flat).all():
+    stored = np.frombuffer(payload, dtype="<f8")
+    if not np.isfinite(stored).all():
         raise CapkitError(f"{path}: non-finite parameter values")
-    return ModelParams(config, flat), header
+    return ModelParams(config, _cast(stored, PARAM_DTYPE, f"{path}: parameter values")), header

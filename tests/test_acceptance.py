@@ -24,6 +24,7 @@ from capkit.metrics import (
 from capkit.scst import scst_train
 from capkit.seqmodel import (
     ModelConfig,
+    ModelParams,
     _token_loss,
     backward,
     forward,
@@ -121,7 +122,7 @@ def xent(logits, target_ids, mask):
 def test_criterion_gradient_fidelity():
     t0 = time.perf_counter()
     cfg = ModelConfig(vocab_size=16, feature_dim=8, d_model=32, n_heads=2, max_len=12, seed=5)
-    params = init_params(cfg)
+    params = ModelParams(cfg, init_params(cfg).flat.astype(np.float64))  # float64 resolves the bounds below
     feats = np.random.default_rng(3).normal(size=(5, 8))
     prefix = [BOS, 6, 7, 8, 9, 10]
     targets = [[6, 7, 8, 9, 10, EOS]]

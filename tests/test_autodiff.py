@@ -166,9 +166,7 @@ def ref_attention(q, k, v, n_heads, bias, g):
     """Output, then the q, k and v gradients."""
     qh, kh, vh = (ad._split_heads(a, n_heads) for a in (q, k, v))
     c = 1.0 / np.sqrt(qh.shape[-1])
-    s = (qh @ kh.swapaxes(-1, -2)) * c
-    if bias is not None:
-        s += bias
+    s = (qh @ kh.swapaxes(-1, -2)) * c + bias
     s -= s.max(axis=-1, keepdims=True)
     p = np.exp(s)
     p /= p.sum(axis=-1, keepdims=True)

@@ -10,7 +10,7 @@ import pytest
 from capkit import data as dmod
 from capkit.cli import build_parser, main, render_report_table
 from capkit.metrics import ScoreReport
-from capkit.seqmodel import load_checkpoint, save_checkpoint
+from capkit.seqmodel import ModelParams, load_checkpoint, save_checkpoint
 
 
 def run(capsys, *argv):
@@ -298,11 +298,29 @@ def test_non_finite_checkpoint_exits_2(tmp_path, capsys, tiny_pipeline, command)
     assert os.listdir(tmp_path) == ["nan.ckpt"]
 
 
-def test_greedy_decode_non_finite_logits_exits_3(tmp_path, capsys, tiny_pipeline):
-    """A finite checkpoint whose logits overflow fails greedy decoding as a
-    numeric failure, as it fails sampled decoding, and writes no captions."""
+@pytest.mark.parametrize("command", ["decode", "train-scst"])
+def test_checkpoint_overflowing_float32_exits_2(tmp_path, capsys, tiny_pipeline, command):
+    """A checkpoint value that is finite in its float64 payload but beyond
+    float32's range is refused on load, naming the file, with no cast
+    warning (warnings are errors in this suite) and no output."""
     params, extra = load_checkpoint(tiny_pipeline["ckpt"])
-    params.tensors["tok_emb"][...] = 1e308
+    wide = ModelParams(params.config, params.flat.astype(np.float64))
+    wide.tensors["tok_emb"][...] = 1e308
+    ckpt = os.path.join(tmp_path, "big.ckpt")
+    save_checkpoint(wide, ckpt, extra=extra)
+    out = os.path.join(tmp_path, "out")
+    status, _, err = run(capsys, command, "--data", tiny_pipeline["data"], "--ckpt", ckpt, "--out", out)
+    assert status == 2
+    assert err.strip().splitlines()[-1] == f"validation error: {ckpt}: parameter values overflow float32"
+    assert os.listdir(tmp_path) == ["big.ckpt"]
+
+
+def test_greedy_decode_non_finite_logits_exits_3(tmp_path, capsys, tiny_pipeline):
+    """A checkpoint that is finite in float32 but whose logits overflow fails
+    greedy decoding as a numeric failure, as it fails sampled decoding, and
+    writes no captions."""
+    params, extra = load_checkpoint(tiny_pipeline["ckpt"])
+    params.tensors["tok_emb"][...] = 1e37
     ckpt = os.path.join(tmp_path, "big.ckpt")
     save_checkpoint(params, ckpt, extra=extra)
     out = os.path.join(tmp_path, "out")

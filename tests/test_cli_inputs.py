@@ -348,6 +348,23 @@ def test_decode_sample_at_subnormal_temperature_is_greedy(tmp_path, capsys, corp
     assert sampled == out.read_bytes()
 
 
+def test_score_long_shuffled_caption(tmp_path, capsys):
+    """A hypothesis that shuffles a 1000-word reference of distinct words
+    scores with exit 0: METEOR's chunk search over about 1000 one-word chunks
+    keeps its depth on a list, not on Python's call stack."""
+    words = [f"w{i}" for i in range(1000)]
+    shuffled = list(np.random.default_rng(0).permutation(words))
+    refs = write(os.path.join(tmp_path, "refs.jsonl"), jsonl([{"id": "c", "role": "description", "text": " ".join(words)}]))
+    hyps = write(os.path.join(tmp_path, "hyps.jsonl"), jsonl([{"id": "c", "role": "description", "text": " ".join(shuffled)}]))
+    out = os.path.join(tmp_path, "report.json")
+    status, stdout, err = run(capsys, "score", "--hyps", hyps, "--refs", refs, "--out", out)
+    assert status == 0, err
+    report = json.loads(stdout)
+    assert all(np.isfinite(report[k]) for k in ("b1", "b2", "b3", "b4", "rouge_l", "meteor", "cider_d"))
+    assert report["b1"] == 1.0 and report["counts"] == 1
+    assert 0.0 < report["meteor"] < 0.55  # every unigram matches, in about 1000 chunks
+
+
 def test_config_accepts_values_of_the_flag_type(tmp_path, capsys, corpus):
     cfg = write(os.path.join(tmp_path, "cfg.json"), json.dumps({"sample": True, "temperature": 1, "split": "test"}))
     status, _, err = run(capsys, "--config", cfg, *_decode(str(tmp_path), corpus))

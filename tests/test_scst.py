@@ -20,6 +20,7 @@ from capkit.seqmodel import (
     AdamState,
     DecoderCache,
     ModelConfig,
+    ModelParams,
     Row,
     _pad_rows,
     _token_loss,
@@ -250,11 +251,12 @@ def test_rewards_broadcast_with_mask():
     rewards = [compute_rewards(s, greedy, ref, _idf(), VOCAB) for s in samples]
     diffs = [rv.sample_score - rv.baseline_score for rv in rewards]
     assert [rv.r for rv in rewards] == diffs and all(d != 0.0 for d in diffs)
-    prefix, targets, r, n = _pad_rows(samples, [rv.r for rv in rewards])
+    prefix, targets, r, n = _pad_rows(samples, np.asarray([rv.r for rv in rewards], dtype=np.float32))
     assert prefix.tolist() == [[BOS, 4, 5], [BOS, 4, EOS]]
     assert targets.tolist() == [[4, 5, EOS], [4, EOS, 0]]
     assert n.tolist() == [3, 2]
-    assert r.tolist() == [[diffs[0]] * 3, [diffs[1], diffs[1], 0.0]]
+    d0, d1 = np.float32(diffs[0]), np.float32(diffs[1])  # `_fit` casts the rewards to `flat`'s dtype, float32
+    assert r.dtype == np.float32 and r.tolist() == [[d0] * 3, [d1, d1, 0.0]]
     logits = np.random.default_rng(1).normal(size=(2, 3, CFG.vocab_size))
     _, grad = _token_loss(logits, targets, r, n)
     assert np.all(grad[1, 2] == 0.0) and np.all(grad[:, :2] != 0.0)
@@ -414,8 +416,8 @@ def test_scst_train_epoch_moves_parameters():
 
 def test_scst_train_batch_is_one_hand_composed_step():
     """A one-batch scst_train epoch is a lockstep greedy and sampled rollout,
-    compute_rewards, then _pad_rows, forward, the reward-weighted _token_loss,
-    backward and adam_step, bit for bit."""
+    compute_rewards, then _pad_rows of the rewards in `flat`'s dtype, forward,
+    the reward-weighted _token_loss, backward and adam_step, bit for bit."""
     rng = np.random.default_rng(8)
     items = [
         Row(f"s{k}", rng.normal(size=(T, CFG.feature_dim)), Caption.make(text, "description"))
@@ -432,7 +434,7 @@ def test_scst_train_batch_is_one_hand_composed_step():
     greedy, rolls = decoded[: len(batch)], decoded[len(batch) :]
     rewards = [compute_rewards(s, g, it.ref, idf, VOCAB) for s, g, it in zip(rolls, greedy, batch)]
     assert any(rv.r != 0.0 for rv in rewards)
-    prefix, targets, r, n = _pad_rows(rolls, [rv.r for rv in rewards])
+    prefix, targets, r, n = _pad_rows(rolls, np.asarray([rv.r for rv in rewards], dtype=ref.flat.dtype))
     trace = forward(ref, feats, prefix, train=True)
     loss, glogits = _token_loss(trace.logits.value, targets, r, n)
     adam_step(ref, backward(trace, glogits), AdamState(), lr=1e-2)
@@ -474,7 +476,8 @@ def test_scst_train_non_finite_loss_fails_fast(params, monkeypatch):
 def test_scst_parameter_gradient_finite_difference(params):
     """The reward-weighted `_token_loss` of a fixed sampled caption whose last
     target is padding, through forward, the logits gradient and backward,
-    against central differences of the textbook loss."""
+    against central differences of the textbook loss (float64 parameters)."""
+    params = ModelParams(params.config, params.flat.astype(np.float64))
     (roll,) = rollout(params, [FEATS], [4])
     prefix = roll[:-1]
     targets = np.asarray(roll[1:], dtype=np.intp)

@@ -45,6 +45,12 @@ def params():
     return init_params(CFG)
 
 
+def f64(params: ModelParams) -> ModelParams:
+    """The same parameters in float64: the model runs the same code in
+    `flat`'s dtype, so a test whose bound needs float64 precision uses these."""
+    return ModelParams(params.config, params.flat.astype(np.float64))
+
+
 def xent(logits, target_ids, mask):
     """Masked length-normalized cross entropy of a batch (B x L x |V| logits,
     B x L targets and 0/1 mask) and its gradient w.r.t. the logits: the
@@ -106,8 +112,8 @@ def test_tensors_are_views_of_flat(params):
     start = 0
     for name, shape in _shapes(CFG):
         view = params.tensors[name]
-        assert view.shape == shape and view.dtype == np.float64
-        assert view.ctypes.data == params.flat.ctypes.data + 8 * start
+        assert view.shape == shape and view.dtype == np.float32
+        assert view.ctypes.data == params.flat.ctypes.data + 4 * start
         assert np.shares_memory(view, params.flat)
         offset[name] = start
         start += view.size
@@ -180,10 +186,10 @@ def test_forward_feature_order_irrelevant_single_row(params):
 
 def test_incremental_decode_matches_forward():
     """Cached stepping equals a full recompute, up to a max_len prefix, for
-    one and several heads."""
+    one and several heads (float64 parameters)."""
     rng = np.random.default_rng(5)
     for n_heads in (1, 2, 4):
-        params = init_params(ModelConfig(**{**CFG.__dict__, "n_heads": n_heads}))
+        params = f64(init_params(ModelConfig(**{**CFG.__dict__, "n_heads": n_heads})))
         for prefix in (PREFIX, [BOS] + list(rng.integers(4, CFG.vocab_size, CFG.max_len - 1))):
             (logits,) = forward(params, [FEATS], [prefix])
             cache = DecoderCache(params, [FEATS])
@@ -247,8 +253,8 @@ def _mixed_batch(rng):
 @pytest.mark.parametrize("n_heads", [1, 2, 4])
 def test_batch_matches_single_rows(n_heads):
     """One padded batch gives each row's loss, and the mean of the rows'
-    gradients, as one-row forwards do."""
-    params = init_params(ModelConfig(**{**CFG.__dict__, "n_heads": n_heads}))
+    gradients, as one-row forwards do (float64 parameters)."""
+    params = f64(init_params(ModelConfig(**{**CFG.__dict__, "n_heads": n_heads})))
     rows, feats = _mixed_batch(np.random.default_rng(n_heads))
     prefix, targets, r, n = _pad_rows(rows, np.ones(len(rows)))
     trace = forward(params, feats, prefix, train=True)
@@ -268,9 +274,9 @@ def test_batch_matches_single_rows(n_heads):
 
 def test_batch_incremental_decode_matches_forward():
     """Stepping a cached batch in lockstep equals a full batched forward at
-    every position of every row, padding included."""
+    every position of every row, padding included (float64 parameters)."""
     for n_heads in (1, 2, 4):
-        params = init_params(ModelConfig(**{**CFG.__dict__, "n_heads": n_heads}))
+        params = f64(init_params(ModelConfig(**{**CFG.__dict__, "n_heads": n_heads})))
         rows, feats = _mixed_batch(np.random.default_rng(10 + n_heads))
         ids = np.hstack([_pad_rows(rows, np.ones(len(rows)))[0], np.full((len(rows), 1), PAD)])
         full = forward(params, feats, ids)
@@ -280,6 +286,79 @@ def test_batch_incremental_decode_matches_forward():
         assert np.allclose(stepped, full, atol=1e-10), n_heads
         for row, f, logits in zip(ids, feats, full):
             assert np.allclose(forward(params, [f], [row])[0], logits, atol=1e-10)
+
+
+# Float32 against float64. The float32 unit roundoff is 6e-8; each bound below
+# is relative to the largest magnitude of the float64 value it compares, and
+# leaves about 30x room over the worst error measured on 20 seeds.
+F32_FORWARD_REL = 1e-5  # logits; worst measured 2.9e-7
+F32_GRAD_REL = 1e-4  # each parameter gradient; worst measured 1.6e-6
+
+
+def test_float32_forward_and_gradients_match_float64():
+    """Production (float32) parameters give float32 logits and gradients that
+    match the float64 run of the same parameters, on the padded mixed batch
+    of `test_batch_matches_single_rows`, for one and several heads."""
+    for n_heads in (1, 2, 4):
+        p32 = init_params(ModelConfig(**{**CFG.__dict__, "n_heads": n_heads}))
+        rows, feats = _mixed_batch(np.random.default_rng(20 + n_heads))
+        prefix, targets, r, n = _pad_rows(rows, np.ones(len(rows)))
+        runs = []
+        for p in (p32, f64(p32)):
+            trace = forward(p, feats, prefix, train=True)
+            loss, glog = _token_loss(trace.logits.value, targets, r.astype(p.flat.dtype), n)
+            runs.append((trace.logits.value, loss, backward(trace, glog)))
+        (l32, loss32, g32), (l64, loss64, g64) = runs
+        assert l32.dtype == np.float32 and loss32.dtype == np.float64
+        assert np.abs(l32 - l64).max() <= F32_FORWARD_REL * np.abs(l64).max()
+        assert np.allclose(loss32, loss64, rtol=F32_FORWARD_REL, atol=0.0)
+        for name, g in g64.items():
+            assert g32[name].dtype == np.float32, name
+            assert np.abs(g32[name] - g).max() <= F32_GRAD_REL * np.abs(g).max(), (n_heads, name)
+
+
+def test_float32_incremental_decode_matches_forward(params):
+    """Float32 cached stepping of a mixed batch equals a float32 full
+    forward at every position, within F32_FORWARD_REL of the largest logit,
+    and its key and value buffers are float32."""
+    rows, feats = _mixed_batch(np.random.default_rng(30))
+    ids = np.hstack([_pad_rows(rows, np.ones(len(rows)))[0], np.full((len(rows), 1), PAD)])
+    full = forward(params, feats, ids)
+    cache = DecoderCache(params, feats)
+    stepped = np.stack([cache.step(ids[:, t]) for t in range(ids.shape[1])], axis=1)
+    assert full.dtype == stepped.dtype == cache._keys.dtype == cache._vals.dtype == np.float32
+    assert np.abs(stepped - full).max() <= F32_FORWARD_REL * np.abs(full).max()
+
+
+def test_float32_training_losses_match_float64():
+    """Five float32 MLE epochs (two Adam steps each) give the loss curve of
+    the float64 run from the same parameters, within a relative 1e-5 (worst
+    measured 2e-8), and leave float32 parameters."""
+    rng = np.random.default_rng(3)
+    texts = ["a b c", "d e", "f g h a", "b b c d e f"]
+    rows = [Row(f"s{k}", rng.normal(size=(T, CFG.feature_dim)), Caption.make(t, "description"))
+            for k, (T, t) in enumerate(zip((4, 2, 5, 3), texts))]
+    p32 = init_params(CFG)
+    p64 = f64(p32)
+    c32 = train_mle(p32, rows, epochs=5, batch_size=2, seed=1, vocab=VOCAB, lr=1e-2)
+    c64 = train_mle(p64, rows, epochs=5, batch_size=2, seed=1, vocab=VOCAB, lr=1e-2)
+    assert p32.flat.dtype == np.float32 and c32[-1] < c32[0]
+    assert c32 == pytest.approx(c64, rel=1e-5, abs=0.0)
+
+
+def test_features_overflowing_float32_are_refused(params):
+    """A finite feature value beyond float32's range is a CapkitError, not a
+    cast warning; NaN and infinities pass, for the loss check to catch."""
+    big = FEATS.copy()
+    big[1, 2] = 1e39
+    for run in (lambda f: forward(params, [f], [PREFIX]), lambda f: DecoderCache(params, [f])):
+        with pytest.raises(CapkitError, match="feature values overflow float32") as excinfo:
+            run(big)
+        assert excinfo.type is CapkitError
+    assert np.isfinite(forward(f64(params), [big], [PREFIX])).all()  # float64 parameters take it
+    inf = FEATS.copy()
+    inf[0, 0] = np.inf
+    assert seqmodel._check_features(params, [inf])[0][0, 0, 0] == np.inf
 
 
 @pytest.mark.parametrize("bad", [[FEATS[:, :5]], [FEATS[None]], [FEATS[:0]], [FEATS[0]], FEATS, []])
@@ -297,17 +376,20 @@ def test_decoder_cache_rejects_bad_features(params, bad):
     assert excinfo.type is CapkitError
 
 
-def test_check_features_equal_lengths():
-    """Clips of one length stack to exactly the bytes of `np.stack`, -0.0
-    and float32 inputs included, under an all-zero B x 1 x 1 x T bias."""
+def test_check_features_equal_lengths(params):
+    """Clips of one length stack to exactly the bytes of `np.stack` in
+    `flat`'s dtype, -0.0 and float32 inputs included, under an all-zero
+    B x 1 x 1 x T bias of that dtype: for float32 and float64 parameters."""
     rng = np.random.default_rng(11)
     rows = [rng.normal(size=(5, CFG.feature_dim)) for _ in range(3)]
     rows[1][2, 3] = -0.0
     rows[2] = rows[2].astype(np.float32)
-    feats, bias = seqmodel._check_features(CFG, rows)
-    want = np.stack([np.asarray(f, dtype=np.float64) for f in rows])
-    assert feats.dtype == want.dtype and feats.shape == want.shape and feats.tobytes() == want.tobytes()
-    assert bias.shape == (3, 1, 1, 5) and not bias.any() and not np.signbit(bias).any()
+    for p, dtype in ((params, np.float32), (f64(params), np.float64)):
+        feats, bias = seqmodel._check_features(p, rows)
+        want = np.stack([np.asarray(f, dtype=dtype) for f in rows])
+        assert feats.dtype == want.dtype and feats.shape == want.shape and feats.tobytes() == want.tobytes()
+        assert bias.dtype == dtype and bias.shape == (3, 1, 1, 5)
+        assert not bias.any() and not np.signbit(bias).any()
 
 
 @pytest.mark.parametrize("bad", [CFG.vocab_size, 40, -1, 2.0, True, False])
@@ -387,6 +469,7 @@ def _end_to_end_grads(params, prefix=PREFIX, targets=(5, 6, 7, EOS), mask=(1, 1,
 
 
 def test_backward_finite_difference(params):
+    params = f64(params)
     _, grads = _end_to_end_grads(params)
     rng = np.random.default_rng(1)
     names = sorted(params.tensors)
@@ -441,7 +524,7 @@ def test_training_forward_vars_all_get_gradients(params, monkeypatch, reward):
     gradient of its value's shape, even when every reward is 0."""
     rng = np.random.default_rng(5)
     feats = [rng.normal(size=(T, CFG.feature_dim)) for T in (9, 7, 5)]
-    assert (seqmodel._check_features(CFG, feats)[1] == seqmodel.MASKED).any()
+    assert (seqmodel._check_features(params, feats)[1] == seqmodel.MASKED).any()
     rows = [[BOS, 5, 6, 7, EOS], [BOS, 8, EOS], [BOS, 4, 9, EOS]]
     prefix, targets, r, n = _pad_rows(rows, np.full(3, reward))
     made = _vars_made(monkeypatch)
@@ -462,7 +545,8 @@ def test_rollout_makes_no_vars(params, monkeypatch):
 
 def test_tied_embedding_gradient_sums_both_roles(params):
     """The tied tensor's gradient equals embedding-gather plus output-projection
-    contributions computed from an untied twin."""
+    contributions computed from an untied twin (float64 parameters)."""
+    params = f64(params)
     _, grads = _end_to_end_grads(params)
 
     # untied twin: the same block with an independent copy of the output matrix
@@ -492,6 +576,7 @@ def test_adam_zero_grad(params):
 
 
 def test_adam_first_step_direction(params):
+    params = f64(params)
     g = {n: np.full_like(t, 0.5) for n, t in params.tensors.items()}
     before = params.flat.copy()
     adam_step(params, g, AdamState(), lr=1e-3)
@@ -513,7 +598,8 @@ def test_adam_deterministic(params):
 def test_adam_state_allocated_once_and_update_unchanged(params):
     """Adam's flat m, v and scratch vectors are allocated on the first step and
     reused after; three seeded steps match a per-tensor reference of the update
-    bit for bit."""
+    bit for bit (float64 parameters)."""
+    params = f64(params)
     ref = {n: t.copy() for n, t in params.tensors.items()}
     ref_m = {n: np.zeros_like(t) for n, t in ref.items()}
     ref_v = {n: np.zeros_like(t) for n, t in ref.items()}
@@ -577,8 +663,8 @@ def test_train_mle_non_finite_loss_fails_fast(params, monkeypatch):
 
 def test_train_mle_epoch_is_one_hand_composed_step():
     """A one-batch train_mle epoch is encode, _pad_rows, forward, xent,
-    backward and adam_step, bit for bit; a caption longer than max_len - 2
-    tokens trains truncated to max_len ids."""
+    backward and adam_step, bit for bit (float64 parameters); a caption longer
+    than max_len - 2 tokens trains truncated to max_len ids."""
     rng = np.random.default_rng(7)
     lengths = [1, CFG.max_len + 3, 3, 0]  # tokens per caption
     texts = [" ".join(VOCAB.tokens[i] for i in rng.integers(4, CFG.vocab_size, n)) for n in lengths]
@@ -586,7 +672,7 @@ def test_train_mle_epoch_is_one_hand_composed_step():
     rows = [Row(f"s{k}", f, Caption.make(t, "description")) for k, (f, t) in enumerate(zip(feats, texts))]
     ids = [encode(VOCAB, list(r.ref.tokens), CFG.max_len) for r in rows]
     assert len(rows[1].ref.tokens) > CFG.max_len - 2 and len(ids[1]) == CFG.max_len
-    params, ref = init_params(CFG), init_params(CFG)
+    params, ref = f64(init_params(CFG)), f64(init_params(CFG))
     curve = train_mle(params, rows, epochs=1, batch_size=len(rows), seed=4, vocab=VOCAB, lr=1e-2)
 
     order = np.random.default_rng(4).permutation(len(rows))
@@ -619,11 +705,20 @@ def test_checkpoint_round_trip(tmp_path, params):
 
 
 def test_checkpoint_bit_exact_subnormals(tmp_path, params):
-    params.tensors["sa_q"][0, 0] = 5e-324  # smallest subnormal double
+    """The smallest float32 subnormal survives a save and a load bit for bit.
+    A float64 subnormal is stored bit for bit and loads as float32's 0.0."""
+    tiny = np.finfo(np.float32).smallest_subnormal
+    params.tensors["sa_q"][0, 0] = tiny
     path = os.path.join(tmp_path, "model.ckpt")
     save_checkpoint(params, path)
     loaded, _ = load_checkpoint(path)
-    assert loaded.tensors["sa_q"][0, 0] == 5e-324
+    assert loaded.tensors["sa_q"][0, 0].tobytes() == tiny.tobytes()
+    wide = f64(params)
+    wide.tensors["sa_q"][0, 0] = 5e-324  # smallest subnormal double
+    save_checkpoint(wide, path)
+    assert _split_checkpoint(path)[1] == wide.flat.astype("<f8").tobytes()
+    loaded, _ = load_checkpoint(path)
+    assert loaded.tensors["sa_q"][0, 0] == 0.0 and not np.signbit(loaded.tensors["sa_q"][0, 0])
 
 
 def test_checkpoint_truncated_at_every_offset(tmp_path):
